@@ -7,16 +7,23 @@ entries are all 1).  Feasibility of that system decides whether the marginals
 admit a joint coupling; adding the four observable-pair rows with right-hand
 side p asks whether a specific outcome vector is admitted.
 
-Verdicts are always exact.  For rational systems the search is delegated to
-a float LP solver and its answer is then *certified* in exact arithmetic --
-a rational witness re-derived from the reported support, or a rationalized
-Farkas certificate for infeasibility.  Whenever certification fails, and for
-right-hand sides in Q[sqrt(2)] \\ Q (where no float shortcut is trusted), the
-exact Bland simplex decides directly.
+Verdicts are always exact.  A float LP solver (HiGHS) proposes every answer
+and exact arithmetic proves it: a witness ``q >= 0`` that reproduces every
+row, a rationalized Farkas ray for infeasibility, or -- for
+:func:`optimize` -- rationalized duals bounding the objective together with
+a witness that attains the bound.  ``M`` is 0/1, so elimination on the
+reported support stays rational; a right-hand side ``a + b*sqrt2`` travels
+as the two rational columns ``a`` and ``b``, and every sign is decided
+exactly in Q[sqrt(2)].  Floats only choose which columns and duals get
+checked.  The exact Bland simplex is the cold fallback: it decides when a
+proof fails (logging one WARNING with the exact right-hand side on the
+``epr_couplings.lp`` logger) and when ``engine="exact"`` asks for it.
 """
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -32,7 +39,7 @@ from .model import (
     OutcomeVector,
     VariableId,
 )
-from .scalars import Scalar, as_scalar
+from .scalars import ZERO, Scalar, _sign_quadratic, as_scalar
 from .simplex import INFEASIBLE, OPTIMAL, solve_lp
 
 __all__ = [
@@ -45,6 +52,8 @@ __all__ = [
     "optimize",
     "OUTCOME_PAIRS",
 ]
+
+_log = logging.getLogger(__name__)
 
 #: The four observable pairs, in outcome-vector component order.
 OUTCOME_PAIRS = (
@@ -70,13 +79,19 @@ def _variables_mask(subset: Iterable[VariableId]) -> int:
     return mask
 
 
+_PAIR_MASKS = tuple(_variables_mask(pair) for pair in OUTCOME_PAIRS)
+
+
+def _subset_name(subset: Iterable[VariableId]) -> str:
+    return ",".join(v.name for v in sorted(subset)) or "()"
+
+
 @dataclass(frozen=True)
 class ConstraintSystem:
     """Rows of the coupling LP: one (column-indicator, rhs) pair per subset."""
 
     subsets: tuple[frozenset[VariableId], ...]
     rhs: tuple[Scalar, ...]
-    objective: tuple[Fraction, ...] | None = None
 
     @property
     def n_rows(self) -> int:
@@ -85,9 +100,6 @@ class ConstraintSystem:
     @property
     def is_rational(self) -> bool:
         return all(v.is_rational for v in self.rhs)
-
-    def row_masks(self) -> list[int]:
-        return [_variables_mask(s) for s in self.subsets]
 
     def row_indicator(self, i: int) -> list[int]:
         """The 0/1 column pattern of row i (1 iff the column's assignment
@@ -114,11 +126,23 @@ def _accumulate_rows(
         if seen is None:
             rows[subset] = value
         elif seen != value:
-            names = ",".join(v.name for v in sorted(subset)) or "()"
             raise ConflictingMarginalsError(
-                f"marginal Pr[{names} = +1] assigned both {seen} and {value}"
+                f"marginal Pr[{_subset_name(subset)} = +1] assigned both {seen} and {value}"
             )
     return rows
+
+
+def _augmented_system(
+    specs: Iterable[MarginalSpec], p: OutcomeVector | None
+) -> ConstraintSystem:
+    extra = []
+    if p is not None:
+        extra = [
+            (frozenset(pair), value) for pair, value in zip(OUTCOME_PAIRS, p.components)
+        ]
+    rows = _accumulate_rows(specs, extra)
+    order = _sorted_subsets(rows)
+    return ConstraintSystem(tuple(order), tuple(rows[s] for s in order))
 
 
 def build_system(specs: Iterable[MarginalSpec]) -> ConstraintSystem:
@@ -127,9 +151,12 @@ def build_system(specs: Iterable[MarginalSpec]) -> ConstraintSystem:
     Rows are ordered by subset size then variable position, the empty
     (normalization) subset first.  Conflicting assignments raise.
     """
-    rows = _accumulate_rows(specs)
-    order = _sorted_subsets(rows)
-    return ConstraintSystem(tuple(order), tuple(rows[s] for s in order))
+    return _augmented_system(specs, None)
+
+
+#: An exact nonnegative point of the system, by column: each nonzero weight
+#: as its field components -- ``(a,)`` over Q, ``(a, b)`` for a + b*sqrt2.
+_Solution = dict[int, tuple[Fraction, ...]]
 
 
 class FeasibilityResult:
@@ -139,18 +166,18 @@ class FeasibilityResult:
     time; the 256-entry table object itself is materialized lazily.
     """
 
-    __slots__ = ("feasible", "engine", "_q", "_witness")
+    __slots__ = ("feasible", "engine", "_x", "_witness")
 
-    def __init__(self, feasible: bool, q: Sequence | None, engine: str):
+    def __init__(self, feasible: bool, x: _Solution | None, engine: str):
         self.feasible = feasible
         self.engine = engine
-        self._q = q
+        self._x = x
         self._witness: CouplingTable | None = None
 
     @property
     def witness(self) -> CouplingTable | None:
-        if self._q is not None and self._witness is None:
-            self._witness = _witness_table(self._q)
+        if self._x is not None and self._witness is None:
+            self._witness = _witness_table(self._x)
         return self._witness
 
     def __bool__(self) -> bool:
@@ -160,12 +187,20 @@ class FeasibilityResult:
         return f"FeasibilityResult(feasible={self.feasible}, engine={self.engine!r})"
 
 
-# -- cached per-structure data for the float path ------------------------------
+def _witness_table(x: _Solution) -> CouplingTable:
+    return CouplingTable(
+        tuple(Scalar(*x[j]) if j in x else ZERO for j in range(N_ASSIGNMENTS))
+    )
+
+
+# -- cached per-structure data ---------------------------------------------------
 
 _STRUCTURE_CACHE: dict[tuple, tuple] = {}
 
 
 def _structure(subsets: tuple[frozenset[VariableId], ...]):
+    """Row masks, the float matrix ``[M | I]`` (the identity columns are the
+    phase-1 slacks, priced by ``cost``) and, per column of M, its rows."""
     key = subsets
     hit = _STRUCTURE_CACHE.get(key)
     if hit is not None:
@@ -190,38 +225,49 @@ def _structure(subsets: tuple[frozenset[VariableId], ...]):
     return entry
 
 
-def _witness_table(q: Sequence) -> CouplingTable:
-    return CouplingTable(tuple(as_scalar(v if not isinstance(v, int) else Fraction(v)) for v in q))
+# -- exact arithmetic over Q and Q[sqrt2], one rational column per component ----
 
 
-def _check_solution(masks: list[int], rhs: Sequence, q: Sequence) -> bool:
-    """Exact check that q >= 0 and every row sums to its rhs."""
-    support = [(j, v) for j, v in enumerate(q) if v != 0]
-    if any(v < 0 for _, v in support):
+def _rhs_columns(rhs: Sequence[Scalar]) -> list[list[Fraction]]:
+    """``[a]`` for a rational rhs, ``[a, b]`` when some entry is a + b*sqrt2."""
+    columns = [[v.a for v in rhs]]
+    if any(v.b for v in rhs):
+        columns.append([v.b for v in rhs])
+    return columns
+
+
+def _sign(parts: Sequence[Fraction]) -> int:
+    return _sign_quadratic(parts[0], parts[1] if len(parts) > 1 else 0)
+
+
+def _dot(y: Sequence[Fraction], rhs: list[list[Fraction]]) -> list[Fraction]:
+    return [sum((yi * bi for yi, bi in zip(y, column)), Fraction(0)) for column in rhs]
+
+
+def _is_witness(masks: list[int], rhs: list[list[Fraction]], x: _Solution) -> bool:
+    """Exact check that x >= 0 and every row sums to its rhs."""
+    if any(_sign(parts) < 0 for parts in x.values()):
         return False
-    for mask, want in zip(masks, rhs):
-        total = None
-        for j, v in support:
-            if (j & mask) == mask:
-                total = v if total is None else total + v
-        if total is None:
-            total = 0
-        if total != want:
-            return False
+    items = list(x.items())
+    for t, column in enumerate(rhs):
+        for mask, want in zip(masks, column):
+            if sum(parts[t] for j, parts in items if (j & mask) == mask) != want:
+                return False
     return True
 
 
 def _solve_on_support(
-    masks: list[int], rhs: list[Fraction], cols: list[int]
-) -> list[Fraction] | None:
-    """Exact Gaussian elimination of M[:, cols] x = rhs; None when it fails
-    to produce a nonnegative solution of the full system."""
+    masks: list[int], rhs: list[list[Fraction]], cols: list[int]
+) -> _Solution | None:
+    """Exact Gaussian elimination of M[:, cols] x = rhs, carrying every rhs
+    column through the same row operations; None when it fails to produce a
+    nonnegative solution of the full system."""
     m = len(masks)
     n = len(cols)
     aug = []
-    for i in range(m):
-        row = [Fraction(1) if (cols[idx] & masks[i]) == masks[i] else Fraction(0) for idx in range(n)]
-        row.append(rhs[i])
+    for i, mask in enumerate(masks):
+        row = [Fraction(1) if (c & mask) == mask else Fraction(0) for c in cols]
+        row.extend(column[i] for column in rhs)
         aug.append(row)
     piv = []
     r = 0
@@ -241,47 +287,160 @@ def _solve_on_support(
         r += 1
         if r == m:
             break
-    for i in range(r, m):
-        if aug[i][n]:
-            return None
-    q = [Fraction(0)] * N_ASSIGNMENTS
-    for i, c in enumerate(piv):
-        if aug[i][n] < 0:
-            return None
-        q[cols[c]] = aug[i][n]
-    if not _check_solution(masks, rhs, q):
+    if any(any(aug[i][n:]) for i in range(r, m)):
         return None
-    return q
+    x = {cols[c]: tuple(aug[i][n:]) for i, c in enumerate(piv) if any(aug[i][n:])}
+    return x if _is_witness(masks, rhs, x) else None
 
 
-def _farkas_certified(
-    masks: list[int], col_rows, rhs: list[Fraction], duals: Sequence[float]
-) -> bool:
+class _Uncertified(Exception):
+    """HiGHS's answer could not be proven exactly; the message says why."""
+
+
+def _rationalize(values: Sequence[float], sign: int = 1) -> list[Fraction]:
+    if not np.isfinite(values).all():
+        raise _Uncertified("HiGHS returned non-finite duals")
+    return [sign * Fraction(v).limit_denominator(1 << 24) for v in values]
+
+
+def _integers(values: Sequence[Fraction]) -> list[int]:
+    """The values times their common denominator (which keeps every sign
+    and order), so column sums run on ints."""
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values]
+
+
+def _farkas(col_rows, rhs: list[list[Fraction]], duals: Sequence[float]) -> bool:
     """True when some rationalization of the float duals proves infeasibility:
-    y.b > 0 with y.A_j <= 0 for every column."""
+    y.b > 0 (in Q[sqrt2]) with y.A_j <= 0 for every column."""
     for flip in (1, -1):
-        y = [flip * Fraction(v).limit_denominator(1 << 24) for v in duals]
-        if sum(yi * bi for yi, bi in zip(y, rhs)) <= 0:
+        y = _rationalize(duals, flip)
+        if _sign(_dot(y, rhs)) <= 0:
             continue
-        ok = True
-        for rows_j in col_rows:
-            total = Fraction(0)
-            for i in rows_j:
-                total += y[i]
-            if total > 0:
-                ok = False
-                break
-        if ok:
+        ny = _integers(y)
+        if all(sum(ny[i] for i in rows) <= 0 for rows in col_rows):
             return True
     return False
 
 
-def _require_exact(system: ConstraintSystem) -> None:
-    if not all(v.is_exact for v in system.rhs):
-        raise ValueError(
-            "LP feasibility requires exact scalars; approximate inputs have "
-            "no reliable verdict on boundary cases"
-        )
+def _support(x: np.ndarray, threshold: float) -> list[int]:
+    return [j for j in range(N_ASSIGNMENTS) if x[j] > threshold]
+
+
+def _certify(structure, rhs: list[list[Fraction]], b: np.ndarray, objective):
+    """HiGHS proposes, exact arithmetic proves: ``(x, value)`` with ``x``
+    None for an infeasible system and ``value`` the optimum's components
+    when ``objective`` is given.  Raises :class:`_Uncertified` otherwise."""
+    masks, a_eq, cost, col_rows = structure
+    if objective is None:
+        res = linprog(cost, A_eq=a_eq, b_eq=b, bounds=(0, None), method="highs")
+        if res.status != 0:
+            raise _Uncertified(f"HiGHS status {res.status}")
+        if res.fun < 1e-7:
+            x = _solve_on_support(masks, rhs, _support(res.x, 1e-9))
+            if x is not None:
+                return x, None
+        if _farkas(col_rows, rhs, res.eqlin.marginals):
+            return None, None
+        x = _solve_on_support(masks, rhs, _support(res.x, 1e-12))
+        if x is not None:
+            return x, None
+        raise _Uncertified("neither the support nor the duals prove a verdict")
+
+    res = linprog(
+        -np.array([float(c) for c in objective]),
+        A_eq=a_eq[:, :N_ASSIGNMENTS],
+        b_eq=b,
+        bounds=(0, None),
+        method="highs",
+    )
+    if res.status == 2:
+        if _certify(structure, rhs, b, None)[0] is None:
+            return None, None
+        raise _Uncertified("HiGHS reported infeasible, yet a coupling exists")
+    if res.status != 0:
+        raise _Uncertified(f"HiGHS status {res.status}")
+    # eqlin.marginals are d(min -c.q)/db; y = -marginals prices the maximum.
+    y = _rationalize(res.eqlin.marginals, -1)
+    scaled = _integers(y + objective)
+    ny, nc = scaled[: len(y)], scaled[len(y):]
+    tight = []
+    for j, rows in enumerate(col_rows):
+        total = sum(ny[i] for i in rows)
+        if total < nc[j]:
+            raise _Uncertified(f"duals violate y.A_j >= c_j at column {j}")
+        if total == nc[j] and res.x[j] > 1e-9:
+            tight.append(j)
+    x = _solve_on_support(masks, rhs, tight)
+    if x is None:
+        raise _Uncertified("no witness on the tight support attains the dual bound")
+    value = _dot(y, rhs)
+    attained = [
+        sum((objective[j] * parts[t] for j, parts in x.items()), Fraction(0))
+        for t in range(len(rhs))
+    ]
+    if attained != value:
+        raise _Uncertified("c.q differs from y.b")
+    return x, value
+
+
+def _bland(structure, system: ConstraintSystem, rhs: list[list[Fraction]], objective):
+    """The exact Bland simplex on the same rows, with the same answer shape
+    as :func:`_certify`."""
+    masks, a_eq, _, _ = structure
+    rows = a_eq[:, :N_ASSIGNMENTS].astype(int).tolist()
+    rational = len(rhs) == 1
+    b = [v.as_fraction() if rational else v for v in system.rhs]
+    res = solve_lp(rows, b, objective=objective, maximize=True)
+    if res.status == INFEASIBLE:
+        return None, None
+    if res.status != OPTIMAL:
+        raise AssertionError("support query unbounded despite normalization row")
+
+    def parts(v) -> tuple[Fraction, ...]:
+        s = as_scalar(v)
+        return (s.as_fraction(),) if rational else (s.a, s.b)
+
+    x = {j: parts(v) for j, v in enumerate(res.x) if v != 0}
+    if not _is_witness(masks, rhs, x):
+        raise AssertionError("exact simplex produced an invalid basic solution")
+    return x, None if objective is None else parts(res.objective)
+
+
+def _objective(direction: Sequence[Fraction]) -> list[Fraction]:
+    """``direction . p`` pushed through the coupling: column j gains d_k when
+    its assignment sets both variables of observable pair k to +1."""
+    return [
+        sum((d for d, mask in zip(direction, _PAIR_MASKS) if (j & mask) == mask), Fraction(0))
+        for j in range(N_ASSIGNMENTS)
+    ]
+
+
+def _solve(
+    system: ConstraintSystem,
+    direction: Sequence[Fraction] | None = None,
+    engine: str = "auto",
+):
+    """The one exact solve behind :func:`feasible` and :func:`optimize`:
+    ``(x, value, engine)``, where ``x`` is None for an infeasible system
+    and ``value`` the components of ``max direction . p``."""
+    structure = _structure(system.subsets)
+    rhs = _rhs_columns(system.rhs)
+    objective = None if direction is None else _objective(direction)
+    if engine == "auto":
+        b = np.array([float(v) for v in system.rhs])
+        try:
+            return (*_certify(structure, rhs, b, objective), "certified-float")
+        except _Uncertified as exc:
+            rows = "; ".join(
+                f"Pr[{_subset_name(s)} = +1] = {v}" for s, v in zip(system.subsets, system.rhs)
+            )
+            goal = "" if direction is None else f", maximizing ({', '.join(map(str, direction))}) . p"
+            _log.warning(
+                "HiGHS answer not certified (%s); exact simplex fallback for rhs [%s]%s",
+                exc, rows, goal,
+            )
+    return (*_bland(structure, system, rhs, objective), "exact-simplex")
 
 
 def _require_exact_inputs(specs: list[MarginalSpec], p: OutcomeVector | None) -> None:
@@ -290,63 +449,6 @@ def _require_exact_inputs(specs: list[MarginalSpec], p: OutcomeVector | None) ->
             "LP feasibility requires exact scalars; approximate inputs have "
             "no reliable verdict on boundary cases"
         )
-
-
-def _feasible_exact(system: ConstraintSystem) -> FeasibilityResult:
-    _require_exact(system)
-    masks = system.row_masks()
-    rational = system.is_rational
-    rhs = [v.as_fraction() if rational else v for v in system.rhs]
-    rows = [
-        [1 if (j & mask) == mask else 0 for j in range(N_ASSIGNMENTS)] for mask in masks
-    ]
-    res = solve_lp(rows, rhs)
-    if res.status == INFEASIBLE:
-        return FeasibilityResult(False, None, "exact-simplex")
-    assert res.status == OPTIMAL
-    if not _check_solution(masks, rhs, res.x):
-        raise AssertionError("exact simplex produced an invalid basic solution")
-    return FeasibilityResult(True, res.x, "exact-simplex")
-
-
-def _feasible_hybrid(system: ConstraintSystem) -> FeasibilityResult:
-    masks, a_eq, cost, col_rows = _structure(system.subsets)
-    rhs = [v.as_fraction() for v in system.rhs]
-    res = linprog(
-        cost,
-        A_eq=a_eq,
-        b_eq=np.array([float(v) for v in rhs]),
-        bounds=(0, None),
-        method="highs",
-    )
-    if res.status == 0:
-        x = res.x[:N_ASSIGNMENTS]
-        if res.fun < 1e-7:
-            cols = [j for j in range(N_ASSIGNMENTS) if x[j] > 1e-9]
-            q = _solve_on_support(masks, rhs, cols)
-            if q is not None:
-                return FeasibilityResult(True, q, "certified-float")
-        duals = getattr(res, "eqlin", None)
-        if duals is not None and _farkas_certified(masks, col_rows, rhs, duals.marginals):
-            return FeasibilityResult(False, None, "certified-float")
-        cols = [j for j in range(N_ASSIGNMENTS) if x[j] > 1e-12]
-        q = _solve_on_support(masks, rhs, cols)
-        if q is not None:
-            return FeasibilityResult(True, q, "certified-float")
-    return _feasible_exact(system)
-
-
-def _augmented_system(
-    specs: Iterable[MarginalSpec], p: OutcomeVector | None
-) -> ConstraintSystem:
-    extra = []
-    if p is not None:
-        extra = [
-            (frozenset(pair), value) for pair, value in zip(OUTCOME_PAIRS, p.components)
-        ]
-    rows = _accumulate_rows(specs, extra)
-    order = _sorted_subsets(rows)
-    return ConstraintSystem(tuple(order), tuple(rows[s] for s in order))
 
 
 def feasible(
@@ -359,18 +461,18 @@ def feasible(
     pair probabilities of ``p``) admit a coupling; return an exact witness
     when they do.
 
-    ``engine="exact"`` forces the exact simplex; ``"auto"`` uses the
-    certified float path for rational systems.  Either way the verdict and
-    any witness are exact.
+    ``"auto"`` certifies the HiGHS answer exactly, over Q or Q[sqrt2]
+    (engine ``"certified-float"``), and falls back to the exact simplex
+    when that fails; ``engine="exact"`` goes straight to the exact simplex
+    (engine ``"exact-simplex"``).  Either way the verdict and any witness
+    are exact.
     """
-    specs = list(specs)
-    _require_exact_inputs(specs, p)
-    system = _augmented_system(specs, p)
     if engine not in ("auto", "exact"):
         raise ValueError(f"unknown engine {engine!r}")
-    if engine == "exact" or not system.is_rational:
-        return _feasible_exact(system)
-    return _feasible_hybrid(system)
+    specs = list(specs)
+    _require_exact_inputs(specs, p)
+    x, _, used = _solve(_augmented_system(specs, p), engine=engine)
+    return FeasibilityResult(x is not None, x, used)
 
 
 def _direction_fractions(direction: Sequence) -> list[Fraction]:
@@ -387,35 +489,16 @@ def optimize(specs: Iterable[MarginalSpec], direction: Sequence) -> Scalar:
     """Maximize ``direction . p`` over all outcome vectors the marginals admit.
 
     The objective is pushed through the coupling variables (p is the image of
-    the coupling under the four observable-pair rows), and the optimum is
-    found with the exact simplex, so values like ``(1+sqrt2)/2`` are returned
-    exactly.  Raises :class:`InfeasibleSystemError` when no coupling exists.
+    the coupling under the four observable-pair rows).  HiGHS proposes the
+    optimum; rationalized duals prove the bound and an exact witness attains
+    it, so values like ``(1+sqrt2)/2`` are returned exactly.  The exact
+    simplex decides only when that proof fails.  Raises
+    :class:`InfeasibleSystemError` when no coupling exists.
     """
     specs = list(specs)
     _require_exact_inputs(specs, None)
-    base = build_system(specs)
-    dirs = _direction_fractions(direction)
-    pair_masks = [_variables_mask(pair) for pair in OUTCOME_PAIRS]
-    objective = []
-    for j in range(N_ASSIGNMENTS):
-        c = Fraction(0)
-        for d, mask in zip(dirs, pair_masks):
-            if (j & mask) == mask:
-                c += d
-        objective.append(c)
-    system = ConstraintSystem(base.subsets, base.rhs, tuple(objective))
-
-    _require_exact(system)
-    masks = system.row_masks()
-    rational = system.is_rational
-    rhs = [v.as_fraction() if rational else v for v in system.rhs]
-    rows = [
-        [1 if (j & mask) == mask else 0 for j in range(N_ASSIGNMENTS)] for mask in masks
-    ]
-    res = solve_lp(rows, rhs, objective=objective, maximize=True)
-    if res.status == INFEASIBLE:
+    system = build_system(specs)
+    x, value, _ = _solve(system, _direction_fractions(direction))
+    if x is None:
         raise InfeasibleSystemError("the marginal constraints admit no coupling")
-    if res.status != OPTIMAL:
-        raise AssertionError("support query unbounded despite normalization row")
-    value = res.objective
-    return as_scalar(value) if not isinstance(value, Scalar) else value
+    return Scalar(*value)

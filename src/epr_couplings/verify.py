@@ -54,15 +54,15 @@ _MAX_RECORDED_FAILURES = 20
 
 
 def worker_count() -> int:
-    """Parallelism cap from COUPLING_THREADS (default 1).  Work is
-    pre-partitioned and merged by index, so reports are byte-identical for
-    every worker count."""
+    """Parallelism cap from COUPLING_THREADS (default 1), clamped to
+    [1, os.cpu_count()].  Work is pre-partitioned and merged by index, so
+    reports are byte-identical for every worker count."""
     raw = os.environ.get("COUPLING_THREADS", "1")
     try:
         requested = int(raw)
     except ValueError:
         raise ValueError(f"COUPLING_THREADS must be an integer, got {raw!r}") from None
-    return max(1, requested)
+    return max(1, min(requested, os.cpu_count() or 1))
 
 
 def _lemma1_chunk(chunk: list, engine: str) -> list:

@@ -1,8 +1,14 @@
+import json
+import logging
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from epr_couplings import lp
+from epr_couplings.cli import main as cli_main
 from epr_couplings.lp import (
     OUTCOME_PAIRS,
     ConflictingMarginalsError,
@@ -17,15 +23,20 @@ from epr_couplings.model import (
     OutcomeVector,
     VariableId,
     connection_marginals,
+    decode,
+    marginal_spec_to_json,
     outcome_marginals,
 )
 from epr_couplings.scalars import Scalar
+from epr_couplings.simplex import INFEASIBLE, solve_lp
 from epr_couplings.stats import compatible
 
 V = VariableId
 HALF = Fraction(1, 2)
 EPS0 = ConnectionVector(0, 0, 0, 0)
 EPS_T = ConnectionVector(*([Scalar.quadratic(Fraction(-1, 8), Fraction(1, 8))] * 4))
+SINGLET_LOW = Scalar.quadratic(Fraction(1, 4), Fraction(-1, 8))  # (2-sqrt2)/8
+SINGLET_HIGH = Scalar.quadratic(Fraction(1, 4), Fraction(1, 8))  # (2+sqrt2)/8
 QUARTER = OutcomeVector(*([Fraction(1, 4)] * 4))
 PR_BOX = OutcomeVector(HALF, HALF, HALF, 0)
 
@@ -272,8 +283,164 @@ def test_lp_rejects_approximate_inputs():
         optimize(connection_marginals(eps), (1, 1, 1, -2))
 
 
-def test_sqrt2_rhs_uses_exact_engine():
+def test_sqrt2_rhs_routing():
     res = feasible(connection_marginals(EPS_T))
     assert res.feasible
-    assert res.engine == "exact-simplex"
+    assert res.engine == "certified-float"
     assert res.witness.connection_vector() == EPS_T
+    forced = feasible(connection_marginals(EPS_T), engine="exact")
+    assert forced.engine == "exact-simplex"
+    assert forced.witness.connection_vector() == EPS_T
+
+
+def test_unknown_engine_rejected_before_building_rows():
+    with pytest.raises(ValueError, match="unknown engine"):
+        feasible(outcome_marginals(QUARTER), p=PR_BOX, engine="bland")
+
+
+# -- certification against the exact simplex as reference ----------------------
+
+SINGLET = OutcomeVector(SINGLET_LOW, SINGLET_LOW, SINGLET_LOW, SINGLET_HIGH)
+CHSH_DIRECTIONS = [
+    tuple(sign * (-2 if k == i else 1) for k in range(4))
+    for i in range(4) for sign in (1, -1)
+]
+UNIT_DIRECTIONS = [tuple(int(k == i) for k in range(4)) for i in range(4)]
+
+
+def bland_support(specs, direction):
+    """max direction . p over the admitted outcome vectors, by the exact
+    simplex alone."""
+    system = build_system(specs)
+    rows = [system.row_indicator(i) for i in range(system.n_rows)]
+    rhs = [v.as_fraction() if system.is_rational else v for v in system.rhs]
+    objective = []
+    for j in range(256):
+        outcome = decode(j)
+        objective.append(sum(
+            d for d, (a, b) in zip(direction, OUTCOME_PAIRS) if outcome[a] == outcome[b] == 1
+        ))
+    res = solve_lp(rows, rhs, objective=objective, maximize=True)
+    return None if res.status == INFEASIBLE else res.objective
+
+
+def lp_warnings(caplog):
+    return [r for r in caplog.records
+            if r.name == "epr_couplings.lp" and r.levelno == logging.WARNING]
+
+
+@pytest.mark.parametrize("eps", [
+    EPS0,
+    EPS_T,
+    ConnectionVector(*([Fraction(1, 8)] * 4)),
+    ConnectionVector(Fraction(1, 4), 0, Fraction(3, 16), Fraction(1, 2)),
+], ids=["eps0", "eps_t", "eighths", "mixed"])
+def test_optimize_matches_exact_simplex(eps, caplog):
+    specs = connection_marginals(eps)
+    for direction in CHSH_DIRECTIONS + UNIT_DIRECTIONS:
+        assert optimize(specs, direction) == bland_support(specs, direction), direction
+    assert lp_warnings(caplog) == []  # every value above was certified
+
+
+def test_optimize_certifies_infeasibility(caplog):
+    # the odd anti-correlation cycle of test_optimize_infeasible_system
+    cycle = [
+        MarginalSpec.from_prob_all_plus(
+            (x, y),
+            {frozenset((x,)): HALF, frozenset((y,)): HALF, frozenset((x, y)): Fraction(0)},
+        )
+        for x, y in ((V.A11, V.B11), (V.B11, V.A12), (V.A11, V.A12))
+    ]
+    with pytest.raises(InfeasibleSystemError):
+        optimize(cycle, (1, 0, 0, 0))
+    assert bland_support(cycle, (1, 0, 0, 0)) is None
+    assert lp_warnings(caplog) == []
+
+
+def corrupted_linprog(kind):
+    """HiGHS with a wrong answer: support moved to other columns, that plus
+    a fake Farkas ray (the normalization row, y.b = 1 > 0 but y.A_j = 1 > 0),
+    all duals zero, a suboptimal vertex reported as optimal (the largest
+    weight of the optimum fixed at 0), or a non-optimal status."""
+    real = lp.linprog
+
+    def fake(*args, **kwargs):
+        res = real(*args, **kwargs)
+        if kind in ("x", "ray"):
+            res.x = np.roll(res.x, 1)
+        if kind == "ray":
+            res.eqlin.marginals = np.eye(len(res.eqlin.marginals))[0]
+        elif kind == "duals":
+            res.eqlin.marginals = np.zeros_like(res.eqlin.marginals)
+        elif kind == "suboptimal":
+            bounds = [(0, None)] * len(res.x)
+            bounds[int(np.argmax(res.x))] = (0, 0)
+            res = real(*args, **{**kwargs, "bounds": bounds})
+        elif kind == "status":
+            res.status = 4
+        return res
+
+    return fake
+
+
+# Each case feeds a corruption to a query whose proof depends on what it
+# corrupts: the witness of a feasible system, the Farkas ray of an
+# infeasible one, both halves of an optimum.
+FALLBACK_CASES = [
+    ("rational-feasible", "x", QUARTER, EPS0),
+    ("rational-feasible", "ray", QUARTER, EPS0),
+    ("rational-feasible", "status", QUARTER, EPS0),
+    ("rational-infeasible", "duals", PR_BOX, EPS0),
+    ("sqrt2-feasible", "x", SINGLET, EPS_T),
+    ("sqrt2-feasible", "ray", SINGLET, EPS_T),
+    ("sqrt2-feasible", "status", SINGLET, EPS_T),
+    ("sqrt2-infeasible", "duals", PR_BOX, EPS_T),
+    ("optimize", "x", None, EPS_T),
+    ("optimize", "duals", None, EPS_T),
+    ("optimize", "suboptimal", None, EPS_T),
+    ("optimize", "status", None, EPS_T),
+]
+
+
+@pytest.mark.parametrize("label,kind,p,eps", FALLBACK_CASES,
+                         ids=[f"{c[0]}-{c[1]}" for c in FALLBACK_CASES])
+def test_failed_certification_falls_back_with_one_warning(
+    label, kind, p, eps, monkeypatch, caplog, tmp_path
+):
+    runner = CliRunner()
+    marg = tmp_path / "marginals.json"
+    marg.write_text(json.dumps([marginal_spec_to_json(s) for s in connection_marginals(eps)]))
+    if p is None:
+        args = ["support", "--marginals", str(marg), "--direction", "1,1,1,-2"]
+        want = bland_support(connection_marginals(eps), (1, 1, 1, -2))
+    else:
+        args = ["feasible", "--marginals", str(marg),
+                "--p", ",".join(str(c) for c in p.components)]
+        want = feasible(outcome_marginals(p) + connection_marginals(eps), engine="exact")
+    clean = runner.invoke(cli_main, args, catch_exceptions=False)
+    assert lp_warnings(caplog) == []
+
+    monkeypatch.setattr(lp, "linprog", corrupted_linprog(kind))
+    if p is None:
+        assert optimize(connection_marginals(eps), (1, 1, 1, -2)) == want
+    else:
+        got = feasible(outcome_marginals(p) + connection_marginals(eps))
+        assert (got.feasible, got.engine) == (want.feasible, "exact-simplex")
+        if got.feasible:
+            assert got.witness.outcome_vector() == p
+            assert got.witness.connection_vector() == eps
+    warnings = lp_warnings(caplog)
+    assert len(warnings) == 1
+    message = warnings[0].getMessage()
+    assert all(str(v) in message for v in build_system(connection_marginals(eps)).rhs)
+
+    caplog.clear()
+    dirty = runner.invoke(cli_main, args, catch_exceptions=False)
+    assert len(lp_warnings(caplog)) == 1
+    assert dirty.exit_code == clean.exit_code
+    if p is None:
+        assert dirty.stdout == clean.stdout
+    else:
+        payload = json.loads(clean.stdout)
+        payload["engine"] = "exact-simplex"
+        assert json.loads(dirty.stdout) == payload

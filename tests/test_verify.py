@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -124,6 +125,9 @@ def test_coupling_threads_validation(monkeypatch):
         verify.worker_count()
     monkeypatch.setenv("COUPLING_THREADS", "0")
     assert verify.worker_count() == 1
+    # a huge request is capped at the machine's cores (no pool is started)
+    monkeypatch.setenv("COUPLING_THREADS", str(10 ** 12))
+    assert verify.worker_count() == (os.cpu_count() or 1)
 
 
 def test_parallel_grid_matches_sequential(monkeypatch):
