@@ -11,13 +11,16 @@ Verdicts are always exact.  A float LP solver (HiGHS) proposes every answer
 and exact arithmetic proves it: a witness ``q >= 0`` that reproduces every
 row, a rationalized Farkas ray for infeasibility, or -- for
 :func:`optimize` -- rationalized duals bounding the objective together with
-a witness that attains the bound.  ``M`` is 0/1, so elimination on the
-reported support stays rational; a right-hand side ``a + b*sqrt2`` travels
-as the two rational columns ``a`` and ``b``, and every sign is decided
-exactly in Q[sqrt(2)].  Floats only choose which columns and duals get
-checked.  The exact Bland simplex is the cold fallback: it decides when a
-proof fails (logging one WARNING with the exact right-hand side on the
-``epr_couplings.lp`` logger) and when ``engine="exact"`` asks for it.
+a witness that attains the bound.  ``M`` is 0/1, so once the right-hand
+side is scaled by its common denominator, elimination on the reported
+support runs fraction-free over the integers; a right-hand side
+``a + b*sqrt2`` travels as the two integer columns ``a`` and ``b``, and
+every sign is decided exactly in Q[sqrt(2)].  Floats only choose which
+columns and duals get checked; HiGHS runs without presolve, which costs
+more than it saves on LPs this small.  The exact Bland simplex is the cold
+fallback: it decides when a proof fails (logging one WARNING with the exact
+right-hand side on the ``epr_couplings.lp`` logger) and when
+``engine="exact"`` asks for it.
 """
 
 from __future__ import annotations
@@ -244,14 +247,25 @@ def _dot(y: Sequence[Fraction], rhs: list[list[Fraction]]) -> list[Fraction]:
     return [sum((yi * bi for yi, bi in zip(y, column)), Fraction(0)) for column in rhs]
 
 
+def _integers(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """``(d, [v*d for v in values])`` for the common denominator ``d`` (which
+    keeps every sign and order), so sums and eliminations run on ints."""
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
 def _is_witness(masks: list[int], rhs: list[list[Fraction]], x: _Solution) -> bool:
-    """Exact check that x >= 0 and every row sums to its rhs."""
+    """Exact check that x >= 0 and every row sums to its rhs (each
+    component of x scaled by its common denominator, so the sums run on
+    ints)."""
     if any(_sign(parts) < 0 for parts in x.values()):
         return False
-    items = list(x.items())
     for t, column in enumerate(rhs):
+        scale, ints = _integers([parts[t] for parts in x.values()])
+        weights = list(zip(x, ints))
         for mask, want in zip(masks, column):
-            if sum(parts[t] for j, parts in items if (j & mask) == mask) != want:
+            total = sum(w for j, w in weights if (j & mask) == mask)
+            if total * want.denominator != want.numerator * scale:
                 return False
     return True
 
@@ -259,15 +273,24 @@ def _is_witness(masks: list[int], rhs: list[list[Fraction]], x: _Solution) -> bo
 def _solve_on_support(
     masks: list[int], rhs: list[list[Fraction]], cols: list[int]
 ) -> _Solution | None:
-    """Exact Gaussian elimination of M[:, cols] x = rhs, carrying every rhs
-    column through the same row operations; None when it fails to produce a
-    nonnegative solution of the full system."""
+    """Exact solution of M[:, cols] x = rhs by fraction-free Gauss-Jordan
+    elimination over the integers (after Bareiss 1968, with gcd reduction in
+    place of exact division), carrying every rhs column through the same
+    row operations; None when it fails to produce a nonnegative solution of
+    the full system.
+
+    The rhs columns are scaled by their common denominator ``d`` (M is
+    already 0/1).  Eliminating with pivot ``pv`` replaces row i by
+    ``(pv/g) row_i - (f/g) row_pivot`` with ``g = gcd(pv, f)`` and divides
+    it by the gcd of its entries, so the entries stay small integers; only
+    the final ``x_c = t / (pivot * d)`` become Fractions."""
     m = len(masks)
     n = len(cols)
+    d, scaled = _integers([v for column in rhs for v in column])
     aug = []
     for i, mask in enumerate(masks):
-        row = [Fraction(1) if (c & mask) == mask else Fraction(0) for c in cols]
-        row.extend(column[i] for column in rhs)
+        row = [1 if (c & mask) == mask else 0 for c in cols]
+        row.extend(scaled[i::m])
         aug.append(row)
     piv = []
     r = 0
@@ -276,20 +299,27 @@ def _solve_on_support(
         if pr is None:
             continue
         aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        if pv != 1:
-            aug[r] = [x / pv for x in aug[r]]
+        pivot_row = aug[r]
+        pv = pivot_row[c]
         for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+            f = aug[i][c]
+            if i != r and f:
+                g = math.gcd(pv, f)
+                a, b = pv // g, f // g
+                row = [a * x - b * y for x, y in zip(aug[i], pivot_row)]
+                content = math.gcd(*row)
+                aug[i] = [x // content for x in row] if content > 1 else row
         piv.append(c)
         r += 1
         if r == m:
             break
     if any(any(aug[i][n:]) for i in range(r, m)):
         return None
-    x = {cols[c]: tuple(aug[i][n:]) for i, c in enumerate(piv) if any(aug[i][n:])}
+    x = {
+        cols[c]: tuple(Fraction(t, aug[i][c] * d) for t in aug[i][n:])
+        for i, c in enumerate(piv)
+        if any(aug[i][n:])
+    }
     return x if _is_witness(masks, rhs, x) else None
 
 
@@ -303,13 +333,6 @@ def _rationalize(values: Sequence[float], sign: int = 1) -> list[Fraction]:
     return [sign * Fraction(v).limit_denominator(1 << 24) for v in values]
 
 
-def _integers(values: Sequence[Fraction]) -> list[int]:
-    """The values times their common denominator (which keeps every sign
-    and order), so column sums run on ints."""
-    d = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values]
-
-
 def _farkas(col_rows, rhs: list[list[Fraction]], duals: Sequence[float]) -> bool:
     """True when some rationalization of the float duals proves infeasibility:
     y.b > 0 (in Q[sqrt2]) with y.A_j <= 0 for every column."""
@@ -317,7 +340,7 @@ def _farkas(col_rows, rhs: list[list[Fraction]], duals: Sequence[float]) -> bool
         y = _rationalize(duals, flip)
         if _sign(_dot(y, rhs)) <= 0:
             continue
-        ny = _integers(y)
+        _, ny = _integers(y)
         if all(sum(ny[i] for i in rows) <= 0 for rows in col_rows):
             return True
     return False
@@ -327,13 +350,27 @@ def _support(x: np.ndarray, threshold: float) -> list[int]:
     return [j for j in range(N_ASSIGNMENTS) if x[j] > threshold]
 
 
+def _highs(cost: np.ndarray, a_eq: np.ndarray, b: np.ndarray):
+    """HiGHS on ``min cost.q`` subject to ``a_eq q = b``, ``q >= 0``.  Presolve
+    is off: on these small dense LPs (a few dozen rows at most, 256 coupling
+    columns plus one slack per row) it costs more than it saves."""
+    return linprog(
+        cost,
+        A_eq=a_eq,
+        b_eq=b,
+        bounds=(0, None),
+        method="highs",
+        options={"presolve": False},
+    )
+
+
 def _certify(structure, rhs: list[list[Fraction]], b: np.ndarray, objective):
     """HiGHS proposes, exact arithmetic proves: ``(x, value)`` with ``x``
     None for an infeasible system and ``value`` the optimum's components
     when ``objective`` is given.  Raises :class:`_Uncertified` otherwise."""
     masks, a_eq, cost, col_rows = structure
     if objective is None:
-        res = linprog(cost, A_eq=a_eq, b_eq=b, bounds=(0, None), method="highs")
+        res = _highs(cost, a_eq, b)
         if res.status != 0:
             raise _Uncertified(f"HiGHS status {res.status}")
         if res.fun < 1e-7:
@@ -347,13 +384,7 @@ def _certify(structure, rhs: list[list[Fraction]], b: np.ndarray, objective):
             return x, None
         raise _Uncertified("neither the support nor the duals prove a verdict")
 
-    res = linprog(
-        -np.array([float(c) for c in objective]),
-        A_eq=a_eq[:, :N_ASSIGNMENTS],
-        b_eq=b,
-        bounds=(0, None),
-        method="highs",
-    )
+    res = _highs(-np.array([float(c) for c in objective]), a_eq[:, :N_ASSIGNMENTS], b)
     if res.status == 2:
         if _certify(structure, rhs, b, None)[0] is None:
             return None, None
@@ -362,7 +393,7 @@ def _certify(structure, rhs: list[list[Fraction]], b: np.ndarray, objective):
         raise _Uncertified(f"HiGHS status {res.status}")
     # eqlin.marginals are d(min -c.q)/db; y = -marginals prices the maximum.
     y = _rationalize(res.eqlin.marginals, -1)
-    scaled = _integers(y + objective)
+    _, scaled = _integers(y + objective)
     ny, nc = scaled[: len(y)], scaled[len(y):]
     tight = []
     for j, rows in enumerate(col_rows):

@@ -20,7 +20,17 @@ import numpy as np
 from .model import OutcomeVector
 from .scalars import Scalar
 
-__all__ = ["Settings", "parse_angle", "qm_outcomes", "maximize_chsh"]
+__all__ = [
+    "Settings",
+    "parse_angle",
+    "qm_outcomes",
+    "maximize_chsh",
+    "MAX_CHSH_RESOLUTION",
+]
+
+#: The finest angle grid of :func:`maximize_chsh`, which holds a few
+#: resolution^3 float arrays at once: 16 MiB each at 128.
+MAX_CHSH_RESOLUTION = 128
 
 _PI_RE = re.compile(r"^([+-]?)(?:(\d+(?:/\d+)?)\*?)?pi(?:/(\d+))?$")
 
@@ -179,6 +189,10 @@ def maximize_chsh(resolution: int = 64, refine: int = 3) -> tuple[Settings, Scal
     """
     if resolution < 8:
         raise ValueError("resolution must be at least 8")
+    if resolution > MAX_CHSH_RESOLUTION:
+        raise ValueError(
+            f"resolution must be at most {MAX_CHSH_RESOLUTION}, got {resolution}"
+        )
     grid = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
     b1v = grid[None, :, None]
     b2v = grid[None, None, :]

@@ -37,12 +37,26 @@ __all__ = [
     "boundary_defect",
     "box_face_defect",
     "default_grid_filename",
+    "MAX_RESOLUTION",
+    "check_resolution",
 ]
 
 REGIONS = ("chsh", "qm", "tsirelson")
 _COMPONENTS = ("p11", "p12", "p21", "p22")
 
 CSV_HEADER = "free_x,free_y,chsh,qm,tsirelson"
+
+#: The finest membership grid: 2001^2 cells take ~10 minutes in one process
+#: (~140 us a cell).
+MAX_RESOLUTION = 2001
+
+
+def check_resolution(resolution: int) -> None:
+    """Reject a grid resolution outside ``[2, MAX_RESOLUTION]``."""
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
+    if resolution > MAX_RESOLUTION:
+        raise ValueError(f"resolution must be at most {MAX_RESOLUTION}, got {resolution}")
 
 
 class RegionEmptyError(ValueError):
@@ -155,8 +169,7 @@ def membership_grid(fixed: Mapping[str, object], resolution: int = 201) -> Membe
     Rows are evaluated in parallel when COUPLING_THREADS allows; the output
     is merged by row index and does not depend on the schedule.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    check_resolution(resolution)
     fixed_vals, free = _split_components(fixed)
     centers = tuple(Fraction(2 * k + 1, 4 * resolution) for k in range(resolution))
     flags = np.zeros((resolution, resolution), dtype=np.uint8)

@@ -48,6 +48,7 @@ __all__ = [
     "verify_noforcing",
     "verify_nomatching",
     "run_all",
+    "MAX_DENSITY",
 ]
 
 _MAX_RECORDED_FAILURES = 20
@@ -237,9 +238,15 @@ def verify_e0(trials: int = 1000, seed: int = 0, *, denominator: int = 64) -> di
     }
 
 
+#: The finest noforcing grid: density^4 connection vectors, 83521 at 17.
+MAX_DENSITY = 17
+
+
 def _grid_connection_vectors(density: int) -> list[ConnectionVector]:
     if density < 2:
         raise ValueError("density must be at least 2")
+    if density > MAX_DENSITY:
+        raise ValueError(f"density must be at most {MAX_DENSITY}, got {density}")
     values = [Fraction(j, 2 * (density - 1)) for j in range(density)]
     out = []
     for a1 in values:
@@ -358,6 +365,7 @@ def verify_nomatching(
     the requested cross-section and on a deliberately curved one), and both
     strict inclusions pink < blue < gray are witnessed by explicit points.
     """
+    regions.check_resolution(grid_resolution)
     v1, v2 = (Fraction(c) for c in crosssection)
     for v in (v1, v2):
         if not 0 < v < Fraction(1, 2):
@@ -447,6 +455,7 @@ def run_all(
     noforcing_min: int = 1000,
     grid_resolution: int = 201,
 ) -> dict:
+    regions.check_resolution(grid_resolution)  # before the long suites run
     suites = {
         "lemma1": verify_lemma1(trials, seed, denominator=denominator),
         "fine": verify_fine(trials, seed + 1, denominator=denominator),

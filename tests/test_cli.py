@@ -161,3 +161,16 @@ def test_verify_all_small(runner):
 def test_verify_unknown_suite_rejected(runner):
     result = runner.invoke(main, ["verify", "everything"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["regions", "--grid", "1000000000"],
+    ["verify", "nomatching", "--grid", "1000000000"],
+    ["verify", "all", "--grid", "1000000000"],
+    ["verify", "noforcing", "--density", "1000000000"],
+    ["qm-max-chsh", "--resolution", "1000000000"],
+], ids=["regions-grid", "nomatching-grid", "all-grid", "noforcing-density", "qm-resolution"])
+def test_huge_grid_sizes_are_input_errors(runner, args):
+    result = invoke(runner, args)
+    assert result.exit_code == 2
+    assert "at most" in json.loads(result.output)["error"]

@@ -1,3 +1,4 @@
+import itertools
 import json
 import logging
 import random
@@ -6,6 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epr_couplings import lp
 from epr_couplings.cli import main as cli_main
@@ -29,7 +32,8 @@ from epr_couplings.model import (
 )
 from epr_couplings.scalars import Scalar
 from epr_couplings.simplex import INFEASIBLE, solve_lp
-from epr_couplings.stats import compatible
+from epr_couplings.stats import compatible, enumerate_E0
+from epr_couplings.verify import random_connection_vector, random_outcome_vector
 
 V = VariableId
 HALF = Fraction(1, 2)
@@ -444,3 +448,114 @@ def test_failed_certification_falls_back_with_one_warning(
         payload = json.loads(clean.stdout)
         payload["engine"] = "exact-simplex"
         assert json.loads(dirty.stdout) == payload
+
+
+# -- integer elimination against the Fraction Gauss-Jordan it replaced ---------
+
+
+def fraction_solve_on_support(masks, rhs, cols):
+    """Gauss-Jordan on Fraction rows, then a Fraction check that the point
+    is nonnegative and reproduces every row: the reference for
+    ``lp._solve_on_support``."""
+    m = len(masks)
+    n = len(cols)
+    aug = []
+    for i, mask in enumerate(masks):
+        row = [Fraction(1) if (c & mask) == mask else Fraction(0) for c in cols]
+        row.extend(column[i] for column in rhs)
+        aug.append(row)
+    piv = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if aug[i][c]), None)
+        if pr is None:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        pv = aug[r][c]
+        if pv != 1:
+            aug[r] = [x / pv for x in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        piv.append(c)
+        r += 1
+        if r == m:
+            break
+    if any(any(aug[i][n:]) for i in range(r, m)):
+        return None
+    x = {cols[c]: tuple(aug[i][n:]) for i, c in enumerate(piv) if any(aug[i][n:])}
+    if any(Scalar(*parts) < 0 for parts in x.values()):
+        return None
+    for t, column in enumerate(rhs):
+        for mask, want in zip(masks, column):
+            if sum((p[t] for j, p in x.items() if (j & mask) == mask), Fraction(0)) != want:
+                return None
+    return x
+
+
+ORACLE_MASKS = lp._structure(
+    build_system(outcome_marginals(QUARTER) + connection_marginals(EPS0)).subsets
+)[0]
+FOUR_VARIABLES = (V.A11, V.A12, V.A21, V.A22)
+FOUR_VARIABLE_MASKS = lp._structure(build_system([
+    MarginalSpec.from_prob_all_plus(FOUR_VARIABLES, {
+        frozenset(s): Fraction(1, 2 ** len(s))
+        for k in range(5) for s in itertools.combinations(FOUR_VARIABLES, k)
+    })
+]).subsets)[0]
+
+
+@st.composite
+def support_systems(draw):
+    """A row structure, a column subset (often longer than the rank, so
+    rank-deficient) and one rhs column over Q or two over Q[sqrt2]: M q for
+    a point q on some of the columns (a few weights negative), that plus a
+    nudge to one row (inconsistent), or arbitrary."""
+    masks = draw(st.sampled_from([ORACLE_MASKS, FOUR_VARIABLE_MASKS]))
+    cols = draw(st.lists(st.integers(0, 255), min_size=1, max_size=24, unique=True))
+    fields = draw(st.sampled_from([1, 2]))
+    kind = draw(st.sampled_from(["consistent", "inconsistent", "arbitrary"]))
+    if kind == "arbitrary":
+        value = st.fractions(min_value=-1, max_value=1, max_denominator=64)
+        rhs = [[draw(value) for _ in masks] for _ in range(fields)]
+        return masks, rhs, cols
+    weight = st.fractions(min_value=Fraction(-1, 8), max_value=1, max_denominator=64)
+    point = {
+        c: [draw(weight) for _ in range(fields)]
+        for c in draw(st.lists(st.sampled_from(cols), min_size=1, unique=True))
+    }
+    rhs = [
+        [sum((w[t] for c, w in point.items() if (c & mask) == mask), Fraction(0))
+         for mask in masks]
+        for t in range(fields)
+    ]
+    if kind == "inconsistent":
+        row = draw(st.integers(0, len(masks) - 1))
+        rhs[-1][row] += Fraction(1, 97)
+    return masks, rhs, cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(support_systems())
+def test_integer_elimination_matches_fraction_gauss_jordan(system):
+    masks, rhs, cols = system
+    assert lp._solve_on_support(masks, rhs, cols) == fraction_solve_on_support(
+        masks, rhs, cols
+    )
+
+
+def test_presolve_free_highs_never_falls_back(caplog):
+    """Every seeded lattice pair and every s0 = 1 connection vector is
+    certified from the HiGHS answer; none falls back to the exact simplex."""
+    rng = random.Random(2718)
+    pairs = [(random_outcome_vector(rng), random_connection_vector(rng)) for _ in range(200)]
+    pairs += [(random_outcome_vector(rng), eps) for eps in enumerate_E0() for _ in range(12)]
+    verdicts = set()
+    for p, eps in pairs:
+        res = feasible(outcome_marginals(p) + connection_marginals(eps))
+        assert res.engine == "certified-float", (p, eps)
+        assert res.feasible == compatible(p, eps), (p, eps)
+        verdicts.add(res.feasible)
+    assert verdicts == {True, False}  # witnesses and Farkas rays both certified
+    assert lp_warnings(caplog) == []
