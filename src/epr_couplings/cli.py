@@ -196,7 +196,7 @@ def regions_cmd(fix_text: str, resolution: int, out_path: str | None, fmt: str) 
             "out": path,
             "cells": resolution * resolution,
             "counts": grid.counts(),
-            "inclusion_holds": grid.inclusion_holds,
+            "inclusion_holds": True,  # membership_grid raises on a violation
         },
         0,
     )
@@ -211,7 +211,7 @@ _SUITES = ("lemma1", "fine", "e0", "noforcing", "nomatching", "all")
 @click.option("--seed", default=7, show_default=True, type=int)
 @click.option("--denominator", default=64, show_default=True, type=int)
 @click.option("--density", default=5, show_default=True, type=int,
-              help="per-axis grid density for the noforcing sweep")
+              help="per-axis grid density for the noforcing sweep (also under all)")
 @click.option("--grid", "grid_resolution", default=201, show_default=True, type=int,
               help="membership-grid resolution for the nomatching suite")
 def verify_cmd(suite: str, trials: int | None, seed: int, denominator: int,
@@ -242,7 +242,8 @@ def verify_cmd(suite: str, trials: int | None, seed: int, denominator: int,
         else:
             report = verify_module.run_all(
                 trials or 10000, seed, denominator=denominator,
-                noforcing_min=trials or 1000, grid_resolution=grid_resolution,
+                noforcing_min=trials or 1000, density=density,
+                grid_resolution=grid_resolution,
             )
     except _INPUT_ERRORS as exc:
         _fail_input(str(exc))

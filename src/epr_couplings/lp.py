@@ -36,13 +36,14 @@ from scipy.optimize import linprog
 
 from .model import (
     N_ASSIGNMENTS,
-    N_VARIABLES,
+    OUTCOME_PAIRS,
     CouplingTable,
     MarginalSpec,
     OutcomeVector,
     VariableId,
+    subset_mask,
 )
-from .scalars import ZERO, Scalar, _sign_quadratic, as_scalar
+from .scalars import ZERO, Scalar, _sign_quadratic, as_scalar, integers
 from .simplex import INFEASIBLE, OPTIMAL, solve_lp
 
 __all__ = [
@@ -58,14 +59,6 @@ __all__ = [
 
 _log = logging.getLogger(__name__)
 
-#: The four observable pairs, in outcome-vector component order.
-OUTCOME_PAIRS = (
-    (VariableId.A11, VariableId.B11),
-    (VariableId.A12, VariableId.B12),
-    (VariableId.A21, VariableId.B21),
-    (VariableId.A22, VariableId.B22),
-)
-
 
 class ConflictingMarginalsError(ValueError):
     """Two specs assign different values to the same marginal probability."""
@@ -75,14 +68,7 @@ class InfeasibleSystemError(ValueError):
     """The constraint system admits no coupling at all."""
 
 
-def _variables_mask(subset: Iterable[VariableId]) -> int:
-    mask = 0
-    for var in subset:
-        mask |= 1 << (N_VARIABLES - 1 - var)
-    return mask
-
-
-_PAIR_MASKS = tuple(_variables_mask(pair) for pair in OUTCOME_PAIRS)
+_PAIR_MASKS = tuple(subset_mask(pair) for pair in OUTCOME_PAIRS)
 
 
 def _subset_name(subset: Iterable[VariableId]) -> str:
@@ -107,7 +93,7 @@ class ConstraintSystem:
     def row_indicator(self, i: int) -> list[int]:
         """The 0/1 column pattern of row i (1 iff the column's assignment
         sets every variable of the row's subset to +1)."""
-        mask = _variables_mask(self.subsets[i])
+        mask = subset_mask(self.subsets[i])
         return [1 if (j & mask) == mask else 0 for j in range(N_ASSIGNMENTS)]
 
 
@@ -208,7 +194,7 @@ def _structure(subsets: tuple[frozenset[VariableId], ...]):
     hit = _STRUCTURE_CACHE.get(key)
     if hit is not None:
         return hit
-    masks = [_variables_mask(s) for s in subsets]
+    masks = [subset_mask(s) for s in subsets]
     m = len(masks)
     a = np.zeros((m, N_ASSIGNMENTS + m))
     for i, mask in enumerate(masks):
@@ -247,13 +233,6 @@ def _dot(y: Sequence[Fraction], rhs: list[list[Fraction]]) -> list[Fraction]:
     return [sum((yi * bi for yi, bi in zip(y, column)), Fraction(0)) for column in rhs]
 
 
-def _integers(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """``(d, [v*d for v in values])`` for the common denominator ``d`` (which
-    keeps every sign and order), so sums and eliminations run on ints."""
-    d = math.lcm(*(v.denominator for v in values))
-    return d, [v.numerator * (d // v.denominator) for v in values]
-
-
 def _is_witness(masks: list[int], rhs: list[list[Fraction]], x: _Solution) -> bool:
     """Exact check that x >= 0 and every row sums to its rhs (each
     component of x scaled by its common denominator, so the sums run on
@@ -261,7 +240,7 @@ def _is_witness(masks: list[int], rhs: list[list[Fraction]], x: _Solution) -> bo
     if any(_sign(parts) < 0 for parts in x.values()):
         return False
     for t, column in enumerate(rhs):
-        scale, ints = _integers([parts[t] for parts in x.values()])
+        scale, ints = integers([parts[t] for parts in x.values()])
         weights = list(zip(x, ints))
         for mask, want in zip(masks, column):
             total = sum(w for j, w in weights if (j & mask) == mask)
@@ -286,7 +265,7 @@ def _solve_on_support(
     the final ``x_c = t / (pivot * d)`` become Fractions."""
     m = len(masks)
     n = len(cols)
-    d, scaled = _integers([v for column in rhs for v in column])
+    d, scaled = integers([v for column in rhs for v in column])
     aug = []
     for i, mask in enumerate(masks):
         row = [1 if (c & mask) == mask else 0 for c in cols]
@@ -340,7 +319,7 @@ def _farkas(col_rows, rhs: list[list[Fraction]], duals: Sequence[float]) -> bool
         y = _rationalize(duals, flip)
         if _sign(_dot(y, rhs)) <= 0:
             continue
-        _, ny = _integers(y)
+        _, ny = integers(y)
         if all(sum(ny[i] for i in rows) <= 0 for rows in col_rows):
             return True
     return False
@@ -393,7 +372,7 @@ def _certify(structure, rhs: list[list[Fraction]], b: np.ndarray, objective):
         raise _Uncertified(f"HiGHS status {res.status}")
     # eqlin.marginals are d(min -c.q)/db; y = -marginals prices the maximum.
     y = _rationalize(res.eqlin.marginals, -1)
-    _, scaled = _integers(y + objective)
+    _, scaled = integers(y + objective)
     ny, nc = scaled[: len(y)], scaled[len(y):]
     tight = []
     for j, rows in enumerate(col_rows):

@@ -29,6 +29,9 @@ __all__ = [
     "ConnectionVector",
     "CouplingTable",
     "MarginalSpec",
+    "OUTCOME_PAIRS",
+    "CONNECTION_PAIRS",
+    "subset_mask",
     "index_of",
     "decode",
     "full_table",
@@ -68,14 +71,10 @@ def index_of(assignment: Mapping[VariableId, int]) -> int:
     if len(assignment) != N_VARIABLES:
         missing = [v.name for v in VariableId if v not in assignment]
         raise ValueError(f"assignment must cover all 8 variables (missing {missing})")
-    index = 0
     for var in VariableId:
-        value = assignment[var]
-        if value not in (-1, 1):
-            raise ValueError(f"{var.name} must be +1 or -1, got {value!r}")
-        if value == 1:
-            index |= 1 << (N_VARIABLES - 1 - var)
-    return index
+        if assignment[var] not in (-1, 1):
+            raise ValueError(f"{var.name} must be +1 or -1, got {assignment[var]!r}")
+    return subset_mask(var for var in VariableId if assignment[var] == 1)
 
 
 def decode(index: int) -> dict[VariableId, int]:
@@ -170,11 +169,30 @@ class ConnectionVector:
         return "(" + ", ".join(str(c) for c in self.components) + ")"
 
 
-def _subset_mask(variables: Iterable[VariableId]) -> int:
+def subset_mask(variables: Iterable[VariableId]) -> int:
+    """The table-index bits of the listed variables: an assignment index j
+    sets them all to +1 exactly when ``j & mask == mask``."""
     mask = 0
     for var in variables:
         mask |= 1 << (N_VARIABLES - 1 - var)
     return mask
+
+
+#: The four observable pairs, in outcome-vector component order.
+OUTCOME_PAIRS = (
+    (VariableId.A11, VariableId.B11),
+    (VariableId.A12, VariableId.B12),
+    (VariableId.A21, VariableId.B21),
+    (VariableId.A22, VariableId.B22),
+)
+
+#: The four connected pairs, in connection-vector component order.
+CONNECTION_PAIRS = (
+    (VariableId.A11, VariableId.A12),
+    (VariableId.A21, VariableId.A22),
+    (VariableId.B11, VariableId.B21),
+    (VariableId.B12, VariableId.B22),
+)
 
 
 @dataclass(frozen=True)
@@ -203,7 +221,7 @@ class CouplingTable:
 
     def prob_all_plus(self, variables: Iterable[VariableId]) -> Scalar:
         """Pr[all listed variables = +1] under this coupling."""
-        mask = _subset_mask(variables)
+        mask = subset_mask(variables)
         total = ZERO if self.entries[0].is_exact else Scalar.approximate(0.0)
         for index, e in enumerate(self.entries):
             if index & mask == mask:
@@ -211,26 +229,14 @@ class CouplingTable:
         return total
 
     def outcome_vector(self) -> OutcomeVector:
-        pairs = [
-            (VariableId.A11, VariableId.B11),
-            (VariableId.A12, VariableId.B12),
-            (VariableId.A21, VariableId.B21),
-            (VariableId.A22, VariableId.B22),
-        ]
-        return OutcomeVector(*(self.prob_all_plus(pair) for pair in pairs))
+        return OutcomeVector(*(self.prob_all_plus(pair) for pair in OUTCOME_PAIRS))
 
     def connection_vector(self) -> ConnectionVector:
         # e = Pr[first = +1] - Pr[both = +1] = Pr[first = +1, second = -1]
-        pairs = [
-            (VariableId.A11, VariableId.A12),
-            (VariableId.A21, VariableId.A22),
-            (VariableId.B11, VariableId.B21),
-            (VariableId.B12, VariableId.B22),
-        ]
-        comps = []
-        for first, second in pairs:
-            comps.append(self.prob_all_plus([first]) - self.prob_all_plus([first, second]))
-        return ConnectionVector(*comps)
+        return ConnectionVector(*(
+            self.prob_all_plus([first]) - self.prob_all_plus([first, second])
+            for first, second in CONNECTION_PAIRS
+        ))
 
     def to_strings(self) -> list[str]:
         return [str(e) for e in self.entries]
@@ -398,24 +404,17 @@ def connection_marginals(eps: ConnectionVector) -> list[MarginalSpec]:
     Pr[both = +1] = 1/2 - e for its component e.
     """
     half = Scalar(Fraction(1, 2)) if eps.is_exact else Scalar.approximate(0.5)
-    pairs = [
-        ((VariableId.A11, VariableId.A12), eps.a1),
-        ((VariableId.A21, VariableId.A22), eps.a2),
-        ((VariableId.B11, VariableId.B21), eps.b1),
-        ((VariableId.B12, VariableId.B22), eps.b2),
+    return [
+        _equal_margin_pair(x, y, half - e)
+        for (x, y), e in zip(CONNECTION_PAIRS, eps.components)
     ]
-    return [_equal_margin_pair(x, y, half - e) for (x, y), e in pairs]
 
 
 def outcome_marginals(p: OutcomeVector) -> list[MarginalSpec]:
     """The four observable pair marginals of an outcome vector."""
-    pairs = [
-        ((VariableId.A11, VariableId.B11), p.p11),
-        ((VariableId.A12, VariableId.B12), p.p12),
-        ((VariableId.A21, VariableId.B21), p.p21),
-        ((VariableId.A22, VariableId.B22), p.p22),
+    return [
+        _equal_margin_pair(x, y, pij) for (x, y), pij in zip(OUTCOME_PAIRS, p.components)
     ]
-    return [_equal_margin_pair(x, y, pij) for (x, y), pij in pairs]
 
 
 # -- JSON wire format ----------------------------------------------------------

@@ -13,11 +13,13 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Mapping, TextIO
 
 import numpy as np
 
 from .model import OutcomeVector
+from .parallel import ordered_map
 from .scalars import Scalar, as_scalar
 from .stats import (
     TSIRELSON_HIGH,
@@ -107,7 +109,6 @@ class MembershipGrid:
     resolution: int
     centers: tuple[Fraction, ...]
     flags: np.ndarray  # shape (resolution, resolution), bits: 1 chsh, 2 qm, 4 tsirelson
-    inclusion_holds: bool
 
     def counts(self) -> dict[str, int]:
         return {
@@ -140,11 +141,12 @@ class MembershipGrid:
             "centers": [str(c) for c in self.centers],
             "flags": [[int(v) for v in row] for row in self.flags],
             "counts": self.counts(),
-            "inclusion_holds": self.inclusion_holds,
+            # membership_grid raises on a violation, so a grid always holds it
+            "inclusion_holds": True,
         }
 
 
-def _grid_row(fixed_vals, free, centers, ix: int) -> tuple[int, list[int]]:
+def _grid_row(fixed_vals, free, centers, ix: int) -> list[int]:
     build = _vector_builder(fixed_vals, free)
     sx = Scalar(centers[ix])
     row = []
@@ -158,7 +160,7 @@ def _grid_row(fixed_vals, free, centers, ix: int) -> tuple[int, list[int]]:
                 f"inclusion chain violated at cell ({centers[ix]}, {cy})"
             )
         row.append((1 if chsh else 0) | (2 if qm else 0) | (4 if tsir else 0))
-    return ix, row
+    return row
 
 
 def membership_grid(fixed: Mapping[str, object], resolution: int = 201) -> MembershipGrid:
@@ -172,32 +174,13 @@ def membership_grid(fixed: Mapping[str, object], resolution: int = 201) -> Membe
     check_resolution(resolution)
     fixed_vals, free = _split_components(fixed)
     centers = tuple(Fraction(2 * k + 1, 4 * resolution) for k in range(resolution))
-    flags = np.zeros((resolution, resolution), dtype=np.uint8)
-
-    from .verify import worker_count  # late import; verify depends on regions
-
-    workers = worker_count()
-    if workers > 1 and resolution >= 2 * workers:
-        from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = pool.map(
-                partial(_grid_row, fixed_vals, free, centers), range(resolution)
-            )
-            for ix, row in rows:
-                flags[ix, :] = row
-    else:
-        for ix in range(resolution):
-            _, row = _grid_row(fixed_vals, free, centers, ix)
-            flags[ix, :] = row
+    rows = ordered_map(partial(_grid_row, fixed_vals, free, centers), range(resolution))
     return MembershipGrid(
         fixed=dict(fixed_vals),
         free=free,
         resolution=resolution,
         centers=centers,
-        flags=flags,
-        inclusion_holds=True,
+        flags=np.array(rows, dtype=np.uint8),
     )
 
 
@@ -232,40 +215,26 @@ def _perimeter_point(s: Fraction) -> tuple[Fraction, Fraction]:
     return (half, arc - Fraction(7, 4))
 
 
-def _chsh_face_times(build, cx, cy, tx, ty) -> list:
-    """Parameters u where a classical face holds with equality along
-    p(u) = center + u*(target - center); exact rationals."""
+def _face_times(build, cx, cy, tx, ty, bounds) -> list:
+    """Parameters u where a CHSH expression equals one of ``bounds`` along
+    p(u) = center + u*(target - center); exact Scalars."""
     lo = build(cx, cy).components
     hi = build(tx, ty).components
     out = []
-    total_lo = sum(c.as_fraction() for c in lo)
-    total_hi = sum(c.as_fraction() for c in hi)
-    for k in range(4):
-        a0 = total_lo - 2 * lo[k].as_fraction()
-        a1 = total_hi - 2 * hi[k].as_fraction()
-        beta = a1 - a0
-        if beta == 0:
-            continue
-        for bound in (Fraction(0), Fraction(1)):
-            out.append((bound - a0) / beta)
-    return out
-
-
-def _tsirelson_face_times(build, cx, cy, tx, ty) -> list:
-    lo = build(cx, cy).components
-    hi = build(tx, ty).components
-    out = []
-    total_lo = sum((c for c in lo[1:]), lo[0])
-    total_hi = sum((c for c in hi[1:]), hi[0])
+    total_lo = sum(lo[1:], lo[0])
+    total_hi = sum(hi[1:], hi[0])
     for k in range(4):
         a0 = total_lo - 2 * lo[k]
         a1 = total_hi - 2 * hi[k]
         beta = a1 - a0
         if beta == 0:
             continue
-        for bound in (TSIRELSON_LOW, TSIRELSON_HIGH):
+        for bound in bounds:
             out.append((bound - a0) / beta)
     return out
+
+
+_FACES = {"chsh": (0, 1), "tsirelson": (TSIRELSON_LOW, TSIRELSON_HIGH)}
 
 
 def trace_boundary(
@@ -317,18 +286,12 @@ def trace_boundary(
                 hi = mid
 
         snapped = None
-        if region in ("chsh", "tsirelson"):
-            if region == "chsh":
-                candidates = _chsh_face_times(build, cx, cy, tx, ty)
-            else:
-                candidates = _tsirelson_face_times(build, cx, cy, tx, ty)
+        if region in _FACES:
             valid = []
-            for u in candidates:
+            for u in _face_times(build, cx, cy, tx, ty, _FACES[region]):
                 if lo <= u <= hi:
-                    xs = cx + u * (tx - cx)
-                    ys = cy + u * (ty - cy)
-                    px = Scalar(xs) if isinstance(xs, Fraction) else xs
-                    py = Scalar(ys) if isinstance(ys, Fraction) else ys
+                    px = cx + u * (tx - cx)
+                    py = cy + u * (ty - cy)
                     try:
                         ok = predicate(build(px, py))
                     except ValueError:

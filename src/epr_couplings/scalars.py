@@ -24,6 +24,7 @@ __all__ = [
     "ScalarParseError",
     "compare",
     "as_scalar",
+    "integers",
     "DEFAULT_TOLERANCE",
     "ZERO",
     "ONE",
@@ -59,6 +60,9 @@ def _sign_quadratic(a: Fraction, b: Fraction) -> int:
     return sa * (1 if d > 0 else -1)
 
 
+_NO_ROOT = Fraction(0)
+
+
 class Scalar:
     """Immutable number from Q[sqrt(2)] (exact) or a toleranced float."""
 
@@ -68,9 +72,10 @@ class Scalar:
     _b: Fraction | None
     _value: float | None
 
-    def __init__(self, a: Fraction | int = 0, b: Fraction | int = 0):
-        object.__setattr__(self, "_a", Fraction(a))
-        object.__setattr__(self, "_b", Fraction(b))
+    def __init__(self, a: Fraction | int = 0, b: Fraction | int = _NO_ROOT):
+        # Fractions are stored as given; only other rationals are converted.
+        object.__setattr__(self, "_a", a if type(a) is Fraction else Fraction(a))
+        object.__setattr__(self, "_b", b if type(b) is Fraction else Fraction(b))
         object.__setattr__(self, "_value", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
@@ -158,7 +163,7 @@ class Scalar:
             return other
         if isinstance(other, (int, Fraction)):
             if self.is_exact:
-                return Scalar(Fraction(other))
+                return Scalar(other)
             return Scalar.approximate(float(other))
         if isinstance(other, float):
             if self.is_exact:
@@ -174,14 +179,16 @@ class Scalar:
         if o is None:
             return NotImplemented
         if self.is_exact:
-            return Scalar(self._a + o._a, self._b + o._b)
+            if self._b or o._b:
+                return Scalar(self._a + o._a, self._b + o._b)
+            return Scalar(self._a + o._a)
         return Scalar.approximate(self._value + o._value)
 
     __radd__ = __add__
 
     def __neg__(self) -> Scalar:
         if self.is_exact:
-            return Scalar(-self._a, -self._b)
+            return Scalar(-self._a, -self._b) if self._b else Scalar(-self._a)
         return Scalar.approximate(-self._value)
 
     def __pos__(self) -> Scalar:
@@ -192,7 +199,9 @@ class Scalar:
         if o is None:
             return NotImplemented
         if self.is_exact:
-            return Scalar(self._a - o._a, self._b - o._b)
+            if self._b or o._b:
+                return Scalar(self._a - o._a, self._b - o._b)
+            return Scalar(self._a - o._a)
         return Scalar.approximate(self._value - o._value)
 
     def __rsub__(self, other) -> Scalar:
@@ -206,6 +215,10 @@ class Scalar:
         if o is None:
             return NotImplemented
         if self.is_exact:
+            if not self._b:
+                return Scalar(self._a * o._a, self._a * o._b) if o._b else Scalar(self._a * o._a)
+            if not o._b:
+                return Scalar(self._a * o._a, self._b * o._a)
             return Scalar(
                 self._a * o._a + 2 * self._b * o._b,
                 self._a * o._b + self._b * o._a,
@@ -247,16 +260,22 @@ class Scalar:
 
     def compare(self, other, tol: float | None = None) -> int:
         """-1, 0 or +1.  Approximate pairs are equal when |x-y| <= tol."""
-        o = self._coerce(other)
-        if o is None:
-            raise TypeError(f"cannot compare Scalar with {type(other).__name__}")
-        if self.is_exact:
-            return (self - o).sign()
-        t = DEFAULT_TOLERANCE if tol is None else tol
-        d = self._value - o._value
-        if abs(d) <= t:
-            return 0
-        return 1 if d > 0 else -1
+        if self._value is None and isinstance(other, (int, Fraction)):
+            oa, ob = other, 0
+        else:
+            o = self._coerce(other)
+            if o is None:
+                raise TypeError(f"cannot compare Scalar with {type(other).__name__}")
+            if not self.is_exact:
+                t = DEFAULT_TOLERANCE if tol is None else tol
+                d = self._value - o._value
+                if abs(d) <= t:
+                    return 0
+                return 1 if d > 0 else -1
+            oa, ob = o._a, o._b
+        if not self._b and not ob:
+            return (self._a > oa) - (self._a < oa)
+        return _sign_quadratic(self._a - oa, self._b - ob)
 
     def _cmp_or_notimpl(self, other):
         try:
@@ -340,6 +359,27 @@ def compare(x, y, tol: float | None = None) -> int:
     return sx.compare(as_scalar(y) if not isinstance(y, Scalar) else y, tol=tol)
 
 
+def integers(values) -> tuple[int, list]:
+    """The number type an exact decision runs on, as ``(unit, scaled)``.
+
+    When every value is rational (an int, a Fraction or a rational exact
+    Scalar), ``unit`` is their common denominator and ``scaled`` the ints
+    ``v * unit``: a positive factor, so every sign and order is kept, and a
+    test that is homogeneous in ``(values, unit)`` decides the same on the
+    ints as on the values.  Otherwise -- some Scalar has a sqrt(2) part or is
+    approximate -- the values pass through unchanged with ``unit = 1``.
+    """
+    rationals = []
+    for v in values:
+        if type(v) is Scalar:
+            if v._b is None or v._b:
+                return 1, list(values)
+            v = v._a
+        rationals.append(v)
+    unit = math.lcm(*(v.denominator for v in rationals))
+    return unit, [v.numerator * (unit // v.denominator) for v in rationals]
+
+
 def as_scalar(value) -> Scalar:
     """Coerce ints, Fractions, floats and strings to Scalar.
 
@@ -351,7 +391,7 @@ def as_scalar(value) -> Scalar:
     if isinstance(value, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(value, (int, Fraction)):
-        return Scalar(Fraction(value))
+        return Scalar(value)
     if isinstance(value, float):
         return Scalar.approximate(value)
     if isinstance(value, str):

@@ -9,7 +9,13 @@ exactly when
 
     s0(e) + s1(p) <= 3/2   and   s1(e) + s0(p) <= 3/2.
 
-All decisions are exact for exact scalars (including values in Q[sqrt(2)]).
+Each exact decision has one body, written homogeneously in the components
+and their common scale ``unit`` (``0 <= e <= unit``, ``(2e - unit)^2 <=
+2 unit^2``, ...).  :func:`scalars.integers` picks the number it runs on:
+over Q the components are scaled to Python ints over their common
+denominator, so the test runs on plain integers; over Q[sqrt(2)] the exact
+``Scalar`` values pass through with ``unit = 1``.  Both decide exactly.
+Approximate (decimal) input takes one toleranced float path instead.
 """
 
 from __future__ import annotations
@@ -17,22 +23,19 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .model import ConnectionVector, OutcomeVector
-from .scalars import DEFAULT_TOLERANCE, Scalar, as_scalar
+from .scalars import DEFAULT_TOLERANCE, Scalar, as_scalar, integers
 
 __all__ = [
     "Compliance",
     "CorrelationQuad",
     "SPair",
     "s_pair",
-    "s_pair_closed_form",
     "chsh_satisfied",
     "tsirelson_satisfied",
     "qm_compliant",
     "compatible",
-    "compatible_stats",
     "enumerate_E0",
     "realize_s_pair",
     "noforcing_counterexample",
@@ -43,12 +46,6 @@ __all__ = [
 #: The two CHSH-expression bounds permitted by quantum mechanics, (1 -+ sqrt2)/2.
 TSIRELSON_LOW = Scalar.quadratic(Fraction(1, 2), Fraction(-1, 2))
 TSIRELSON_HIGH = Scalar.quadratic(Fraction(1, 2), Fraction(1, 2))
-
-_SIGN_PATTERNS = tuple(product((1, -1), repeat=4))
-_EVEN_PATTERNS = tuple(s for s in _SIGN_PATTERNS if s.count(1) % 2 == 0)
-_ODD_PATTERNS = tuple(s for s in _SIGN_PATTERNS if s.count(1) % 2 == 1)
-
-_THREE_HALVES = Scalar(Fraction(3, 2))
 
 
 class Compliance(enum.Enum):
@@ -123,85 +120,55 @@ class SPair:
             raise ValueError(f"(s0, s1) = ({s0}, {s1}) outside the attainable triangle")
 
 
+def _statistics(w) -> tuple:
+    """``4 unit (s0, s1)`` from correlations scaled to ``w = r * unit``.
+
+    The larger statistic is the mean of |r_k|, attained at the parity of
+    the count of positive components (a zero may count either way); the
+    smaller flips the sign of the smallest |r_k|, losing half of it."""
+    mags = [abs(c) for c in w]
+    big = sum(mags[1:], mags[0])
+    small = big - 2 * min(mags)
+    if sum(1 for c in w if c > 0) % 2:
+        return small, big
+    return big, small
+
+
+def _quotient(n, d: int) -> Scalar:
+    return Scalar(Fraction(n, d)) if isinstance(n, int) else n / d
+
+
 def s_pair(r: CorrelationQuad) -> SPair:
-    """Maximize the signed quarter-sums over even and odd plus-count patterns."""
-    comps = r.components
-    if all(c.is_rational for c in comps):
-        values = [c.a for c in comps]
-        out = []
-        for patterns in (_EVEN_PATTERNS, _ODD_PATTERNS):
-            out.append(
-                max(
-                    sum(v if sgn == 1 else -v for sgn, v in zip(signs, values))
-                    for signs in patterns
-                )
-                / 4
-            )
-        return SPair(Scalar(out[0]), Scalar(out[1]))
-    best: dict[int, Scalar] = {}
-    for patterns, key in ((_EVEN_PATTERNS, 0), (_ODD_PATTERNS, 1)):
-        top = None
-        for signs in patterns:
-            total = None
-            for sgn, c in zip(signs, comps):
-                term = c if sgn == 1 else -c
-                total = term if total is None else total + term
-            if top is None or total > top:
-                top = total
-        best[key] = top / 4
-    return SPair(best[0], best[1])
+    """The maxima of the signed quarter-sums over even and odd plus-count
+    patterns, in closed form."""
+    unit, w = integers(r.components)
+    n0, n1 = _statistics(w)
+    return SPair(_quotient(n0, 4 * unit), _quotient(n1, 4 * unit))
 
 
-def s_pair_closed_form(r: CorrelationQuad) -> SPair:
-    """Equivalent closed form: the larger statistic is the mean of |r_k|,
-    attained at the parity of the count of positive components; the smaller
-    is that minus half the smallest |r_k|."""
-    mags = [abs(c) for c in r.components]
-    big = sum(mags[1:], mags[0]) / 4
-    small = big - min(mags) / 2
-    positives = sum(1 for c in r.components if c > 0)
-    if positives % 2 == 0:
-        return SPair(big, small)
-    return SPair(small, big)
-
-
-def _chsh_expressions(p: OutcomeVector) -> list[Scalar]:
-    total = p.p11 + p.p12 + p.p21 + p.p22
-    return [total - 2 * c for c in p.components]
-
-
-def _rational_components(p: OutcomeVector) -> list[Fraction] | None:
-    comps = p.components
-    if all(c.is_rational for c in comps):
-        return [c.a for c in comps]
-    return None
+def _chsh_expressions(p: OutcomeVector) -> tuple:
+    """``(unit, [e * unit for each CHSH expression e])``, with
+    ``e = p11+p12+p21+p22 - 2 p_ij``."""
+    unit, v = integers(p.components)
+    total = sum(v[1:], v[0])
+    return unit, [total - 2 * c for c in v]
 
 
 def chsh_satisfied(p: OutcomeVector) -> bool:
     """0 <= p11+p12+p21+p22 - 2 p_ij <= 1 for all four choices of ij."""
-    fr = _rational_components(p)
-    if fr is not None:
-        total = sum(fr)
-        return all(0 <= total - 2 * c <= 1 for c in fr)
-    return all(expr >= 0 and expr <= 1 for expr in _chsh_expressions(p))
+    unit, exprs = _chsh_expressions(p)
+    return all(0 <= e <= unit for e in exprs)
 
 
 def tsirelson_satisfied(p: OutcomeVector) -> bool:
     """(1-sqrt2)/2 <= p11+p12+p21+p22 - 2 p_ij <= (1+sqrt2)/2 for all ij."""
-    fr = _rational_components(p)
-    if fr is not None:
-        # |expr - 1/2| <= sqrt2/2 for rational expr reduces to (2 expr - 1)^2 <= 2
-        total = sum(fr)
-        for c in fr:
-            t = 2 * (total - 2 * c) - 1
-            if t * t > 2:
-                return False
-        return True
-    if p.is_exact:
-        lo, hi = TSIRELSON_LOW, TSIRELSON_HIGH
-    else:
+    unit, exprs = _chsh_expressions(p)
+    if not p.is_exact:
         lo, hi = TSIRELSON_LOW.to_approximate(), TSIRELSON_HIGH.to_approximate()
-    return all(expr >= lo and expr <= hi for expr in _chsh_expressions(p))
+        return all(lo <= e <= hi for e in exprs)
+    # |e - unit/2| <= unit sqrt2/2  <=>  (2e - unit)^2 <= 2 unit^2
+    bound = 2 * unit * unit
+    return all(t * t <= bound for t in (2 * e - unit for e in exprs))
 
 
 def qm_compliant(p: OutcomeVector, tol: float = DEFAULT_TOLERANCE) -> Compliance:
@@ -211,33 +178,20 @@ def qm_compliant(p: OutcomeVector, tol: float = DEFAULT_TOLERANCE) -> Compliance
     inside Q[sqrt(2)] and the verdict (inside/boundary/outside) is exact.
     Approximate scalars are classified within ``tol``.
     """
-    fr = _rational_components(p)
-    if fr is not None:
-        r1, r2, r3, r4 = (4 * c - 1 for c in fr)
-        lhs = abs(r1 * r2 - r3 * r4)
-        x = (1 - r1 * r1) * (1 - r2 * r2)
-        y = (1 - r3 * r3) * (1 - r4 * r4)
-        d = lhs * lhs - x - y
-        if d < 0:
-            return Compliance.INSIDE
-        if d == 0:
-            return Compliance.BOUNDARY if x * y == 0 else Compliance.INSIDE
-        e = d * d - 4 * x * y
-        if e < 0:
-            return Compliance.INSIDE
-        return Compliance.BOUNDARY if e == 0 else Compliance.OUTSIDE
-    r = CorrelationQuad.from_outcomes(p)
-    r1, r2, r3, r4 = r.components
     if not p.is_exact:
-        lhs = abs(r1.to_float() * r2.to_float() - r3.to_float() * r4.to_float())
+        r1, r2, r3, r4 = (4 * c.to_float() - 1 for c in p.components)
+        lhs = abs(r1 * r2 - r3 * r4)
         rhs = _sqrt01(r1) * _sqrt01(r2) + _sqrt01(r3) * _sqrt01(r4)
         d = rhs - lhs
         if abs(d) <= tol:
             return Compliance.BOUNDARY
         return Compliance.INSIDE if d > 0 else Compliance.OUTSIDE
+    unit, v = integers(p.components)
+    r1, r2, r3, r4 = (4 * c - unit for c in v)
+    one = unit * unit
     lhs = abs(r1 * r2 - r3 * r4)
-    x = (1 - r1 * r1) * (1 - r2 * r2)
-    y = (1 - r3 * r3) * (1 - r4 * r4)
+    x = (one - r1 * r1) * (one - r2 * r2)
+    y = (one - r3 * r3) * (one - r4 * r4)
     # lhs vs sqrt(x) + sqrt(y): compare lhs^2 - x - y against 2*sqrt(x*y).
     d = lhs * lhs - x - y
     if d < 0:
@@ -250,22 +204,21 @@ def qm_compliant(p: OutcomeVector, tol: float = DEFAULT_TOLERANCE) -> Compliance
     return Compliance.BOUNDARY if e == 0 else Compliance.OUTSIDE
 
 
-def _sqrt01(r: Scalar) -> float:
-    return (max(0.0, 1.0 - r.to_float() ** 2)) ** 0.5
-
-
-def compatible_stats(s_eps: SPair, s_p: SPair) -> bool:
-    """The coupling-existence criterion on precomputed statistics."""
-    limit = _THREE_HALVES if s_eps.s0.is_exact else _THREE_HALVES.to_approximate()
-    return s_eps.s0 + s_p.s1 <= limit and s_eps.s1 + s_p.s0 <= limit
+def _sqrt01(r: float) -> float:
+    return (max(0.0, 1.0 - r ** 2)) ** 0.5
 
 
 def compatible(p: OutcomeVector, eps: ConnectionVector) -> bool:
-    """Can p and eps be realized as marginals of one 256-entry coupling?"""
-    return compatible_stats(
-        s_pair(CorrelationQuad.from_connections(eps)),
-        s_pair(CorrelationQuad.from_outcomes(p)),
-    )
+    """Can p and eps be realized as marginals of one 256-entry coupling?
+
+    Decides s0(eps) + s1(p) <= 3/2 and s1(eps) + s0(p) <= 3/2 on the eight
+    components scaled together."""
+    unit, v = integers(p.components + eps.components)
+    p0, p1 = _statistics([4 * c - unit for c in v[:4]])
+    e0, e1 = _statistics([unit - 4 * c for c in v[4:]])
+    if not p.is_exact:  # toleranced on the scale of the statistics
+        return (e0 + p1) / 4 <= 1.5 and (e1 + p0) / 4 <= 1.5
+    return e0 + p1 <= 6 * unit and e1 + p0 <= 6 * unit
 
 
 def enumerate_E0() -> list[ConnectionVector]:

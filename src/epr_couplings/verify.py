@@ -8,12 +8,9 @@ in the report with the exact inputs for replay.
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import partial
-from itertools import chain
 from typing import Callable, Sequence
 
 from . import regions
@@ -24,13 +21,13 @@ from .model import (
     connection_marginals,
     outcome_marginals,
 )
+from .parallel import ordered_map, worker_count
 from .scalars import Scalar
 from .stats import (
     Compliance,
     CorrelationQuad,
     chsh_satisfied,
     compatible,
-    compatible_stats,
     enumerate_E0,
     noforcing_counterexample,
     qm_compliant,
@@ -48,33 +45,17 @@ __all__ = [
     "verify_noforcing",
     "verify_nomatching",
     "run_all",
+    "worker_count",
     "MAX_DENSITY",
 ]
 
 _MAX_RECORDED_FAILURES = 20
 
 
-def worker_count() -> int:
-    """Parallelism cap from COUPLING_THREADS (default 1), clamped to
-    [1, os.cpu_count()].  Work is pre-partitioned and merged by index, so
-    reports are byte-identical for every worker count."""
-    raw = os.environ.get("COUPLING_THREADS", "1")
-    try:
-        requested = int(raw)
-    except ValueError:
-        raise ValueError(f"COUPLING_THREADS must be an integer, got {raw!r}") from None
-    return max(1, min(requested, os.cpu_count() or 1))
-
-
-def _lemma1_chunk(chunk: list, engine: str) -> list:
-    out = []
-    for index, p, eps in chunk:
-        closed = compatible(p, eps)
-        lp = feasible(
-            outcome_marginals(p) + connection_marginals(eps), engine=engine
-        ).feasible
-        out.append((index, closed, lp))
-    return out
+def _lemma1_trial(compat, engine: str, pair: tuple) -> tuple[bool, bool]:
+    p, eps = pair
+    lp = feasible(outcome_marginals(p) + connection_marginals(eps), engine=engine)
+    return compat(p, eps), lp.feasible
 
 
 def random_probability(rng: random.Random, denominator: int = 64) -> Fraction:
@@ -114,30 +95,18 @@ def verify_lemma1(
     """
     rng = random.Random(seed)
     pairs = [
-        (i, random_outcome_vector(rng, denominator), random_connection_vector(rng, denominator))
-        for i in range(trials)
+        (random_outcome_vector(rng, denominator), random_connection_vector(rng, denominator))
+        for _ in range(trials)
     ]
-    workers = worker_count()
-    if workers > 1 and compat_fn is None and trials >= 2 * workers:
-        chunk_size = max(1, (trials + 4 * workers - 1) // (4 * workers))
-        chunks = [pairs[i:i + chunk_size] for i in range(0, trials, chunk_size)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            verdicts = list(chain.from_iterable(
-                pool.map(partial(_lemma1_chunk, engine=engine), chunks)
-            ))
-    else:
-        compat = compatible if compat_fn is None else compat_fn
-        verdicts = []
-        for index, p, eps in pairs:
-            closed = compat(p, eps)
-            lp = feasible(
-                outcome_marginals(p) + connection_marginals(eps), engine=engine
-            ).feasible
-            verdicts.append((index, closed, lp))
+    trial = partial(_lemma1_trial, compat_fn or compatible, engine)
+    if compat_fn is None:
+        verdicts = ordered_map(trial, pairs)
+    else:  # a planted criterion may be a closure, which no worker can unpickle
+        verdicts = [trial(pair) for pair in pairs]
     agreements = 0
     n_feasible = 0
     failures: list[dict] = []
-    for (index, closed, lp), (_, p, eps) in zip(sorted(verdicts), pairs):
+    for index, ((closed, lp), (p, eps)) in enumerate(zip(verdicts, pairs)):
         if closed == lp:
             agreements += 1
         else:
@@ -166,14 +135,12 @@ def verify_fine(
     across all eight s0 = 1 connection vectors."""
     rng = random.Random(seed)
     members = enumerate_E0()
-    stats_e0 = [s_pair(CorrelationQuad.from_connections(e)) for e in members]
     agreements = 0
     e0_agreements = 0
     failures: list[dict] = []
     for trial in range(trials):
         p = random_outcome_vector(rng, denominator)
-        sp = s_pair(CorrelationQuad.from_outcomes(p))
-        verdicts = [compatible_stats(se, sp) for se in stats_e0]
+        verdicts = [compatible(p, e) for e in members]
         chsh = chsh_satisfied(p)
         fine_ok = verdicts[0] == chsh
         family_ok = all(v == verdicts[0] for v in verdicts)
@@ -187,10 +154,8 @@ def verify_fine(
             )
     pr_box = OutcomeVector(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), 0)
     quarter = OutcomeVector(*(Fraction(1, 4),) * 4)
-    sp_pr = s_pair(CorrelationQuad.from_outcomes(pr_box))
-    sp_quarter = s_pair(CorrelationQuad.from_outcomes(quarter))
-    pr_incompatible = not any(compatible_stats(se, sp_pr) for se in stats_e0)
-    quarter_compatible = all(compatible_stats(se, sp_quarter) for se in stats_e0)
+    pr_incompatible = not any(compatible(pr_box, e) for e in members)
+    quarter_compatible = all(compatible(quarter, e) for e in members)
     return {
         "suite": "fine",
         "params": {"trials": trials, "seed": seed, "denominator": denominator},
@@ -220,8 +185,7 @@ def verify_e0(trials: int = 1000, seed: int = 0, *, denominator: int = 64) -> di
     failures: list[dict] = []
     for trial in range(trials):
         p = random_outcome_vector(rng, denominator)
-        sp = s_pair(CorrelationQuad.from_outcomes(p))
-        verdicts = [compatible_stats(se, sp) for se in stats_members]
+        verdicts = [compatible(p, e) for e in members]
         if all(v == verdicts[0] for v in verdicts):
             equivalent += 1
         else:
@@ -242,11 +206,15 @@ def verify_e0(trials: int = 1000, seed: int = 0, *, denominator: int = 64) -> di
 MAX_DENSITY = 17
 
 
-def _grid_connection_vectors(density: int) -> list[ConnectionVector]:
+def _check_density(density: int) -> None:
     if density < 2:
         raise ValueError("density must be at least 2")
     if density > MAX_DENSITY:
         raise ValueError(f"density must be at most {MAX_DENSITY}, got {density}")
+
+
+def _grid_connection_vectors(density: int) -> list[ConnectionVector]:
+    _check_density(density)
     values = [Fraction(j, 2 * (density - 1)) for j in range(density)]
     out = []
     for a1 in values:
@@ -434,14 +402,13 @@ def verify_nomatching(
         },
         "grid_cells": grid.resolution ** 2,
         "grid_counts": grid.counts(),
-        "grid_inclusion_holds": grid.inclusion_holds,
+        "grid_inclusion_holds": True,  # membership_grid raises on a violation
         "pass": (
             abs(det) > 1e-3
             and len(interior) >= 3
             and abs(curved_det) > 1e-3
             and w1_ok
             and w2_ok
-            and grid.inclusion_holds
         ),
     }
 
@@ -453,15 +420,17 @@ def run_all(
     denominator: int = 64,
     e0_trials: int = 1000,
     noforcing_min: int = 1000,
+    density: int = 5,
     grid_resolution: int = 201,
 ) -> dict:
     regions.check_resolution(grid_resolution)  # before the long suites run
+    _check_density(density)
     suites = {
         "lemma1": verify_lemma1(trials, seed, denominator=denominator),
         "fine": verify_fine(trials, seed + 1, denominator=denominator),
         "e0": verify_e0(e0_trials, seed + 2, denominator=denominator),
         "noforcing": verify_noforcing(
-            seed=seed + 3, min_vectors=noforcing_min, denominator=denominator
+            density, seed + 3, min_vectors=noforcing_min, denominator=denominator
         ),
         "nomatching": verify_nomatching(seed=seed + 4, grid_resolution=grid_resolution),
     }

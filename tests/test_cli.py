@@ -150,12 +150,14 @@ def test_qm_max_chsh_command(runner):
 def test_verify_all_small(runner):
     result = invoke(
         runner,
-        ["verify", "all", "--trials", "30", "--seed", "7", "--grid", "21"],
+        ["verify", "all", "--trials", "30", "--seed", "7", "--grid", "21",
+         "--density", "3"],
     )
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["pass"] is True
     assert set(payload["suites"]) == {"lemma1", "fine", "e0", "noforcing", "nomatching"}
+    assert payload["suites"]["noforcing"]["params"]["density"] == 3
 
 
 def test_verify_unknown_suite_rejected(runner):
@@ -168,8 +170,10 @@ def test_verify_unknown_suite_rejected(runner):
     ["verify", "nomatching", "--grid", "1000000000"],
     ["verify", "all", "--grid", "1000000000"],
     ["verify", "noforcing", "--density", "1000000000"],
+    ["verify", "all", "--density", "1000000000"],
     ["qm-max-chsh", "--resolution", "1000000000"],
-], ids=["regions-grid", "nomatching-grid", "all-grid", "noforcing-density", "qm-resolution"])
+], ids=["regions-grid", "nomatching-grid", "all-grid", "noforcing-density", "all-density",
+        "qm-resolution"])
 def test_huge_grid_sizes_are_input_errors(runner, args):
     result = invoke(runner, args)
     assert result.exit_code == 2

