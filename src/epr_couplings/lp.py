@@ -29,7 +29,7 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -41,7 +41,9 @@ from .model import (
     MarginalSpec,
     OutcomeVector,
     VariableId,
+    sorted_subsets,
     subset_mask,
+    subset_name,
 )
 from .scalars import ZERO, Scalar, _sign_quadratic, as_scalar, integers
 from .simplex import INFEASIBLE, OPTIMAL, solve_lp
@@ -71,10 +73,6 @@ class InfeasibleSystemError(ValueError):
 _PAIR_MASKS = tuple(subset_mask(pair) for pair in OUTCOME_PAIRS)
 
 
-def _subset_name(subset: Iterable[VariableId]) -> str:
-    return ",".join(v.name for v in sorted(subset)) or "()"
-
-
 @dataclass(frozen=True)
 class ConstraintSystem:
     """Rows of the coupling LP: one (column-indicator, rhs) pair per subset."""
@@ -97,10 +95,6 @@ class ConstraintSystem:
         return [1 if (j & mask) == mask else 0 for j in range(N_ASSIGNMENTS)]
 
 
-def _sorted_subsets(mapping: Mapping[frozenset[VariableId], Scalar]):
-    return sorted(mapping, key=lambda s: (len(s), sorted(s)))
-
-
 def _accumulate_rows(
     specs: Iterable[MarginalSpec],
     extra: Iterable[tuple[frozenset[VariableId], Scalar]] = (),
@@ -116,7 +110,8 @@ def _accumulate_rows(
             rows[subset] = value
         elif seen != value:
             raise ConflictingMarginalsError(
-                f"marginal Pr[{_subset_name(subset)} = +1] assigned both {seen} and {value}"
+                f"marginal Pr[{subset_name(subset) or '()'} = +1] assigned both "
+                f"{seen} and {value}"
             )
     return rows
 
@@ -130,7 +125,7 @@ def _augmented_system(
             (frozenset(pair), value) for pair, value in zip(OUTCOME_PAIRS, p.components)
         ]
     rows = _accumulate_rows(specs, extra)
-    order = _sorted_subsets(rows)
+    order = sorted_subsets(rows)
     return ConstraintSystem(tuple(order), tuple(rows[s] for s in order))
 
 
@@ -443,7 +438,8 @@ def _solve(
             return (*_certify(structure, rhs, b, objective), "certified-float")
         except _Uncertified as exc:
             rows = "; ".join(
-                f"Pr[{_subset_name(s)} = +1] = {v}" for s, v in zip(system.subsets, system.rhs)
+                f"Pr[{subset_name(s) or '()'} = +1] = {v}"
+                for s, v in zip(system.subsets, system.rhs)
             )
             goal = "" if direction is None else f", maximizing ({', '.join(map(str, direction))}) . p"
             _log.warning(

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .scalars import DEFAULT_TOLERANCE, ONE, ZERO, Scalar, as_scalar
+from .scalars import DEFAULT_TOLERANCE, ONE, Scalar, as_scalar
 
 __all__ = [
     "VariableId",
@@ -32,6 +32,8 @@ __all__ = [
     "OUTCOME_PAIRS",
     "CONNECTION_PAIRS",
     "subset_mask",
+    "subset_name",
+    "sorted_subsets",
     "index_of",
     "decode",
     "full_table",
@@ -195,71 +197,38 @@ CONNECTION_PAIRS = (
 )
 
 
-@dataclass(frozen=True)
-class CouplingTable:
-    """A joint distribution over all 2^8 sign assignments."""
+def _subset_sums(values: Sequence[Scalar], sign: int) -> list[Scalar]:
+    """The subset-sum transform over k-bit masks, run one bit at a time in
+    O(k 2^k) additions.
 
-    entries: tuple[Scalar, ...]
-
-    def __post_init__(self):
-        entries = tuple(as_scalar(e) for e in self.entries)
-        object.__setattr__(self, "entries", entries)
-        if len(entries) != N_ASSIGNMENTS:
-            raise ValueError(f"coupling table needs 256 entries, got {len(entries)}")
-        _check_uniform_mode(entries, "coupling table")
-        exact = entries[0].is_exact
-        total = ZERO if exact else Scalar.approximate(0.0)
-        for i, e in enumerate(entries):
-            if e < 0:
-                raise ValueError(f"entry {i} is negative: {e}")
-            total = total + e
-        if total != (ONE if exact else Scalar.approximate(1.0)):
-            raise ValueError(f"entries sum to {total}, not 1")
-
-    def probability(self, assignment: Mapping[VariableId, int]) -> Scalar:
-        return self.entries[index_of(assignment)]
-
-    def prob_all_plus(self, variables: Iterable[VariableId]) -> Scalar:
-        """Pr[all listed variables = +1] under this coupling."""
-        mask = subset_mask(variables)
-        total = ZERO if self.entries[0].is_exact else Scalar.approximate(0.0)
-        for index, e in enumerate(self.entries):
-            if index & mask == mask:
-                total = total + e
-        return total
-
-    def outcome_vector(self) -> OutcomeVector:
-        return OutcomeVector(*(self.prob_all_plus(pair) for pair in OUTCOME_PAIRS))
-
-    def connection_vector(self) -> ConnectionVector:
-        # e = Pr[first = +1] - Pr[both = +1] = Pr[first = +1, second = -1]
-        return ConnectionVector(*(
-            self.prob_all_plus([first]) - self.prob_all_plus([first, second])
-            for first, second in CONNECTION_PAIRS
-        ))
-
-    def to_strings(self) -> list[str]:
-        return [str(e) for e in self.entries]
-
-    @classmethod
-    def from_strings(cls, items: Sequence[str]) -> CouplingTable:
-        return cls(tuple(as_scalar(s) for s in items))
-
-
-def _canonical_subset(variables: Iterable[VariableId]) -> tuple[VariableId, ...]:
-    return tuple(sorted(set(variables)))
+    ``sign=1`` gives ``out[S] = sum of values[T] over T >= S``: from a joint
+    table, Pr[every variable of S = +1].  ``sign=-1`` gives the inverse,
+    ``out[S] = sum over T >= S of (-1)^|T \\ S| values[T]``.
+    """
+    out = list(values)
+    bit = 1
+    while bit < len(out):
+        for s in range(len(out)):
+            if not s & bit:
+                out[s] = out[s] + out[s | bit] if sign > 0 else out[s] - out[s | bit]
+        bit <<= 1
+    return out
 
 
 class MarginalSpec:
     """A fixed distribution on a subset of the eight variables.
 
-    Internally stored as the full 2^k joint table over +-1 values (index bit
-    j, most significant first, carries ``variables[j]``; bit 1 = +1).  Can be
-    built either from that table or from the "probability that every listed
-    variable equals +1" parameterization over all subsets.
+    ``table`` is the full 2^k joint table over +-1 values (index bit j,
+    most significant first, carries ``variables[j]``; bit 1 = +1).
+    ``all_plus`` is its subset-sum transform, indexed the same way:
+    ``all_plus[S]`` = Pr[every variable of S = +1], so those values are
+    lookups.  Build from the table, or from the Pr[all of S = +1] values
+    of every subset through the inverse transform
+    (:meth:`from_prob_all_plus`).  :class:`CouplingTable` is the spec of
+    all eight variables in canonical order.
     """
 
-    __slots__ = ("variables", "table")
+    __slots__ = ("variables", "table", "all_plus")
 
     def __init__(self, variables: Sequence[VariableId], table: Sequence[Scalar]):
         variables = tuple(variables)
@@ -271,18 +240,16 @@ class MarginalSpec:
                 f"table for {len(variables)} variables needs {1 << len(variables)} "
                 f"entries, got {len(table)}"
             )
-        if table:
-            _check_uniform_mode(table, "marginal table")
-        exact = not table or table[0].is_exact
-        total = ZERO if exact else Scalar.approximate(0.0)
+        _check_uniform_mode(table, "marginal table")
         for i, t in enumerate(table):
             if t < 0:
                 raise ValueError(f"marginal table entry {i} is negative: {t}")
-            total = total + t
-        if total != (ONE if exact else Scalar.approximate(1.0)):
-            raise ValueError(f"marginal table sums to {total}, not 1")
+        all_plus = tuple(_subset_sums(table, 1))
+        if all_plus[0] != 1:
+            raise ValueError(f"marginal table sums to {all_plus[0]}, not 1")
         self.variables = variables
         self.table = table
+        self.all_plus = all_plus
 
     @classmethod
     def from_prob_all_plus(
@@ -318,22 +285,9 @@ class MarginalSpec:
                     f"{{{', '.join(v.name for v in sorted(subset))}}}"
                 )
             zeta.append(probs[subset])
-        # Inclusion-exclusion: Pr[exactly T = +1, rest -1]
-        #   = sum over S >= T of (-1)^|S \ T| * Pr[all of S = +1]
-        table = []
-        for tmask in range(1 << k):
-            rest = ((1 << k) - 1) ^ tmask
-            value = None
-            extra = rest
-            while True:
-                smask = tmask | extra
-                term = zeta[smask]
-                if bin(extra).count("1") % 2:
-                    term = -term
-                value = term if value is None else value + term
-                if extra == 0:
-                    break
-                extra = (extra - 1) & rest
+        # Pr[exactly T = +1, rest -1] = sum over S >= T of (-1)^|S \ T| Pr[all of S = +1]
+        table = _subset_sums(zeta, -1)
+        for tmask, value in enumerate(table):
             if value < 0:
                 names = [
                     f"{variables[j].name}={'+1' if tmask & (1 << (k - 1 - j)) else '-1'}"
@@ -343,36 +297,33 @@ class MarginalSpec:
                     f"inconsistent marginal parameterization: Pr[{', '.join(names)}] "
                     f"= {value} < 0"
                 )
-            table.append(value)
-        return cls(variables, table)
+        return MarginalSpec(variables, table)
+
+    def _mask(self, positions: Iterable[int]) -> int:
+        k = len(self.variables)
+        return sum(1 << (k - 1 - j) for j in positions)
 
     def prob_all_plus(self, subset: Iterable[VariableId]) -> Scalar:
+        """Pr[every variable of ``subset`` = +1]."""
         subset = frozenset(subset)
         if not subset <= set(self.variables):
             bad = [v.name for v in subset - set(self.variables)]
             raise ValueError(f"variables not in this marginal: {bad}")
-        k = len(self.variables)
-        smask = 0
-        for j, var in enumerate(self.variables):
-            if var in subset:
-                smask |= 1 << (k - 1 - j)
-        total = ZERO if not self.table or self.table[0].is_exact else Scalar.approximate(0.0)
-        for mask, value in enumerate(self.table):
-            if mask & smask == smask:
-                total = total + value
-        return total
+        return self.all_plus[self._mask(self.variables.index(v) for v in subset)]
 
     def all_ones_parameterization(self) -> dict[frozenset[VariableId], Scalar]:
-        """All Pr[every variable of S = +1] values, one per subset S."""
+        """All Pr[every variable of S = +1] values, one per subset S, by
+        size and then in :func:`itertools.combinations` order."""
         out: dict[frozenset[VariableId], Scalar] = {}
         for size in range(len(self.variables) + 1):
-            for combo in combinations(self.variables, size):
-                out[frozenset(combo)] = self.prob_all_plus(combo)
+            for combo in combinations(range(len(self.variables)), size):
+                subset = frozenset(self.variables[j] for j in combo)
+                out[subset] = self.all_plus[self._mask(combo)]
         return out
 
     @property
     def is_exact(self) -> bool:
-        return not self.table or self.table[0].is_exact
+        return self.table[0].is_exact
 
     def __eq__(self, other):
         if not isinstance(other, MarginalSpec):
@@ -381,7 +332,42 @@ class MarginalSpec:
 
     def __repr__(self):
         names = ",".join(v.name for v in self.variables)
-        return f"MarginalSpec({names})"
+        return f"{type(self).__name__}({names})"
+
+
+class CouplingTable(MarginalSpec):
+    """A joint distribution over all 2^8 sign assignments: the marginal spec
+    of all eight variables in canonical order, so its table index is the
+    canonical index of :func:`index_of`."""
+
+    __slots__ = ()
+
+    def __init__(self, entries: Sequence[Scalar]):
+        super().__init__(tuple(VariableId), entries)
+
+    @property
+    def entries(self) -> tuple[Scalar, ...]:
+        return self.table
+
+    def probability(self, assignment: Mapping[VariableId, int]) -> Scalar:
+        return self.table[index_of(assignment)]
+
+    def outcome_vector(self) -> OutcomeVector:
+        return OutcomeVector(*(self.prob_all_plus(pair) for pair in OUTCOME_PAIRS))
+
+    def connection_vector(self) -> ConnectionVector:
+        # e = Pr[first = +1] - Pr[both = +1] = Pr[first = +1, second = -1]
+        return ConnectionVector(*(
+            self.prob_all_plus([first]) - self.prob_all_plus([first, second])
+            for first, second in CONNECTION_PAIRS
+        ))
+
+    def to_strings(self) -> list[str]:
+        return [str(e) for e in self.entries]
+
+    @classmethod
+    def from_strings(cls, items: Sequence[str]) -> CouplingTable:
+        return cls(items)
 
 
 def full_table(spec: MarginalSpec) -> tuple[Scalar, ...]:
@@ -420,28 +406,35 @@ def outcome_marginals(p: OutcomeVector) -> list[MarginalSpec]:
 # -- JSON wire format ----------------------------------------------------------
 
 
-def _subset_key(subset: Iterable[VariableId]) -> str:
+def subset_name(subset: Iterable[VariableId]) -> str:
+    """The subset's variable names in canonical order, comma-joined."""
     return ",".join(v.name for v in sorted(subset))
 
 
+def sorted_subsets(subsets: Iterable[frozenset[VariableId]]) -> list[frozenset[VariableId]]:
+    """Subsets by size, then by their variables in canonical order."""
+    return sorted(subsets, key=lambda s: (len(s), sorted(s)))
+
+
 def marginal_spec_to_json(spec: MarginalSpec) -> dict:
+    probs = spec.all_ones_parameterization()
     return {
         "variables": [v.name for v in spec.variables],
-        "prob_all_plus": {
-            _subset_key(s): str(v) for s, v in sorted(
-                spec.all_ones_parameterization().items(),
-                key=lambda kv: (len(kv[0]), sorted(kv[0])),
-            )
-        },
+        "prob_all_plus": {subset_name(s): str(probs[s]) for s in sorted_subsets(probs)},
     }
 
 
 def marginal_spec_from_json(data: Mapping) -> MarginalSpec:
     """Accepts either the prob_all_plus form or a full table form."""
-    if "variables" not in data:
-        raise ValueError("marginal spec needs a 'variables' list")
-    variables = tuple(VariableId.from_name(n) for n in data["variables"])
+    if not isinstance(data, Mapping):
+        raise ValueError("a marginal spec must be a JSON object")
+    listed = data.get("variables")
+    if not isinstance(listed, list) or not all(isinstance(n, str) for n in listed):
+        raise ValueError("marginal spec needs a 'variables' list of variable names")
+    variables = tuple(VariableId.from_name(n) for n in listed)
     if "prob_all_plus" in data:
+        if not isinstance(data["prob_all_plus"], Mapping):
+            raise ValueError("marginal spec 'prob_all_plus' must be an object")
         probs = {}
         for key, text in data["prob_all_plus"].items():
             names = [n for n in key.split(",") if n.strip()]
@@ -449,7 +442,9 @@ def marginal_spec_from_json(data: Mapping) -> MarginalSpec:
             probs[subset] = as_scalar(text)
         return MarginalSpec.from_prob_all_plus(variables, probs)
     if "table" in data:
-        return MarginalSpec(variables, tuple(as_scalar(t) for t in data["table"]))
+        if not isinstance(data["table"], list):
+            raise ValueError("marginal spec 'table' must be a list")
+        return MarginalSpec(variables, data["table"])
     raise ValueError("marginal spec needs 'prob_all_plus' or 'table'")
 
 

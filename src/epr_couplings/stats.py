@@ -171,19 +171,19 @@ def tsirelson_satisfied(p: OutcomeVector) -> bool:
     return all(t * t <= bound for t in (2 * e - unit for e in exprs))
 
 
-def qm_compliant(p: OutcomeVector, tol: float = DEFAULT_TOLERANCE) -> Compliance:
+def qm_compliant(p: OutcomeVector) -> Compliance:
     """Classify p against |r11 r12 - r21 r22| <= sum of sqrt(1-r^2) products.
 
     For exact scalars the comparison is staged through squares, so it stays
     inside Q[sqrt(2)] and the verdict (inside/boundary/outside) is exact.
-    Approximate scalars are classified within ``tol``.
+    Approximate scalars are classified within ``DEFAULT_TOLERANCE``.
     """
     if not p.is_exact:
         r1, r2, r3, r4 = (4 * c.to_float() - 1 for c in p.components)
         lhs = abs(r1 * r2 - r3 * r4)
         rhs = _sqrt01(r1) * _sqrt01(r2) + _sqrt01(r3) * _sqrt01(r4)
         d = rhs - lhs
-        if abs(d) <= tol:
+        if abs(d) <= DEFAULT_TOLERANCE:
             return Compliance.BOUNDARY
         return Compliance.INSIDE if d > 0 else Compliance.OUTSIDE
     unit, v = integers(p.components)

@@ -225,6 +225,11 @@ def _grid_connection_vectors(density: int) -> list[ConnectionVector]:
     return out
 
 
+def _opens(eps: ConnectionVector) -> bool:
+    """s0(eps) < 1: the connection vector admits a no-forcing counterexample."""
+    return s_pair(CorrelationQuad.from_connections(eps)).s0 < 1
+
+
 def verify_noforcing(
     density: int = 5,
     seed: int = 0,
@@ -239,40 +244,35 @@ def verify_noforcing(
     strictly quantum-violating.  Vectors with s0 = 1 instead satisfy
     compatible => CHSH => not outside."""
     rng = random.Random(seed)
-    grid = _grid_connection_vectors(density)
-    vectors = list(grid)
-    n_open = sum(
-        1 for e in vectors if s_pair(CorrelationQuad.from_connections(e)).s0 < 1
-    )
+    vectors = [(e, _opens(e)) for e in _grid_connection_vectors(density)]
+    n_open = sum(opens for _, opens in vectors)
     while n_open < min_vectors:
         e = random_connection_vector(rng, denominator)
-        vectors.append(e)
-        if s_pair(CorrelationQuad.from_connections(e)).s0 < 1:
-            n_open += 1
+        opens = _opens(e)
+        vectors.append((e, opens))
+        n_open += opens
 
     checked = 0
     verified = 0
     boundary_checked = 0
     boundary_ok = 0
     failures: list[dict] = []
-    for eps in vectors:
-        se = s_pair(CorrelationQuad.from_connections(eps))
-        if se.s0 < 1:
+    for eps, opens in vectors:
+        if opens:
             checked += 1
             p = noforcing_counterexample(eps)
             ok_closed = compatible(p, eps)
             ok_lp = feasible(
                 outcome_marginals(p) + connection_marginals(eps), engine=engine
             ).feasible
-            ok_qm = qm_compliant(p) is Compliance.OUTSIDE
-            if ok_closed and ok_lp and ok_qm:
+            qm = qm_compliant(p)
+            if ok_closed and ok_lp and qm is Compliance.OUTSIDE:
                 verified += 1
             else:
                 _record(
                     failures,
                     {"eps": _strs(eps), "p": _strs(p), "compatible": ok_closed,
-                     "lp_feasible": ok_lp,
-                     "qm": qm_compliant(p).value},
+                     "lp_feasible": ok_lp, "qm": qm.value},
                 )
         else:
             boundary_checked += 1

@@ -88,6 +88,23 @@ def test_feasible_with_witness_file(runner, tmp_path):
     assert json.loads(result.output)["feasible"] is False
 
 
+@pytest.mark.parametrize("spec", [
+    {"variables": ["A11"], "prob_all_plus": ["1/2"]},
+    {"variables": [1], "table": ["1/2", "1/2"]},
+    {"variables": [], "table": "1"},
+    {"variables": "A11", "table": ["1/2", "1/2"]},
+    5,
+], ids=["prob-all-plus-list", "variable-number", "table-string", "variables-string",
+        "spec-number"])
+def test_malformed_marginal_json_is_an_input_error(runner, tmp_path, spec):
+    marg = tmp_path / "marginals.json"
+    marg.write_text(json.dumps([spec]))
+    for args in (["feasible"], ["support", "--direction", "1,1,1,-2"]):
+        result = invoke(runner, args + ["--marginals", str(marg)])
+        assert result.exit_code == 2
+        assert "error" in json.loads(result.output)
+
+
 def test_support_command(runner, tmp_path):
     eps_t = ConnectionVector(*(["(-1+1*sqrt2)/8"] * 4))
     specs = [marginal_spec_to_json(s) for s in connection_marginals(eps_t)]

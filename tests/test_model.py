@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +21,90 @@ from epr_couplings.model import (
     marginal_specs_from_json,
     outcome_marginals,
 )
-from epr_couplings.scalars import SQRT2, Scalar
+from epr_couplings.scalars import SQRT2, ZERO, Scalar, as_scalar
 
 V = VariableId
 HALF = Fraction(1, 2)
+
+
+# -- reference: the inclusion-exclusion and per-subset scan the library ran
+# before its subset-sum transform pair ------------------------------------------
+
+
+def reference_prob_all_plus(spec, subset):
+    """Pr[all of subset = +1] by scanning the whole joint table."""
+    subset = frozenset(subset)
+    if not subset <= set(spec.variables):
+        bad = [v.name for v in subset - set(spec.variables)]
+        raise ValueError(f"variables not in this marginal: {bad}")
+    k = len(spec.variables)
+    smask = 0
+    for j, var in enumerate(spec.variables):
+        if var in subset:
+            smask |= 1 << (k - 1 - j)
+    total = ZERO
+    for mask, value in enumerate(spec.table):
+        if mask & smask == smask:
+            total = total + value
+    return total
+
+
+def reference_all_ones(spec):
+    out = {}
+    for size in range(len(spec.variables) + 1):
+        for combo in combinations(spec.variables, size):
+            out[frozenset(combo)] = reference_prob_all_plus(spec, combo)
+    return out
+
+
+def reference_from_prob_all_plus(variables, probs):
+    """The joint table by O(3^k) inclusion-exclusion, with the library's
+    validation and error messages."""
+    variables = tuple(variables)
+    k = len(variables)
+    probs = {frozenset(s): as_scalar(v) for s, v in probs.items()}
+    varset = frozenset(variables)
+    for s in probs:
+        if not s <= varset:
+            bad = [v.name for v in s - varset]
+            raise ValueError(f"subset mentions variables not in the marginal: {bad}")
+    one = Scalar(1)
+    empty = probs.setdefault(frozenset(), one)
+    if empty != one:
+        raise ValueError(f"Pr[] must be 1, got {empty}")
+    zeta = []
+    for mask in range(1 << k):
+        subset = frozenset(variables[j] for j in range(k) if mask & (1 << (k - 1 - j)))
+        if subset not in probs:
+            raise ValueError(
+                "missing probability for subset "
+                f"{{{', '.join(v.name for v in sorted(subset))}}}"
+            )
+        zeta.append(probs[subset])
+    table = []
+    for tmask in range(1 << k):
+        rest = ((1 << k) - 1) ^ tmask
+        value = None
+        extra = rest
+        while True:
+            term = zeta[tmask | extra]
+            if bin(extra).count("1") % 2:
+                term = -term
+            value = term if value is None else value + term
+            if extra == 0:
+                break
+            extra = (extra - 1) & rest
+        if value < 0:
+            names = [
+                f"{variables[j].name}={'+1' if tmask & (1 << (k - 1 - j)) else '-1'}"
+                for j in range(k)
+            ]
+            raise ValueError(
+                f"inconsistent marginal parameterization: Pr[{', '.join(names)}] "
+                f"= {value} < 0"
+            )
+        table.append(value)
+    return MarginalSpec(variables, table)
 
 
 def test_index_examples():
@@ -260,3 +341,80 @@ def test_marginal_specs_from_json_shapes():
     )
     assert len(marginal_specs_from_json([spec_data])) == 1
     assert len(marginal_specs_from_json({"marginals": [spec_data, spec_data]})) == 2
+
+
+# -- the subset-sum transforms against the reference ------------------------------
+
+_small_fractions = st.fractions(min_value=0, max_value=1, max_denominator=8)
+
+
+@st.composite
+def field_values(draw, count):
+    """``count`` nonnegative values, all rational or all in Q[sqrt2]."""
+    if draw(st.booleans()):
+        return [Scalar(draw(_small_fractions)) for _ in range(count)]
+    return [
+        Scalar.quadratic(draw(_small_fractions), draw(_small_fractions))
+        for _ in range(count)
+    ]
+
+
+@st.composite
+def marginal_cases(draw):
+    """Variables in any order, a joint table over Q or Q[sqrt2], and a
+    parameterization that is the table's own, a perturbed copy of it or
+    drawn freely (so often inconsistent)."""
+    k = draw(st.integers(min_value=0, max_value=4))
+    variables = tuple(draw(st.permutations(list(V)))[:k])
+    weights = draw(field_values(1 << k))
+    total = sum(weights[1:], weights[0])
+    if total == 0:
+        weights, total = [Scalar(1)] * (1 << k), Scalar(1 << k)
+    spec = MarginalSpec(variables, [w / total for w in weights])
+    probs = reference_all_ones(spec)
+    how = draw(st.sampled_from(["own", "perturbed", "free"]))
+    subsets = [s for s in probs if s]
+    if how == "perturbed" and subsets:
+        s = draw(st.sampled_from(subsets))
+        probs[s] = probs[s] + draw(field_values(1))[0] - draw(field_values(1))[0]
+    elif how == "free":
+        probs = dict(zip(subsets, draw(field_values(len(subsets)))))
+    return spec, probs
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(marginal_cases())
+@settings(max_examples=300, deadline=None)
+def test_subset_sums_match_reference(case):
+    spec, probs = case
+    assert spec.all_ones_parameterization() == reference_all_ones(spec)
+    assert list(spec.all_ones_parameterization()) == list(reference_all_ones(spec))
+    for subset in spec.all_ones_parameterization():
+        assert spec.prob_all_plus(subset) == reference_prob_all_plus(spec, subset)
+    assert MarginalSpec.from_prob_all_plus(spec.variables, reference_all_ones(spec)) == spec
+    got = _outcome(lambda: MarginalSpec.from_prob_all_plus(spec.variables, probs))
+    want = _outcome(lambda: reference_from_prob_all_plus(spec.variables, probs))
+    assert got == want
+
+
+def test_coupling_table_is_the_eight_variable_marginal():
+    # Sparse, over Q[sqrt2]: (2 - sqrt2)/4 + sqrt2/4 + 1/2 = 1.
+    entries = [Fraction(0)] * 256
+    entries[255] = Scalar.quadratic(HALF, Fraction(-1, 4))
+    entries[0] = Scalar.quadratic(0, Fraction(1, 4))
+    entries[100] = HALF
+    table = CouplingTable(entries)
+    spec = MarginalSpec(tuple(V), entries)
+    assert table == spec
+    assert table.entries == spec.table
+    for mask in range(256):
+        subset = [v for v in V if mask & (1 << (7 - v))]
+        want = reference_prob_all_plus(spec, subset)
+        assert table.prob_all_plus(subset) == want
+        assert spec.prob_all_plus(subset) == want
