@@ -16,23 +16,40 @@ side is scaled by its common denominator, elimination on the reported
 support runs fraction-free over the integers; a right-hand side
 ``a + b*sqrt2`` travels as the two integer columns ``a`` and ``b``, and
 every sign is decided exactly in Q[sqrt(2)].  Floats only choose which
-columns and duals get checked; HiGHS runs without presolve, which costs
-more than it saves on LPs this small.  The exact Bland simplex is the cold
-fallback: it decides when a proof fails (logging one WARNING with the exact
-right-hand side on the ``epr_couplings.lp`` logger) and when
+columns and duals get checked.  The exact Bland simplex is the cold
+fallback: it decides when a proof fails (logging one WARNING with the
+reason, the exact right-hand side and, for a non-optimal HiGHS status, the
+simplex iteration count, on the ``epr_couplings.lp`` logger) and when
 ``engine="exact"`` asks for it.
+
+Each row structure keeps two HiGHS models, built on first use: phase 1
+over ``[M | I]`` and the coupling model over M alone for :func:`optimize`.
+A solve only sets the row bounds (and, for ``optimize``, the costs), then
+runs the dual simplex without presolve from a cold start, so each proposal
+depends on its own LP alone, never on the queries before it.  A lock
+serializes the solves on one model across threads.  Where scipy lacks the
+private ``scipy.optimize._highspy._core`` bindings, the same proposals come
+from :func:`scipy.optimize.linprog` with the same options.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+import scipy.optimize
+from scipy.optimize import OptimizeResult
+from scipy.sparse import csc_array
+
+try:  # private bindings; older scipy releases lack them
+    from scipy.optimize._highspy import _core
+except ImportError:
+    _core = None
 
 from .model import (
     N_ASSIGNMENTS,
@@ -179,12 +196,33 @@ def _witness_table(x: _Solution) -> CouplingTable:
 
 # -- cached per-structure data ---------------------------------------------------
 
-_STRUCTURE_CACHE: dict[tuple, tuple] = {}
+
+class _Model:
+    """``min cost.q`` subject to ``a_eq q = b``, ``q >= 0`` for one fixed
+    matrix; :func:`linprog` builds its HiGHS model on first use and reuses
+    it under ``lock``."""
+
+    __slots__ = ("a_eq", "cost", "highs", "lock")
+
+    def __init__(self, a_eq: np.ndarray, cost: np.ndarray):
+        self.a_eq = a_eq
+        self.cost = cost
+        self.highs = None
+        self.lock = threading.Lock()
 
 
-def _structure(subsets: tuple[frozenset[VariableId], ...]):
-    """Row masks, the float matrix ``[M | I]`` (the identity columns are the
-    phase-1 slacks, priced by ``cost``) and, per column of M, its rows."""
+class _Structure(NamedTuple):
+    masks: list[int]
+    col_rows: tuple[tuple[int, ...], ...]  # per column of M, its rows
+    phase1: _Model  # [M | I]: the identity columns are slacks priced 1
+    coupling: _Model  # M alone, for optimize
+
+
+_STRUCTURE_CACHE: dict[tuple, _Structure] = {}
+
+
+def _structure(subsets: tuple[frozenset[VariableId], ...]) -> _Structure:
+    """Row masks, per-column rows and the two LP models of a row structure."""
     key = subsets
     hit = _STRUCTURE_CACHE.get(key)
     if hit is not None:
@@ -197,12 +235,16 @@ def _structure(subsets: tuple[frozenset[VariableId], ...]):
             if (j & mask) == mask:
                 a[i, j] = 1.0
         a[i, N_ASSIGNMENTS + i] = 1.0
-    cost = np.concatenate([np.zeros(N_ASSIGNMENTS), np.ones(m)])
     col_rows = tuple(
         tuple(i for i, mask in enumerate(masks) if (j & mask) == mask)
         for j in range(N_ASSIGNMENTS)
     )
-    entry = (masks, a, cost, col_rows)
+    entry = _Structure(
+        masks,
+        col_rows,
+        _Model(a, np.concatenate([np.zeros(N_ASSIGNMENTS), np.ones(m)])),
+        _Model(a[:, :N_ASSIGNMENTS], np.zeros(N_ASSIGNMENTS)),
+    )
     if len(_STRUCTURE_CACHE) > 64:
         _STRUCTURE_CACHE.clear()
     _STRUCTURE_CACHE[key] = entry
@@ -324,29 +366,96 @@ def _support(x: np.ndarray, threshold: float) -> list[int]:
     return [j for j in range(N_ASSIGNMENTS) if x[j] > threshold]
 
 
-def _highs(cost: np.ndarray, a_eq: np.ndarray, b: np.ndarray):
-    """HiGHS on ``min cost.q`` subject to ``a_eq q = b``, ``q >= 0``.  Presolve
-    is off: on these small dense LPs (a few dozen rows at most, 256 coupling
-    columns plus one slack per row) it costs more than it saves."""
-    return linprog(
-        cost,
-        A_eq=a_eq,
-        b_eq=b,
-        bounds=(0, None),
-        method="highs",
-        options={"presolve": False},
-    )
+#: The options ``linprog(method="highs", options={"presolve": False})`` sets.
+#: Presolve is off: on LPs this small it costs more than it saves.
+_HIGHS_OPTIONS = (
+    ("output_flag", False),
+    ("log_to_console", False),
+    ("presolve", "off"),
+    ("highs_debug_level", 0),
+    ("simplex_strategy", 1),  # dual simplex
+)
+
+
+def _new_highs(model: _Model):
+    highs = _core._Highs()
+    for name, value in _HIGHS_OPTIONS:
+        highs.setOptionValue(name, value)
+    a = csc_array(model.a_eq)
+    m, n = a.shape
+    problem = _core.HighsLp()
+    problem.num_col_ = problem.a_matrix_.num_col_ = n
+    problem.num_row_ = problem.a_matrix_.num_row_ = m
+    problem.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    problem.a_matrix_.start_ = a.indptr
+    problem.a_matrix_.index_ = a.indices
+    problem.a_matrix_.value_ = a.data
+    problem.col_cost_ = model.cost
+    problem.col_lower_ = np.zeros(n)
+    problem.col_upper_ = np.full(n, _core.kHighsInf)
+    problem.row_lower_ = problem.row_upper_ = np.zeros(m)
+    highs.passModel(problem)
+    return highs
+
+
+def linprog(model: _Model, b: np.ndarray, cost: np.ndarray | None = None) -> OptimizeResult:
+    """HiGHS on ``model`` with right-hand side ``b`` (and ``cost`` in place
+    of the model's own): the one float proposal behind every certified
+    answer.  The result has :func:`scipy.optimize.linprog`'s ``status``
+    (0 optimal, 2 infeasible, 4 otherwise), ``fun``, ``x``,
+    ``eqlin.marginals`` and ``nit``, the simplex iteration count.
+
+    The persistent model takes only the new row bounds and costs, and
+    ``clearSolver`` drops its basis, so the dual simplex starts cold as
+    ``linprog`` does and proposes the same answer bit for bit.  (``linprog``
+    also re-checks residuals after HiGHS, which :func:`_certify` subsumes.)
+    Without the private bindings this is that ``linprog`` call."""
+    if _core is None:
+        return scipy.optimize.linprog(
+            model.cost if cost is None else cost, A_eq=model.a_eq, b_eq=b,
+            bounds=(0, None), method="highs", options={"presolve": False},
+        )
+    with model.lock:
+        highs = model.highs
+        if highs is None:
+            highs = model.highs = _new_highs(model)
+        for i, v in enumerate(b.tolist()):
+            highs.changeRowBounds(i, v, v)
+        if cost is not None:
+            highs.changeColsCost(len(cost), np.arange(len(cost), dtype=np.int32), cost)
+        highs.clearSolver()
+        highs.run()
+        model_status = highs.getModelStatus()
+        res = OptimizeResult(
+            status=(
+                0 if model_status == _core.HighsModelStatus.kOptimal
+                else 2 if model_status == _core.HighsModelStatus.kInfeasible
+                else 4
+            ),
+            fun=None, x=None, eqlin=OptimizeResult(marginals=None),
+            nit=highs.getInfoValue("simplex_iteration_count")[1],
+        )
+        if res.status == 0:
+            solution = highs.getSolution()
+            res.fun = highs.getObjectiveValue()
+            res.x = np.array(solution.col_value)
+            res.eqlin.marginals = np.array(solution.row_dual)
+    return res
+
+
+def _status_reason(res) -> str:
+    return f"HiGHS status {res.status} after {res.nit} simplex iterations"
 
 
 def _certify(structure, rhs: list[list[Fraction]], b: np.ndarray, objective):
     """HiGHS proposes, exact arithmetic proves: ``(x, value)`` with ``x``
     None for an infeasible system and ``value`` the optimum's components
     when ``objective`` is given.  Raises :class:`_Uncertified` otherwise."""
-    masks, a_eq, cost, col_rows = structure
+    masks, col_rows, phase1, coupling = structure
     if objective is None:
-        res = _highs(cost, a_eq, b)
+        res = linprog(phase1, b)
         if res.status != 0:
-            raise _Uncertified(f"HiGHS status {res.status}")
+            raise _Uncertified(_status_reason(res))
         if res.fun < 1e-7:
             x = _solve_on_support(masks, rhs, _support(res.x, 1e-9))
             if x is not None:
@@ -358,13 +467,13 @@ def _certify(structure, rhs: list[list[Fraction]], b: np.ndarray, objective):
             return x, None
         raise _Uncertified("neither the support nor the duals prove a verdict")
 
-    res = _highs(-np.array([float(c) for c in objective]), a_eq[:, :N_ASSIGNMENTS], b)
+    res = linprog(coupling, b, -np.array([float(c) for c in objective]))
     if res.status == 2:
         if _certify(structure, rhs, b, None)[0] is None:
             return None, None
         raise _Uncertified("HiGHS reported infeasible, yet a coupling exists")
     if res.status != 0:
-        raise _Uncertified(f"HiGHS status {res.status}")
+        raise _Uncertified(_status_reason(res))
     # eqlin.marginals are d(min -c.q)/db; y = -marginals prices the maximum.
     y = _rationalize(res.eqlin.marginals, -1)
     _, scaled = integers(y + objective)
@@ -392,8 +501,7 @@ def _certify(structure, rhs: list[list[Fraction]], b: np.ndarray, objective):
 def _bland(structure, system: ConstraintSystem, rhs: list[list[Fraction]], objective):
     """The exact Bland simplex on the same rows, with the same answer shape
     as :func:`_certify`."""
-    masks, a_eq, _, _ = structure
-    rows = a_eq[:, :N_ASSIGNMENTS].astype(int).tolist()
+    rows = structure.coupling.a_eq.astype(int).tolist()
     rational = len(rhs) == 1
     b = [v.as_fraction() if rational else v for v in system.rhs]
     res = solve_lp(rows, b, objective=objective, maximize=True)
@@ -407,7 +515,7 @@ def _bland(structure, system: ConstraintSystem, rhs: list[list[Fraction]], objec
         return (s.as_fraction(),) if rational else (s.a, s.b)
 
     x = {j: parts(v) for j, v in enumerate(res.x) if v != 0}
-    if not _is_witness(masks, rhs, x):
+    if not _is_witness(structure.masks, rhs, x):
         raise AssertionError("exact simplex produced an invalid basic solution")
     return x, None if objective is None else parts(res.objective)
 

@@ -2,10 +2,14 @@ import itertools
 import json
 import logging
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.optimize
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -361,15 +365,26 @@ def test_optimize_certifies_infeasibility(caplog):
     assert lp_warnings(caplog) == []
 
 
+def highs_reference(model, b, cost=None, bounds=(0, None)):
+    """``scipy.optimize.linprog`` on the same LP as ``lp.linprog(model, b,
+    cost)``, with the options the persistent HiGHS model runs."""
+    return scipy.optimize.linprog(
+        model.cost if cost is None else cost, A_eq=model.a_eq, b_eq=b,
+        bounds=bounds, method="highs", options={"presolve": False},
+    )
+
+
 def corrupted_linprog(kind):
     """HiGHS with a wrong answer: support moved to other columns, that plus
     a fake Farkas ray (the normalization row, y.b = 1 > 0 but y.A_j = 1 > 0),
     all duals zero, a suboptimal vertex reported as optimal (the largest
-    weight of the optimum fixed at 0), or a non-optimal status."""
+    weight of the optimum fixed at 0), or a non-optimal status.  The real
+    answers' simplex iteration counts collect in ``fake.iterations``."""
     real = lp.linprog
 
-    def fake(*args, **kwargs):
-        res = real(*args, **kwargs)
+    def fake(model, b, cost=None):
+        res = real(model, b, cost)
+        fake.iterations.append(res.nit)
         if kind in ("x", "ray"):
             res.x = np.roll(res.x, 1)
         if kind == "ray":
@@ -379,11 +394,12 @@ def corrupted_linprog(kind):
         elif kind == "suboptimal":
             bounds = [(0, None)] * len(res.x)
             bounds[int(np.argmax(res.x))] = (0, 0)
-            res = real(*args, **{**kwargs, "bounds": bounds})
+            res = highs_reference(model, b, cost, bounds)
         elif kind == "status":
             res.status = 4
         return res
 
+    fake.iterations = []
     return fake
 
 
@@ -424,7 +440,8 @@ def test_failed_certification_falls_back_with_one_warning(
     clean = runner.invoke(cli_main, args, catch_exceptions=False)
     assert lp_warnings(caplog) == []
 
-    monkeypatch.setattr(lp, "linprog", corrupted_linprog(kind))
+    fake = corrupted_linprog(kind)
+    monkeypatch.setattr(lp, "linprog", fake)
     if p is None:
         assert optimize(connection_marginals(eps), (1, 1, 1, -2)) == want
     else:
@@ -437,6 +454,9 @@ def test_failed_certification_falls_back_with_one_warning(
     assert len(warnings) == 1
     message = warnings[0].getMessage()
     assert all(str(v) in message for v in build_system(connection_marginals(eps)).rhs)
+    if kind == "status":
+        assert f"HiGHS status 4 after {fake.iterations[0]} simplex iterations" in message
+        assert fake.iterations[0] > 0
 
     caplog.clear()
     dirty = runner.invoke(cli_main, args, catch_exceptions=False)
@@ -545,17 +565,127 @@ def test_integer_elimination_matches_fraction_gauss_jordan(system):
     )
 
 
-def test_presolve_free_highs_never_falls_back(caplog):
-    """Every seeded lattice pair and every s0 = 1 connection vector is
-    certified from the HiGHS answer; none falls back to the exact simplex."""
+def lattice_pairs():
+    """Seeded lattice (p, eps) pairs plus pairs with each s0 = 1 connection
+    vector of the E0 family."""
     rng = random.Random(2718)
     pairs = [(random_outcome_vector(rng), random_connection_vector(rng)) for _ in range(200)]
     pairs += [(random_outcome_vector(rng), eps) for eps in enumerate_E0() for _ in range(12)]
+    return pairs
+
+
+def test_presolve_free_highs_never_falls_back(caplog):
+    """Every seeded lattice pair and every s0 = 1 connection vector is
+    certified from the HiGHS answer; none falls back to the exact simplex."""
     verdicts = set()
-    for p, eps in pairs:
+    for p, eps in lattice_pairs():
         res = feasible(outcome_marginals(p) + connection_marginals(eps))
         assert res.engine == "certified-float", (p, eps)
         assert res.feasible == compatible(p, eps), (p, eps)
         verdicts.add(res.feasible)
     assert verdicts == {True, False}  # witnesses and Farkas rays both certified
+    assert lp_warnings(caplog) == []
+
+
+# -- the persistent HiGHS models ----------------------------------------------------
+
+
+def oracle_lp(specs):
+    system = build_system(specs)
+    return lp._structure(system.subsets).phase1, np.array([float(v) for v in system.rhs])
+
+
+def support_lp(eps, direction):
+    system = build_system(connection_marginals(eps))
+    objective = lp._objective([Fraction(d) for d in direction])
+    return (
+        lp._structure(system.subsets).coupling,
+        np.array([float(v) for v in system.rhs]),
+        -np.array([float(c) for c in objective]),
+    )
+
+
+def test_persistent_highs_proposes_exactly_what_linprog_does():
+    """Bit-identical status, x and duals on oracle systems, on the E0
+    family and on support LPs, each set solved twice in shuffled orders, so
+    a basis carried from one solve to the next would show."""
+    rng = random.Random(31)
+    lps = [oracle_lp(outcome_marginals(random_outcome_vector(rng))
+                     + connection_marginals(random_connection_vector(rng)))
+           for _ in range(200)]
+    lps += [oracle_lp(outcome_marginals(random_outcome_vector(rng)) + connection_marginals(eps))
+            for eps in enumerate_E0()]
+    lps += [support_lp(eps, direction)
+            for eps in (EPS0, EPS_T) for direction in CHSH_DIRECTIONS + UNIT_DIRECTIONS]
+    want = [highs_reference(*problem) for problem in lps]
+    assert {res.status for res in want} == {0}
+    for _ in range(2):
+        order = list(range(len(lps)))
+        rng.shuffle(order)
+        for k in order:
+            got = lp.linprog(*lps[k])
+            assert got.status == want[k].status, k
+            assert np.array_equal(got.x, want[k].x), k
+            assert np.array_equal(got.eqlin.marginals, want[k].eqlin.marginals), k
+            assert got.nit == want[k].nit, k
+
+
+def test_threads_sharing_one_model_get_the_sequential_answers(caplog):
+    """Four threads solve distinct lattice systems of one row structure, so
+    they share its HiGHS model; each answer equals the sequential one."""
+    batches = []
+    for seed in range(4):
+        rng = random.Random(4000 + seed)
+        batches.append([
+            outcome_marginals(random_outcome_vector(rng))
+            + connection_marginals(random_connection_vector(rng))
+            for _ in range(50)
+        ])
+
+    def solve(batch):
+        return [(res.feasible, res.engine, res._x) for res in map(feasible, batch)]
+
+    sequential = [solve(batch) for batch in batches]
+    barrier = threading.Barrier(len(batches))
+
+    def threaded(batch):
+        barrier.wait(timeout=60)
+        return solve(batch)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-solve included
+    try:
+        with ThreadPoolExecutor(max_workers=len(batches)) as pool:
+            futures = [pool.submit(threaded, batch) for batch in batches]
+            concurrent = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert concurrent == sequential
+    assert {engine for batch in concurrent for _, engine, _ in batch} == {"certified-float"}
+    assert lp_warnings(caplog) == []
+
+
+def test_linprog_shim_without_private_highs_bindings(monkeypatch, caplog):
+    """Where scipy lacks ``_highspy._core``, ``lp.linprog`` is a
+    ``scipy.optimize.linprog`` call, and every answer is still certified."""
+    pairs = lattice_pairs()[::8]
+    persistent = [feasible(outcome_marginals(p) + connection_marginals(eps)) for p, eps in pairs]
+    support = optimize(connection_marginals(EPS_T), (1, 1, 1, -2))
+
+    calls = []
+    real = scipy.optimize.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["options"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "_core", None)
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    shimmed = [feasible(outcome_marginals(p) + connection_marginals(eps)) for p, eps in pairs]
+    assert optimize(connection_marginals(EPS_T), (1, 1, 1, -2)) == support
+    assert calls == [{"presolve": False}] * (len(pairs) + 1)
+    assert [(r.feasible, r.engine) for r in shimmed] == [
+        (r.feasible, "certified-float") for r in persistent
+    ]
+    assert {r.feasible for r in shimmed} == {True, False}
     assert lp_warnings(caplog) == []
