@@ -520,13 +520,21 @@ def _bland(structure, system: ConstraintSystem, rhs: list[list[Fraction]], objec
     return x, None if objective is None else parts(res.objective)
 
 
+#: Bit k of column j's pattern is set when its assignment sets observable pair k to +1.
+_PAIR_PATTERNS = tuple(
+    sum(1 << k for k, mask in enumerate(_PAIR_MASKS) if (j & mask) == mask)
+    for j in range(N_ASSIGNMENTS)
+)
+
+
 def _objective(direction: Sequence[Fraction]) -> list[Fraction]:
     """``direction . p`` pushed through the coupling: column j gains d_k when
-    its assignment sets both variables of observable pair k to +1."""
-    return [
-        sum((d for d, mask in zip(direction, _PAIR_MASKS) if (j & mask) == mask), Fraction(0))
-        for j in range(N_ASSIGNMENTS)
-    ]
+    its assignment sets both variables of observable pair k to +1, so it
+    takes the subset sum of ``direction`` over its pattern, one of 16."""
+    sums = [Fraction(0)]
+    for d in direction:
+        sums += [t + d for t in sums]
+    return [sums[s] for s in _PAIR_PATTERNS]
 
 
 def _solve(

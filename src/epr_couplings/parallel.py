@@ -1,7 +1,7 @@
-"""Process parallelism for the heavy sweeps, capped by ``COUPLING_THREADS``.
+"""Process parallelism for the ``lemma1`` LP checks, capped by ``COUPLING_THREADS``.
 
-Work is mapped in input order, so results (and the reports and grids built
-from them) are identical for every worker count.
+Work is mapped in input order, so results (and the reports built from them)
+are identical for every worker count.
 """
 
 from __future__ import annotations

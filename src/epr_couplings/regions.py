@@ -13,14 +13,13 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Mapping, TextIO
 
 import numpy as np
 
+from . import stats
 from .model import OutcomeVector
-from .parallel import ordered_map
-from .scalars import Scalar, as_scalar
+from .scalars import Scalar, as_scalar, integers
 from .stats import (
     TSIRELSON_HIGH,
     TSIRELSON_LOW,
@@ -48,8 +47,7 @@ _COMPONENTS = ("p11", "p12", "p21", "p22")
 
 CSV_HEADER = "free_x,free_y,chsh,qm,tsirelson"
 
-#: The finest membership grid: 2001^2 cells take ~10 minutes in one process
-#: (~140 us a cell).
+#: The finest membership grid: 2001^2 cells take ~6 s in one process.
 MAX_RESOLUTION = 2001
 
 
@@ -84,20 +82,14 @@ def _split_components(fixed: Mapping[str, object]):
     return fixed_vals, free
 
 
+def _ordered(values: Mapping[str, object], free: tuple[str, str], x, y) -> list:
+    """``values`` and ``x``, ``y`` on the two free components, in p11..p22 order."""
+    named = {**values, free[0]: x, free[1]: y}
+    return [named[name] for name in _COMPONENTS]
+
+
 def _vector_builder(fixed_vals: Mapping[str, Scalar], free: tuple[str, str]):
-    order = {name: i for i, name in enumerate(_COMPONENTS)}
-    template: list = [None, None, None, None]
-    for name, value in fixed_vals.items():
-        template[order[name]] = value
-    ix, iy = order[free[0]], order[free[1]]
-
-    def build(x, y) -> OutcomeVector:
-        args = list(template)
-        args[ix] = x
-        args[iy] = y
-        return OutcomeVector(*args)
-
-    return build
+    return lambda x, y: OutcomeVector(*_ordered(fixed_vals, free, x, y))
 
 
 @dataclass
@@ -112,9 +104,8 @@ class MembershipGrid:
 
     def counts(self) -> dict[str, int]:
         return {
-            "chsh": int((self.flags & 1).astype(bool).sum()),
-            "qm": int((self.flags & 2).astype(bool).sum()),
-            "tsirelson": int((self.flags & 4).astype(bool).sum()),
+            name: int(np.count_nonzero(self.flags & (1 << bit)))
+            for bit, name in enumerate(REGIONS)
         }
 
     def cell(self, ix: int, iy: int) -> tuple[bool, bool, bool]:
@@ -126,8 +117,7 @@ class MembershipGrid:
         writer.writerow(CSV_HEADER.split(","))
         for ix, cx in enumerate(self.centers):
             for iy, cy in enumerate(self.centers):
-                chsh, qm, tsir = self.cell(ix, iy)
-                writer.writerow([str(cx), str(cy), int(chsh), int(qm), int(tsir)])
+                writer.writerow([str(cx), str(cy), *map(int, self.cell(ix, iy))])
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as stream:
@@ -146,41 +136,40 @@ class MembershipGrid:
         }
 
 
-def _grid_row(fixed_vals, free, centers, ix: int) -> list[int]:
-    build = _vector_builder(fixed_vals, free)
-    sx = Scalar(centers[ix])
-    row = []
-    for cy in centers:
-        p = build(sx, Scalar(cy))
-        chsh = chsh_satisfied(p)
-        qm = qm_compliant(p) is not Compliance.OUTSIDE
-        tsir = tsirelson_satisfied(p)
-        if (chsh and not qm) or (qm and not tsir):
-            raise AssertionError(
-                f"inclusion chain violated at cell ({centers[ix]}, {cy})"
-            )
-        row.append((1 if chsh else 0) | (2 if qm else 0) | (4 if tsir else 0))
-    return row
-
-
 def membership_grid(fixed: Mapping[str, object], resolution: int = 201) -> MembershipGrid:
     """Evaluate all three region predicates at every cell center.
 
-    The inclusion chain (classical inside quantum inside Tsirelson) is
-    asserted cell by cell; a violation would be a logic error and raises.
-    Rows are evaluated in parallel when COUPLING_THREADS allows; the output
-    is merged by row index and does not depend on the schedule.
+    The fixed values are validated once, as the first cell's outcome vector,
+    then scaled together with the cell centers by :func:`scalars.integers`.
+    Each row is decided exactly by one call of each :mod:`stats` body on a
+    numpy object array, and the inclusion chain (classical inside quantum
+    inside Tsirelson) is asserted on its masks; a violation raises.
     """
     check_resolution(resolution)
     fixed_vals, free = _split_components(fixed)
     centers = tuple(Fraction(2 * k + 1, 4 * resolution) for k in range(resolution))
-    rows = ordered_map(partial(_grid_row, fixed_vals, free, centers), range(resolution))
+    OutcomeVector(*_ordered(fixed_vals, free, centers[0], centers[0]))  # raises on bad fixed values
+    unit, scaled = integers([*fixed_vals.values(), *centers])
+    scaled_fixed = dict(zip(fixed_vals, scaled))
+    column = np.array(scaled[2:], dtype=object)
+    flags = np.empty((resolution, resolution), dtype=np.uint8)
+    for ix, x in enumerate(scaled[2:]):
+        v = _ordered(scaled_fixed, free, x, column)
+        chsh = stats.chsh_holds(unit, v)
+        outside, _ = stats.qm_masks(unit, v)
+        tsir = stats.tsirelson_holds(unit, v)
+        violated = (chsh & outside) | ~(outside | tsir)
+        if violated.any():
+            raise AssertionError(
+                f"inclusion chain violated at cell ({centers[ix]}, {centers[violated.argmax()]})"
+            )
+        flags[ix] = chsh + 2 * ~outside + 4 * tsir
     return MembershipGrid(
         fixed=dict(fixed_vals),
         free=free,
         resolution=resolution,
         centers=centers,
-        flags=np.array(rows, dtype=np.uint8),
+        flags=flags,
     )
 
 
@@ -218,14 +207,9 @@ def _perimeter_point(s: Fraction) -> tuple[Fraction, Fraction]:
 def _face_times(build, cx, cy, tx, ty, bounds) -> list:
     """Parameters u where a CHSH expression equals one of ``bounds`` along
     p(u) = center + u*(target - center); exact Scalars."""
-    lo = build(cx, cy).components
-    hi = build(tx, ty).components
     out = []
-    total_lo = sum(lo[1:], lo[0])
-    total_hi = sum(hi[1:], hi[0])
-    for k in range(4):
-        a0 = total_lo - 2 * lo[k]
-        a1 = total_hi - 2 * hi[k]
+    for a0, a1 in zip(stats.chsh_expressions(build(cx, cy).components),
+                      stats.chsh_expressions(build(tx, ty).components)):
         beta = a1 - a0
         if beta == 0:
             continue
@@ -290,8 +274,7 @@ def trace_boundary(
             valid = []
             for u in _face_times(build, cx, cy, tx, ty, _FACES[region]):
                 if lo <= u <= hi:
-                    px = cx + u * (tx - cx)
-                    py = cy + u * (ty - cy)
+                    px, py = at(u)
                     try:
                         ok = predicate(build(px, py))
                     except ValueError:
@@ -325,8 +308,7 @@ def boundary_defect(region: str, fixed: Mapping[str, object], x, y) -> float:
         raise ValueError("mixed-mode boundary point")
     p = build(sx, sy)
     comps = [float(c) for c in p.components]
-    total = sum(comps)
-    exprs = [total - 2 * c for c in comps]
+    exprs = stats.chsh_expressions(comps)
     if region == "chsh":
         return min(min(abs(e), abs(e - 1)) for e in exprs)
     if region == "tsirelson":

@@ -15,7 +15,9 @@ and their common scale ``unit`` (``0 <= e <= unit``, ``(2e - unit)^2 <=
 over Q the components are scaled to Python ints over their common
 denominator, so the test runs on plain integers; over Q[sqrt(2)] the exact
 ``Scalar`` values pass through with ``unit = 1``.  Both decide exactly.
-Approximate (decimal) input takes one toleranced float path instead.
+The region bodies use only arithmetic, comparisons and ``&``, so they also
+decide a whole grid row held in numpy object arrays.  Approximate (decimal)
+input takes one toleranced float path instead.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import and_
 
 from .model import ConnectionVector, OutcomeVector
 from .scalars import DEFAULT_TOLERANCE, Scalar, as_scalar, integers
@@ -146,37 +150,60 @@ def s_pair(r: CorrelationQuad) -> SPair:
     return SPair(_quotient(n0, 4 * unit), _quotient(n1, 4 * unit))
 
 
-def _chsh_expressions(p: OutcomeVector) -> tuple:
-    """``(unit, [e * unit for each CHSH expression e])``, with
-    ``e = p11+p12+p21+p22 - 2 p_ij``."""
-    unit, v = integers(p.components)
-    total = sum(v[1:], v[0])
-    return unit, [total - 2 * c for c in v]
+def chsh_expressions(v) -> list:
+    """The four CHSH expressions ``v11+v12+v21+v22 - 2 v_ij``."""
+    total = v[0] + v[1] + v[2] + v[3]
+    return [total - 2 * c for c in v]
+
+
+def chsh_holds(unit, v):
+    """``0 <= e <= unit`` for each CHSH expression ``e`` of ``v``."""
+    return reduce(and_, ((0 <= e) & (e <= unit) for e in chsh_expressions(v)))
+
+
+def tsirelson_holds(unit, v):
+    """``|e - unit/2| <= unit sqrt2/2``, as ``(2e - unit)^2 <= 2 unit^2``,
+    for each CHSH expression ``e`` of ``v``."""
+    bound = 2 * unit * unit
+    t = [2 * e - unit for e in chsh_expressions(v)]
+    return reduce(and_, (c * c <= bound for c in t))
+
+
+def qm_masks(unit, v) -> tuple:
+    """``(outside, boundary)`` of ``lhs = |r1 r2 - r3 r4| <= sqrt(x) + sqrt(y)``,
+    ``x = (1-r1^2)(1-r2^2)``, ``y = (1-r3^2)(1-r4^2)``: ``d = lhs^2 - x - y``
+    against ``2 sqrt(xy)``, then ``e = d^2 - 4xy``; ``d == 0`` leaves ``e <= 0``."""
+    r1, r2, r3, r4 = (4 * c - unit for c in v)
+    one = unit * unit
+    lhs = abs(r1 * r2 - r3 * r4)
+    x = (one - r1 * r1) * (one - r2 * r2)
+    y = (one - r3 * r3) * (one - r4 * r4)
+    d = lhs * lhs - x - y
+    e = d * d - 4 * x * y
+    return (d > 0) & (e > 0), (d >= 0) & (e == 0)
 
 
 def chsh_satisfied(p: OutcomeVector) -> bool:
     """0 <= p11+p12+p21+p22 - 2 p_ij <= 1 for all four choices of ij."""
-    unit, exprs = _chsh_expressions(p)
-    return all(0 <= e <= unit for e in exprs)
+    return chsh_holds(*integers(p.components))
 
 
 def tsirelson_satisfied(p: OutcomeVector) -> bool:
     """(1-sqrt2)/2 <= p11+p12+p21+p22 - 2 p_ij <= (1+sqrt2)/2 for all ij."""
-    unit, exprs = _chsh_expressions(p)
+    unit, v = integers(p.components)
     if not p.is_exact:
         lo, hi = TSIRELSON_LOW.to_approximate(), TSIRELSON_HIGH.to_approximate()
-        return all(lo <= e <= hi for e in exprs)
-    # |e - unit/2| <= unit sqrt2/2  <=>  (2e - unit)^2 <= 2 unit^2
-    bound = 2 * unit * unit
-    return all(t * t <= bound for t in (2 * e - unit for e in exprs))
+        return all(lo <= e <= hi for e in chsh_expressions(v))
+    return tsirelson_holds(unit, v)
 
 
 def qm_compliant(p: OutcomeVector) -> Compliance:
     """Classify p against |r11 r12 - r21 r22| <= sum of sqrt(1-r^2) products.
 
-    For exact scalars the comparison is staged through squares, so it stays
-    inside Q[sqrt(2)] and the verdict (inside/boundary/outside) is exact.
-    Approximate scalars are classified within ``DEFAULT_TOLERANCE``.
+    For exact scalars the comparison is staged through squares
+    (:func:`qm_masks`), so it stays inside Q[sqrt(2)] and the verdict
+    (inside/boundary/outside) is exact.  Approximate scalars are classified
+    within ``DEFAULT_TOLERANCE``.
     """
     if not p.is_exact:
         r1, r2, r3, r4 = (4 * c.to_float() - 1 for c in p.components)
@@ -186,22 +213,10 @@ def qm_compliant(p: OutcomeVector) -> Compliance:
         if abs(d) <= DEFAULT_TOLERANCE:
             return Compliance.BOUNDARY
         return Compliance.INSIDE if d > 0 else Compliance.OUTSIDE
-    unit, v = integers(p.components)
-    r1, r2, r3, r4 = (4 * c - unit for c in v)
-    one = unit * unit
-    lhs = abs(r1 * r2 - r3 * r4)
-    x = (one - r1 * r1) * (one - r2 * r2)
-    y = (one - r3 * r3) * (one - r4 * r4)
-    # lhs vs sqrt(x) + sqrt(y): compare lhs^2 - x - y against 2*sqrt(x*y).
-    d = lhs * lhs - x - y
-    if d < 0:
-        return Compliance.INSIDE
-    if d == 0:
-        return Compliance.BOUNDARY if x * y == 0 else Compliance.INSIDE
-    e = d * d - 4 * x * y
-    if e < 0:
-        return Compliance.INSIDE
-    return Compliance.BOUNDARY if e == 0 else Compliance.OUTSIDE
+    outside, boundary = qm_masks(*integers(p.components))
+    if outside:
+        return Compliance.OUTSIDE
+    return Compliance.BOUNDARY if boundary else Compliance.INSIDE
 
 
 def _sqrt01(r: float) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -195,3 +196,26 @@ def test_huge_grid_sizes_are_input_errors(runner, args):
     result = invoke(runner, args)
     assert result.exit_code == 2
     assert "at most" in json.loads(result.output)["error"]
+
+
+@pytest.mark.parametrize("fix, message", [
+    ("3/4,1/4", "p11 = 3/4 outside [0, 1/2]"),
+    ("1/4,-1/8", "p12 = -1/8 outside [0, 1/2]"),
+    ("0.25,0.25", "outcome vector mixes exact and approximate scalars"),
+], ids=["p11-range", "p12-range", "approximate"])
+def test_regions_rejects_bad_fixed_values(runner, fix, message):
+    result = invoke(runner, ["regions", "--fix", fix, "--grid", "5", "--format", "csv"])
+    assert result.exit_code == 2
+    assert json.loads(result.output) == {"error": message}
+
+
+@pytest.mark.parametrize("fix, resolution, digest", [
+    ("1/4,1/4", "21", "66d6c4901d9c3bd3507a6a842f2ebf4b"),
+    ("(2-sqrt2)/8,(2+sqrt2)/8", "15", "8fea82ef8c4826ae261b673646313051"),
+    ("7/16,7/16", "201", "8e79dd3170b549eaf4e37dc2a85db831"),
+], ids=["quarter-21", "singlet-15", "curved-201"])
+def test_regions_csv_bytes_are_pinned(runner, fix, resolution, digest):
+    result = invoke(runner, ["regions", "--fix", fix, "--grid", resolution,
+                             "--format", "csv"])
+    assert result.exit_code == 0
+    assert hashlib.md5(result.stdout_bytes).hexdigest() == digest

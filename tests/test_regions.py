@@ -6,12 +6,8 @@ import pytest
 from epr_couplings import regions
 from epr_couplings.model import OutcomeVector
 from epr_couplings.scalars import as_scalar
-from epr_couplings.stats import (
-    Compliance,
-    chsh_satisfied,
-    qm_compliant,
-    tsirelson_satisfied,
-)
+from epr_couplings.stats import Compliance
+from test_stats import reference_chsh, reference_qm, reference_tsirelson
 
 QUARTER_SLICE = {"p11": Fraction(1, 4), "p12": Fraction(1, 4)}
 CURVED_SLICE = {"p11": Fraction(7, 16), "p12": Fraction(7, 16)}
@@ -47,18 +43,37 @@ def test_grid_strict_inclusions_on_curved_slice():
     assert counts["chsh"] < counts["qm"] < counts["tsirelson"]
 
 
-def test_grid_matches_pointwise_predicates():
-    grid = regions.membership_grid(CURVED_SLICE, 11)
-    for ix in range(0, 11, 3):
-        for iy in range(0, 11, 3):
-            p = OutcomeVector(Fraction(7, 16), Fraction(7, 16),
-                              grid.centers[ix], grid.centers[iy])
+SINGLET_LOW = as_scalar("(2-sqrt2)/8")
+SINGLET_HIGH = as_scalar("(2+sqrt2)/8")
+A, B = Fraction(3, 8), Fraction(1, 8)
+
+
+@pytest.mark.parametrize("fixed, resolution", [
+    (CURVED_SLICE, 11),
+    ({"p11": A, "p12": B}, 11),
+    ({"p12": A, "p11": B}, 11),
+    ({"p21": A, "p22": B}, 11),
+    ({"p22": A, "p21": B}, 11),
+    # fixed values on two different observable pairs
+    ({"p11": A, "p21": B}, 11),
+    ({"p11": Fraction(1, 2), "p12": Fraction(1, 2)}, 11),
+    ({"p11": Fraction(1, 2), "p12": Fraction(3, 8)}, 11),
+    ({"p11": SINGLET_LOW, "p12": SINGLET_LOW}, 9),
+    ({"p11": SINGLET_LOW, "p12": SINGLET_HIGH}, 9),
+], ids=["curved", "p11-p12", "p12-p11", "p21-p22", "p22-p21", "p11-p21",
+        "half-half", "half-3/8", "singlet-low-low", "singlet-low-high"])
+def test_grid_matches_pointwise_predicates(fixed, resolution):
+    grid = regions.membership_grid(fixed, resolution)
+    for ix, x in enumerate(grid.centers):
+        for iy, y in enumerate(grid.centers):
+            values = dict(fixed, **{grid.free[0]: x, grid.free[1]: y})
+            p = OutcomeVector(*(values[name] for name in ("p11", "p12", "p21", "p22")))
             want = (
-                chsh_satisfied(p),
-                qm_compliant(p) is not Compliance.OUTSIDE,
-                tsirelson_satisfied(p),
+                reference_chsh(p),
+                reference_qm(p) is not Compliance.OUTSIDE,
+                reference_tsirelson(p),
             )
-            assert grid.cell(ix, iy) == want
+            assert grid.cell(ix, iy) == want, (x, y)
 
 
 def test_grid_symmetry_for_equal_fixed_values():
