@@ -29,7 +29,8 @@ runs the dual simplex without presolve from a cold start, so each proposal
 depends on its own LP alone, never on the queries before it.  A lock
 serializes the solves on one model across threads.  Where scipy lacks the
 private ``scipy.optimize._highspy._core`` bindings, the same proposals come
-from :func:`scipy.optimize.linprog` with the same options.
+from :func:`scipy.optimize.linprog` with the same options.  scipy is
+imported by the first solve, so code that never solves an LP never loads it.
 """
 
 from __future__ import annotations
@@ -39,17 +40,12 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.optimize
-from scipy.optimize import OptimizeResult
-from scipy.sparse import csc_array
 
-try:  # private bindings; older scipy releases lack them
-    from scipy.optimize._highspy import _core
-except ImportError:
-    _core = None
+if TYPE_CHECKING:
+    from scipy.optimize import OptimizeResult
 
 from .model import (
     N_ASSIGNMENTS,
@@ -377,7 +373,27 @@ _HIGHS_OPTIONS = (
 )
 
 
+_UNLOADED = object()
+#: scipy's private ``scipy.optimize._highspy._core`` HiGHS bindings, imported
+#: by the first solve (so scipy is imported only then); None where scipy
+#: lacks them.
+_core = _UNLOADED
+
+
+def _highs_bindings():
+    global _core
+    if _core is _UNLOADED:
+        try:  # private bindings; older scipy releases lack them
+            from scipy.optimize._highspy import _core as core
+        except ImportError:
+            core = None
+        _core = core
+    return _core
+
+
 def _new_highs(model: _Model):
+    from scipy.sparse import csc_array
+
     highs = _core._Highs()
     for name, value in _HIGHS_OPTIONS:
         highs.setOptionValue(name, value)
@@ -410,7 +426,10 @@ def linprog(model: _Model, b: np.ndarray, cost: np.ndarray | None = None) -> Opt
     ``linprog`` does and proposes the same answer bit for bit.  (``linprog``
     also re-checks residuals after HiGHS, which :func:`_certify` subsumes.)
     Without the private bindings this is that ``linprog`` call."""
-    if _core is None:
+    import scipy.optimize
+
+    core = _highs_bindings()
+    if core is None:
         return scipy.optimize.linprog(
             model.cost if cost is None else cost, A_eq=model.a_eq, b_eq=b,
             bounds=(0, None), method="highs", options={"presolve": False},
@@ -426,13 +445,13 @@ def linprog(model: _Model, b: np.ndarray, cost: np.ndarray | None = None) -> Opt
         highs.clearSolver()
         highs.run()
         model_status = highs.getModelStatus()
-        res = OptimizeResult(
+        res = scipy.optimize.OptimizeResult(
             status=(
-                0 if model_status == _core.HighsModelStatus.kOptimal
-                else 2 if model_status == _core.HighsModelStatus.kInfeasible
+                0 if model_status == core.HighsModelStatus.kOptimal
+                else 2 if model_status == core.HighsModelStatus.kInfeasible
                 else 4
             ),
-            fun=None, x=None, eqlin=OptimizeResult(marginals=None),
+            fun=None, x=None, eqlin=scipy.optimize.OptimizeResult(marginals=None),
             nit=highs.getInfoValue("simplex_iteration_count")[1],
         )
         if res.status == 0:

@@ -10,6 +10,11 @@ deterministic.
 
 Mixing exact and approximate operands is an error; convert explicitly with
 :meth:`Scalar.to_approximate` or :meth:`Scalar.to_float`.
+
+``Scalar`` is the public, parsed and printed type.  Exact decisions run on
+integers instead: :func:`integers` scales values over one common
+denominator to Python ints and, for a sqrt(2) part, to :class:`ZSqrt2`
+pairs of ints, which also hold whole numpy blocks of values.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ import math
 import re
 from fractions import Fraction
 
+import numpy as np
+
 __all__ = [
     "Scalar",
     "ScalarModeError",
@@ -25,6 +32,7 @@ __all__ = [
     "compare",
     "as_scalar",
     "integers",
+    "ZSqrt2",
     "DEFAULT_TOLERANCE",
     "ZERO",
     "ONE",
@@ -44,20 +52,27 @@ class ScalarParseError(ValueError):
     """Raised when a scalar expression cannot be parsed."""
 
 
+def _sgn(x):
+    """-1, 0 or +1; elementwise (as an int array) on an array."""
+    return (x > 0) * 1 - (x < 0) * 1
+
+
+def _sign(a, b):
+    """Exact sign of ``a + b*sqrt(2)`` for ints ``a``, ``b`` (or int arrays,
+    elementwise), without branches: with parts of the same sign (or a zero
+    part) it is the sign of their sum; with opposite signs ``|a|`` vs
+    ``|b| sqrt2`` reduces to ``a^2`` vs ``2 b^2``, never equal for nonzero
+    ints (sqrt(2) is irrational), and takes the sign of ``a`` when ``a``
+    wins."""
+    sa, sb = _sgn(a), _sgn(b)
+    same = sa * sb >= 0
+    return same * _sgn(sa + sb) + (1 - same) * sa * _sgn(a * a - 2 * b * b)
+
+
 def _sign_quadratic(a: Fraction, b: Fraction) -> int:
-    """Exact sign of a + b*sqrt(2)."""
-    if not b:
-        return (a > 0) - (a < 0)
-    if not a:
-        return 1 if b > 0 else -1
-    sa = 1 if a > 0 else -1
-    sb = 1 if b > 0 else -1
-    if sa == sb:
-        return sa
-    # Opposite signs: |a| vs |b|*sqrt(2) reduces to a^2 vs 2*b^2.
-    # a^2 == 2*b^2 is impossible for nonzero rationals (sqrt(2) irrational).
-    d = a * a - 2 * b * b
-    return sa * (1 if d > 0 else -1)
+    """Exact sign of a + b*sqrt(2) for rationals: :func:`_sign` of the pair
+    scaled by the positive ``a.denominator * b.denominator``."""
+    return _sign(a.numerator * b.denominator, b.numerator * a.denominator)
 
 
 _NO_ROOT = Fraction(0)
@@ -359,25 +374,134 @@ def compare(x, y, tol: float | None = None) -> int:
     return sx.compare(as_scalar(y) if not isinstance(y, Scalar) else y, tol=tol)
 
 
+_INTEGERS = (int, np.ndarray)
+
+
+def _minus(x: ZSqrt2, other):
+    """The parts ``(a, b)`` of ``x - other``; None for an operand that is
+    neither a ZSqrt2 nor an int or int array."""
+    if type(other) is ZSqrt2:
+        return x.a - other.a, x.b - other.b
+    if isinstance(other, _INTEGERS):
+        return x.a - other, x.b
+    return None
+
+
+def _comparison(test):
+    """A ZSqrt2 comparison method: ``test`` of the sign of the difference."""
+    def method(self, other):
+        d = _minus(self, other)
+        return NotImplemented if d is None else test(_sign(*d))
+    return method
+
+
+class ZSqrt2:
+    """``a + b*sqrt(2)`` with integer ``a`` and ``b``: an element of the ring
+    Z[sqrt(2)], the number type exact Q[sqrt(2)] decisions run on.
+
+    Each field is an int or a numpy object array of ints, so one value
+    holds a single number or a whole block of them; ``+ - *`` (with ints,
+    int arrays and each other, either side), ``abs``, :meth:`sign` and the
+    six comparisons then act elementwise and return ints or arrays of them.
+    ``__array_ufunc__ = None`` sends ``ndarray + ZSqrt2`` to the reflected
+    method here, so it never becomes an object array of ZSqrt2s.
+    """
+
+    __slots__ = ("a", "b")
+    __array_ufunc__ = None
+
+    def __init__(self, a, b):
+        self.a = a
+        self.b = b
+
+    def __add__(self, other):
+        if type(other) is ZSqrt2:
+            return ZSqrt2(self.a + other.a, self.b + other.b)
+        if isinstance(other, _INTEGERS):
+            return ZSqrt2(self.a + other, self.b)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        d = _minus(self, other)
+        return NotImplemented if d is None else ZSqrt2(*d)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __neg__(self) -> ZSqrt2:
+        return ZSqrt2(-self.a, -self.b)
+
+    def __mul__(self, other):
+        if type(other) is ZSqrt2:
+            a, b, c, d = self.a, self.b, other.a, other.b
+            return ZSqrt2(a * c + 2 * b * d, a * d + b * c)
+        if isinstance(other, _INTEGERS):
+            return ZSqrt2(self.a * other, self.b * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __abs__(self) -> ZSqrt2:
+        s = self.sign()
+        if isinstance(s, np.ndarray):  # keep the parts Python ints
+            s = s.astype(object)
+        return ZSqrt2(self.a * s, self.b * s)
+
+    def sign(self):
+        """Exact sign: -1, 0 or +1, or an int array of them."""
+        return _sign(self.a, self.b)
+
+    __lt__ = _comparison(lambda s: s < 0)
+    __le__ = _comparison(lambda s: s <= 0)
+    __eq__ = _comparison(lambda s: s == 0)
+    __ne__ = _comparison(lambda s: s != 0)
+    __gt__ = _comparison(lambda s: s > 0)
+    __ge__ = _comparison(lambda s: s >= 0)
+
+    def __repr__(self) -> str:
+        return f"ZSqrt2({self.a!r}, {self.b!r})"
+
+
 def integers(values) -> tuple[int, list]:
     """The number type an exact decision runs on, as ``(unit, scaled)``.
 
-    When every value is rational (an int, a Fraction or a rational exact
-    Scalar), ``unit`` is their common denominator and ``scaled`` the ints
-    ``v * unit``: a positive factor, so every sign and order is kept, and a
-    test that is homogeneous in ``(values, unit)`` decides the same on the
-    ints as on the values.  Otherwise -- some Scalar has a sqrt(2) part or is
-    approximate -- the values pass through unchanged with ``unit = 1``.
+    ``unit`` is the common denominator of every rational part of the values
+    (ints, Fractions and exact Scalars, both parts of ``a + b*sqrt2``), and
+    ``scaled`` holds each value times ``unit``: an int where the value is
+    rational, a :class:`ZSqrt2` where it has a sqrt(2) part.  ``unit`` is a
+    positive factor, so every sign and order is kept, and a test that is
+    homogeneous in ``(values, unit)`` decides the same on the scaled values
+    as on the values.  Approximate Scalars have no exact parts: when any
+    value is one, the values pass through unchanged with ``unit = 1``.
     """
     rationals = []
     for v in values:
         if type(v) is Scalar:
             if v._b is None or v._b:
-                return 1, list(values)
+                return _quadratic_integers(values)
             v = v._a
         rationals.append(v)
     unit = math.lcm(*(v.denominator for v in rationals))
     return unit, [v.numerator * (unit // v.denominator) for v in rationals]
+
+
+def _quadratic_integers(values) -> tuple[int, list]:
+    parts = []
+    for v in values:
+        if type(v) is Scalar:
+            if v._b is None:
+                return 1, list(values)
+            parts.append((v._a, v._b))
+        else:
+            parts.append((v, 0))
+    unit = math.lcm(*(x.denominator for pair in parts for x in pair))
+    scaled = []
+    for a, b in parts:
+        na = a.numerator * (unit // a.denominator)
+        scaled.append(ZSqrt2(na, b.numerator * (unit // b.denominator)) if b else na)
+    return unit, scaled
 
 
 def as_scalar(value) -> Scalar:

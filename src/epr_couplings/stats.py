@@ -11,13 +11,13 @@ exactly when
 
 Each exact decision has one body, written homogeneously in the components
 and their common scale ``unit`` (``0 <= e <= unit``, ``(2e - unit)^2 <=
-2 unit^2``, ...).  :func:`scalars.integers` picks the number it runs on:
-over Q the components are scaled to Python ints over their common
-denominator, so the test runs on plain integers; over Q[sqrt(2)] the exact
-``Scalar`` values pass through with ``unit = 1``.  Both decide exactly.
-The region bodies use only arithmetic, comparisons and ``&``, so they also
-decide a whole grid row held in numpy object arrays.  Approximate (decimal)
-input takes one toleranced float path instead.
+2 unit^2``, ...).  :func:`scalars.integers` scales the components over
+their common denominator ``unit``: over Q to Python ints, over Q[sqrt(2)]
+to :class:`~.scalars.ZSqrt2` pairs of Python ints, so every exact decision
+runs on integers, never on ``Scalar`` arithmetic.  The region bodies use
+only arithmetic, comparisons and ``&``, so they also decide a whole block
+of grid cells held in numpy object arrays.  Approximate (decimal) input
+takes one toleranced float path instead.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from functools import reduce
 from operator import and_
 
 from .model import ConnectionVector, OutcomeVector
-from .scalars import DEFAULT_TOLERANCE, Scalar, as_scalar, integers
+from .scalars import DEFAULT_TOLERANCE, Scalar, ZSqrt2, as_scalar, integers
 
 __all__ = [
     "Compliance",
@@ -139,6 +139,10 @@ def _statistics(w) -> tuple:
 
 
 def _quotient(n, d: int) -> Scalar:
+    """``n / d`` as a Scalar, for ``n`` an int, a ZSqrt2 or an approximate
+    Scalar."""
+    if type(n) is ZSqrt2:
+        return Scalar(Fraction(n.a, d), Fraction(n.b, d))
     return Scalar(Fraction(n, d)) if isinstance(n, int) else n / d
 
 

@@ -1,11 +1,15 @@
 import itertools
 import json
 import logging
+import os
 import random
+import subprocess
 import sys
+import textwrap
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -689,3 +693,25 @@ def test_linprog_shim_without_private_highs_bindings(monkeypatch, caplog):
     ]
     assert {r.feasible for r in shimmed} == {True, False}
     assert lp_warnings(caplog) == []
+
+
+def test_scipy_is_imported_only_by_a_solve():
+    """The package, its CLI and a membership grid never load scipy; the
+    first HiGHS solve does."""
+    code = textwrap.dedent("""
+        import sys
+        from fractions import Fraction
+        import epr_couplings, epr_couplings.cli
+        from epr_couplings import regions
+        regions.membership_grid({"p11": Fraction(7, 16), "p12": Fraction(7, 16)}, 9)
+        print("scipy" in sys.modules)
+        epr_couplings.feasible(
+            epr_couplings.connection_marginals(epr_couplings.ConnectionVector(0, 0, 0, 0)))
+        print("scipy" in sys.modules)
+    """)
+    src = str(Path(lp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.split() == ["False", "True"]

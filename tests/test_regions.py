@@ -46,6 +46,14 @@ def test_grid_strict_inclusions_on_curved_slice():
 SINGLET_LOW = as_scalar("(2-sqrt2)/8")
 SINGLET_HIGH = as_scalar("(2+sqrt2)/8")
 A, B = Fraction(3, 8), Fraction(1, 8)
+SINGLET_PAIRS = {
+    "low-low": (SINGLET_LOW, SINGLET_LOW),
+    "low-high": (SINGLET_LOW, SINGLET_HIGH),
+}
+#: The placements of a fixed pair (a, b) that the benchmark's grid slices use.
+PLACEMENTS = (("p11", "p12"), ("p12", "p11"), ("p21", "p22"), ("p22", "p21"))
+#: A resolution whose rows take more than one grid block, the last one partial.
+SPLIT_RESOLUTION = 65
 
 
 @pytest.mark.parametrize("fixed, resolution", [
@@ -58,10 +66,20 @@ A, B = Fraction(3, 8), Fraction(1, 8)
     ({"p11": A, "p21": B}, 11),
     ({"p11": Fraction(1, 2), "p12": Fraction(1, 2)}, 11),
     ({"p11": Fraction(1, 2), "p12": Fraction(3, 8)}, 11),
-    ({"p11": SINGLET_LOW, "p12": SINGLET_LOW}, 9),
-    ({"p11": SINGLET_LOW, "p12": SINGLET_HIGH}, 9),
+    *(({first: a, second: b}, 9)
+      for a, b in SINGLET_PAIRS.values() for first, second in PLACEMENTS),
+    # one rational and one Q[sqrt2] fixed value
+    ({"p11": SINGLET_LOW, "p12": Fraction(3, 8)}, 9),
+    ({"p21": Fraction(7, 16), "p12": SINGLET_HIGH}, 9),
+    # rows split into several blocks, the last one partial
+    (CURVED_SLICE, SPLIT_RESOLUTION),
+    ({"p22": SINGLET_LOW, "p21": SINGLET_HIGH}, SPLIT_RESOLUTION),
 ], ids=["curved", "p11-p12", "p12-p11", "p21-p22", "p22-p21", "p11-p21",
-        "half-half", "half-3/8", "singlet-low-low", "singlet-low-high"])
+        "half-half", "half-3/8",
+        *(f"singlet-{name}" + ("" if first == "p11" else f"-{first}-{second}")
+          for name in SINGLET_PAIRS for first, second in PLACEMENTS),
+        "singlet-low-3/8", "7/16-singlet-high",
+        "curved-blocks", "singlet-high-low-blocks"])
 def test_grid_matches_pointwise_predicates(fixed, resolution):
     grid = regions.membership_grid(fixed, resolution)
     for ix, x in enumerate(grid.centers):
@@ -74,6 +92,11 @@ def test_grid_matches_pointwise_predicates(fixed, resolution):
                 reference_tsirelson(p),
             )
             assert grid.cell(ix, iy) == want, (x, y)
+
+
+def test_split_resolution_has_a_partial_last_block():
+    rows = max(1, regions.BLOCK // SPLIT_RESOLUTION)
+    assert 1 < rows < SPLIT_RESOLUTION and SPLIT_RESOLUTION % rows
 
 
 def test_grid_symmetry_for_equal_fixed_values():

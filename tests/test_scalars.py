@@ -1,8 +1,10 @@
 import math
+import operator
 import random
-from decimal import Decimal, getcontext
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +15,10 @@ from epr_couplings.scalars import (
     Scalar,
     ScalarModeError,
     ScalarParseError,
+    ZSqrt2,
     as_scalar,
     compare,
+    integers,
     parse,
 )
 
@@ -187,3 +191,112 @@ def test_compare_agrees_with_high_precision_floats():
 def test_float_conversion():
     x = parse("(3-1*sqrt2)/2")
     assert math.isclose(float(x), (3 - math.sqrt(2)) / 2, rel_tol=0, abs_tol=1e-15)
+
+
+# -- ZSqrt2, the integer ring exact decisions run on -------------------------------
+
+#: Pell pairs, |a^2 - 2 b^2| = 1: a + b*sqrt2 with opposite signs is as close
+#: to zero as pairs of that size get.
+PELL = ((1, 1), (3, 2), (7, 5), (17, 12), (41, 29), (99, 70), (239, 169),
+        (577, 408), (1393, 985), (3363, 2378), (8119, 5741))
+signs = st.sampled_from((1, -1))
+big = st.integers(-10**12, 10**12)
+ring_parts = st.one_of(
+    st.tuples(st.just(0), big),
+    st.tuples(big, st.just(0)),
+    st.just((0, 0)),
+    st.builds(lambda ab, sa, sb: (sa * ab[0], sb * ab[1]), st.sampled_from(PELL), signs, signs),
+    st.builds(lambda a, b: (a, -b), st.integers(0, 60), st.integers(0, 60)),  # mixed signs
+    st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
+    st.tuples(big, big),
+)
+ints = st.one_of(st.integers(-3, 3), big, st.sampled_from([a for a, _ in PELL]))
+
+COMPARISONS = (operator.lt, operator.le, operator.eq, operator.ne, operator.gt, operator.ge)
+
+
+def decimal_value(a, b):
+    """a + b*sqrt2 to 80 digits: far finer than any gap between the values
+    drawn here (at least 1/(4 * 10**12))."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        return Decimal(a) + Decimal(b) * Decimal(2).sqrt()
+
+
+def ring_results(x, y, n):
+    """Every arithmetic result the ring offers on x, y and the int n."""
+    return [x + y, x - y, x * y, x + n, n + x, x - n, n - x, x * n, n * x, -x, abs(x)]
+
+
+@given(ring_parts, ring_parts, ints)
+@settings(max_examples=500)
+def test_zsqrt2_matches_scalar(x, y, n):
+    rx, ry, sx, sy = ZSqrt2(*x), ZSqrt2(*y), Scalar(*x), Scalar(*y)
+    for got, want in zip(ring_results(rx, ry, n), ring_results(sx, sy, n)):
+        assert type(got) is ZSqrt2
+        assert (got.a, got.b) == (want.a, want.b)
+    dx, dy = decimal_value(*x), decimal_value(*y)
+    assert rx.sign() == sx.sign() == (dx > 0) - (dx < 0)
+    for op in COMPARISONS:
+        assert op(rx, ry) == op(sx, sy) == op(dx, dy), op
+        assert op(rx, n) == op(sx, n) == op(dx, n), op
+        assert op(n, rx) == op(n, sx) == op(n, dx), op
+
+
+@given(st.lists(st.tuples(ring_parts, ring_parts, ints), min_size=1, max_size=6))
+@settings(max_examples=200)
+def test_zsqrt2_on_object_arrays_matches_one_value_at_a_time(rows):
+    """A ZSqrt2 of object arrays (or of an array and an int, as in a grid
+    block) decides each element as the ZSqrt2 of that element does, with
+    arrays on either side of every operator."""
+    xs, ys, ns = zip(*rows)
+
+    def column(values):
+        return np.array(values, dtype=object)
+
+    n = column(ns)
+    block = ZSqrt2(column([a for a, _ in xs]), column([b for _, b in xs]))
+    others = [
+        (ZSqrt2(column([a for a, _ in ys]), column([b for _, b in ys])), ys),
+        (ZSqrt2(column([a for a, _ in ys]), ys[0][1]), [(a, ys[0][1]) for a, _ in ys]),
+    ]
+    for other, parts in others:
+        singles = [(ZSqrt2(*x), ZSqrt2(*y), k) for x, y, k in zip(xs, parts, ns)]
+        got = ring_results(block, other, n)
+        want = [ring_results(*single) for single in singles]
+        for i, result in enumerate(got):
+            assert type(result) is ZSqrt2
+            for part in ("a", "b"):
+                values = np.broadcast_to(getattr(result, part), n.shape)
+                assert all(type(v) is int for v in values), (i, part)
+                assert list(values) == [getattr(w[i], part) for w in want], (i, part)
+        assert list(block.sign()) == [x.sign() for x, _, _ in singles]
+        for op in COMPARISONS:
+            assert list(op(block, other)) == [op(x, y) for x, y, _ in singles], op
+            assert list(op(block, n)) == [op(x, k) for x, _, k in singles], op
+            assert list(op(n, block)) == [op(k, x) for x, _, k in singles], op
+
+
+def test_zsqrt2_rejects_other_number_types():
+    x = ZSqrt2(1, 1)
+    for other in (Fraction(1, 2), 0.5, Scalar(1)):
+        with pytest.raises(TypeError):
+            x + other
+        with pytest.raises(TypeError):
+            other - x
+        with pytest.raises(TypeError):
+            x < other
+    assert x != Fraction(1, 2)
+
+
+def test_integers_scales_sqrt2_values_to_ring_pairs():
+    low, high = parse("(2-sqrt2)/8"), parse("(2+sqrt2)/8")
+    unit, scaled = integers([low, Fraction(1, 3), high, 2])
+    # the sqrt2 parts (+-1/8) count towards the common denominator too
+    assert unit == 24
+    assert [(v.a, v.b) if type(v) is ZSqrt2 else v for v in scaled] == [
+        (6, -3), 8, (6, 3), 48,
+    ]
+    assert integers([Fraction(1, 4), parse("1/6"), 3]) == (12, [3, 2, 36])
+    approximate = [parse("0.25"), low]
+    assert integers(approximate) == (1, approximate)
