@@ -207,7 +207,8 @@ _SUITES = ("lemma1", "fine", "e0", "noforcing", "nomatching", "all")
 
 @main.command("verify")
 @click.argument("suite", type=click.Choice(_SUITES))
-@click.option("--trials", default=None, type=int, help="sample count override")
+@click.option("--trials", default=None, type=int,
+              help="sample count override (0 means none)")
 @click.option("--seed", default=7, show_default=True, type=int)
 @click.option("--denominator", default=64, show_default=True, type=int)
 @click.option("--density", default=5, show_default=True, type=int,
@@ -217,22 +218,19 @@ _SUITES = ("lemma1", "fine", "e0", "noforcing", "nomatching", "all")
 def verify_cmd(suite: str, trials: int | None, seed: int, denominator: int,
                density: int, grid_resolution: int) -> None:
     """Run an executable theorem suite and print its report."""
+    # Default sample counts; an explicit --trials (0 included) overrides both.
+    many = 10000 if trials is None else trials
+    few = 1000 if trials is None else trials
     try:
         if suite == "lemma1":
-            report = verify_module.verify_lemma1(
-                trials or 10000, seed, denominator=denominator
-            )
+            report = verify_module.verify_lemma1(many, seed, denominator=denominator)
         elif suite == "fine":
-            report = verify_module.verify_fine(
-                trials or 10000, seed, denominator=denominator
-            )
+            report = verify_module.verify_fine(many, seed, denominator=denominator)
         elif suite == "e0":
-            report = verify_module.verify_e0(
-                trials or 1000, seed, denominator=denominator
-            )
+            report = verify_module.verify_e0(few, seed, denominator=denominator)
         elif suite == "noforcing":
             report = verify_module.verify_noforcing(
-                density, seed, min_vectors=trials or 1000, denominator=denominator
+                density, seed, min_vectors=few, denominator=denominator
             )
         elif suite == "nomatching":
             report = verify_module.verify_nomatching(
@@ -241,8 +239,8 @@ def verify_cmd(suite: str, trials: int | None, seed: int, denominator: int,
             )
         else:
             report = verify_module.run_all(
-                trials or 10000, seed, denominator=denominator,
-                noforcing_min=trials or 1000, density=density,
+                many, seed, denominator=denominator,
+                noforcing_min=few, density=density,
                 grid_resolution=grid_resolution,
             )
     except _INPUT_ERRORS as exc:

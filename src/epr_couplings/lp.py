@@ -11,16 +11,17 @@ Verdicts are always exact.  A float LP solver (HiGHS) proposes every answer
 and exact arithmetic proves it: a witness ``q >= 0`` that reproduces every
 row, a rationalized Farkas ray for infeasibility, or -- for
 :func:`optimize` -- rationalized duals bounding the objective together with
-a witness that attains the bound.  ``M`` is 0/1, so once the right-hand
-side is scaled by its common denominator, elimination on the reported
-support runs fraction-free over the integers; a right-hand side
-``a + b*sqrt2`` travels as the two integer columns ``a`` and ``b``, and
-every sign is decided exactly in Q[sqrt(2)].  Floats only choose which
-columns and duals get checked.  The exact Bland simplex is the cold
-fallback: it decides when a proof fails (logging one WARNING with the
-reason, the exact right-hand side and, for a non-optimal HiGHS status, the
-simplex iteration count, on the ``epr_couplings.lp`` logger) and when
-``engine="exact"`` asks for it.
+a witness that attains the bound.  Every proof runs on the integer kernel
+of :mod:`.scalars`: :func:`~.scalars.integers` scales the right-hand side,
+the point and the duals by a positive common unit to ints, or to ZSqrt2
+pairs over Q[sqrt(2)], whose one sign rule decides.  ``M`` is 0/1, so
+elimination on the reported support runs fraction-free over the integers;
+only inside it does a ZSqrt2 entry ``a + b*sqrt2`` become the two int
+columns ``a`` and ``b``.  Floats only choose which columns and duals get
+checked.  The exact Bland simplex is the cold fallback: it decides when a
+proof fails (logging one WARNING with the reason, the exact right-hand
+side and, for a non-optimal HiGHS status, the simplex iteration count, on
+the ``epr_couplings.lp`` logger) and when ``engine="exact"`` asks for it.
 
 Each row structure keeps two HiGHS models, built on first use: phase 1
 over ``[M | I]`` and the coupling model over M alone for :func:`optimize`.
@@ -58,7 +59,7 @@ from .model import (
     subset_mask,
     subset_name,
 )
-from .scalars import ZERO, Scalar, _sign_quadratic, as_scalar, integers
+from .scalars import ZERO, Scalar, ZSqrt2, as_scalar, integers
 from .simplex import INFEASIBLE, OPTIMAL, solve_lp
 
 __all__ = [
@@ -151,11 +152,6 @@ def build_system(specs: Iterable[MarginalSpec]) -> ConstraintSystem:
     return _augmented_system(specs, None)
 
 
-#: An exact nonnegative point of the system, by column: each nonzero weight
-#: as its field components -- ``(a,)`` over Q, ``(a, b)`` for a + b*sqrt2.
-_Solution = dict[int, tuple[Fraction, ...]]
-
-
 class FeasibilityResult:
     """Feasibility verdict plus (for feasible systems) an exact witness.
 
@@ -165,7 +161,7 @@ class FeasibilityResult:
 
     __slots__ = ("feasible", "engine", "_x", "_witness")
 
-    def __init__(self, feasible: bool, x: _Solution | None, engine: str):
+    def __init__(self, feasible: bool, x: dict[int, Scalar] | None, engine: str):
         self.feasible = feasible
         self.engine = engine
         self._x = x
@@ -184,10 +180,8 @@ class FeasibilityResult:
         return f"FeasibilityResult(feasible={self.feasible}, engine={self.engine!r})"
 
 
-def _witness_table(x: _Solution) -> CouplingTable:
-    return CouplingTable(
-        tuple(Scalar(*x[j]) if j in x else ZERO for j in range(N_ASSIGNMENTS))
-    )
+def _witness_table(x: dict[int, Scalar]) -> CouplingTable:
+    return CouplingTable(tuple(x.get(j, ZERO) for j in range(N_ASSIGNMENTS)))
 
 
 # -- cached per-structure data ---------------------------------------------------
@@ -247,62 +241,47 @@ def _structure(subsets: tuple[frozenset[VariableId], ...]) -> _Structure:
     return entry
 
 
-# -- exact arithmetic over Q and Q[sqrt2], one rational column per component ----
+# -- exact certification on the integer kernel -----------------------------------
 
 
-def _rhs_columns(rhs: Sequence[Scalar]) -> list[list[Fraction]]:
-    """``[a]`` for a rational rhs, ``[a, b]`` when some entry is a + b*sqrt2."""
-    columns = [[v.a for v in rhs]]
-    if any(v.b for v in rhs):
-        columns.append([v.b for v in rhs])
-    return columns
-
-
-def _sign(parts: Sequence[Fraction]) -> int:
-    return _sign_quadratic(parts[0], parts[1] if len(parts) > 1 else 0)
-
-
-def _dot(y: Sequence[Fraction], rhs: list[list[Fraction]]) -> list[Fraction]:
-    return [sum((yi * bi for yi, bi in zip(y, column)), Fraction(0)) for column in rhs]
-
-
-def _is_witness(masks: list[int], rhs: list[list[Fraction]], x: _Solution) -> bool:
-    """Exact check that x >= 0 and every row sums to its rhs (each
-    component of x scaled by its common denominator, so the sums run on
-    ints)."""
-    if any(_sign(parts) < 0 for parts in x.values()):
+def _is_witness(masks: list[int], rhs: Sequence[Scalar], x: dict[int, Scalar]) -> bool:
+    """Exact check that x >= 0 and every row sums to its rhs, on x and the
+    rhs scaled together by one common unit (ints, or ZSqrt2 over Q[sqrt2])."""
+    _, scaled = integers([*x.values(), *rhs])
+    weights = list(zip(x, scaled))
+    if any(w < 0 for _, w in weights):
         return False
-    for t, column in enumerate(rhs):
-        scale, ints = integers([parts[t] for parts in x.values()])
-        weights = list(zip(x, ints))
-        for mask, want in zip(masks, column):
-            total = sum(w for j, w in weights if (j & mask) == mask)
-            if total * want.denominator != want.numerator * scale:
-                return False
-    return True
+    return all(
+        sum(w for j, w in weights if (j & mask) == mask) == want
+        for mask, want in zip(masks, scaled[len(x):])
+    )
 
 
 def _solve_on_support(
-    masks: list[int], rhs: list[list[Fraction]], cols: list[int]
-) -> _Solution | None:
+    masks: list[int], rhs: Sequence[Scalar], cols: list[int]
+) -> dict[int, Scalar] | None:
     """Exact solution of M[:, cols] x = rhs by fraction-free Gauss-Jordan
     elimination over the integers (after Bareiss 1968, with gcd reduction in
-    place of exact division), carrying every rhs column through the same
-    row operations; None when it fails to produce a nonnegative solution of
-    the full system.
+    place of exact division); None when it fails to produce a nonnegative
+    solution of the full system.
 
-    The rhs columns are scaled by their common denominator ``d`` (M is
-    already 0/1).  Eliminating with pivot ``pv`` replaces row i by
+    The rhs is scaled by its common denominator ``d`` with
+    :func:`integers` (M is already 0/1).  Inside the elimination a ZSqrt2
+    entry ``a + b*sqrt2`` becomes the two int columns ``a`` and ``b``, both
+    carried through the same row operations, since the row reduction needs
+    integer gcds.  Eliminating with pivot ``pv`` replaces row i by
     ``(pv/g) row_i - (f/g) row_pivot`` with ``g = gcd(pv, f)`` and divides
     it by the gcd of its entries, so the entries stay small integers; only
-    the final ``x_c = t / (pivot * d)`` become Fractions."""
+    the final ``x_c = t / (pivot * d)`` become Scalars."""
     m = len(masks)
     n = len(cols)
-    d, scaled = integers([v for column in rhs for v in column])
+    d, scaled = integers(rhs)
+    pairs = [(v.a, v.b) if type(v) is ZSqrt2 else (v, 0) for v in scaled]
+    width = 2 if any(b for _, b in pairs) else 1
     aug = []
-    for i, mask in enumerate(masks):
+    for mask, pair in zip(masks, pairs):
         row = [1 if (c & mask) == mask else 0 for c in cols]
-        row.extend(scaled[i::m])
+        row.extend(pair[:width])
         aug.append(row)
     piv = []
     r = 0
@@ -328,7 +307,7 @@ def _solve_on_support(
     if any(any(aug[i][n:]) for i in range(r, m)):
         return None
     x = {
-        cols[c]: tuple(Fraction(t, aug[i][c] * d) for t in aug[i][n:])
+        cols[c]: Scalar(*(Fraction(t, aug[i][c] * d) for t in aug[i][n:]))
         for i, c in enumerate(piv)
         if any(aug[i][n:])
     }
@@ -345,15 +324,16 @@ def _rationalize(values: Sequence[float], sign: int = 1) -> list[Fraction]:
     return [sign * Fraction(v).limit_denominator(1 << 24) for v in values]
 
 
-def _farkas(col_rows, rhs: list[list[Fraction]], duals: Sequence[float]) -> bool:
+def _farkas(col_rows, rhs: Sequence[Scalar], duals: Sequence[float]) -> bool:
     """True when some rationalization of the float duals proves infeasibility:
-    y.b > 0 (in Q[sqrt2]) with y.A_j <= 0 for every column."""
+    y.b > 0 (in Q[sqrt2]) with y.A_j <= 0 for every column, decided on y and
+    b each scaled to ints (or ZSqrt2) by a positive unit."""
+    _, b = integers(rhs)
     for flip in (1, -1):
-        y = _rationalize(duals, flip)
-        if _sign(_dot(y, rhs)) <= 0:
-            continue
-        _, ny = integers(y)
-        if all(sum(ny[i] for i in rows) <= 0 for rows in col_rows):
+        _, y = integers(_rationalize(duals, flip))
+        if sum(yi * bi for yi, bi in zip(y, b)) > 0 and all(
+            sum(y[i] for i in rows) <= 0 for rows in col_rows
+        ):
             return True
     return False
 
@@ -466,10 +446,10 @@ def _status_reason(res) -> str:
     return f"HiGHS status {res.status} after {res.nit} simplex iterations"
 
 
-def _certify(structure, rhs: list[list[Fraction]], b: np.ndarray, objective):
+def _certify(structure, rhs: Sequence[Scalar], b: np.ndarray, objective):
     """HiGHS proposes, exact arithmetic proves: ``(x, value)`` with ``x``
-    None for an infeasible system and ``value`` the optimum's components
-    when ``objective`` is given.  Raises :class:`_Uncertified` otherwise."""
+    None for an infeasible system and ``value`` the optimum when
+    ``objective`` is given.  Raises :class:`_Uncertified` otherwise."""
     masks, col_rows, phase1, coupling = structure
     if objective is None:
         res = linprog(phase1, b)
@@ -495,7 +475,7 @@ def _certify(structure, rhs: list[list[Fraction]], b: np.ndarray, objective):
         raise _Uncertified(_status_reason(res))
     # eqlin.marginals are d(min -c.q)/db; y = -marginals prices the maximum.
     y = _rationalize(res.eqlin.marginals, -1)
-    _, scaled = integers(y + objective)
+    unit, scaled = integers(y + objective)
     ny, nc = scaled[: len(y)], scaled[len(y):]
     tight = []
     for j, rows in enumerate(col_rows):
@@ -507,36 +487,33 @@ def _certify(structure, rhs: list[list[Fraction]], b: np.ndarray, objective):
     x = _solve_on_support(masks, rhs, tight)
     if x is None:
         raise _Uncertified("no witness on the tight support attains the dual bound")
-    value = _dot(y, rhs)
-    attained = [
-        sum((objective[j] * parts[t] for j, parts in x.items()), Fraction(0))
-        for t in range(len(rhs))
-    ]
-    if attained != value:
+    # y.b == c.x on y, c and b, x each scaled by a unit; the optimum is
+    # c.x over the product of the two units.
+    point_unit, scaled = integers([*rhs, *x.values()])
+    attained = sum(nc[j] * w for j, w in zip(x, scaled[len(rhs):]))
+    if sum(yi * bi for yi, bi in zip(ny, scaled)) != attained:
         raise _Uncertified("c.q differs from y.b")
-    return x, value
+    unit *= point_unit
+    if type(attained) is ZSqrt2:
+        return x, Scalar(Fraction(attained.a, unit), Fraction(attained.b, unit))
+    return x, Scalar(Fraction(attained, unit))
 
 
-def _bland(structure, system: ConstraintSystem, rhs: list[list[Fraction]], objective):
+def _bland(structure, system: ConstraintSystem, objective):
     """The exact Bland simplex on the same rows, with the same answer shape
     as :func:`_certify`."""
     rows = structure.coupling.a_eq.astype(int).tolist()
-    rational = len(rhs) == 1
-    b = [v.as_fraction() if rational else v for v in system.rhs]
+    rhs = system.rhs
+    b = [v.as_fraction() for v in rhs] if system.is_rational else list(rhs)
     res = solve_lp(rows, b, objective=objective, maximize=True)
     if res.status == INFEASIBLE:
         return None, None
     if res.status != OPTIMAL:
         raise AssertionError("support query unbounded despite normalization row")
-
-    def parts(v) -> tuple[Fraction, ...]:
-        s = as_scalar(v)
-        return (s.as_fraction(),) if rational else (s.a, s.b)
-
-    x = {j: parts(v) for j, v in enumerate(res.x) if v != 0}
+    x = {j: as_scalar(v) for j, v in enumerate(res.x) if v != 0}
     if not _is_witness(structure.masks, rhs, x):
         raise AssertionError("exact simplex produced an invalid basic solution")
-    return x, None if objective is None else parts(res.objective)
+    return x, None if objective is None else as_scalar(res.objective)
 
 
 #: Bit k of column j's pattern is set when its assignment sets observable pair k to +1.
@@ -563,14 +540,13 @@ def _solve(
 ):
     """The one exact solve behind :func:`feasible` and :func:`optimize`:
     ``(x, value, engine)``, where ``x`` is None for an infeasible system
-    and ``value`` the components of ``max direction . p``."""
+    and ``value`` is ``max direction . p``."""
     structure = _structure(system.subsets)
-    rhs = _rhs_columns(system.rhs)
     objective = None if direction is None else _objective(direction)
     if engine == "auto":
         b = np.array([float(v) for v in system.rhs])
         try:
-            return (*_certify(structure, rhs, b, objective), "certified-float")
+            return (*_certify(structure, system.rhs, b, objective), "certified-float")
         except _Uncertified as exc:
             rows = "; ".join(
                 f"Pr[{subset_name(s) or '()'} = +1] = {v}"
@@ -581,7 +557,7 @@ def _solve(
                 "HiGHS answer not certified (%s); exact simplex fallback for rhs [%s]%s",
                 exc, rows, goal,
             )
-    return (*_bland(structure, system, rhs, objective), "exact-simplex")
+    return (*_bland(structure, system, objective), "exact-simplex")
 
 
 def _require_exact_inputs(specs: list[MarginalSpec], p: OutcomeVector | None) -> None:
@@ -642,4 +618,4 @@ def optimize(specs: Iterable[MarginalSpec], direction: Sequence) -> Scalar:
     x, value, _ = _solve(system, _direction_fractions(direction))
     if x is None:
         raise InfeasibleSystemError("the marginal constraints admit no coupling")
-    return Scalar(*value)
+    return value

@@ -47,14 +47,15 @@ __all__ = [
     "run_all",
     "worker_count",
     "MAX_DENSITY",
+    "MAX_TRIALS",
 ]
 
 _MAX_RECORDED_FAILURES = 20
 
 
-def _lemma1_trial(compat, engine: str, pair: tuple) -> tuple[bool, bool]:
+def _lemma1_trial(compat, pair: tuple) -> tuple[bool, bool]:
     p, eps = pair
-    lp = feasible(outcome_marginals(p) + connection_marginals(eps), engine=engine)
+    lp = feasible(outcome_marginals(p) + connection_marginals(eps))
     return compat(p, eps), lp.feasible
 
 
@@ -80,12 +81,25 @@ def _record(failures: list, entry: dict) -> None:
         failures.append(entry)
 
 
+#: The most trials one suite samples: lemma1 holds every (p, eps) pair in
+#: memory (~1 KB each) before its first trial.
+MAX_TRIALS = 100_000
+
+
+def _check_sampling(trials: int, denominator: int, name: str = "trials") -> None:
+    if trials < 0:
+        raise ValueError(f"{name} must be at least 0, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"{name} must be at most {MAX_TRIALS}, got {trials}")
+    if denominator < 1:
+        raise ValueError(f"denominator must be at least 1, got {denominator}")
+
+
 def verify_lemma1(
     trials: int = 10000,
     seed: int = 0,
     *,
     denominator: int = 64,
-    engine: str = "auto",
     compat_fn: Callable[[OutcomeVector, ConnectionVector], bool] | None = None,
 ) -> dict:
     """Closed-form compatibility vs LP feasibility on random (p, eps) pairs.
@@ -93,12 +107,13 @@ def verify_lemma1(
     ``compat_fn`` exists so the harness itself can be checked: substituting a
     corrupted criterion must produce disagreements.
     """
+    _check_sampling(trials, denominator)
     rng = random.Random(seed)
     pairs = [
         (random_outcome_vector(rng, denominator), random_connection_vector(rng, denominator))
         for _ in range(trials)
     ]
-    trial = partial(_lemma1_trial, compat_fn or compatible, engine)
+    trial = partial(_lemma1_trial, compat_fn or compatible)
     if compat_fn is None:
         verdicts = ordered_map(trial, pairs)
     else:  # a planted criterion may be a closure, which no worker can unpickle
@@ -119,7 +134,7 @@ def verify_lemma1(
     return {
         "suite": "lemma1",
         "params": {"trials": trials, "seed": seed, "denominator": denominator,
-                   "engine": engine},
+                   "engine": "auto"},
         "checked": trials,
         "agreements": agreements,
         "feasible_count": n_feasible,
@@ -133,6 +148,7 @@ def verify_fine(
 ) -> dict:
     """compatible(p, eps0) <=> CHSH on random p, with identical verdicts
     across all eight s0 = 1 connection vectors."""
+    _check_sampling(trials, denominator)
     rng = random.Random(seed)
     members = enumerate_E0()
     agreements = 0
@@ -177,6 +193,7 @@ def verify_fine(
 def verify_e0(trials: int = 1000, seed: int = 0, *, denominator: int = 64) -> dict:
     """The s0 = 1 family: exactly eight members, each with statistics
     (1, 1/2) exactly, all verdict-equivalent to the null connection vector."""
+    _check_sampling(trials, denominator)
     members = enumerate_E0()
     stats_members = [s_pair(CorrelationQuad.from_connections(e)) for e in members]
     exact_stats = all(se.s0 == 1 and se.s1 == Fraction(1, 2) for se in stats_members)
@@ -237,12 +254,12 @@ def verify_noforcing(
     min_vectors: int = 1000,
     denominator: int = 64,
     boundary_samples: int = 40,
-    engine: str = "auto",
 ) -> dict:
     """For every connection vector with s0 < 1 (grid plus random), the
     constructed counterexample must be compatible (closed form and LP) and
     strictly quantum-violating.  Vectors with s0 = 1 instead satisfy
     compatible => CHSH => not outside."""
+    _check_sampling(min_vectors, denominator, "min_vectors")
     rng = random.Random(seed)
     vectors = [(e, _opens(e)) for e in _grid_connection_vectors(density)]
     n_open = sum(opens for _, opens in vectors)
@@ -262,9 +279,7 @@ def verify_noforcing(
             checked += 1
             p = noforcing_counterexample(eps)
             ok_closed = compatible(p, eps)
-            ok_lp = feasible(
-                outcome_marginals(p) + connection_marginals(eps), engine=engine
-            ).feasible
+            ok_lp = feasible(outcome_marginals(p) + connection_marginals(eps)).feasible
             qm = qm_compliant(p)
             if ok_closed and ok_lp and qm is Compliance.OUTSIDE:
                 verified += 1
@@ -297,7 +312,7 @@ def verify_noforcing(
         "suite": "noforcing",
         "params": {"density": density, "seed": seed, "min_vectors": min_vectors,
                    "denominator": denominator,
-                   "boundary_samples": boundary_samples, "engine": engine},
+                   "boundary_samples": boundary_samples, "engine": "auto"},
         "open_checked": checked,
         "open_verified": verified,
         "s0_one_checked": boundary_checked,
@@ -425,6 +440,9 @@ def run_all(
 ) -> dict:
     regions.check_resolution(grid_resolution)  # before the long suites run
     _check_density(density)
+    _check_sampling(trials, denominator)
+    _check_sampling(e0_trials, denominator, "e0_trials")
+    _check_sampling(noforcing_min, denominator, "noforcing_min")
     suites = {
         "lemma1": verify_lemma1(trials, seed, denominator=denominator),
         "fine": verify_fine(trials, seed + 1, denominator=denominator),

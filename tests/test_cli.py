@@ -198,6 +198,30 @@ def test_huge_grid_sizes_are_input_errors(runner, args):
     assert "at most" in json.loads(result.output)["error"]
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "fine", "--trials", "3", "--denominator", "0"],
+    ["verify", "lemma1", "--trials", "3", "--denominator", "-2"],
+    ["verify", "lemma1", "--trials", "-5"],
+    ["verify", "noforcing", "--trials", "-3", "--density", "3"],
+    ["verify", "e0", "--trials", "-1"],
+    ["verify", "all", "--trials", "-1", "--grid", "21", "--density", "3"],
+    ["verify", "all", "--trials", "3", "--denominator", "0", "--grid", "21",
+     "--density", "3"],
+], ids=["fine-denominator-0", "lemma1-denominator-negative", "lemma1-trials",
+        "noforcing-trials", "e0-trials", "all-trials", "all-denominator"])
+def test_bad_sampling_parameters_are_input_errors(runner, args):
+    result = invoke(runner, args)
+    assert result.exit_code == 2
+    assert "at least" in json.loads(result.output)["error"]
+
+
+def test_verify_zero_trials_samples_none(runner):
+    result = invoke(runner, ["verify", "lemma1", "--trials", "0"])
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert payload["checked"] == 0 and payload["params"]["trials"] == 0
+
+
 @pytest.mark.parametrize("fix, message", [
     ("3/4,1/4", "p11 = 3/4 outside [0, 1/2]"),
     ("1/4,-1/8", "p12 = -1/8 outside [0, 1/2]"),

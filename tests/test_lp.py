@@ -564,9 +564,32 @@ def support_systems(draw):
 @given(support_systems())
 def test_integer_elimination_matches_fraction_gauss_jordan(system):
     masks, rhs, cols = system
-    assert lp._solve_on_support(masks, rhs, cols) == fraction_solve_on_support(
-        masks, rhs, cols
-    )
+    want = fraction_solve_on_support(masks, rhs, cols)
+    got = lp._solve_on_support(masks, [Scalar(*parts) for parts in zip(*rhs)], cols)
+    assert got == (None if want is None else {j: Scalar(*p) for j, p in want.items()})
+
+
+@pytest.mark.parametrize("b, proves", [
+    (Scalar(1, 1), True),
+    (Scalar(1, -1), False),
+    (Scalar(1), False),
+], ids=["1+sqrt2", "1-sqrt2", "zero-y.b"])
+def test_farkas_decides_y_dot_b_in_q_sqrt2(b, proves):
+    """Rows q = 1 and 0 = b, duals (-1, 1): y.b = b - 1 proves infeasibility
+    only when it is strictly positive, a sign only b's sqrt(2) part decides
+    (the flipped duals -y price the column positive)."""
+    assert lp._farkas([(0,)], [Scalar(1), b], (-1.0, 1.0)) is proves
+
+
+@pytest.mark.parametrize("x, valid", [
+    ({0: Scalar(-1, 1), 1: Scalar(2, -1)}, True),  # sqrt2 - 1 and 2 - sqrt2
+    ({0: Scalar(1, -1), 1: Scalar(0, 1)}, False),  # 1 - sqrt2 < 0
+    ({0: Scalar(1), 1: Scalar(0, 1)}, False),  # sums to 1 + sqrt2
+], ids=["nonnegative", "negative-weight", "wrong-row-sum"])
+def test_is_witness_decides_in_q_sqrt2(x, valid):
+    """The one normalization row q0 + q1 = 1: signs and the row sum depend
+    on the sqrt(2) parts, which a check on the rational parts misses."""
+    assert lp._is_witness([0], [Scalar(1)], x) is valid
 
 
 def lattice_pairs():

@@ -21,6 +21,18 @@ def test_lemma1_zero_trials_is_empty_pass():
     assert report["pass"] and report["checked"] == 0
 
 
+def test_sampling_limits_are_checked_before_any_work():
+    # Only the validator sees 10**12: a suite that missed the check would
+    # build that many pairs.
+    with pytest.raises(ValueError, match=f"trials must be at most {verify.MAX_TRIALS}"):
+        verify._check_sampling(10**12, 64)
+    verify._check_sampling(verify.MAX_TRIALS, 1)
+    with pytest.raises(ValueError, match="min_vectors must be at least 0"):
+        verify.verify_noforcing(3, min_vectors=-1)
+    with pytest.raises(ValueError, match="denominator must be at least 1"):
+        verify.verify_e0(0, denominator=0)
+
+
 def test_lemma1_detects_corrupted_criterion():
     def corrupted(p, eps):
         se = s_pair(CorrelationQuad.from_connections(eps))
