@@ -202,7 +202,7 @@ def regions_cmd(fix_text: str, resolution: int, out_path: str | None, fmt: str) 
     )
 
 
-_SUITES = ("lemma1", "fine", "e0", "noforcing", "nomatching", "all")
+_SUITES = ("lemma1", "fine", "noforcing", "nomatching", "all")
 
 
 @main.command("verify")
@@ -226,8 +226,6 @@ def verify_cmd(suite: str, trials: int | None, seed: int, denominator: int,
             report = verify_module.verify_lemma1(many, seed, denominator=denominator)
         elif suite == "fine":
             report = verify_module.verify_fine(many, seed, denominator=denominator)
-        elif suite == "e0":
-            report = verify_module.verify_e0(few, seed, denominator=denominator)
         elif suite == "noforcing":
             report = verify_module.verify_noforcing(
                 density, seed, min_vectors=few, denominator=denominator

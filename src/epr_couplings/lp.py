@@ -2,10 +2,13 @@
 
 A set of marginal specs turns into the equality system ``M q = P`` over the
 256 nonnegative coupling weights: one row per distinct "all listed variables
-equal +1" probability (the empty subset gives the normalization row, whose
-entries are all 1).  Feasibility of that system decides whether the marginals
-admit a joint coupling; adding the four observable-pair rows with right-hand
-side p asks whether a specific outcome vector is admitted.
+equal +1" probability, keyed by the subset's canonical mask
+(:func:`~.model.subset_mask`), which is also the row's pattern: column ``j``
+has a 1 exactly when ``j & mask == mask``.  The empty subset, mask 0, gives
+the normalization row, whose entries are all 1.  Feasibility of that system
+decides whether the marginals admit a joint coupling; adding the four
+observable-pair rows with right-hand side p asks whether a specific outcome
+vector is admitted.
 
 Verdicts are always exact.  A float LP solver (HiGHS) proposes every answer
 and exact arithmetic proves it: a witness ``q >= 0`` that reproduces every
@@ -54,12 +57,11 @@ from .model import (
     CouplingTable,
     MarginalSpec,
     OutcomeVector,
-    VariableId,
-    sorted_subsets,
     subset_mask,
     subset_name,
+    subset_order,
 )
-from .scalars import ZERO, Scalar, ZSqrt2, as_scalar, integers
+from .scalars import ONE, ZERO, Scalar, ZSqrt2, as_scalar, integers, quotient
 from .simplex import INFEASIBLE, OPTIMAL, solve_lp
 
 __all__ = [
@@ -89,14 +91,15 @@ _PAIR_MASKS = tuple(subset_mask(pair) for pair in OUTCOME_PAIRS)
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Rows of the coupling LP: one (column-indicator, rhs) pair per subset."""
+    """Rows of the coupling LP: one (subset mask, rhs) pair per subset; the
+    row's columns are the assignments ``j`` with ``j & mask == mask``."""
 
-    subsets: tuple[frozenset[VariableId], ...]
+    masks: tuple[int, ...]
     rhs: tuple[Scalar, ...]
 
     @property
     def n_rows(self) -> int:
-        return len(self.subsets)
+        return len(self.masks)
 
     @property
     def is_rational(self) -> bool:
@@ -105,49 +108,36 @@ class ConstraintSystem:
     def row_indicator(self, i: int) -> list[int]:
         """The 0/1 column pattern of row i (1 iff the column's assignment
         sets every variable of the row's subset to +1)."""
-        mask = subset_mask(self.subsets[i])
+        mask = self.masks[i]
         return [1 if (j & mask) == mask else 0 for j in range(N_ASSIGNMENTS)]
-
-
-def _accumulate_rows(
-    specs: Iterable[MarginalSpec],
-    extra: Iterable[tuple[frozenset[VariableId], Scalar]] = (),
-) -> dict[frozenset[VariableId], Scalar]:
-    rows: dict[frozenset[VariableId], Scalar] = {frozenset(): as_scalar(1)}
-    items: list[tuple[frozenset[VariableId], Scalar]] = []
-    for spec in specs:
-        items.extend(spec.all_ones_parameterization().items())
-    items.extend(extra)
-    for subset, value in items:
-        seen = rows.get(subset)
-        if seen is None:
-            rows[subset] = value
-        elif seen != value:
-            raise ConflictingMarginalsError(
-                f"marginal Pr[{subset_name(subset) or '()'} = +1] assigned both "
-                f"{seen} and {value}"
-            )
-    return rows
 
 
 def _augmented_system(
     specs: Iterable[MarginalSpec], p: OutcomeVector | None
 ) -> ConstraintSystem:
-    extra = []
+    """The rows of ``specs`` (each in :meth:`~.model.MarginalSpec.rows` order)
+    and of ``p``'s four pairs, merged by mask; the first conflict raises."""
+    rows: dict[int, Scalar] = {0: ONE}
+    items = [row for spec in specs for row in spec.rows()]
     if p is not None:
-        extra = [
-            (frozenset(pair), value) for pair, value in zip(OUTCOME_PAIRS, p.components)
-        ]
-    rows = _accumulate_rows(specs, extra)
-    order = sorted_subsets(rows)
-    return ConstraintSystem(tuple(order), tuple(rows[s] for s in order))
+        items.extend(zip(_PAIR_MASKS, p.components))
+    for mask, value in items:
+        seen = rows.setdefault(mask, value)
+        if seen is not value and seen != value:
+            raise ConflictingMarginalsError(
+                f"marginal Pr[{subset_name(mask) or '()'} = +1] assigned both "
+                f"{seen} and {value}"
+            )
+    order = sorted(rows, key=subset_order)
+    return ConstraintSystem(tuple(order), tuple(rows[m] for m in order))
 
 
 def build_system(specs: Iterable[MarginalSpec]) -> ConstraintSystem:
     """Deduplicated constraint rows for the given marginals.
 
-    Rows are ordered by subset size then variable position, the empty
-    (normalization) subset first.  Conflicting assignments raise.
+    Rows are ordered by :func:`~.model.subset_order`: by subset size, then
+    by variable position, the empty (normalization) subset first.
+    Conflicting assignments raise.
     """
     return _augmented_system(specs, None)
 
@@ -202,7 +192,7 @@ class _Model:
 
 
 class _Structure(NamedTuple):
-    masks: list[int]
+    masks: tuple[int, ...]
     col_rows: tuple[tuple[int, ...], ...]  # per column of M, its rows
     phase1: _Model  # [M | I]: the identity columns are slacks priced 1
     coupling: _Model  # M alone, for optimize
@@ -211,24 +201,16 @@ class _Structure(NamedTuple):
 _STRUCTURE_CACHE: dict[tuple, _Structure] = {}
 
 
-def _structure(subsets: tuple[frozenset[VariableId], ...]) -> _Structure:
-    """Row masks, per-column rows and the two LP models of a row structure."""
-    key = subsets
-    hit = _STRUCTURE_CACHE.get(key)
+def _structure(masks: tuple[int, ...]) -> _Structure:
+    """Per-column rows and the two LP models of a row structure."""
+    hit = _STRUCTURE_CACHE.get(masks)
     if hit is not None:
         return hit
-    masks = [subset_mask(s) for s in subsets]
     m = len(masks)
-    a = np.zeros((m, N_ASSIGNMENTS + m))
-    for i, mask in enumerate(masks):
-        for j in range(N_ASSIGNMENTS):
-            if (j & mask) == mask:
-                a[i, j] = 1.0
-        a[i, N_ASSIGNMENTS + i] = 1.0
-    col_rows = tuple(
-        tuple(i for i, mask in enumerate(masks) if (j & mask) == mask)
-        for j in range(N_ASSIGNMENTS)
-    )
+    rows = np.array(masks)[:, None]
+    pattern = (np.arange(N_ASSIGNMENTS) & rows) == rows  # M, as bools
+    a = np.hstack([pattern, np.eye(m)])
+    col_rows = tuple(tuple(np.flatnonzero(column).tolist()) for column in pattern.T)
     entry = _Structure(
         masks,
         col_rows,
@@ -237,14 +219,14 @@ def _structure(subsets: tuple[frozenset[VariableId], ...]) -> _Structure:
     )
     if len(_STRUCTURE_CACHE) > 64:
         _STRUCTURE_CACHE.clear()
-    _STRUCTURE_CACHE[key] = entry
+    _STRUCTURE_CACHE[masks] = entry
     return entry
 
 
 # -- exact certification on the integer kernel -----------------------------------
 
 
-def _is_witness(masks: list[int], rhs: Sequence[Scalar], x: dict[int, Scalar]) -> bool:
+def _is_witness(masks: Sequence[int], rhs: Sequence[Scalar], x: dict[int, Scalar]) -> bool:
     """Exact check that x >= 0 and every row sums to its rhs, on x and the
     rhs scaled together by one common unit (ints, or ZSqrt2 over Q[sqrt2])."""
     _, scaled = integers([*x.values(), *rhs])
@@ -258,7 +240,7 @@ def _is_witness(masks: list[int], rhs: Sequence[Scalar], x: dict[int, Scalar]) -
 
 
 def _solve_on_support(
-    masks: list[int], rhs: Sequence[Scalar], cols: list[int]
+    masks: Sequence[int], rhs: Sequence[Scalar], cols: list[int]
 ) -> dict[int, Scalar] | None:
     """Exact solution of M[:, cols] x = rhs by fraction-free Gauss-Jordan
     elimination over the integers (after Bareiss 1968, with gcd reduction in
@@ -307,9 +289,9 @@ def _solve_on_support(
     if any(any(aug[i][n:]) for i in range(r, m)):
         return None
     x = {
-        cols[c]: Scalar(*(Fraction(t, aug[i][c] * d) for t in aug[i][n:]))
+        cols[c]: quotient(ZSqrt2(*t) if width == 2 else t[0], aug[i][c] * d)
         for i, c in enumerate(piv)
-        if any(aug[i][n:])
+        if any(t := aug[i][n:])
     }
     return x if _is_witness(masks, rhs, x) else None
 
@@ -493,10 +475,7 @@ def _certify(structure, rhs: Sequence[Scalar], b: np.ndarray, objective):
     attained = sum(nc[j] * w for j, w in zip(x, scaled[len(rhs):]))
     if sum(yi * bi for yi, bi in zip(ny, scaled)) != attained:
         raise _Uncertified("c.q differs from y.b")
-    unit *= point_unit
-    if type(attained) is ZSqrt2:
-        return x, Scalar(Fraction(attained.a, unit), Fraction(attained.b, unit))
-    return x, Scalar(Fraction(attained, unit))
+    return x, quotient(attained, unit * point_unit)
 
 
 def _bland(structure, system: ConstraintSystem, objective):
@@ -541,7 +520,7 @@ def _solve(
     """The one exact solve behind :func:`feasible` and :func:`optimize`:
     ``(x, value, engine)``, where ``x`` is None for an infeasible system
     and ``value`` is ``max direction . p``."""
-    structure = _structure(system.subsets)
+    structure = _structure(system.masks)
     objective = None if direction is None else _objective(direction)
     if engine == "auto":
         b = np.array([float(v) for v in system.rhs])
@@ -549,8 +528,8 @@ def _solve(
             return (*_certify(structure, system.rhs, b, objective), "certified-float")
         except _Uncertified as exc:
             rows = "; ".join(
-                f"Pr[{subset_name(s) or '()'} = +1] = {v}"
-                for s, v in zip(system.subsets, system.rhs)
+                f"Pr[{subset_name(m) or '()'} = +1] = {v}"
+                for m, v in zip(system.masks, system.rhs)
             )
             goal = "" if direction is None else f", maximizing ({', '.join(map(str, direction))}) . p"
             _log.warning(

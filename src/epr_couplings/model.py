@@ -11,6 +11,11 @@ matrices are bit-exact:
 
 So the all-plus assignment has index 255 and "A11 = +1, everything else
 -1" has index 128.
+
+A subset of the variables has one key from marginal spec to LP row: its
+canonical mask (:func:`subset_mask`), the table-index bits of its
+variables.  A :class:`MarginalSpec` checks and transforms its values on
+:func:`~.scalars.integers` output, and takes and gives Scalars.
 """
 
 from __future__ import annotations
@@ -18,10 +23,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .scalars import DEFAULT_TOLERANCE, ONE, Scalar, as_scalar
+from .scalars import DEFAULT_TOLERANCE, HALF, ONE, Scalar, as_scalar, integers, quotient
 
 __all__ = [
     "VariableId",
@@ -33,7 +38,7 @@ __all__ = [
     "CONNECTION_PAIRS",
     "subset_mask",
     "subset_name",
-    "sorted_subsets",
+    "subset_order",
     "index_of",
     "decode",
     "full_table",
@@ -197,7 +202,7 @@ CONNECTION_PAIRS = (
 )
 
 
-def _subset_sums(values: Sequence[Scalar], sign: int) -> list[Scalar]:
+def _subset_sums(values: Sequence, sign: int) -> list:
     """The subset-sum transform over k-bit masks, run one bit at a time in
     O(k 2^k) additions.
 
@@ -215,6 +220,28 @@ def _subset_sums(values: Sequence[Scalar], sign: int) -> list[Scalar]:
     return out
 
 
+def subset_order(mask: int) -> tuple[int, int]:
+    """Sort key of a subset mask: by size, then by its variables in
+    canonical order, which within one size is by descending mask.  On a
+    spec's local k-bit indices it gives :func:`itertools.combinations` order."""
+    return mask.bit_count(), -mask
+
+
+@lru_cache(maxsize=512)
+def _table_masks(variables: tuple[VariableId, ...]) -> tuple[int, ...]:
+    """The canonical mask of each k-bit table index's subset."""
+    masks = [0]
+    for var in reversed(variables):  # local bit 0 carries the last variable
+        bit = 1 << (N_VARIABLES - 1 - var)
+        masks += [m | bit for m in masks]
+    return tuple(masks)
+
+
+def _members(mask: int) -> list[VariableId]:
+    """The variables of a subset mask, in canonical order."""
+    return [v for v in VariableId if mask >> (N_VARIABLES - 1 - v) & 1]
+
+
 class MarginalSpec:
     """A fixed distribution on a subset of the eight variables.
 
@@ -222,13 +249,14 @@ class MarginalSpec:
     most significant first, carries ``variables[j]``; bit 1 = +1).
     ``all_plus`` is its subset-sum transform, indexed the same way:
     ``all_plus[S]`` = Pr[every variable of S = +1], so those values are
-    lookups.  Build from the table, or from the Pr[all of S = +1] values
-    of every subset through the inverse transform
-    (:meth:`from_prob_all_plus`).  :class:`CouplingTable` is the spec of
-    all eight variables in canonical order.
+    lookups; ``masks[S]`` is the canonical :func:`subset_mask` of S.  Build
+    from the table, or from the Pr[all of S = +1] values of every subset
+    through the inverse transform (:meth:`from_prob_all_plus`).
+    :class:`CouplingTable` is the spec of all eight variables in canonical
+    order.
     """
 
-    __slots__ = ("variables", "table", "all_plus")
+    __slots__ = ("variables", "masks", "table", "all_plus")
 
     def __init__(self, variables: Sequence[VariableId], table: Sequence[Scalar]):
         variables = tuple(variables)
@@ -241,15 +269,17 @@ class MarginalSpec:
                 f"entries, got {len(table)}"
             )
         _check_uniform_mode(table, "marginal table")
-        for i, t in enumerate(table):
-            if t < 0:
-                raise ValueError(f"marginal table entry {i} is negative: {t}")
-        all_plus = tuple(_subset_sums(table, 1))
-        if all_plus[0] != 1:
-            raise ValueError(f"marginal table sums to {all_plus[0]}, not 1")
+        unit, scaled = integers(table)
+        for i, w in enumerate(scaled):
+            if w < 0:
+                raise ValueError(f"marginal table entry {i} is negative: {table[i]}")
+        sums = _subset_sums(scaled, 1)
+        if sums[0] != unit:
+            raise ValueError(f"marginal table sums to {quotient(sums[0], unit)}, not 1")
         self.variables = variables
+        self.masks = _table_masks(variables)
         self.table = table
-        self.all_plus = all_plus
+        self.all_plus = tuple(quotient(n, unit) for n in sums)
 
     @classmethod
     def from_prob_all_plus(
@@ -265,61 +295,54 @@ class MarginalSpec:
         """
         variables = tuple(variables)
         k = len(variables)
-        probs = {frozenset(s): as_scalar(v) for s, v in probs.items()}
-        varset = frozenset(variables)
-        for s in probs:
-            if not s <= varset:
-                bad = [v.name for v in s - varset]
+        masks = _table_masks(variables)
+        by_mask = {subset_mask(s): as_scalar(v) for s, v in probs.items()}
+        for mask in by_mask:
+            if mask & ~masks[-1]:
+                bad = [v.name for v in _members(mask & ~masks[-1])]
                 raise ValueError(f"subset mentions variables not in the marginal: {bad}")
-        sample = next(iter(probs.values()), ONE)
+        sample = next(iter(by_mask.values()), ONE)
         one = ONE if sample.is_exact else Scalar.approximate(1.0)
-        empty = probs.setdefault(frozenset(), one)
+        empty = by_mask.setdefault(0, one)
         if empty != one:
             raise ValueError(f"Pr[] must be 1, got {empty}")
         zeta = []
-        for mask in range(1 << k):
-            subset = frozenset(variables[j] for j in range(k) if mask & (1 << (k - 1 - j)))
-            if subset not in probs:
-                raise ValueError(
-                    "missing probability for subset "
-                    f"{{{', '.join(v.name for v in sorted(subset))}}}"
-                )
-            zeta.append(probs[subset])
+        for mask in masks:
+            if mask not in by_mask:
+                names = ", ".join(v.name for v in _members(mask))
+                raise ValueError(f"missing probability for subset {{{names}}}")
+            zeta.append(by_mask[mask])
         # Pr[exactly T = +1, rest -1] = sum over S >= T of (-1)^|S \ T| Pr[all of S = +1]
-        table = _subset_sums(zeta, -1)
-        for tmask, value in enumerate(table):
-            if value < 0:
-                names = [
-                    f"{variables[j].name}={'+1' if tmask & (1 << (k - 1 - j)) else '-1'}"
-                    for j in range(k)
-                ]
-                raise ValueError(
-                    f"inconsistent marginal parameterization: Pr[{', '.join(names)}] "
-                    f"= {value} < 0"
+        unit, scaled = integers(zeta)
+        table = _subset_sums(scaled, -1)
+        for tmask, n in enumerate(table):
+            if n < 0:
+                names = ", ".join(
+                    f"{v.name}={'+1' if tmask >> (k - 1 - j) & 1 else '-1'}"
+                    for j, v in enumerate(variables)
                 )
-        return MarginalSpec(variables, table)
-
-    def _mask(self, positions: Iterable[int]) -> int:
-        k = len(self.variables)
-        return sum(1 << (k - 1 - j) for j in positions)
+                raise ValueError(f"inconsistent marginal parameterization: "
+                                 f"Pr[{names}] = {quotient(n, unit)} < 0")
+        return MarginalSpec(variables, [quotient(n, unit) for n in table])
 
     def prob_all_plus(self, subset: Iterable[VariableId]) -> Scalar:
         """Pr[every variable of ``subset`` = +1]."""
-        subset = frozenset(subset)
-        if not subset <= set(self.variables):
-            bad = [v.name for v in subset - set(self.variables)]
+        mask = subset_mask(subset)
+        if mask & ~self.masks[-1]:
+            bad = [v.name for v in _members(mask & ~self.masks[-1])]
             raise ValueError(f"variables not in this marginal: {bad}")
-        return self.all_plus[self._mask(self.variables.index(v) for v in subset)]
+        return self.all_plus[self.masks.index(mask)]
+
+    def rows(self) -> list[tuple[int, Scalar]]:
+        """Every (canonical mask of S, Pr[all of S = +1]) pair, by size and
+        then in :func:`itertools.combinations` order of ``variables``."""
+        order = sorted(range(len(self.masks)), key=subset_order)  # local indices
+        return [(self.masks[i], self.all_plus[i]) for i in order]
 
     def all_ones_parameterization(self) -> dict[frozenset[VariableId], Scalar]:
-        """All Pr[every variable of S = +1] values, one per subset S, by
-        size and then in :func:`itertools.combinations` order."""
-        out: dict[frozenset[VariableId], Scalar] = {}
-        for size in range(len(self.variables) + 1):
-            for combo in combinations(range(len(self.variables)), size):
-                subset = frozenset(self.variables[j] for j in combo)
-                out[subset] = self.all_plus[self._mask(combo)]
-        return out
+        """All Pr[every variable of S = +1] values, one per subset S, in
+        :meth:`rows` order."""
+        return {frozenset(_members(mask)): value for mask, value in self.rows()}
 
     @property
     def is_exact(self) -> bool:
@@ -375,52 +398,44 @@ def full_table(spec: MarginalSpec) -> tuple[Scalar, ...]:
     return spec.table
 
 
-def _equal_margin_pair(x: VariableId, y: VariableId, both_plus: Scalar) -> MarginalSpec:
-    """Pair marginal with equiprobable one-variable marginals and the given
-    Pr[both = +1]; its joint table is (v, 1/2-v, 1/2-v, v)."""
-    half = Scalar(Fraction(1, 2)) if both_plus.is_exact else Scalar.approximate(0.5)
-    off = half - both_plus
-    return MarginalSpec((x, y), (both_plus, off, off, both_plus))
+def _equal_margin_pairs(pairs, both_plus, off) -> list[MarginalSpec]:
+    """Pair marginals with equiprobable one-variable marginals: each joint
+    table is (v, 1/2-v, 1/2-v, v), for v = Pr[both = +1] and off = 1/2 - v."""
+    return [MarginalSpec(pair, (v, o, o, v)) for pair, v, o in zip(pairs, both_plus, off)]
+
+
+def _halves(vector) -> list[Scalar]:
+    """1/2 minus each component, in the vector's mode."""
+    half = HALF if vector.is_exact else Scalar.approximate(0.5)
+    return [half - c for c in vector.components]
 
 
 def connection_marginals(eps: ConnectionVector) -> list[MarginalSpec]:
-    """The four pair marginals imposed by a connection vector.
-
-    Each pair has equiprobable one-variable marginals and
-    Pr[both = +1] = 1/2 - e for its component e.
-    """
-    half = Scalar(Fraction(1, 2)) if eps.is_exact else Scalar.approximate(0.5)
-    return [
-        _equal_margin_pair(x, y, half - e)
-        for (x, y), e in zip(CONNECTION_PAIRS, eps.components)
-    ]
+    """The four pair marginals imposed by a connection vector: Pr[both = +1]
+    = 1/2 - e for its component e, with equiprobable one-variable marginals."""
+    return _equal_margin_pairs(CONNECTION_PAIRS, _halves(eps), eps.components)
 
 
 def outcome_marginals(p: OutcomeVector) -> list[MarginalSpec]:
     """The four observable pair marginals of an outcome vector."""
-    return [
-        _equal_margin_pair(x, y, pij) for (x, y), pij in zip(OUTCOME_PAIRS, p.components)
-    ]
+    return _equal_margin_pairs(OUTCOME_PAIRS, p.components, _halves(p))
 
 
 # -- JSON wire format ----------------------------------------------------------
 
 
-def subset_name(subset: Iterable[VariableId]) -> str:
-    """The subset's variable names in canonical order, comma-joined."""
-    return ",".join(v.name for v in sorted(subset))
-
-
-def sorted_subsets(subsets: Iterable[frozenset[VariableId]]) -> list[frozenset[VariableId]]:
-    """Subsets by size, then by their variables in canonical order."""
-    return sorted(subsets, key=lambda s: (len(s), sorted(s)))
+def subset_name(mask: int) -> str:
+    """The variable names of a subset mask in canonical order, comma-joined."""
+    return ",".join(v.name for v in _members(mask))
 
 
 def marginal_spec_to_json(spec: MarginalSpec) -> dict:
-    probs = spec.all_ones_parameterization()
+    """The spec's Pr[all of S = +1] values, keyed by subset in
+    :func:`subset_order`."""
+    rows = sorted(zip(spec.masks, spec.all_plus), key=lambda row: subset_order(row[0]))
     return {
         "variables": [v.name for v in spec.variables],
-        "prob_all_plus": {subset_name(s): str(probs[s]) for s in sorted_subsets(probs)},
+        "prob_all_plus": {subset_name(mask): str(value) for mask, value in rows},
     }
 
 

@@ -26,11 +26,16 @@ __all__ = [
     "qm_outcomes",
     "maximize_chsh",
     "MAX_CHSH_RESOLUTION",
+    "MAX_CHSH_REFINE",
 ]
 
 #: The finest angle grid of :func:`maximize_chsh`, which holds a few
 #: resolution^3 float arrays at once: 16 MiB each at 128.
 MAX_CHSH_RESOLUTION = 128
+
+#: The most golden-section sweeps :func:`maximize_chsh` runs (1000 take
+#: ~0.8 s on a 2-core VM); a few already reach the float optimum.
+MAX_CHSH_REFINE = 1000
 
 _PI_RE = re.compile(r"^([+-]?)(?:(\d+(?:/\d+)?)\*?)?pi(?:/(\d+))?$")
 
@@ -193,6 +198,10 @@ def maximize_chsh(resolution: int = 64, refine: int = 3) -> tuple[Settings, Scal
         raise ValueError(
             f"resolution must be at most {MAX_CHSH_RESOLUTION}, got {resolution}"
         )
+    if refine < 0:
+        raise ValueError(f"refine must be at least 0, got {refine}")
+    if refine > MAX_CHSH_REFINE:
+        raise ValueError(f"refine must be at most {MAX_CHSH_REFINE}, got {refine}")
     grid = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
     b1v = grid[None, :, None]
     b2v = grid[None, None, :]

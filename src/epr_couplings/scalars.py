@@ -14,7 +14,8 @@ Mixing exact and approximate operands is an error; convert explicitly with
 ``Scalar`` is the public, parsed and printed type.  Exact decisions run on
 integers instead: :func:`integers` scales values over one common
 denominator to Python ints and, for a sqrt(2) part, to :class:`ZSqrt2`
-pairs of ints, which also hold whole numpy blocks of values.
+pairs of ints, which also hold whole numpy blocks of values;
+:func:`quotient` turns a result back into a ``Scalar``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "compare",
     "as_scalar",
     "integers",
+    "quotient",
     "ZSqrt2",
     "DEFAULT_TOLERANCE",
     "ZERO",
@@ -502,6 +504,17 @@ def _quadratic_integers(values) -> tuple[int, list]:
         na = a.numerator * (unit // a.denominator)
         scaled.append(ZSqrt2(na, b.numerator * (unit // b.denominator)) if b else na)
     return unit, scaled
+
+
+def quotient(n, unit: int) -> Scalar:
+    """``n / unit`` as a Scalar: the inverse of :func:`integers`, for ``n``
+    an int, a ZSqrt2 or (where ``integers`` passed approximate values
+    through) an approximate Scalar."""
+    if type(n) is ZSqrt2:
+        return Scalar(Fraction(n.a, unit), Fraction(n.b, unit))
+    if isinstance(n, int):
+        return Scalar(Fraction(n, unit))
+    return n / unit
 
 
 def as_scalar(value) -> Scalar:

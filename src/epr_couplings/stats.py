@@ -29,7 +29,7 @@ from functools import reduce
 from operator import and_
 
 from .model import ConnectionVector, OutcomeVector
-from .scalars import DEFAULT_TOLERANCE, Scalar, ZSqrt2, as_scalar, integers
+from .scalars import DEFAULT_TOLERANCE, Scalar, as_scalar, integers, quotient
 
 __all__ = [
     "Compliance",
@@ -138,20 +138,12 @@ def _statistics(w) -> tuple:
     return big, small
 
 
-def _quotient(n, d: int) -> Scalar:
-    """``n / d`` as a Scalar, for ``n`` an int, a ZSqrt2 or an approximate
-    Scalar."""
-    if type(n) is ZSqrt2:
-        return Scalar(Fraction(n.a, d), Fraction(n.b, d))
-    return Scalar(Fraction(n, d)) if isinstance(n, int) else n / d
-
-
 def s_pair(r: CorrelationQuad) -> SPair:
     """The maxima of the signed quarter-sums over even and odd plus-count
     patterns, in closed form."""
     unit, w = integers(r.components)
     n0, n1 = _statistics(w)
-    return SPair(_quotient(n0, 4 * unit), _quotient(n1, 4 * unit))
+    return SPair(quotient(n0, 4 * unit), quotient(n1, 4 * unit))
 
 
 def chsh_expressions(v) -> list:

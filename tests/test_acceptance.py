@@ -32,7 +32,6 @@ from epr_couplings.stats import (
 from epr_couplings.verify import (
     random_connection_vector,
     random_outcome_vector,
-    verify_e0,
     verify_fine,
     verify_lemma1,
     verify_noforcing,
@@ -79,17 +78,17 @@ def test_criterion_2_fine_chsh_equivalence():
 
 
 def test_criterion_3_e0_family():
-    report = verify_e0(1_000, seed=SEED + 2)
+    report = verify_fine(1_000, seed=SEED + 2)
     ok = (
         report["pass"]
         and report["member_count"] == 8
         and report["exact_statistics"]
-        and report["equivalent"] == 1_000
+        and report["e0_family_agreements"] == 1_000
     )
     _report(
         3, ok,
         "8 connection vectors with statistics exactly (1, 1/2); verdicts match "
-        f"the null vector on {report['equivalent']}/1000 random p",
+        f"the null vector on {report['e0_family_agreements']}/1000 random p",
     )
 
 
@@ -211,8 +210,8 @@ def test_criterion_9_witness_soundness():
         system = build_system(specs)
         witness = res.witness
         if all(
-            witness.prob_all_plus(subset) == rhs
-            for subset, rhs in zip(system.subsets, system.rhs)
+            witness.all_plus[mask] == rhs
+            for mask, rhs in zip(system.masks, system.rhs)
         ):
             sound += 1
     for specs, p in m1_cases:

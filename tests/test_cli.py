@@ -143,7 +143,7 @@ def test_regions_csv_to_stdout(runner):
 
 
 def test_verify_command(runner):
-    result = invoke(runner, ["verify", "e0", "--trials", "50", "--seed", "3"])
+    result = invoke(runner, ["verify", "fine", "--trials", "50", "--seed", "3"])
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["pass"] is True
@@ -174,7 +174,7 @@ def test_verify_all_small(runner):
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["pass"] is True
-    assert set(payload["suites"]) == {"lemma1", "fine", "e0", "noforcing", "nomatching"}
+    assert set(payload["suites"]) == {"lemma1", "fine", "noforcing", "nomatching"}
     assert payload["suites"]["noforcing"]["params"]["density"] == 3
 
 
@@ -190,8 +190,9 @@ def test_verify_unknown_suite_rejected(runner):
     ["verify", "noforcing", "--density", "1000000000"],
     ["verify", "all", "--density", "1000000000"],
     ["qm-max-chsh", "--resolution", "1000000000"],
+    ["qm-max-chsh", "--refine", "100000000", "--resolution", "8"],
 ], ids=["regions-grid", "nomatching-grid", "all-grid", "noforcing-density", "all-density",
-        "qm-resolution"])
+        "qm-resolution", "qm-refine"])
 def test_huge_grid_sizes_are_input_errors(runner, args):
     result = invoke(runner, args)
     assert result.exit_code == 2
@@ -203,12 +204,14 @@ def test_huge_grid_sizes_are_input_errors(runner, args):
     ["verify", "lemma1", "--trials", "3", "--denominator", "-2"],
     ["verify", "lemma1", "--trials", "-5"],
     ["verify", "noforcing", "--trials", "-3", "--density", "3"],
-    ["verify", "e0", "--trials", "-1"],
+    ["verify", "fine", "--trials", "-1"],
     ["verify", "all", "--trials", "-1", "--grid", "21", "--density", "3"],
     ["verify", "all", "--trials", "3", "--denominator", "0", "--grid", "21",
      "--density", "3"],
+    ["qm-max-chsh", "--refine", "-1", "--resolution", "8"],
 ], ids=["fine-denominator-0", "lemma1-denominator-negative", "lemma1-trials",
-        "noforcing-trials", "e0-trials", "all-trials", "all-denominator"])
+        "noforcing-trials", "fine-trials", "all-trials", "all-denominator",
+        "qm-refine-negative"])
 def test_bad_sampling_parameters_are_input_errors(runner, args):
     result = invoke(runner, args)
     assert result.exit_code == 2
@@ -220,6 +223,14 @@ def test_verify_zero_trials_samples_none(runner):
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["checked"] == 0 and payload["params"]["trials"] == 0
+
+
+def test_verify_all_zero_trials_samples_none_in_any_suite(runner):
+    result = invoke(runner, ["verify", "all", "--trials", "0", "--density", "2",
+                             "--grid", "21"])
+    sampled = [s["params"] for s in json.loads(result.output)["suites"].values()
+               if "trials" in s["params"]]
+    assert sampled and all(params["trials"] == 0 for params in sampled)
 
 
 @pytest.mark.parametrize("fix, message", [

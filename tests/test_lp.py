@@ -37,6 +37,7 @@ from epr_couplings.model import (
     decode,
     marginal_spec_to_json,
     outcome_marginals,
+    subset_mask,
 )
 from epr_couplings.scalars import Scalar
 from epr_couplings.simplex import INFEASIBLE, solve_lp
@@ -72,14 +73,13 @@ def random_eps(rng, denominator=64):
 def test_build_system_pair_row_has_64_ones():
     spec = outcome_marginals(QUARTER)[0]
     system = build_system([spec])
-    pair = frozenset((V.A11, V.B11))
-    i = system.subsets.index(pair)
+    i = system.masks.index(subset_mask((V.A11, V.B11)))
     assert sum(system.row_indicator(i)) == 64  # both bits pinned, six free
 
 
 def test_build_system_empty_row():
     system = build_system([])
-    assert system.subsets == (frozenset(),)
+    assert system.masks == (0,)
     assert system.row_indicator(0) == [1] * 256
     assert system.rhs[0] == 1
 
@@ -94,7 +94,7 @@ def test_build_system_four_variable_marginal():
     spec = MarginalSpec.from_prob_all_plus(variables, probs)
     system = build_system([spec])
     assert system.n_rows == 16
-    i = system.subsets.index(frozenset((V.A11,)))
+    i = system.masks.index(subset_mask((V.A11,)))
     assert system.rhs[i] == HALF
     assert sum(system.row_indicator(i)) == 128
 
@@ -104,7 +104,7 @@ def test_build_system_deduplicates_shared_singletons():
     system = build_system(specs)
     # 1 empty + 8 singletons + 4 outcome pairs + 4 connection pairs
     assert system.n_rows == 17
-    n_pairs = sum(1 for s in system.subsets if len(s) == 2)
+    n_pairs = sum(1 for mask in system.masks if mask.bit_count() == 2)
     assert n_pairs == 8
 
 
@@ -113,6 +113,83 @@ def test_build_system_conflict_detection():
     b = outcome_marginals(PR_BOX)[0]
     with pytest.raises(ConflictingMarginalsError):
         build_system([a, b])
+
+
+# -- build_system against the frozenset-keyed row merge it replaced ---------------
+
+
+def reference_system(specs):
+    """The rows by frozenset subset: each spec's Pr[all of S = +1] by size and
+    then in combinations order, merged first come first kept, sorted by
+    (size, variables in canonical order), and only then turned into masks."""
+    rows = {frozenset(): Scalar(1)}
+    for spec in specs:
+        k = len(spec.variables)
+        for size in range(k + 1):
+            for combo in itertools.combinations(range(k), size):
+                bits = sum(1 << (k - 1 - j) for j in combo)
+                subset = frozenset(spec.variables[j] for j in combo)
+                value = sum(
+                    (t for i, t in enumerate(spec.table) if i & bits == bits), Scalar(0)
+                )
+                seen = rows.setdefault(subset, value)
+                if seen != value:
+                    name = ",".join(v.name for v in sorted(subset))
+                    raise ConflictingMarginalsError(
+                        f"marginal Pr[{name or '()'} = +1] assigned both {seen} and {value}"
+                    )
+    order = sorted(rows, key=lambda s: (len(s), sorted(s)))
+    return tuple(subset_mask(s) for s in order), [str(rows[s]) for s in order]
+
+
+_weights = st.fractions(min_value=0, max_value=1, max_denominator=6)
+
+
+@st.composite
+def spec_lists(draw):
+    """One to four specs on one to four variables each, in any order, over Q
+    or Q[sqrt2].  Each is a marginal of one of two joint distributions on the
+    same four variables, so subsets are often shared, and specs from the two
+    sources often conflict on them."""
+    pool = draw(st.permutations(list(V)))[:4]
+    sources = []
+    for _ in range(2):
+        sqrt2 = draw(st.booleans())
+        weights = [
+            Scalar.quadratic(draw(_weights), draw(_weights) if sqrt2 else 0)
+            for _ in range(16)
+        ]
+        total = sum(weights[1:], weights[0])
+        if total == 0:
+            weights, total = [Scalar(1)] * 16, Scalar(16)
+        sources.append(MarginalSpec(pool, [w / total for w in weights]))
+    specs = []
+    for _ in range(draw(st.integers(1, 4))):
+        source = sources[draw(st.sampled_from([0, 0, 1]))]
+        variables = draw(st.permutations(pool))[:draw(st.integers(1, 4))]
+        specs.append(MarginalSpec.from_prob_all_plus(variables, {
+            frozenset(s): source.prob_all_plus(s)
+            for k in range(len(variables) + 1)
+            for s in itertools.combinations(variables, k)
+        }))
+    return specs
+
+
+def _rows_or_conflict(build):
+    try:
+        return build()
+    except ConflictingMarginalsError as exc:
+        return str(exc)
+
+
+@given(spec_lists())
+@settings(max_examples=200, deadline=None)
+def test_build_system_matches_frozenset_reference(specs):
+    def rows():
+        system = build_system(specs)
+        return system.masks, [str(v) for v in system.rhs]
+
+    assert _rows_or_conflict(rows) == _rows_or_conflict(lambda: reference_system(specs))
 
 
 def test_feasible_compatible_pair():
@@ -170,8 +247,8 @@ def test_witness_reproduces_every_row_exactly():
             continue
         checked += 1
         system = build_system(specs)
-        for subset, want in zip(system.subsets, system.rhs):
-            assert res.witness.prob_all_plus(subset) == want
+        for mask, want in zip(system.masks, system.rhs):
+            assert res.witness.all_plus[mask] == want
 
 
 def test_monotonicity_adding_specs_shrinks_feasible_set():
@@ -519,7 +596,7 @@ def fraction_solve_on_support(masks, rhs, cols):
 
 
 ORACLE_MASKS = lp._structure(
-    build_system(outcome_marginals(QUARTER) + connection_marginals(EPS0)).subsets
+    build_system(outcome_marginals(QUARTER) + connection_marginals(EPS0)).masks
 )[0]
 FOUR_VARIABLES = (V.A11, V.A12, V.A21, V.A22)
 FOUR_VARIABLE_MASKS = lp._structure(build_system([
@@ -527,7 +604,7 @@ FOUR_VARIABLE_MASKS = lp._structure(build_system([
         frozenset(s): Fraction(1, 2 ** len(s))
         for k in range(5) for s in itertools.combinations(FOUR_VARIABLES, k)
     })
-]).subsets)[0]
+]).masks)[0]
 
 
 @st.composite
@@ -619,14 +696,14 @@ def test_presolve_free_highs_never_falls_back(caplog):
 
 def oracle_lp(specs):
     system = build_system(specs)
-    return lp._structure(system.subsets).phase1, np.array([float(v) for v in system.rhs])
+    return lp._structure(system.masks).phase1, np.array([float(v) for v in system.rhs])
 
 
 def support_lp(eps, direction):
     system = build_system(connection_marginals(eps))
     objective = lp._objective([Fraction(d) for d in direction])
     return (
-        lp._structure(system.subsets).coupling,
+        lp._structure(system.masks).coupling,
         np.array([float(v) for v in system.rhs]),
         -np.array([float(c) for c in objective]),
     )

@@ -308,6 +308,14 @@ def test_coupling_table_validation_and_marginals():
         CouplingTable(tuple([Fraction(1)] * 256))
 
 
+def test_negative_sqrt2_entries_are_rejected():
+    # 1 - sqrt2 < 0, though its rational part is positive.
+    with pytest.raises(ValueError, match=r"entry 0 is negative: 1-1\*sqrt2$"):
+        MarginalSpec((V.A11,), (Scalar.quadratic(1, -1), SQRT2))
+    with pytest.raises(ValueError, match=r"Pr\[A11=-1\] = 1-1\*sqrt2 < 0$"):
+        MarginalSpec.from_prob_all_plus((V.A11,), {frozenset((V.A11,)): SQRT2})
+
+
 def test_coupling_table_string_round_trip():
     entries = [Fraction(0)] * 256
     entries[17] = Fraction(1, 3)
@@ -341,6 +349,24 @@ def test_marginal_specs_from_json_shapes():
     )
     assert len(marginal_specs_from_json([spec_data])) == 1
     assert len(marginal_specs_from_json({"marginals": [spec_data, spec_data]})) == 2
+
+
+def test_marginal_spec_json_keys_follow_canonical_order():
+    # Table index bits, most significant first: B22, A11, A21.
+    spec = MarginalSpec((V.B22, V.A11, V.A21), [Fraction(i, 36) for i in range(1, 9)])
+    data = marginal_spec_to_json(spec)
+    assert data == {
+        "variables": ["B22", "A11", "A21"],
+        "prob_all_plus": {
+            "": "1", "A11": "11/18", "A21": "5/9", "B22": "13/18",
+            "A11,A21": "1/3", "A11,B22": "5/12", "A21,B22": "7/18",
+            "A11,A21,B22": "2/9",
+        },
+    }
+    assert list(data["prob_all_plus"]) == [
+        "", "A11", "A21", "B22", "A11,A21", "A11,B22", "A21,B22", "A11,A21,B22"
+    ]
+    assert marginal_spec_from_json(data) == spec
 
 
 # -- the subset-sum transforms against the reference ------------------------------

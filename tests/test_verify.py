@@ -30,7 +30,7 @@ def test_sampling_limits_are_checked_before_any_work():
     with pytest.raises(ValueError, match="min_vectors must be at least 0"):
         verify.verify_noforcing(3, min_vectors=-1)
     with pytest.raises(ValueError, match="denominator must be at least 1"):
-        verify.verify_e0(0, denominator=0)
+        verify.verify_fine(0, denominator=0)
 
 
 def test_lemma1_detects_corrupted_criterion():
@@ -60,7 +60,7 @@ def test_fine_small_run():
 
 
 def test_e0_report():
-    report = verify.verify_e0(200, seed=5)
+    report = verify.verify_fine(200, seed=5)
     assert report["pass"]
     assert report["member_count"] == 8
     assert report["exact_statistics"]
@@ -118,10 +118,10 @@ def test_nomatching_determinism():
 
 def test_run_all_small():
     report = verify.run_all(
-        trials=60, seed=9, e0_trials=40, noforcing_min=40, grid_resolution=21
+        trials=60, seed=9, noforcing_min=40, grid_resolution=21
     )
     assert report["pass"]
-    assert set(report["suites"]) == {"lemma1", "fine", "e0", "noforcing", "nomatching"}
+    assert set(report["suites"]) == {"lemma1", "fine", "noforcing", "nomatching"}
 
 
 def test_coupling_threads_parallel_matches_sequential(monkeypatch):
