@@ -18,13 +18,15 @@ a witness that attains the bound.  Every proof runs on the integer kernel
 of :mod:`.scalars`: :func:`~.scalars.integers` scales the right-hand side,
 the point and the duals by a positive common unit to ints, or to ZSqrt2
 pairs over Q[sqrt(2)], whose one sign rule decides.  ``M`` is 0/1, so
-elimination on the reported support runs fraction-free over the integers;
-only inside it does a ZSqrt2 entry ``a + b*sqrt2`` become the two int
-columns ``a`` and ``b``.  Floats only choose which columns and duals get
-checked.  The exact Bland simplex is the cold fallback: it decides when a
-proof fails (logging one WARNING with the reason, the exact right-hand
-side and, for a non-optimal HiGHS status, the simplex iteration count, on
-the ``epr_couplings.lp`` logger) and when ``engine="exact"`` asks for it.
+elimination on the reported support runs fraction-free over the integers,
+with a ZSqrt2 entry ``a + b*sqrt2`` split into the two int columns ``a``
+and ``b``.  Its pivot, :func:`~.simplex.pivot`, is also the pivot of the
+exact Bland simplex on its int tableau.  Floats only choose which columns
+and duals get checked.  The exact Bland simplex is the cold fallback: it
+decides when a proof fails (logging one WARNING with the reason, the exact
+right-hand side and, for a non-optimal HiGHS status, the simplex iteration
+count, on the ``epr_couplings.lp`` logger) and when ``engine="exact"``
+asks for it.
 
 Each row structure keeps two HiGHS models, built on first use: phase 1
 over ``[M | I]`` and the coupling model over M alone for :func:`optimize`.
@@ -40,7 +42,6 @@ imported by the first solve, so code that never solves an LP never loads it.
 from __future__ import annotations
 
 import logging
-import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,8 +62,8 @@ from .model import (
     subset_name,
     subset_order,
 )
-from .scalars import ONE, ZERO, Scalar, ZSqrt2, as_scalar, integers, quotient
-from .simplex import INFEASIBLE, OPTIMAL, solve_lp
+from .scalars import ONE, ZERO, Scalar, as_scalar, integers, quotient
+from .simplex import INFEASIBLE, OPTIMAL, column_value, int_columns, pivot, solve_lp
 
 __all__ = [
     "ConstraintSystem",
@@ -100,16 +101,6 @@ class ConstraintSystem:
     @property
     def n_rows(self) -> int:
         return len(self.masks)
-
-    @property
-    def is_rational(self) -> bool:
-        return all(v.is_rational for v in self.rhs)
-
-    def row_indicator(self, i: int) -> list[int]:
-        """The 0/1 column pattern of row i (1 iff the column's assignment
-        sets every variable of the row's subset to +1)."""
-        mask = self.masks[i]
-        return [1 if (j & mask) == mask else 0 for j in range(N_ASSIGNMENTS)]
 
 
 def _augmented_system(
@@ -160,7 +151,9 @@ class FeasibilityResult:
     @property
     def witness(self) -> CouplingTable | None:
         if self._x is not None and self._witness is None:
-            self._witness = _witness_table(self._x)
+            self._witness = CouplingTable(
+                tuple(self._x.get(j, ZERO) for j in range(N_ASSIGNMENTS))
+            )
         return self._witness
 
     def __bool__(self) -> bool:
@@ -168,10 +161,6 @@ class FeasibilityResult:
 
     def __repr__(self) -> str:
         return f"FeasibilityResult(feasible={self.feasible}, engine={self.engine!r})"
-
-
-def _witness_table(x: dict[int, Scalar]) -> CouplingTable:
-    return CouplingTable(tuple(x.get(j, ZERO) for j in range(N_ASSIGNMENTS)))
 
 
 # -- cached per-structure data ---------------------------------------------------
@@ -243,53 +232,32 @@ def _solve_on_support(
     masks: Sequence[int], rhs: Sequence[Scalar], cols: list[int]
 ) -> dict[int, Scalar] | None:
     """Exact solution of M[:, cols] x = rhs by fraction-free Gauss-Jordan
-    elimination over the integers (after Bareiss 1968, with gcd reduction in
-    place of exact division); None when it fails to produce a nonnegative
-    solution of the full system.
-
-    The rhs is scaled by its common denominator ``d`` with
-    :func:`integers` (M is already 0/1).  Inside the elimination a ZSqrt2
-    entry ``a + b*sqrt2`` becomes the two int columns ``a`` and ``b``, both
-    carried through the same row operations, since the row reduction needs
-    integer gcds.  Eliminating with pivot ``pv`` replaces row i by
-    ``(pv/g) row_i - (f/g) row_pivot`` with ``g = gcd(pv, f)`` and divides
-    it by the gcd of its entries, so the entries stay small integers; only
-    the final ``x_c = t / (pivot * d)`` become Scalars."""
+    elimination; None when it fails to produce a nonnegative solution of
+    the full system.  The rhs is scaled by its common denominator ``d``
+    into one or two int columns (M is already 0/1), every pivot is the
+    exact simplex's :func:`~.simplex.pivot`, and only the final
+    ``x_c = t / (pivot * d)`` become Scalars."""
     m = len(masks)
     n = len(cols)
     d, scaled = integers(rhs)
-    pairs = [(v.a, v.b) if type(v) is ZSqrt2 else (v, 0) for v in scaled]
-    width = 2 if any(b for _, b in pairs) else 1
-    aug = []
-    for mask, pair in zip(masks, pairs):
-        row = [1 if (c & mask) == mask else 0 for c in cols]
-        row.extend(pair[:width])
-        aug.append(row)
+    aug = [
+        [1 if (c & mask) == mask else 0 for c in cols] + cells
+        for mask, cells in zip(masks, int_columns(scaled))
+    ]
     piv = []
-    r = 0
     for c in range(n):
+        r = len(piv)
         pr = next((i for i in range(r, m) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pivot_row = aug[r]
-        pv = pivot_row[c]
-        for i in range(m):
-            f = aug[i][c]
-            if i != r and f:
-                g = math.gcd(pv, f)
-                a, b = pv // g, f // g
-                row = [a * x - b * y for x, y in zip(aug[i], pivot_row)]
-                content = math.gcd(*row)
-                aug[i] = [x // content for x in row] if content > 1 else row
-        piv.append(c)
-        r += 1
-        if r == m:
-            break
-    if any(any(aug[i][n:]) for i in range(r, m)):
+        if pr is not None:
+            aug[r], aug[pr] = aug[pr], aug[r]
+            pivot(aug, r, c)
+            piv.append(c)
+            if r + 1 == m:
+                break
+    if any(any(aug[i][n:]) for i in range(len(piv), m)):
         return None
     x = {
-        cols[c]: quotient(ZSqrt2(*t) if width == 2 else t[0], aug[i][c] * d)
+        cols[c]: quotient(column_value(t), aug[i][c] * d)
         for i, c in enumerate(piv)
         if any(t := aug[i][n:])
     }
@@ -482,17 +450,15 @@ def _bland(structure, system: ConstraintSystem, objective):
     """The exact Bland simplex on the same rows, with the same answer shape
     as :func:`_certify`."""
     rows = structure.coupling.a_eq.astype(int).tolist()
-    rhs = system.rhs
-    b = [v.as_fraction() for v in rhs] if system.is_rational else list(rhs)
-    res = solve_lp(rows, b, objective=objective, maximize=True)
+    res = solve_lp(rows, system.rhs, objective=objective, maximize=True)
     if res.status == INFEASIBLE:
         return None, None
     if res.status != OPTIMAL:
         raise AssertionError("support query unbounded despite normalization row")
-    x = {j: as_scalar(v) for j, v in enumerate(res.x) if v != 0}
-    if not _is_witness(structure.masks, rhs, x):
+    x = {j: v for j, v in enumerate(res.x) if v}
+    if not _is_witness(structure.masks, system.rhs, x):
         raise AssertionError("exact simplex produced an invalid basic solution")
-    return x, None if objective is None else as_scalar(res.objective)
+    return x, res.objective
 
 
 #: Bit k of column j's pattern is set when its assignment sets observable pair k to +1.
@@ -572,10 +538,7 @@ def feasible(
 
 
 def _direction_fractions(direction: Sequence) -> list[Fraction]:
-    out = []
-    for v in direction:
-        s = as_scalar(v)
-        out.append(s.as_fraction())
+    out = [as_scalar(v).as_fraction() for v in direction]
     if len(out) != 4:
         raise ValueError("direction needs exactly 4 components")
     return out

@@ -1,24 +1,25 @@
-"""Exact simplex over an ordered field, with Bland's anti-cycling rule.
+"""Exact Bland-rule simplex on a tableau of Python ints, and the
+fraction-free pivot it shares with the support elimination in :mod:`.lp`.
 
-Solves  find/optimize x >= 0  subject to  A x = b  where entries live in any
-ordered field whose elements support +, -, *, / and comparisons against the
-integers 0 and 1 (``fractions.Fraction`` and :class:`~.scalars.Scalar` both
-qualify).  Phase 1 introduces one artificial variable per row and minimizes
-their sum; phase 2 optimizes the caller's objective.  Every pivot choice uses
-Bland's smallest-index rule, so the method terminates on degenerate problems
--- and the boundary cases here are all degenerate.
-
-Problem sizes in this package are tiny (<= ~30 rows, 256 columns), so the
-dense exact tableau is affordable.
+Solves  find/optimize x >= 0  subject to  A x = b  for an int matrix A, b
+over Q or Q[sqrt(2)] (scaled once by :func:`~.scalars.integers` into one or
+two int columns) and a rational objective.  Each row is its textbook row
+times a positive scale, so signs read straight off the ints, ratios compare
+by cross-multiplication, and the pivots are the textbook ones (Edmonds, J.
+Res. NBS 71B, 1967; Bareiss, Math. Comp. 22, 1968).  Phase 1 minimizes the
+sum of one artificial per row, phase 2 the objective; Bland's smallest-index
+rule picks every pivot, so the degenerate boundary cases terminate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-__all__ = ["LPResult", "solve_lp"]
+from .scalars import ZERO, ZSqrt2, integers, quotient
+
+__all__ = ["LPResult", "column_value", "int_columns", "pivot", "solve_lp"]
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -32,8 +33,45 @@ class LPResult:
     objective: object | None = None
 
 
+def pivot(tab: list[list[int]], r: int, c: int) -> None:
+    """Pivot ``tab`` on row ``r``, column ``c``, fraction-free: make
+    ``tab[r][c]`` positive (``pv``), then replace every other row whose
+    column-``c`` entry ``f`` is nonzero by ``(pv/g) row - (f/g) tab[r]``,
+    ``g = gcd(pv, f)``, divided by its content.  ``pv/g > 0``, so each row
+    keeps the sign of its scale.  A shorter row (the simplex's cost row)
+    stays as long as it is."""
+    prow = tab[r]
+    if prow[c] < 0:
+        tab[r] = prow = [-v for v in prow]
+    pv = prow[c]
+    for i, row in enumerate(tab):
+        f = row[c]
+        if i != r and f:
+            g = math.gcd(pv, f)
+            a, b = pv // g, f // g
+            if a == 1:
+                new = [x - b * y for x, y in zip(row, prow)]
+            else:
+                new = [a * x - b * y for x, y in zip(row, prow)]
+            content = math.gcd(*new)
+            tab[i] = [x // content for x in new] if content > 1 else new
+
+
+def int_columns(scaled: Sequence) -> list[list[int]]:
+    """``integers``' scaled values as rows of int column entries: ``[v]``
+    each, or ``[a, b]`` each once any value has a sqrt(2) part."""
+    if any(type(v) is ZSqrt2 for v in scaled):
+        return [[v.a, v.b] if type(v) is ZSqrt2 else [v, 0] for v in scaled]
+    return [[v] for v in scaled]
+
+
+def column_value(cells: Sequence[int]):
+    """The int or ZSqrt2 that :func:`int_columns` split into ``cells``."""
+    return ZSqrt2(*cells) if len(cells) == 2 else cells[0]
+
+
 def solve_lp(
-    rows: Sequence[Sequence],
+    rows: Sequence[Sequence[int]],
     rhs: Sequence,
     objective: Sequence | None = None,
     *,
@@ -41,9 +79,10 @@ def solve_lp(
 ) -> LPResult:
     """Solve ``A x = b, x >= 0`` exactly, optionally optimizing ``objective``.
 
-    With no objective the result is any basic feasible point (or the
-    INFEASIBLE status).  Row/column counts must agree; entries may mix Python
-    ints with field elements.
+    ``rows`` holds ints; ``rhs`` ints, Fractions or exact Scalars;
+    ``objective`` rationals.  With no objective the result is any basic
+    feasible point (or the INFEASIBLE status).  ``x`` and ``objective``
+    come back as Scalars.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -53,121 +92,76 @@ def solve_lp(
         raise ValueError("rhs length does not match row count")
     if objective is not None and len(objective) != n:
         raise ValueError("objective length does not match column count")
+    unit, scaled = integers(rhs)
+    if any(type(v) not in (int, ZSqrt2) for v in scaled):
+        raise ValueError("the right-hand side must be exact")
+    if objective is not None:
+        cost_unit, costs = integers(objective)
+        if any(type(v) is not int for v in costs):
+            raise ValueError("the objective must be rational")
 
-    width = n + m  # structural + artificial columns
-    # Plain ints are lifted to Fraction so that pivot divisions stay exact;
-    # Q[sqrt(2)] right-hand sides mix in via the Scalar reflected operators.
-    one, zero = Fraction(1), Fraction(0)
-    tab: list[list] = []
-    for i in range(m):
-        b = Fraction(rhs[i]) if isinstance(rhs[i], int) else rhs[i]
-        neg = b < 0
-        row = [Fraction(v) if isinstance(v, int) else v for v in rows[i]]
-        if neg:
-            row = [-v for v in row]
-        row.extend(one if k == i else zero for k in range(m))
-        row.append(-b if neg else b)
-        tab.append(row)
-    basis = list(range(n, n + m))
-
-    # Phase-1 reduced costs: cost 1 on artificials, 0 elsewhere, basis all
-    # artificial, so d_j = [j artificial] - sum_i T[i][j].
-    d = [0] * (width + 1)
-    for j in range(width + 1):
-        total = 0
-        for i in range(m):
-            total = total + tab[i][j]
-        d[j] = (1 if n <= j < width else 0) - total
-
-    def pivot(r: int, jc: int) -> None:
-        prow = tab[r]
-        pv = prow[jc]
-        if pv != 1:
-            tab[r] = prow = [v / pv for v in prow]
-        for i in range(m):
-            if i != r:
-                f = tab[i][jc]
-                if f != 0:
-                    row = tab[i]
-                    tab[i] = [a - f * b for a, b in zip(row, prow)]
-        f = d[jc]
-        if f != 0:
-            for j in range(width + 1):
-                d[j] = d[j] - f * prow[j]
-        basis[r] = jc
+    width = n + m  # structural + artificial columns; then the rhs column(s)
+    tab: list[list[int]] = []
+    for i, (row, v, cells) in enumerate(zip(rows, scaled, int_columns(scaled))):
+        s = -1 if v < 0 else 1
+        tab.append([s * a for a in row] + [int(k == i) for k in range(m)] + [s * c for c in cells])
+    basis = list(range(n, width))
+    # tab[m] is the cost row, updated by every pivot.  Phase 1 prices the
+    # artificials 1 on an all-artificial basis: d_j = [j artificial] - sum_i T[i][j].
+    tab.append([(j >= n) - sum(column) for j, column in zip(range(width), zip(*tab))])
 
     def run_bland(allowed_width: int) -> str:
         while True:
-            enter = -1
-            for j in range(allowed_width):
-                if d[j] < 0:
-                    enter = j
-                    break
-            if enter < 0:
+            cost = tab[m]
+            enter = next((j for j in range(allowed_width) if cost[j] < 0), None)
+            if enter is None:
                 return OPTIMAL
             leave = -1
-            best = None
             for i in range(m):
                 a = tab[i][enter]
-                if a > 0:
-                    ratio = tab[i][width] / a
-                    if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]
-                    ):
-                        best = ratio
-                        leave = i
+                if a <= 0:
+                    continue
+                if leave >= 0:
+                    # b_i/a against b_leave/a_leave; both denominators are positive
+                    diff = (
+                        column_value(tab[i][width:]) * tab[leave][enter]
+                        - column_value(tab[leave][width:]) * a
+                    )
+                    if diff > 0 or (diff == 0 and basis[i] > basis[leave]):
+                        continue
+                leave = i
             if leave < 0:
                 return UNBOUNDED
-            pivot(leave, enter)
+            pivot(tab, leave, enter)
+            basis[leave] = enter
 
     status = run_bland(width)
     assert status == OPTIMAL  # phase 1 is bounded below by zero
-    if -d[width] > 0:  # objective value = -d[rhs]
-        return LPResult(INFEASIBLE)
+    if any(basis[i] >= n and any(tab[i][width:]) for i in range(m)):
+        return LPResult(INFEASIBLE)  # an artificial is still positive
 
     # Drive remaining zero-valued artificials out of the basis; rows with no
-    # structural pivot available are redundant and can be ignored.
-    redundant: set[int] = set()
+    # structural pivot available are redundant and keep theirs at zero.
     for i in range(m):
         if basis[i] >= n:
-            jc = next((j for j in range(n) if tab[i][j] != 0), None)
-            if jc is None:
-                redundant.add(i)
-            else:
-                pivot(i, jc)
-
-    def extract() -> list:
-        x = [0] * n
-        for i in range(m):
+            basis[i] = next((j for j in range(n) if tab[i][j]), basis[i])
             if basis[i] < n:
-                x[basis[i]] = tab[i][width]
-        return x
+                pivot(tab, i, basis[i])
 
+    if objective is not None:
+        # Phase 2: minimize (-objective if maximizing) over the structural
+        # columns; pivoting again on the basic ones prices out the cost row.
+        tab[m] = [-v for v in costs] if maximize else list(costs)
+        for i, j in enumerate(basis):
+            if j < n:
+                pivot(tab, i, j)
+        if run_bland(n) == UNBOUNDED:
+            return LPResult(UNBOUNDED)
+    x = [ZERO] * n
+    for row, j in zip(tab, basis):
+        if j < n:
+            x[j] = quotient(column_value(row[width:]), row[j] * unit)
     if objective is None:
-        return LPResult(OPTIMAL, x=extract())
-
-    # Phase 2: minimize (-objective if maximizing).  Artificial columns are
-    # frozen out by restricting the entering search to structural columns;
-    # redundant rows keep their artificial basis at value zero.
-    cost = [Fraction(v) if isinstance(v, int) else v for v in objective]
-    if maximize:
-        cost = [-v for v in cost]
-    for j in range(width + 1):
-        d[j] = 0
-    for j, cj in enumerate(cost):
-        d[j] = cj
-    for i in range(m):
-        if i in redundant or basis[i] >= n:
-            continue
-        cb = cost[basis[i]]
-        if cb != 0:
-            row = tab[i]
-            for j in range(width + 1):
-                d[j] = d[j] - cb * row[j]
-
-    status = run_bland(n)
-    if status == UNBOUNDED:
-        return LPResult(UNBOUNDED)
-    # The cost-row rhs cell holds -(current cost); cost is -objective when
-    # maximizing, so the optimum is d[width] (maximize) or -d[width] (minimize).
-    return LPResult(OPTIMAL, x=extract(), objective=(d[width] if maximize else -d[width]))
+        return LPResult(OPTIMAL, x=x)
+    total = sum((c * v for c, v in zip(costs, x) if c), ZERO)
+    return LPResult(OPTIMAL, x=x, objective=total / cost_unit)
