@@ -98,10 +98,6 @@ class ConstraintSystem:
     masks: tuple[int, ...]
     rhs: tuple[Scalar, ...]
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.masks)
-
 
 def _augmented_system(
     specs: Iterable[MarginalSpec], p: OutcomeVector | None
@@ -252,8 +248,6 @@ def _solve_on_support(
             aug[r], aug[pr] = aug[pr], aug[r]
             pivot(aug, r, c)
             piv.append(c)
-            if r + 1 == m:
-                break
     if any(any(aug[i][n:]) for i in range(len(piv), m)):
         return None
     x = {
@@ -538,7 +532,10 @@ def feasible(
 
 
 def _direction_fractions(direction: Sequence) -> list[Fraction]:
-    out = [as_scalar(v).as_fraction() for v in direction]
+    out = []
+    for v in direction:
+        s = as_scalar(v)
+        out.append(s.as_fraction())
     if len(out) != 4:
         raise ValueError("direction needs exactly 4 components")
     return out

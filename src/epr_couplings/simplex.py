@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Rational
 from typing import Sequence
 
-from .scalars import ZERO, ZSqrt2, integers, quotient
+from .scalars import ZERO, Scalar, ZSqrt2, integers, quotient
 
 __all__ = ["LPResult", "column_value", "int_columns", "pivot", "solve_lp"]
 
@@ -49,10 +50,7 @@ def pivot(tab: list[list[int]], r: int, c: int) -> None:
         if i != r and f:
             g = math.gcd(pv, f)
             a, b = pv // g, f // g
-            if a == 1:
-                new = [x - b * y for x, y in zip(row, prow)]
-            else:
-                new = [a * x - b * y for x, y in zip(row, prow)]
+            new = [a * x - b * y for x, y in zip(row, prow)]
             content = math.gcd(*new)
             tab[i] = [x // content for x in new] if content > 1 else new
 
@@ -80,14 +78,18 @@ def solve_lp(
     """Solve ``A x = b, x >= 0`` exactly, optionally optimizing ``objective``.
 
     ``rows`` holds ints; ``rhs`` ints, Fractions or exact Scalars;
-    ``objective`` rationals.  With no objective the result is any basic
-    feasible point (or the INFEASIBLE status).  ``x`` and ``objective``
-    come back as Scalars.
+    ``objective`` rationals; anything else raises ValueError.  With no
+    objective the result is any basic feasible point (or the INFEASIBLE
+    status).  ``x`` and ``objective`` come back as Scalars.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     if any(len(r) != n for r in rows):
         raise ValueError("ragged constraint matrix")
+    if not all(isinstance(a, int) for r in rows for a in r):
+        raise ValueError("constraint rows must hold ints")
+    if not all(isinstance(v, (Rational, Scalar)) for v in [*rhs, *(objective or [])]):
+        raise ValueError("rhs and objective take ints, Fractions or Scalars")
     if len(rhs) != m:
         raise ValueError("rhs length does not match row count")
     if objective is not None and len(objective) != n:

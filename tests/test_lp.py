@@ -93,7 +93,7 @@ def test_build_system_four_variable_marginal():
             probs[frozenset(combo)] = Fraction(1, 2 ** k)
     spec = MarginalSpec.from_prob_all_plus(variables, probs)
     system = build_system([spec])
-    assert system.n_rows == 16
+    assert len(system.masks) == 16
     i = system.masks.index(subset_mask((V.A11,)))
     assert system.rhs[i] == HALF
     assert lp._structure(system.masks).coupling.a_eq[i].sum() == 128
@@ -103,7 +103,7 @@ def test_build_system_deduplicates_shared_singletons():
     specs = outcome_marginals(QUARTER) + connection_marginals(EPS0)
     system = build_system(specs)
     # 1 empty + 8 singletons + 4 outcome pairs + 4 connection pairs
-    assert system.n_rows == 17
+    assert len(system.masks) == 17
     n_pairs = sum(1 for mask in system.masks if mask.bit_count() == 2)
     assert n_pairs == 8
 

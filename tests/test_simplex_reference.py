@@ -5,6 +5,8 @@ equal, not merely close."""
 
 from fractions import Fraction
 
+import pytest
+
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -144,3 +146,19 @@ def test_integer_simplex_matches_fraction_tableau(system):
     assert got.status == status
     assert got.x == (None if x is None else [as_scalar(v) for v in x])
     assert got.objective == (None if value is None else as_scalar(value))
+
+
+@pytest.mark.parametrize(
+    "rows, rhs, objective",
+    [
+        ([[1, F(1, 2)]], [F(1)], None),
+        ([[1, 1]], [0.5], None),
+        ([[1, 1]], [Scalar.approximate(0.5)], None),
+        ([[1, 1]], [F(1)], [1.0, 0]),
+        ([[1, 1]], [F(1)], [SQRT2, 0]),
+    ],
+    ids=["fraction-row", "float-rhs", "approximate-rhs", "float-objective", "sqrt2-objective"],
+)
+def test_solve_lp_rejects_inexact_input(rows, rhs, objective):
+    with pytest.raises(ValueError):
+        solve_lp(rows, rhs, objective)
