@@ -6,7 +6,6 @@ equal, not merely close."""
 from fractions import Fraction
 
 import pytest
-
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
