@@ -12,21 +12,23 @@ vector is admitted.
 
 Verdicts are always exact.  A float LP solver (HiGHS) proposes every answer
 and exact arithmetic proves it: a witness ``q >= 0`` that reproduces every
-row, a rationalized Farkas ray for infeasibility, or -- for
-:func:`optimize` -- rationalized duals bounding the objective together with
-a witness that attains the bound.  Every proof runs on the integer kernel
-of :mod:`.scalars`: :func:`~.scalars.integers` scales the right-hand side,
-the point and the duals by a positive common unit to ints, or to ZSqrt2
-pairs over Q[sqrt(2)], whose one sign rule decides.  ``M`` is 0/1, so
-elimination on the reported support runs fraction-free over the integers,
-with a ZSqrt2 entry ``a + b*sqrt2`` split into the two int columns ``a``
-and ``b``.  Its pivot, :func:`~.simplex.pivot`, is also the pivot of the
-exact Bland simplex on its int tableau.  Floats only choose which columns
-and duals get checked.  The exact Bland simplex is the cold fallback: it
-decides when a proof fails (logging one WARNING with the reason, the exact
-right-hand side and, for a non-optimal HiGHS status, the simplex iteration
-count, on the ``epr_couplings.lp`` logger) and when ``engine="exact"``
-asks for it.
+row, a Farkas ray for infeasibility, or -- for :func:`optimize` -- duals
+bounding the objective together with a witness that attains the bound.  A
+proof rationalizes HiGHS's floats (the closest fractions with denominators
+up to 2**24) and decides on the integer kernel of :mod:`.scalars`:
+:func:`~.scalars.integers` scales the right-hand side once per query, and
+the point and the duals each by their own positive unit, to ints, or to
+ZSqrt2 pairs over Q[sqrt(2)], whose one sign rule decides.  A float has no
+recoverable sqrt(2) part, so over Q[sqrt(2)], and wherever a rationalized
+point fails its proof, the witness comes from fraction-free elimination on
+HiGHS's support instead (``M`` is 0/1; a ZSqrt2 entry ``a + b*sqrt2`` is
+split into the two int columns ``a`` and ``b``), whose pivot,
+:func:`~.simplex.pivot`, is also the exact Bland simplex's.  Floats only
+choose which columns and duals get checked.  The exact Bland simplex is the
+cold fallback: it decides when a proof fails (logging one WARNING with the
+reason, the exact right-hand side and, for a non-optimal HiGHS status, the
+simplex iteration count, on the ``epr_couplings.lp`` logger) and when
+``engine="exact"`` asks for it.
 
 Each row structure keeps two HiGHS models, built on first use: phase 1
 over ``[M | I]`` and the coupling model over M alone for :func:`optimize`.
@@ -35,7 +37,8 @@ runs the dual simplex without presolve from a cold start, so each proposal
 depends on its own LP alone, never on the queries before it.  A lock
 serializes the solves on one model across threads.  Where scipy lacks the
 private ``scipy.optimize._highspy._core`` bindings, the same proposals come
-from :func:`scipy.optimize.linprog` with the same options.  scipy is
+from :func:`scipy.optimize.linprog` with the same options; both paths
+return one small :class:`_Proposal`.  scipy is
 imported by the first solve, so code that never solves an LP never loads it.
 """
 
@@ -43,14 +46,11 @@ from __future__ import annotations
 
 import logging
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from scipy.optimize import OptimizeResult
 
 from .model import (
     N_ASSIGNMENTS,
@@ -129,6 +129,7 @@ def build_system(specs: Iterable[MarginalSpec]) -> ConstraintSystem:
     return _augmented_system(specs, None)
 
 
+@dataclass(eq=False, slots=True)
 class FeasibilityResult:
     """Feasibility verdict plus (for feasible systems) an exact witness.
 
@@ -136,13 +137,10 @@ class FeasibilityResult:
     time; the 256-entry table object itself is materialized lazily.
     """
 
-    __slots__ = ("feasible", "engine", "_x", "_witness")
-
-    def __init__(self, feasible: bool, x: dict[int, Scalar] | None, engine: str):
-        self.feasible = feasible
-        self.engine = engine
-        self._x = x
-        self._witness: CouplingTable | None = None
+    feasible: bool
+    _x: dict[int, Scalar] | None = field(repr=False)
+    engine: str
+    _witness: CouplingTable | None = field(default=None, init=False, repr=False)
 
     @property
     def witness(self) -> CouplingTable | None:
@@ -154,9 +152,6 @@ class FeasibilityResult:
 
     def __bool__(self) -> bool:
         return self.feasible
-
-    def __repr__(self) -> str:
-        return f"FeasibilityResult(feasible={self.feasible}, engine={self.engine!r})"
 
 
 # -- cached per-structure data ---------------------------------------------------
@@ -211,31 +206,31 @@ def _structure(masks: tuple[int, ...]) -> _Structure:
 # -- exact certification on the integer kernel -----------------------------------
 
 
-def _is_witness(masks: Sequence[int], rhs: Sequence[Scalar], x: dict[int, Scalar]) -> bool:
-    """Exact check that x >= 0 and every row sums to its rhs, on x and the
-    rhs scaled together by one common unit (ints, or ZSqrt2 over Q[sqrt2])."""
-    _, scaled = integers([*x.values(), *rhs])
-    weights = list(zip(x, scaled))
-    if any(w < 0 for _, w in weights):
-        return False
-    return all(
-        sum(w for j, w in weights if (j & mask) == mask) == want
-        for mask, want in zip(masks, scaled[len(x):])
+def _is_witness(masks: Sequence[int], rhs: tuple[int, list], x: dict) -> bool:
+    """Exact check that x >= 0 and M x = rhs, where ``rhs`` is the
+    ``(unit, scaled)`` of :func:`~.scalars.integers` and x is scaled by its
+    own unit: row i holds when ``unit * sum == x_unit * scaled[i]``."""
+    unit, scaled = rhs
+    x_unit, weights = integers(x.values())
+    pairs = list(zip(x, weights))
+    return all(w >= 0 for w in weights) and all(
+        unit * sum(w for j, w in pairs if (j & mask) == mask) == x_unit * want
+        for mask, want in zip(masks, scaled)
     )
 
 
 def _solve_on_support(
-    masks: Sequence[int], rhs: Sequence[Scalar], cols: list[int]
+    masks: Sequence[int], rhs: tuple[int, list], cols: list[int]
 ) -> dict[int, Scalar] | None:
     """Exact solution of M[:, cols] x = rhs by fraction-free Gauss-Jordan
     elimination; None when it fails to produce a nonnegative solution of
-    the full system.  The rhs is scaled by its common denominator ``d``
-    into one or two int columns (M is already 0/1), every pivot is the
-    exact simplex's :func:`~.simplex.pivot`, and only the final
-    ``x_c = t / (pivot * d)`` become Scalars."""
+    the full system.  The rhs, scaled by its common denominator ``d``, is
+    one or two int columns (M is already 0/1), every pivot is the exact
+    simplex's :func:`~.simplex.pivot`, and only the final ``x_c = t /
+    (pivot * d)`` become Scalars."""
     m = len(masks)
     n = len(cols)
-    d, scaled = integers(rhs)
+    d, scaled = rhs
     aug = [
         [1 if (c & mask) == mask else 0 for c in cols] + cells
         for mask, cells in zip(masks, int_columns(scaled))
@@ -262,28 +257,55 @@ class _Uncertified(Exception):
     """HiGHS's answer could not be proven exactly; the message says why."""
 
 
-def _rationalize(values: Sequence[float], sign: int = 1) -> list[Fraction]:
+def _rationalize(values: Sequence[float], limit: int = 1 << 24) -> list[Fraction]:
+    """Each float as ``Fraction(v).limit_denominator(limit)``, the closest
+    fraction with a denominator up to ``limit``, found as the standard
+    library finds it (the continued fraction of ``v``'s exact ratio, then
+    the last convergent or semiconvergent in bounds) but on plain ints."""
     if not np.isfinite(values).all():
-        raise _Uncertified("HiGHS returned non-finite duals")
-    return [sign * Fraction(v).limit_denominator(1 << 24) for v in values]
+        raise _Uncertified("HiGHS returned non-finite values")
+    out = []
+    for v in values:
+        num, den = n, d = v.as_integer_ratio()
+        p0, q0, p1, q1 = 0, 1, 1, 0
+        while d and q0 + n // d * q1 <= limit:
+            a = n // d
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+            n, d = d, n - a * d
+        if d:  # p1/q1 unless the semiconvergent p/q is strictly closer
+            k = (limit - q0) // q1
+            p, q = p0 + k * p1, q0 + k * q1
+            if abs(p * den - num * q) * q1 < abs(p1 * den - num * q1) * q:
+                p1, q1 = p, q
+        out.append(Fraction(p1, q1))
+    return out
 
 
-def _farkas(col_rows, rhs: Sequence[Scalar], duals: Sequence[float]) -> bool:
-    """True when some rationalization of the float duals proves infeasibility:
-    y.b > 0 (in Q[sqrt2]) with y.A_j <= 0 for every column, decided on y and
-    b each scaled to ints (or ZSqrt2) by a positive unit."""
-    _, b = integers(rhs)
-    for flip in (1, -1):
-        _, y = integers(_rationalize(duals, flip))
-        if sum(yi * bi for yi, bi in zip(y, b)) > 0 and all(
-            sum(y[i] for i in rows) <= 0 for rows in col_rows
-        ):
-            return True
-    return False
+def _witness_on(masks, rhs, proposal: np.ndarray, cols: list[int]) -> dict[int, Scalar] | None:
+    """An exact x >= 0 on ``cols`` with M x = rhs, or None: on a rational
+    rhs, HiGHS's own values, rationalized and proven; over Q[sqrt2] (a float
+    has no recoverable sqrt(2) part) or when that proof fails, elimination."""
+    if all(type(v) is int for v in rhs[1]):
+        x = {j: Scalar(v) for j, v in zip(cols, _rationalize(proposal[cols])) if v}
+        if _is_witness(masks, rhs, x):
+            return x
+    return _solve_on_support(masks, rhs, cols)
+
+
+def _farkas(col_rows, b: list, duals: Sequence[float]) -> bool:
+    """True when the rationalized float duals y, or -y, prove infeasibility:
+    y.b > 0 (in Q[sqrt2]) with y.A_j <= 0 for every column, decided on y
+    scaled to ints and on ``b``, the scaled rhs."""
+    _, y = integers(_rationalize(duals))
+    yb = sum(yi * bi for yi, bi in zip(y, b))
+    flip = 1 if yb > 0 else -1 if yb < 0 else 0
+    return flip != 0 and all(
+        flip * sum(map(y.__getitem__, rows)) <= 0 for rows in col_rows
+    )
 
 
 def _support(x: np.ndarray, threshold: float) -> list[int]:
-    return [j for j in range(N_ASSIGNMENTS) if x[j] > threshold]
+    return np.flatnonzero(x[:N_ASSIGNMENTS] > threshold).tolist()
 
 
 #: The options ``linprog(method="highs", options={"presolve": False})`` sets.
@@ -338,26 +360,41 @@ def _new_highs(model: _Model):
     return highs
 
 
-def linprog(model: _Model, b: np.ndarray, cost: np.ndarray | None = None) -> OptimizeResult:
+@dataclass
+class _Proposal:
+    """HiGHS's answer on either path of :func:`linprog`: ``status`` (0
+    optimal, 2 infeasible, else 4 or scipy's code), the simplex iteration
+    count ``nit`` and, if optimal, ``fun``, ``x`` and ``duals`` = d fun/d b."""
+
+    status: int
+    nit: int
+    fun: float | None = None
+    x: np.ndarray | None = None
+    duals: np.ndarray | None = None
+
+
+def linprog(model: _Model, b: np.ndarray, cost: np.ndarray | None = None) -> _Proposal:
     """HiGHS on ``model`` with right-hand side ``b`` (and ``cost`` in place
     of the model's own): the one float proposal behind every certified
-    answer.  The result has :func:`scipy.optimize.linprog`'s ``status``
-    (0 optimal, 2 infeasible, 4 otherwise), ``fun``, ``x``,
-    ``eqlin.marginals`` and ``nit``, the simplex iteration count.
+    answer.
 
     The persistent model takes only the new row bounds and costs, and
     ``clearSolver`` drops its basis, so the dual simplex starts cold as
-    ``linprog`` does and proposes the same answer bit for bit.  (``linprog``
-    also re-checks residuals after HiGHS, which :func:`_certify` subsumes.)
-    Without the private bindings this is that ``linprog`` call."""
-    import scipy.optimize
-
+    :func:`scipy.optimize.linprog` does and proposes the same answer bit for
+    bit.  (``linprog`` also re-checks residuals after HiGHS, which
+    :func:`_certify` subsumes.)  Without the private bindings this is that
+    ``linprog`` call."""
     core = _highs_bindings()
     if core is None:
-        return scipy.optimize.linprog(
+        import scipy.optimize
+
+        res = scipy.optimize.linprog(
             model.cost if cost is None else cost, A_eq=model.a_eq, b_eq=b,
             bounds=(0, None), method="highs", options={"presolve": False},
         )
+        if res.status != 0:
+            return _Proposal(res.status, res.nit)
+        return _Proposal(0, res.nit, res.fun, res.x, res.eqlin.marginals)
     with model.lock:
         highs = model.highs
         if highs is None:
@@ -369,43 +406,38 @@ def linprog(model: _Model, b: np.ndarray, cost: np.ndarray | None = None) -> Opt
         highs.clearSolver()
         highs.run()
         model_status = highs.getModelStatus()
-        res = scipy.optimize.OptimizeResult(
-            status=(
-                0 if model_status == core.HighsModelStatus.kOptimal
-                else 2 if model_status == core.HighsModelStatus.kInfeasible
-                else 4
-            ),
-            fun=None, x=None, eqlin=scipy.optimize.OptimizeResult(marginals=None),
-            nit=highs.getInfoValue("simplex_iteration_count")[1],
+        nit = highs.getInfoValue("simplex_iteration_count")[1]
+        if model_status != core.HighsModelStatus.kOptimal:
+            infeasible = model_status == core.HighsModelStatus.kInfeasible
+            return _Proposal(2 if infeasible else 4, nit)
+        solution = highs.getSolution()
+        return _Proposal(
+            0, nit, highs.getObjectiveValue(),
+            np.array(solution.col_value), np.array(solution.row_dual),
         )
-        if res.status == 0:
-            solution = highs.getSolution()
-            res.fun = highs.getObjectiveValue()
-            res.x = np.array(solution.col_value)
-            res.eqlin.marginals = np.array(solution.row_dual)
-    return res
 
 
-def _status_reason(res) -> str:
+def _status_reason(res: _Proposal) -> str:
     return f"HiGHS status {res.status} after {res.nit} simplex iterations"
 
 
-def _certify(structure, rhs: Sequence[Scalar], b: np.ndarray, objective):
+def _certify(structure, rhs: tuple[int, list], b: np.ndarray, objective):
     """HiGHS proposes, exact arithmetic proves: ``(x, value)`` with ``x``
     None for an infeasible system and ``value`` the optimum when
-    ``objective`` is given.  Raises :class:`_Uncertified` otherwise."""
+    ``objective`` is given, for the scaled ``rhs`` and its floats ``b``.
+    Raises :class:`_Uncertified` otherwise."""
     masks, col_rows, phase1, coupling = structure
     if objective is None:
         res = linprog(phase1, b)
         if res.status != 0:
             raise _Uncertified(_status_reason(res))
         if res.fun < 1e-7:
-            x = _solve_on_support(masks, rhs, _support(res.x, 1e-9))
+            x = _witness_on(masks, rhs, res.x, _support(res.x, 1e-9))
             if x is not None:
                 return x, None
-        if _farkas(col_rows, rhs, res.eqlin.marginals):
+        if _farkas(col_rows, rhs[1], res.duals):
             return None, None
-        x = _solve_on_support(masks, rhs, _support(res.x, 1e-12))
+        x = _witness_on(masks, rhs, res.x, _support(res.x, 1e-12))
         if x is not None:
             return x, None
         raise _Uncertified("neither the support nor the duals prove a verdict")
@@ -417,8 +449,8 @@ def _certify(structure, rhs: Sequence[Scalar], b: np.ndarray, objective):
         raise _Uncertified("HiGHS reported infeasible, yet a coupling exists")
     if res.status != 0:
         raise _Uncertified(_status_reason(res))
-    # eqlin.marginals are d(min -c.q)/db; y = -marginals prices the maximum.
-    y = _rationalize(res.eqlin.marginals, -1)
+    # The duals are d(min -c.q)/db; y = -duals prices the maximum.
+    y = [-v for v in _rationalize(res.duals)]
     unit, scaled = integers(y + objective)
     ny, nc = scaled[: len(y)], scaled[len(y):]
     tight = []
@@ -428,19 +460,20 @@ def _certify(structure, rhs: Sequence[Scalar], b: np.ndarray, objective):
             raise _Uncertified(f"duals violate y.A_j >= c_j at column {j}")
         if total == nc[j] and res.x[j] > 1e-9:
             tight.append(j)
-    x = _solve_on_support(masks, rhs, tight)
+    x = _witness_on(masks, rhs, res.x, tight)
     if x is None:
         raise _Uncertified("no witness on the tight support attains the dual bound")
-    # y.b == c.x on y, c and b, x each scaled by a unit; the optimum is
-    # c.x over the product of the two units.
-    point_unit, scaled = integers([*rhs, *x.values()])
-    attained = sum(nc[j] * w for j, w in zip(x, scaled[len(rhs):]))
-    if sum(yi * bi for yi, bi in zip(ny, scaled)) != attained:
+    # y.b == c.x on y and c scaled by one unit, b and x each by their own:
+    # b_unit * c.x == x_unit * y.b.  The optimum is c.x over unit * x_unit.
+    b_unit, nb = rhs
+    x_unit, nx = integers(x.values())
+    attained = sum(nc[j] * w for j, w in zip(x, nx))
+    if b_unit * attained != x_unit * sum(yi * bi for yi, bi in zip(ny, nb)):
         raise _Uncertified("c.q differs from y.b")
-    return x, quotient(attained, unit * point_unit)
+    return x, quotient(attained, unit * x_unit)
 
 
-def _bland(structure, system: ConstraintSystem, objective):
+def _bland(structure, system: ConstraintSystem, rhs: tuple[int, list], objective):
     """The exact Bland simplex on the same rows, with the same answer shape
     as :func:`_certify`."""
     rows = structure.coupling.a_eq.astype(int).tolist()
@@ -450,7 +483,7 @@ def _bland(structure, system: ConstraintSystem, objective):
     if res.status != OPTIMAL:
         raise AssertionError("support query unbounded despite normalization row")
     x = {j: v for j, v in enumerate(res.x) if v}
-    if not _is_witness(structure.masks, system.rhs, x):
+    if not _is_witness(structure.masks, rhs, x):
         raise AssertionError("exact simplex produced an invalid basic solution")
     return x, res.objective
 
@@ -482,10 +515,16 @@ def _solve(
     and ``value`` is ``max direction . p``."""
     structure = _structure(system.masks)
     objective = None if direction is None else _objective(direction)
+    rhs = integers(system.rhs)
     if engine == "auto":
-        b = np.array([float(v) for v in system.rhs])
+        # n / unit rounds the rational rhs value once, as float(Fraction)
+        # does; a sqrt(2) part takes Scalar's own float.
+        unit, scaled = rhs
+        b = np.array([
+            n / unit if type(n) is int else float(v) for n, v in zip(scaled, system.rhs)
+        ])
         try:
-            return (*_certify(structure, system.rhs, b, objective), "certified-float")
+            return (*_certify(structure, rhs, b, objective), "certified-float")
         except _Uncertified as exc:
             rows = "; ".join(
                 f"Pr[{subset_name(m) or '()'} = +1] = {v}"
@@ -496,7 +535,7 @@ def _solve(
                 "HiGHS answer not certified (%s); exact simplex fallback for rhs [%s]%s",
                 exc, rows, goal,
             )
-    return (*_bland(structure, system, objective), "exact-simplex")
+    return (*_bland(structure, system, rhs, objective), "exact-simplex")
 
 
 def _require_exact_inputs(specs: list[MarginalSpec], p: OutcomeVector | None) -> None:
@@ -531,16 +570,6 @@ def feasible(
     return FeasibilityResult(x is not None, x, used)
 
 
-def _direction_fractions(direction: Sequence) -> list[Fraction]:
-    out = []
-    for v in direction:
-        s = as_scalar(v)
-        out.append(s.as_fraction())
-    if len(out) != 4:
-        raise ValueError("direction needs exactly 4 components")
-    return out
-
-
 def optimize(specs: Iterable[MarginalSpec], direction: Sequence) -> Scalar:
     """Maximize ``direction . p`` over all outcome vectors the marginals admit.
 
@@ -554,7 +583,10 @@ def optimize(specs: Iterable[MarginalSpec], direction: Sequence) -> Scalar:
     specs = list(specs)
     _require_exact_inputs(specs, None)
     system = build_system(specs)
-    x, value, _ = _solve(system, _direction_fractions(direction))
+    direction = [as_scalar(v).as_fraction() for v in direction]
+    if len(direction) != 4:
+        raise ValueError("direction needs exactly 4 components")
+    x, value, _ = _solve(system, direction)
     if x is None:
         raise InfeasibleSystemError("the marginal constraints admit no coupling")
     return value

@@ -339,11 +339,6 @@ class MarginalSpec:
         order = sorted(range(len(self.masks)), key=subset_order)  # local indices
         return [(self.masks[i], self.all_plus[i]) for i in order]
 
-    def all_ones_parameterization(self) -> dict[frozenset[VariableId], Scalar]:
-        """All Pr[every variable of S = +1] values, one per subset S, in
-        :meth:`rows` order."""
-        return {frozenset(_members(mask)): value for mask, value in self.rows()}
-
     @property
     def is_exact(self) -> bool:
         return self.table[0].is_exact
@@ -388,37 +383,44 @@ class CouplingTable(MarginalSpec):
     def to_strings(self) -> list[str]:
         return [str(e) for e in self.entries]
 
-    @classmethod
-    def from_strings(cls, items: Sequence[str]) -> CouplingTable:
-        return cls(items)
-
 
 def full_table(spec: MarginalSpec) -> tuple[Scalar, ...]:
     """The 2^k joint table of a marginal spec (+1 = set bit, msb first)."""
     return spec.table
 
 
-def _equal_margin_pairs(pairs, both_plus, off) -> list[MarginalSpec]:
-    """Pair marginals with equiprobable one-variable marginals: each joint
-    table is (v, 1/2-v, 1/2-v, v), for v = Pr[both = +1] and off = 1/2 - v."""
-    return [MarginalSpec(pair, (v, o, o, v)) for pair, v, o in zip(pairs, both_plus, off)]
-
-
-def _halves(vector) -> list[Scalar]:
-    """1/2 minus each component, in the vector's mode."""
-    half = HALF if vector.is_exact else Scalar.approximate(0.5)
-    return [half - c for c in vector.components]
+def _equal_margin_pairs(pairs, vector, off_diagonal: bool) -> list[MarginalSpec]:
+    """Pair marginals with equiprobable one-variable marginals, one per
+    component c of ``vector``: for v = c, or v = 1/2 - c when c is
+    ``off_diagonal``, the joint table is (v, 1/2-v, 1/2-v, v) and the
+    Pr[all of S = +1] values are the known (1, 1/2, 1/2, v), with no
+    transform; no table entry is negative, 0 <= c <= 1/2, decided on ints."""
+    unit, scaled = integers(vector.components)
+    one, half = (ONE, HALF) if vector.is_exact else map(Scalar.approximate, (1.0, 0.5))
+    specs = []
+    for pair, n, c in zip(pairs, scaled, vector.components):
+        if n < 0 or 2 * n > unit:
+            names = ",".join(v.name for v in pair)
+            raise ValueError(f"({names}) table has a negative entry: {c} outside [0, 1/2]")
+        v, off = (half - c, c) if off_diagonal else (c, half - c)
+        spec = object.__new__(MarginalSpec)
+        spec.variables = pair
+        spec.masks = _table_masks(pair)
+        spec.table = (v, off, off, v)
+        spec.all_plus = (one, half, half, v)
+        specs.append(spec)
+    return specs
 
 
 def connection_marginals(eps: ConnectionVector) -> list[MarginalSpec]:
     """The four pair marginals imposed by a connection vector: Pr[both = +1]
     = 1/2 - e for its component e, with equiprobable one-variable marginals."""
-    return _equal_margin_pairs(CONNECTION_PAIRS, _halves(eps), eps.components)
+    return _equal_margin_pairs(CONNECTION_PAIRS, eps, True)
 
 
 def outcome_marginals(p: OutcomeVector) -> list[MarginalSpec]:
     """The four observable pair marginals of an outcome vector."""
-    return _equal_margin_pairs(OUTCOME_PAIRS, p.components, _halves(p))
+    return _equal_margin_pairs(OUTCOME_PAIRS, p, False)
 
 
 # -- JSON wire format ----------------------------------------------------------

@@ -111,14 +111,14 @@ class SPair:
         object.__setattr__(self, "s0", as_scalar(self.s0))
         object.__setattr__(self, "s1", as_scalar(self.s1))
         s0, s1 = self.s0, self.s1
+        # scaled to ints or ZSqrt2; approximate values pass through (unit 1)
+        unit, (n0, n1, limit) = integers((s0, s1, Fraction(3, 2)))
         ok = (
-            s0 >= 0
-            and s1 >= 0
-            and s0 <= 1
-            and s1 <= 1
-            and s0 + s1 <= Fraction(3, 2)
-            and 2 * s1 >= s0
-            and 2 * s0 >= s1
+            0 <= n0 <= unit
+            and 0 <= n1 <= unit
+            and n0 + n1 <= limit
+            and 2 * n1 >= n0
+            and 2 * n0 >= n1
         )
         if not ok:
             raise ValueError(f"(s0, s1) = ({s0}, {s1}) outside the attainable triangle")

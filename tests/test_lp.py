@@ -39,7 +39,7 @@ from epr_couplings.model import (
     outcome_marginals,
     subset_mask,
 )
-from epr_couplings.scalars import Scalar
+from epr_couplings.scalars import Scalar, integers
 from epr_couplings.simplex import INFEASIBLE, solve_lp
 from epr_couplings.stats import compatible, enumerate_E0
 from epr_couplings.verify import random_connection_vector, random_outcome_vector
@@ -487,13 +487,14 @@ def corrupted_linprog(kind):
         if kind in ("x", "ray"):
             res.x = np.roll(res.x, 1)
         if kind == "ray":
-            res.eqlin.marginals = np.eye(len(res.eqlin.marginals))[0]
+            res.duals = np.eye(len(res.duals))[0]
         elif kind == "duals":
-            res.eqlin.marginals = np.zeros_like(res.eqlin.marginals)
+            res.duals = np.zeros_like(res.duals)
         elif kind == "suboptimal":
             bounds = [(0, None)] * len(res.x)
             bounds[int(np.argmax(res.x))] = (0, 0)
-            res = highs_reference(model, b, cost, bounds)
+            ref = highs_reference(model, b, cost, bounds)
+            res = lp._Proposal(ref.status, ref.nit, ref.fun, ref.x, ref.eqlin.marginals)
         elif kind == "status":
             res.status = 4
         return res
@@ -660,7 +661,7 @@ def support_systems(draw):
 def test_integer_elimination_matches_fraction_gauss_jordan(system):
     masks, rhs, cols = system
     want = fraction_solve_on_support(masks, rhs, cols)
-    got = lp._solve_on_support(masks, [Scalar(*parts) for parts in zip(*rhs)], cols)
+    got = lp._solve_on_support(masks, integers([Scalar(*parts) for parts in zip(*rhs)]), cols)
     assert got == (None if want is None else {j: Scalar(*p) for j, p in want.items()})
 
 
@@ -673,7 +674,7 @@ def test_farkas_decides_y_dot_b_in_q_sqrt2(b, proves):
     """Rows q = 1 and 0 = b, duals (-1, 1): y.b = b - 1 proves infeasibility
     only when it is strictly positive, a sign only b's sqrt(2) part decides
     (the flipped duals -y price the column positive)."""
-    assert lp._farkas([(0,)], [Scalar(1), b], (-1.0, 1.0)) is proves
+    assert lp._farkas([(0,)], integers([Scalar(1), b])[1], (-1.0, 1.0)) is proves
 
 
 @pytest.mark.parametrize("x, valid", [
@@ -684,7 +685,7 @@ def test_farkas_decides_y_dot_b_in_q_sqrt2(b, proves):
 def test_is_witness_decides_in_q_sqrt2(x, valid):
     """The one normalization row q0 + q1 = 1: signs and the row sum depend
     on the sqrt(2) parts, which a check on the rational parts misses."""
-    assert lp._is_witness([0], [Scalar(1)], x) is valid
+    assert lp._is_witness([0], integers([Scalar(1)]), x) is valid
 
 
 def lattice_pairs():
@@ -707,6 +708,124 @@ def test_presolve_free_highs_never_falls_back(caplog):
         verdicts.add(res.feasible)
     assert verdicts == {True, False}  # witnesses and Farkas rays both certified
     assert lp_warnings(caplog) == []
+
+
+# -- the proven primal: HiGHS's point, rationalized, against elimination -----------
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda n, d, e: n / d + e, st.integers(-10**6, 10**6),
+              st.integers(1, 10**5), st.sampled_from([0.0, 1e-15, -3e-16, 1e-9])),
+))
+def test_rationalize_is_limit_denominator(v):
+    assert lp._rationalize([v]) == [Fraction(v).limit_denominator(1 << 24)]
+
+
+def test_rationalize_refuses_non_finite_values():
+    with pytest.raises(lp._Uncertified, match="non-finite"):
+        lp._rationalize([0.5, float("inf")])
+
+
+def recorded_witnesses(monkeypatch):
+    """Record every ``lp._witness_on`` call as ``(masks, rhs, cols, x)``,
+    and the columns of every elimination, for the rest of the test."""
+    calls, eliminations = [], []
+    witness_on, solve_on_support = lp._witness_on, lp._solve_on_support
+
+    def recorded(masks, rhs, proposal, cols):
+        x = witness_on(masks, rhs, proposal, cols)
+        calls.append((masks, rhs, cols, x))
+        return x
+
+    def eliminated(masks, rhs, cols):
+        eliminations.append(cols)
+        return solve_on_support(masks, rhs, cols)
+
+    monkeypatch.setattr(lp, "_witness_on", recorded)
+    monkeypatch.setattr(lp, "_solve_on_support", eliminated)
+    return calls, eliminations
+
+
+def test_proven_primal_equals_elimination_on_its_support(monkeypatch, caplog):
+    """On 600 seeded lattice oracle systems (and the s0 = 1 family) every
+    witness is HiGHS's own point, rationalized and proven, with no
+    elimination; it equals the elimination's on the same support.  Over
+    Q[sqrt2] (the exact benchmark catalogue) elimination decides."""
+    rng = random.Random(1618)
+    pairs = [(random_outcome_vector(rng), random_connection_vector(rng)) for _ in range(600)]
+    pairs += [(random_outcome_vector(rng), eps) for eps in enumerate_E0() for _ in range(5)]
+    calls, eliminations = recorded_witnesses(monkeypatch)
+    feasible_count = 0
+    for p, eps in pairs:
+        res = feasible(outcome_marginals(p) + connection_marginals(eps))
+        assert (res.feasible, res.engine) == (compatible(p, eps), "certified-float")
+        feasible_count += res.feasible
+    assert eliminations == []
+    assert len(calls) == feasible_count > 500
+    for masks, rhs, cols, x in calls:
+        assert x is not None and x == lp._solve_on_support(masks, rhs, cols)
+
+    calls.clear()
+    eliminations.clear()
+    assert feasible(outcome_marginals(SINGLET) + connection_marginals(EPS_T)).feasible
+    assert not feasible(outcome_marginals(PR_BOX) + connection_marginals(EPS_T)).feasible
+    for direction in ((1, 1, 1, -2), (-2, 1, 1, 1)):
+        assert optimize(connection_marginals(EPS_T), direction) == Scalar.quadratic(HALF, HALF)
+    assert optimize(connection_marginals(EPS0), (-1, -1, -1, 2)) == HALF
+    assert len(eliminations) == 3  # the Q[sqrt2] witnesses; EPS0's is proven
+    assert len(calls) == 4
+    for masks, rhs, cols, x in calls:
+        assert x is not None and x == lp._solve_on_support(masks, rhs, cols)
+    assert lp_warnings(caplog) == []
+
+
+def perturbed_linprog(kind):
+    """HiGHS with its point off: every positive weight raised by 1e-6 (same
+    support, wrong values), or the largest weight negated (off the
+    support)."""
+    real = lp.linprog
+
+    def fake(model, b, cost=None):
+        res = real(model, b, cost)
+        if res.x is not None:
+            x = res.x.copy()
+            if kind == "off":
+                x[x > 1e-9] += 1e-6
+            else:
+                k = int(np.argmax(x[:256]))
+                x[k] = -x[k]
+            res.x = x
+        return res
+
+    return fake
+
+
+@pytest.mark.parametrize("kind", ["off", "negative"])
+def test_perturbed_primal_never_changes_a_verdict(kind, monkeypatch, caplog):
+    """A point the proof rejects costs an elimination (same support) or a
+    logged fallback (support short of a column), never a wrong verdict or
+    witness."""
+    rng = random.Random(2024)
+    pairs = [(random_outcome_vector(rng), random_connection_vector(rng)) for _ in range(30)]
+    pairs += [(QUARTER, EPS0), (PR_BOX, EPS0), (SINGLET, EPS_T)]
+    monkeypatch.setattr(lp, "linprog", perturbed_linprog(kind))
+    feasible_count = 0
+    for p, eps in pairs:
+        caplog.clear()
+        res = feasible(outcome_marginals(p) + connection_marginals(eps))
+        assert res.feasible == compatible(p, eps), (p, eps)
+        if res.feasible:
+            feasible_count += 1
+            assert res.witness.outcome_vector() == p
+            assert res.witness.connection_vector() == eps
+            if kind == "off":
+                assert res.engine == "certified-float"
+            else:
+                assert res.engine == "exact-simplex"
+                assert len(lp_warnings(caplog)) == 1
+    assert feasible_count > 20
 
 
 # -- the persistent HiGHS models ----------------------------------------------------
@@ -748,7 +867,7 @@ def test_persistent_highs_proposes_exactly_what_linprog_does():
             got = lp.linprog(*lps[k])
             assert got.status == want[k].status, k
             assert np.array_equal(got.x, want[k].x), k
-            assert np.array_equal(got.eqlin.marginals, want[k].eqlin.marginals), k
+            assert np.array_equal(got.duals, want[k].eqlin.marginals), k
             assert got.nit == want[k].nit, k
 
 

@@ -27,6 +27,19 @@ V = VariableId
 HALF = Fraction(1, 2)
 
 
+def all_ones_parameterization(spec):
+    """All Pr[every variable of S = +1] values of ``spec``, one per subset
+    S, in :meth:`MarginalSpec.rows` order, keyed by S as a frozenset."""
+    return {
+        frozenset(v for v in V if mask >> (7 - v) & 1): value for mask, value in spec.rows()
+    }
+
+
+def coupling_table_from_strings(items):
+    """A coupling table read back from :meth:`CouplingTable.to_strings`."""
+    return CouplingTable(items)
+
+
 # -- reference: the inclusion-exclusion and per-subset scan the library ran
 # before its subset-sum transform pair ------------------------------------------
 
@@ -201,7 +214,7 @@ def test_all_ones_round_trip(raw):
     table = [r / total for r in raw]
     spec = MarginalSpec((V.A11, V.B12), table)
     rebuilt = MarginalSpec.from_prob_all_plus(
-        spec.variables, spec.all_ones_parameterization()
+        spec.variables, all_ones_parameterization(spec)
     )
     assert rebuilt == spec
 
@@ -321,7 +334,7 @@ def test_coupling_table_string_round_trip():
     entries[17] = Fraction(1, 3)
     entries[200] = Fraction(2, 3)
     table = CouplingTable(tuple(entries))
-    again = CouplingTable.from_strings(table.to_strings())
+    again = coupling_table_from_strings(table.to_strings())
     assert again.entries == table.entries
 
 
@@ -419,9 +432,9 @@ def _outcome(build):
 @settings(max_examples=300, deadline=None)
 def test_subset_sums_match_reference(case):
     spec, probs = case
-    assert spec.all_ones_parameterization() == reference_all_ones(spec)
-    assert list(spec.all_ones_parameterization()) == list(reference_all_ones(spec))
-    for subset in spec.all_ones_parameterization():
+    assert all_ones_parameterization(spec) == reference_all_ones(spec)
+    assert list(all_ones_parameterization(spec)) == list(reference_all_ones(spec))
+    for subset in all_ones_parameterization(spec):
         assert spec.prob_all_plus(subset) == reference_prob_all_plus(spec, subset)
     assert MarginalSpec.from_prob_all_plus(spec.variables, reference_all_ones(spec)) == spec
     got = _outcome(lambda: MarginalSpec.from_prob_all_plus(spec.variables, probs))
@@ -444,3 +457,52 @@ def test_coupling_table_is_the_eight_variable_marginal():
         want = reference_prob_all_plus(spec, subset)
         assert table.prob_all_plus(subset) == want
         assert spec.prob_all_plus(subset) == want
+
+
+# -- pair specs built from known values against the general constructor ----------
+
+
+def _half_probabilities(kind):
+    """Values in [0, 1/2]: lattice rationals, ``a + b*sqrt2`` with rational
+    parts, or floats, so one strategy covers Q, Q[sqrt2] and approximate
+    vectors."""
+    if kind == "rational":
+        return st.fractions(min_value=0, max_value=HALF, max_denominator=128).map(Scalar)
+    if kind == "sqrt2":
+        parts = st.fractions(min_value=-1, max_value=1, max_denominator=32)
+        return st.builds(Scalar.quadratic, parts, parts).filter(lambda s: 0 <= s <= HALF)
+    return st.floats(min_value=0, max_value=0.5).map(Scalar.approximate)
+
+
+@given(st.sampled_from(["rational", "sqrt2", "approximate"]).flatmap(
+    lambda kind: st.lists(_half_probabilities(kind), min_size=8, max_size=8)))
+@settings(max_examples=200, deadline=None)
+def test_pair_specs_match_the_general_constructor(values):
+    p, eps = OutcomeVector(*values[:4]), ConnectionVector(*values[4:])
+    half = HALF if p.is_exact else 0.5
+    built = outcome_marginals(p) + connection_marginals(eps)
+    both_plus = list(p.components) + [half - e for e in eps.components]
+    pairs = [spec.variables for spec in built]
+    assert pairs == [(V.A11, V.B11), (V.A12, V.B12), (V.A21, V.B21), (V.A22, V.B22),
+                     (V.A11, V.A12), (V.A21, V.A22), (V.B11, V.B21), (V.B12, V.B22)]
+    for spec, pair, v in zip(built, pairs, both_plus):
+        want = MarginalSpec(pair, (v, half - v, half - v, v))
+        assert spec.variables == want.variables
+        assert spec.masks == want.masks
+        assert spec.table == want.table
+        assert spec.all_plus == want.all_plus
+        assert spec.rows() == want.rows()
+        assert spec == want
+
+
+def test_pair_specs_reject_a_negative_table_entry():
+    """The vectors refuse components outside [0, 1/2]; one planted past that
+    check still cannot make a pair table with a negative entry."""
+    p = OutcomeVector(0, 0, 0, 0)
+    object.__setattr__(p, "p22", Scalar(Fraction(-1, 8)))
+    with pytest.raises(ValueError, match=r"\(A22,B22\) table has a negative entry"):
+        outcome_marginals(p)
+    eps = ConnectionVector(0, 0, 0, 0)
+    object.__setattr__(eps, "a2", Scalar.quadratic(0, HALF))  # sqrt2/2 > 1/2
+    with pytest.raises(ValueError, match=r"\(A21,A22\) table has a negative entry"):
+        connection_marginals(eps)
