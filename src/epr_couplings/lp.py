@@ -206,21 +206,24 @@ def _structure(masks: tuple[int, ...]) -> _Structure:
 # -- exact certification on the integer kernel -----------------------------------
 
 
-def _is_witness(masks: Sequence[int], rhs: tuple[int, list], x: dict) -> bool:
+def _is_witness(col_rows, rhs: tuple[int, list], x: dict) -> bool:
     """Exact check that x >= 0 and M x = rhs, where ``rhs`` is the
     ``(unit, scaled)`` of :func:`~.scalars.integers` and x is scaled by its
-    own unit: row i holds when ``unit * sum == x_unit * scaled[i]``."""
+    own unit: each weight is added into its column's rows, and row i holds
+    when ``unit * sum == x_unit * scaled[i]``."""
     unit, scaled = rhs
     x_unit, weights = integers(x.values())
-    pairs = list(zip(x, weights))
-    return all(w >= 0 for w in weights) and all(
-        unit * sum(w for j, w in pairs if (j & mask) == mask) == x_unit * want
-        for mask, want in zip(masks, scaled)
-    )
+    if any(w < 0 for w in weights):
+        return False
+    sums = [0] * len(scaled)
+    for j, w in zip(x, weights):
+        for i in col_rows[j]:
+            sums[i] += w
+    return all(unit * total == x_unit * want for total, want in zip(sums, scaled))
 
 
 def _solve_on_support(
-    masks: Sequence[int], rhs: tuple[int, list], cols: list[int]
+    structure, rhs: tuple[int, list], cols: list[int]
 ) -> dict[int, Scalar] | None:
     """Exact solution of M[:, cols] x = rhs by fraction-free Gauss-Jordan
     elimination; None when it fails to produce a nonnegative solution of
@@ -228,6 +231,7 @@ def _solve_on_support(
     one or two int columns (M is already 0/1), every pivot is the exact
     simplex's :func:`~.simplex.pivot`, and only the final ``x_c = t /
     (pivot * d)`` become Scalars."""
+    masks = structure.masks
     m = len(masks)
     n = len(cols)
     d, scaled = rhs
@@ -250,7 +254,7 @@ def _solve_on_support(
         for i, c in enumerate(piv)
         if any(t := aug[i][n:])
     }
-    return x if _is_witness(masks, rhs, x) else None
+    return x if _is_witness(structure.col_rows, rhs, x) else None
 
 
 class _Uncertified(Exception):
@@ -281,15 +285,15 @@ def _rationalize(values: Sequence[float], limit: int = 1 << 24) -> list[Fraction
     return out
 
 
-def _witness_on(masks, rhs, proposal: np.ndarray, cols: list[int]) -> dict[int, Scalar] | None:
+def _witness_on(structure, rhs, proposal: np.ndarray, cols: list[int]) -> dict[int, Scalar] | None:
     """An exact x >= 0 on ``cols`` with M x = rhs, or None: on a rational
     rhs, HiGHS's own values, rationalized and proven; over Q[sqrt2] (a float
     has no recoverable sqrt(2) part) or when that proof fails, elimination."""
     if all(type(v) is int for v in rhs[1]):
         x = {j: Scalar(v) for j, v in zip(cols, _rationalize(proposal[cols])) if v}
-        if _is_witness(masks, rhs, x):
+        if _is_witness(structure.col_rows, rhs, x):
             return x
-    return _solve_on_support(masks, rhs, cols)
+    return _solve_on_support(structure, rhs, cols)
 
 
 def _farkas(col_rows, b: list, duals: Sequence[float]) -> bool:
@@ -426,18 +430,18 @@ def _certify(structure, rhs: tuple[int, list], b: np.ndarray, objective):
     None for an infeasible system and ``value`` the optimum when
     ``objective`` is given, for the scaled ``rhs`` and its floats ``b``.
     Raises :class:`_Uncertified` otherwise."""
-    masks, col_rows, phase1, coupling = structure
+    _, col_rows, phase1, coupling = structure
     if objective is None:
         res = linprog(phase1, b)
         if res.status != 0:
             raise _Uncertified(_status_reason(res))
         if res.fun < 1e-7:
-            x = _witness_on(masks, rhs, res.x, _support(res.x, 1e-9))
+            x = _witness_on(structure, rhs, res.x, _support(res.x, 1e-9))
             if x is not None:
                 return x, None
         if _farkas(col_rows, rhs[1], res.duals):
             return None, None
-        x = _witness_on(masks, rhs, res.x, _support(res.x, 1e-12))
+        x = _witness_on(structure, rhs, res.x, _support(res.x, 1e-12))
         if x is not None:
             return x, None
         raise _Uncertified("neither the support nor the duals prove a verdict")
@@ -460,7 +464,7 @@ def _certify(structure, rhs: tuple[int, list], b: np.ndarray, objective):
             raise _Uncertified(f"duals violate y.A_j >= c_j at column {j}")
         if total == nc[j] and res.x[j] > 1e-9:
             tight.append(j)
-    x = _witness_on(masks, rhs, res.x, tight)
+    x = _witness_on(structure, rhs, res.x, tight)
     if x is None:
         raise _Uncertified("no witness on the tight support attains the dual bound")
     # y.b == c.x on y and c scaled by one unit, b and x each by their own:
@@ -483,7 +487,7 @@ def _bland(structure, system: ConstraintSystem, rhs: tuple[int, list], objective
     if res.status != OPTIMAL:
         raise AssertionError("support query unbounded despite normalization row")
     x = {j: v for j, v in enumerate(res.x) if v}
-    if not _is_witness(structure.masks, rhs, x):
+    if not _is_witness(structure.col_rows, rhs, x):
         raise AssertionError("exact simplex produced an invalid basic solution")
     return x, res.objective
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -93,15 +92,10 @@ def decode(index: int) -> dict[VariableId, int]:
     }
 
 
-_HALF_FRACTION = Fraction(1, 2)
-
-
 def _check_probability(name: str, value: Scalar) -> None:
-    if value.is_rational:
-        if not 0 <= value.a <= _HALF_FRACTION:
-            raise ValueError(f"{name} = {value} outside [0, 1/2]")
-    elif value.is_exact:
-        if value < 0 or value > _HALF_FRACTION:
+    if value.is_exact:
+        unit, (n,) = integers((value,))  # 0 <= n/unit <= 1/2, decided on ints
+        if n < 0 or 2 * n > unit:
             raise ValueError(f"{name} = {value} outside [0, 1/2]")
     else:
         v = value.to_float()
@@ -237,6 +231,13 @@ def _table_masks(variables: tuple[VariableId, ...]) -> tuple[int, ...]:
     return tuple(masks)
 
 
+@lru_cache(maxsize=16)
+def _row_order(size: int) -> tuple[int, ...]:
+    """The local indices of a ``size``-entry spec table in
+    :func:`subset_order`."""
+    return tuple(sorted(range(size), key=subset_order))
+
+
 def _members(mask: int) -> list[VariableId]:
     """The variables of a subset mask, in canonical order."""
     return [v for v in VariableId if mask >> (N_VARIABLES - 1 - v) & 1]
@@ -336,8 +337,7 @@ class MarginalSpec:
     def rows(self) -> list[tuple[int, Scalar]]:
         """Every (canonical mask of S, Pr[all of S = +1]) pair, by size and
         then in :func:`itertools.combinations` order of ``variables``."""
-        order = sorted(range(len(self.masks)), key=subset_order)  # local indices
-        return [(self.masks[i], self.all_plus[i]) for i in order]
+        return [(self.masks[i], self.all_plus[i]) for i in _row_order(len(self.masks))]
 
     @property
     def is_exact(self) -> bool:

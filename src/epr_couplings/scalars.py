@@ -11,11 +11,14 @@ deterministic.
 Mixing exact and approximate operands is an error; convert explicitly with
 :meth:`Scalar.to_approximate` or :meth:`Scalar.to_float`.
 
-``Scalar`` is the public, parsed and printed type.  Exact decisions run on
-integers instead: :func:`integers` scales values over one common
-denominator to Python ints and, for a sqrt(2) part, to :class:`ZSqrt2`
-pairs of ints, which also hold whole numpy blocks of values;
-:func:`quotient` turns a result back into a ``Scalar``.
+``Scalar`` is the public, parsed and printed type.  Its arithmetic, and
+every exact decision, runs on integers: an exact ``Scalar`` is a numerator
+over one positive int denominator, the numerator an int or, for a value
+with a sqrt(2) part, a :class:`ZSqrt2` pair of ints, whose ``+ - *`` and
+one sign rule are the only ones of Q[sqrt(2)] here.  :func:`integers`
+scales values over one common denominator to those numerators, which also
+hold whole numpy blocks of values; :func:`quotient` turns a result back
+into a ``Scalar``.
 """
 
 from __future__ import annotations
@@ -71,311 +74,6 @@ def _sign(a, b):
     return same * _sgn(sa + sb) + (1 - same) * sa * _sgn(a * a - 2 * b * b)
 
 
-def _sign_quadratic(a: Fraction, b: Fraction) -> int:
-    """Exact sign of a + b*sqrt(2) for rationals: :func:`_sign` of the pair
-    scaled by the positive ``a.denominator * b.denominator``."""
-    return _sign(a.numerator * b.denominator, b.numerator * a.denominator)
-
-
-_NO_ROOT = Fraction(0)
-
-
-class Scalar:
-    """Immutable number from Q[sqrt(2)] (exact) or a toleranced float."""
-
-    __slots__ = ("_a", "_b", "_value")
-
-    _a: Fraction | None
-    _b: Fraction | None
-    _value: float | None
-
-    def __init__(self, a: Fraction | int = 0, b: Fraction | int = _NO_ROOT):
-        # Fractions are stored as given; only other rationals are converted.
-        object.__setattr__(self, "_a", a if type(a) is Fraction else Fraction(a))
-        object.__setattr__(self, "_b", b if type(b) is Fraction else Fraction(b))
-        object.__setattr__(self, "_value", None)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("Scalar is immutable")
-
-    def __reduce__(self):
-        if self._value is None:
-            return (Scalar, (self._a, self._b))
-        return (Scalar.approximate, (self._value,))
-
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def rational(cls, num, den=None) -> Scalar:
-        """Exact rational scalar, e.g. ``Scalar.rational(1, 4)``."""
-        return cls(Fraction(num) if den is None else Fraction(num, den))
-
-    @classmethod
-    def quadratic(cls, a, b) -> Scalar:
-        """Exact scalar a + b*sqrt(2)."""
-        return cls(Fraction(a), Fraction(b))
-
-    @classmethod
-    def approximate(cls, value: float) -> Scalar:
-        """Approximate (float) scalar, compared up to DEFAULT_TOLERANCE."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "_a", None)
-        object.__setattr__(s, "_b", None)
-        object.__setattr__(s, "_value", float(value))
-        return s
-
-    # -- mode and accessors ------------------------------------------------
-
-    @property
-    def is_exact(self) -> bool:
-        return self._value is None
-
-    @property
-    def is_rational(self) -> bool:
-        return self._value is None and not self._b
-
-    @property
-    def a(self) -> Fraction:
-        """Rational part (exact scalars only)."""
-        if self._a is None:
-            raise ScalarModeError("approximate scalar has no rational part")
-        return self._a
-
-    @property
-    def b(self) -> Fraction:
-        """Coefficient of sqrt(2) (exact scalars only)."""
-        if self._b is None:
-            raise ScalarModeError("approximate scalar has no sqrt(2) part")
-        return self._b
-
-    def as_fraction(self) -> Fraction:
-        """The value as a Fraction; requires an exact rational scalar."""
-        if not self.is_exact:
-            raise ScalarModeError("approximate scalar is not a fraction")
-        if self._b:
-            raise ValueError(f"{self} has an irrational part")
-        return self._a
-
-    def to_float(self) -> float:
-        if self._value is not None:
-            return self._value
-        return float(self._a) + float(self._b) * math.sqrt(2)
-
-    def to_approximate(self) -> Scalar:
-        """Explicit conversion to approximate mode."""
-        return Scalar.approximate(self.to_float())
-
-    def __float__(self) -> float:
-        return self.to_float()
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _coerce(self, other) -> "Scalar | None":
-        if isinstance(other, Scalar):
-            if self.is_exact != other.is_exact:
-                raise ScalarModeError(
-                    "cannot combine exact and approximate scalars implicitly; "
-                    "convert with to_approximate()"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            if self.is_exact:
-                return Scalar(other)
-            return Scalar.approximate(float(other))
-        if isinstance(other, float):
-            if self.is_exact:
-                raise ScalarModeError(
-                    "cannot combine an exact scalar with a float implicitly; "
-                    "convert with to_approximate()"
-                )
-            return Scalar.approximate(other)
-        return None
-
-    def __add__(self, other) -> Scalar:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.is_exact:
-            if self._b or o._b:
-                return Scalar(self._a + o._a, self._b + o._b)
-            return Scalar(self._a + o._a)
-        return Scalar.approximate(self._value + o._value)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> Scalar:
-        if self.is_exact:
-            return Scalar(-self._a, -self._b) if self._b else Scalar(-self._a)
-        return Scalar.approximate(-self._value)
-
-    def __pos__(self) -> Scalar:
-        return self
-
-    def __sub__(self, other) -> Scalar:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.is_exact:
-            if self._b or o._b:
-                return Scalar(self._a - o._a, self._b - o._b)
-            return Scalar(self._a - o._a)
-        return Scalar.approximate(self._value - o._value)
-
-    def __rsub__(self, other) -> Scalar:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other) -> Scalar:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.is_exact:
-            if not self._b:
-                return Scalar(self._a * o._a, self._a * o._b) if o._b else Scalar(self._a * o._a)
-            if not o._b:
-                return Scalar(self._a * o._a, self._b * o._a)
-            return Scalar(
-                self._a * o._a + 2 * self._b * o._b,
-                self._a * o._b + self._b * o._a,
-            )
-        return Scalar.approximate(self._value * o._value)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> Scalar:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not self.is_exact:
-            return Scalar.approximate(self._value / o._value)
-        norm = o._a * o._a - 2 * o._b * o._b
-        if not norm:
-            raise ZeroDivisionError("division by zero scalar")
-        # 1/(c + d*sqrt2) = (c - d*sqrt2)/(c^2 - 2 d^2)
-        inv_a = o._a / norm
-        inv_b = -o._b / norm
-        return self * Scalar(inv_a, inv_b)
-
-    def __rtruediv__(self, other) -> Scalar:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __abs__(self) -> Scalar:
-        return -self if self.sign() < 0 else self
-
-    # -- comparisons ---------------------------------------------------------
-
-    def sign(self) -> int:
-        """Exact sign for exact scalars; raw float sign otherwise."""
-        if self.is_exact:
-            return _sign_quadratic(self._a, self._b)
-        return (self._value > 0) - (self._value < 0)
-
-    def compare(self, other, tol: float | None = None) -> int:
-        """-1, 0 or +1.  Approximate pairs are equal when |x-y| <= tol."""
-        if self._value is None and isinstance(other, (int, Fraction)):
-            oa, ob = other, 0
-        else:
-            o = self._coerce(other)
-            if o is None:
-                raise TypeError(f"cannot compare Scalar with {type(other).__name__}")
-            if not self.is_exact:
-                t = DEFAULT_TOLERANCE if tol is None else tol
-                d = self._value - o._value
-                if abs(d) <= t:
-                    return 0
-                return 1 if d > 0 else -1
-            oa, ob = o._a, o._b
-        if not self._b and not ob:
-            return (self._a > oa) - (self._a < oa)
-        return _sign_quadratic(self._a - oa, self._b - ob)
-
-    def _cmp_or_notimpl(self, other):
-        try:
-            return self.compare(other)
-        except ScalarModeError:
-            raise  # mode mixing must never degrade to identity comparison
-        except TypeError:
-            return NotImplemented
-
-    def __eq__(self, other):
-        c = self._cmp_or_notimpl(other)
-        return NotImplemented if c is NotImplemented else c == 0
-
-    def __ne__(self, other):
-        c = self._cmp_or_notimpl(other)
-        return NotImplemented if c is NotImplemented else c != 0
-
-    def __lt__(self, other):
-        c = self._cmp_or_notimpl(other)
-        return NotImplemented if c is NotImplemented else c < 0
-
-    def __le__(self, other):
-        c = self._cmp_or_notimpl(other)
-        return NotImplemented if c is NotImplemented else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp_or_notimpl(other)
-        return NotImplemented if c is NotImplemented else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp_or_notimpl(other)
-        return NotImplemented if c is NotImplemented else c >= 0
-
-    def __hash__(self):
-        if not self.is_exact:
-            raise TypeError("approximate scalars are unhashable")
-        if not self._b:
-            return hash(self._a)
-        return hash((self._a, self._b))
-
-    def __bool__(self) -> bool:
-        if self.is_exact:
-            return bool(self._a) or bool(self._b)
-        return self._value != 0.0
-
-    # -- text form -----------------------------------------------------------
-
-    def __str__(self) -> str:
-        if not self.is_exact:
-            return repr(self._value)
-        a, b = self._a, self._b
-        if not b:
-            return str(a)
-        den = math.lcm(a.denominator, b.denominator)
-        na = a.numerator * (den // a.denominator)
-        nb = b.numerator * (den // b.denominator)
-        if na == 0:
-            body = f"{nb}*sqrt2"
-        else:
-            sign = "+" if nb > 0 else "-"
-            body = f"{na}{sign}{abs(nb)}*sqrt2"
-        if den == 1:
-            return body
-        return f"({body})/{den}"
-
-    def __repr__(self) -> str:
-        if self.is_exact:
-            return f"Scalar('{self}')"
-        return f"Scalar.approximate({self._value!r})"
-
-
-ZERO = Scalar(0)
-ONE = Scalar(1)
-HALF = Scalar(Fraction(1, 2))
-SQRT2 = Scalar(0, 1)
-
-
-def compare(x, y, tol: float | None = None) -> int:
-    """Three-way comparison of scalars (or ints/Fractions): -1, 0 or +1."""
-    sx = as_scalar(x)
-    return sx.compare(as_scalar(y) if not isinstance(y, Scalar) else y, tol=tol)
-
-
 _INTEGERS = (int, np.ndarray)
 
 
@@ -390,10 +88,11 @@ def _minus(x: ZSqrt2, other):
 
 
 def _comparison(test):
-    """A ZSqrt2 comparison method: ``test`` of the sign of the difference."""
+    """A comparison method of ZSqrt2 or Scalar: ``test`` of the sign of the
+    difference, as ``self._three_way(other)`` gives it."""
     def method(self, other):
-        d = _minus(self, other)
-        return NotImplemented if d is None else test(_sign(*d))
+        s = self._three_way(other)
+        return NotImplemented if s is NotImplemented else test(s)
     return method
 
 
@@ -455,6 +154,10 @@ class ZSqrt2:
         """Exact sign: -1, 0 or +1, or an int array of them."""
         return _sign(self.a, self.b)
 
+    def _three_way(self, other):
+        d = _minus(self, other)
+        return NotImplemented if d is None else _sign(*d)
+
     __lt__ = _comparison(lambda s: s < 0)
     __le__ = _comparison(lambda s: s <= 0)
     __eq__ = _comparison(lambda s: s == 0)
@@ -466,55 +169,340 @@ class ZSqrt2:
         return f"ZSqrt2({self.a!r}, {self.b!r})"
 
 
+def _sign_of(n) -> int:
+    """Sign of an int, a ZSqrt2 or a float."""
+    return n.sign() if type(n) is ZSqrt2 else _sgn(n)
+
+
+class Scalar:
+    """Immutable number from Q[sqrt(2)] (exact) or a toleranced float.
+
+    An exact scalar is ``_n / _d`` in lowest terms: ``_d`` a positive int
+    and ``_n`` an int, or a :class:`ZSqrt2` with a nonzero sqrt(2) part.
+    An approximate one holds its float in ``_n``, with ``_d`` None.
+    """
+
+    __slots__ = ("_n", "_d")
+
+    _n: int | ZSqrt2 | float
+    _d: int | None
+
+    def __init__(self, a: Fraction | int = 0, b: Fraction | int = 0):
+        if b:
+            a, b = Fraction(a), Fraction(b)
+            d = math.lcm(a.denominator, b.denominator)
+            n = ZSqrt2(a.numerator * (d // a.denominator), b.numerator * (d // b.denominator))
+        elif type(a) is int:
+            n, d = a, 1
+        else:
+            a = a if type(a) is Fraction else Fraction(a)
+            n, d = a.numerator, a.denominator
+        _set_n(self, n)
+        _set_d(self, d)
+
+    def __setattr__(self, name, value):  # pragma: no cover - defensive
+        raise AttributeError("Scalar is immutable")
+
+    def __reduce__(self):
+        if self._d is None:
+            return (Scalar.approximate, (self._n,))
+        return (Scalar, (self.a, self.b))
+
+    # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def rational(cls, num, den=None) -> Scalar:
+        """Exact rational scalar, e.g. ``Scalar.rational(1, 4)``."""
+        return cls(Fraction(num) if den is None else Fraction(num, den))
+
+    @classmethod
+    def quadratic(cls, a, b) -> Scalar:
+        """Exact scalar a + b*sqrt(2)."""
+        return cls(Fraction(a), Fraction(b))
+
+    @classmethod
+    def approximate(cls, value: float) -> Scalar:
+        """Approximate (float) scalar, compared up to DEFAULT_TOLERANCE."""
+        return _scalar(float(value), None)
+
+    # -- mode and accessors ------------------------------------------------
+
+    @property
+    def is_exact(self) -> bool:
+        return self._d is not None
+
+    @property
+    def is_rational(self) -> bool:
+        return self._d is not None and type(self._n) is not ZSqrt2
+
+    @property
+    def a(self) -> Fraction:
+        """Rational part (exact scalars only)."""
+        if self._d is None:
+            raise ScalarModeError("approximate scalar has no rational part")
+        n = self._n
+        return Fraction(n.a if type(n) is ZSqrt2 else n, self._d)
+
+    @property
+    def b(self) -> Fraction:
+        """Coefficient of sqrt(2) (exact scalars only)."""
+        if self._d is None:
+            raise ScalarModeError("approximate scalar has no sqrt(2) part")
+        n = self._n
+        return Fraction(n.b if type(n) is ZSqrt2 else 0, self._d)
+
+    def as_fraction(self) -> Fraction:
+        """The value as a Fraction; requires an exact rational scalar."""
+        if not self.is_exact:
+            raise ScalarModeError("approximate scalar is not a fraction")
+        if type(self._n) is ZSqrt2:
+            raise ValueError(f"{self} has an irrational part")
+        return Fraction(self._n, self._d)
+
+    def to_float(self) -> float:
+        n, d = self._n, self._d
+        if d is None:
+            return n
+        if type(n) is ZSqrt2:
+            return n.a / d + n.b / d * math.sqrt(2)
+        return n / d
+
+    def to_approximate(self) -> Scalar:
+        """Explicit conversion to approximate mode."""
+        return Scalar.approximate(self.to_float())
+
+    def __float__(self) -> float:
+        return self.to_float()
+
+    # -- arithmetic ---------------------------------------------------------
+
+    def _operand(self, other):
+        """``other`` in this scalar's mode, as ``(n, d)``: an exact
+        numerator and denominator, or a float and None.  None for a type
+        that is no number here."""
+        if isinstance(other, Scalar):
+            if (self._d is None) is not (other._d is None):
+                raise ScalarModeError(
+                    "cannot combine exact and approximate scalars implicitly; "
+                    "convert with to_approximate()"
+                )
+            return other._n, other._d
+        if isinstance(other, float):
+            if self._d is not None:
+                raise ScalarModeError(
+                    "cannot combine an exact scalar with a float implicitly; "
+                    "convert with to_approximate()"
+                )
+            return other, None
+        if isinstance(other, (int, Fraction)):
+            if self._d is None:
+                return float(other), None
+            return other.numerator, other.denominator
+        return None
+
+    def __add__(self, other) -> Scalar:
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        n, d = o
+        if d is None:
+            return Scalar.approximate(self._n + n)
+        return _reduced(self._n * d + n * self._d, self._d * d)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> Scalar:
+        return _scalar(-self._n, self._d)
+
+    def __pos__(self) -> Scalar:
+        return self
+
+    def __sub__(self, other) -> Scalar:
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        n, d = o
+        if d is None:
+            return Scalar.approximate(self._n - n)
+        return _reduced(self._n * d - n * self._d, self._d * d)
+
+    def __rsub__(self, other) -> Scalar:
+        return (-self).__add__(other)
+
+    def __mul__(self, other) -> Scalar:
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        n, d = o
+        if d is None:
+            return Scalar.approximate(self._n * n)
+        return _reduced(self._n * n, self._d * d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> Scalar:
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        n, d = o
+        if d is None:
+            return Scalar.approximate(self._n / n)
+        if type(n) is ZSqrt2:  # 1/(a + b*sqrt2) = (a - b*sqrt2)/(a^2 - 2 b^2)
+            conjugate = ZSqrt2(n.a, -n.b)
+            return quotient(self._n * d * conjugate, self._d * (n * conjugate).a)
+        return quotient(self._n * d, self._d * n)
+
+    def __rtruediv__(self, other) -> Scalar:
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        n, d = o
+        return _scalar(n, d) / self
+
+    def __abs__(self) -> Scalar:
+        return -self if self.sign() < 0 else self
+
+    # -- comparisons ---------------------------------------------------------
+
+    def sign(self) -> int:
+        """Exact sign for exact scalars; raw float sign otherwise."""
+        return _sign_of(self._n)
+
+    def compare(self, other, tol: float | None = None) -> int:
+        """-1, 0 or +1.  Approximate pairs are equal when |x-y| <= tol."""
+        o = self._operand(other)
+        if o is None:
+            raise TypeError(f"cannot compare Scalar with {type(other).__name__}")
+        n, d = o
+        if d is None:
+            t = DEFAULT_TOLERANCE if tol is None else tol
+            diff = self._n - n
+            if abs(diff) <= t:
+                return 0
+            return 1 if diff > 0 else -1
+        return _sign_of(self._n * d - n * self._d)
+
+    def _three_way(self, other):
+        try:
+            return self.compare(other)
+        except ScalarModeError:
+            raise  # mode mixing must never degrade to identity comparison
+        except TypeError:
+            return NotImplemented
+
+    __lt__ = _comparison(lambda s: s < 0)
+    __le__ = _comparison(lambda s: s <= 0)
+    __eq__ = _comparison(lambda s: s == 0)
+    __ne__ = _comparison(lambda s: s != 0)
+    __gt__ = _comparison(lambda s: s > 0)
+    __ge__ = _comparison(lambda s: s >= 0)
+
+    def __hash__(self):
+        n, d = self._n, self._d
+        if d is None:
+            raise TypeError("approximate scalars are unhashable")
+        if type(n) is ZSqrt2:
+            return hash((n.a, n.b, d))
+        return hash(n) if d == 1 else hash(Fraction(n, d))
+
+    def __bool__(self) -> bool:
+        return type(self._n) is ZSqrt2 or self._n != 0  # a ZSqrt2 here has b != 0
+
+    # -- text form -----------------------------------------------------------
+
+    def __str__(self) -> str:
+        n, d = self._n, self._d
+        if d is None:
+            return repr(n)
+        if type(n) is not ZSqrt2:
+            return str(n) if d == 1 else f"{n}/{d}"
+        if n.a == 0:
+            body = f"{n.b}*sqrt2"
+        else:
+            body = f"{n.a}{'+' if n.b > 0 else '-'}{abs(n.b)}*sqrt2"
+        return body if d == 1 else f"({body})/{d}"
+
+    def __repr__(self) -> str:
+        if self.is_exact:
+            return f"Scalar('{self}')"
+        return f"Scalar.approximate({self._n!r})"
+
+
+# The slots' own setters: they bypass Scalar.__setattr__, which forbids
+# every change once a scalar is built.
+_set_n = Scalar._n.__set__
+_set_d = Scalar._d.__set__
+
+
+def _scalar(n, d) -> Scalar:
+    """The Scalar with fields ``_n = n`` and ``_d = d``, taken as given."""
+    s = object.__new__(Scalar)
+    _set_n(s, n)
+    _set_d(s, d)
+    return s
+
+
+def _reduced(n, d: int) -> Scalar:
+    """The exact Scalar ``n / d`` for an int or ZSqrt2 ``n`` and an int
+    ``d > 0``, cancelled to lowest terms by one gcd."""
+    if type(n) is ZSqrt2:
+        if n.b:
+            g = math.gcd(n.a, n.b, d)
+            return _scalar(ZSqrt2(n.a // g, n.b // g), d // g) if g != 1 else _scalar(n, d)
+        n = n.a
+    g = math.gcd(n, d)
+    return _scalar(n // g, d // g) if g != 1 else _scalar(n, d)
+
+
+ZERO = Scalar(0)
+ONE = Scalar(1)
+HALF = Scalar(Fraction(1, 2))
+SQRT2 = Scalar(0, 1)
+
+
+def compare(x, y, tol: float | None = None) -> int:
+    """Three-way comparison of scalars (or ints/Fractions): -1, 0 or +1."""
+    sx = as_scalar(x)
+    return sx.compare(as_scalar(y) if not isinstance(y, Scalar) else y, tol=tol)
+
+
 def integers(values) -> tuple[int, list]:
     """The number type an exact decision runs on, as ``(unit, scaled)``.
 
-    ``unit`` is the common denominator of every rational part of the values
-    (ints, Fractions and exact Scalars, both parts of ``a + b*sqrt2``), and
-    ``scaled`` holds each value times ``unit``: an int where the value is
-    rational, a :class:`ZSqrt2` where it has a sqrt(2) part.  ``unit`` is a
-    positive factor, so every sign and order is kept, and a test that is
-    homogeneous in ``(values, unit)`` decides the same on the scaled values
-    as on the values.  Approximate Scalars have no exact parts: when any
-    value is one, the values pass through unchanged with ``unit = 1``.
+    ``unit`` is the common denominator of the values (ints, Fractions and
+    exact Scalars), and ``scaled`` holds each value times ``unit``: an int
+    where the value is rational, a :class:`ZSqrt2` where it has a sqrt(2)
+    part.  ``unit`` is a positive factor, so every sign and order is kept,
+    and a test that is homogeneous in ``(values, unit)`` decides the same on
+    the scaled values as on the values.  Approximate Scalars have no exact
+    parts: when any value is one, the values pass through unchanged with
+    ``unit = 1``.
     """
-    rationals = []
+    nums, dens = [], []
     for v in values:
         if type(v) is Scalar:
-            if v._b is None or v._b:
-                return _quadratic_integers(values)
-            v = v._a
-        rationals.append(v)
-    unit = math.lcm(*(v.denominator for v in rationals))
-    return unit, [v.numerator * (unit // v.denominator) for v in rationals]
-
-
-def _quadratic_integers(values) -> tuple[int, list]:
-    parts = []
-    for v in values:
-        if type(v) is Scalar:
-            if v._b is None:
+            if v._d is None:
                 return 1, list(values)
-            parts.append((v._a, v._b))
+            nums.append(v._n)
+            dens.append(v._d)
         else:
-            parts.append((v, 0))
-    unit = math.lcm(*(x.denominator for pair in parts for x in pair))
-    scaled = []
-    for a, b in parts:
-        na = a.numerator * (unit // a.denominator)
-        scaled.append(ZSqrt2(na, b.numerator * (unit // b.denominator)) if b else na)
-    return unit, scaled
+            nums.append(v.numerator)
+            dens.append(v.denominator)
+    unit = math.lcm(*dens)
+    return unit, [n if d == unit else n * (unit // d) for n, d in zip(nums, dens)]
 
 
 def quotient(n, unit: int) -> Scalar:
     """``n / unit`` as a Scalar: the inverse of :func:`integers`, for ``n``
     an int, a ZSqrt2 or (where ``integers`` passed approximate values
     through) an approximate Scalar."""
-    if type(n) is ZSqrt2:
-        return Scalar(Fraction(n.a, unit), Fraction(n.b, unit))
-    if isinstance(n, int):
-        return Scalar(Fraction(n, unit))
-    return n / unit
+    if type(n) is Scalar:
+        return n / unit
+    if unit < 0:
+        n, unit = -n, -unit
+    elif not unit:
+        raise ZeroDivisionError("division by zero scalar")
+    return _reduced(n, unit)
 
 
 def as_scalar(value) -> Scalar:
@@ -628,7 +616,7 @@ class _Parser:
                 raise ScalarParseError("unbalanced parentheses")
             return value
         if kind == "num":
-            return float(text) if not self.exact else Scalar(Fraction(int(text)))
+            return float(text) if not self.exact else Scalar(int(text))
         if kind == "sqrt2":
             return math.sqrt(2) if not self.exact else SQRT2
         raise ScalarParseError(f"unexpected token {text!r}")

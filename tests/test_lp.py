@@ -661,7 +661,8 @@ def support_systems(draw):
 def test_integer_elimination_matches_fraction_gauss_jordan(system):
     masks, rhs, cols = system
     want = fraction_solve_on_support(masks, rhs, cols)
-    got = lp._solve_on_support(masks, integers([Scalar(*parts) for parts in zip(*rhs)]), cols)
+    rhs_scaled = integers([Scalar(*parts) for parts in zip(*rhs)])
+    got = lp._solve_on_support(lp._structure(masks), rhs_scaled, cols)
     assert got == (None if want is None else {j: Scalar(*p) for j, p in want.items()})
 
 
@@ -685,7 +686,7 @@ def test_farkas_decides_y_dot_b_in_q_sqrt2(b, proves):
 def test_is_witness_decides_in_q_sqrt2(x, valid):
     """The one normalization row q0 + q1 = 1: signs and the row sum depend
     on the sqrt(2) parts, which a check on the rational parts misses."""
-    assert lp._is_witness([0], integers([Scalar(1)]), x) is valid
+    assert lp._is_witness(lp._structure((0,)).col_rows, integers([Scalar(1)]), x) is valid
 
 
 def lattice_pairs():
@@ -729,19 +730,19 @@ def test_rationalize_refuses_non_finite_values():
 
 
 def recorded_witnesses(monkeypatch):
-    """Record every ``lp._witness_on`` call as ``(masks, rhs, cols, x)``,
+    """Record every ``lp._witness_on`` call as ``(structure, rhs, cols, x)``,
     and the columns of every elimination, for the rest of the test."""
     calls, eliminations = [], []
     witness_on, solve_on_support = lp._witness_on, lp._solve_on_support
 
-    def recorded(masks, rhs, proposal, cols):
-        x = witness_on(masks, rhs, proposal, cols)
-        calls.append((masks, rhs, cols, x))
+    def recorded(structure, rhs, proposal, cols):
+        x = witness_on(structure, rhs, proposal, cols)
+        calls.append((structure, rhs, cols, x))
         return x
 
-    def eliminated(masks, rhs, cols):
+    def eliminated(structure, rhs, cols):
         eliminations.append(cols)
-        return solve_on_support(masks, rhs, cols)
+        return solve_on_support(structure, rhs, cols)
 
     monkeypatch.setattr(lp, "_witness_on", recorded)
     monkeypatch.setattr(lp, "_solve_on_support", eliminated)
@@ -764,8 +765,8 @@ def test_proven_primal_equals_elimination_on_its_support(monkeypatch, caplog):
         feasible_count += res.feasible
     assert eliminations == []
     assert len(calls) == feasible_count > 500
-    for masks, rhs, cols, x in calls:
-        assert x is not None and x == lp._solve_on_support(masks, rhs, cols)
+    for structure, rhs, cols, x in calls:
+        assert x is not None and x == lp._solve_on_support(structure, rhs, cols)
 
     calls.clear()
     eliminations.clear()
@@ -776,8 +777,8 @@ def test_proven_primal_equals_elimination_on_its_support(monkeypatch, caplog):
     assert optimize(connection_marginals(EPS0), (-1, -1, -1, 2)) == HALF
     assert len(eliminations) == 3  # the Q[sqrt2] witnesses; EPS0's is proven
     assert len(calls) == 4
-    for masks, rhs, cols, x in calls:
-        assert x is not None and x == lp._solve_on_support(masks, rhs, cols)
+    for structure, rhs, cols, x in calls:
+        assert x is not None and x == lp._solve_on_support(structure, rhs, cols)
     assert lp_warnings(caplog) == []
 
 

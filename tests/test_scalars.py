@@ -1,5 +1,6 @@
 import math
 import operator
+import pickle
 import random
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from epr_couplings.scalars import (
     DEFAULT_TOLERANCE,
+    HALF,
     SQRT2,
     Scalar,
     ScalarModeError,
@@ -20,6 +22,7 @@ from epr_couplings.scalars import (
     compare,
     integers,
     parse,
+    quotient,
 )
 
 rationals = st.fractions(
@@ -126,6 +129,35 @@ def test_hash_exact_only():
         hash(Scalar.approximate(0.5))
 
 
+@given(st.one_of(st.integers(-10**30, 10**30), st.fractions(max_denominator=10**12)))
+@settings(max_examples=300)
+def test_hash_of_a_rational_is_that_of_the_int_or_fraction(q):
+    assert hash(Scalar(q)) == hash(q)
+    assert {Scalar(q): "scalar"}[q] == "scalar"
+
+
+@pytest.mark.parametrize("x", [
+    Scalar(0), Scalar(-7), Scalar(Fraction(-3, 14)), parse("(2-sqrt2)/8"),
+    parse("sqrt2"), parse("-5*sqrt2/3"), Scalar.approximate(0.1), Scalar.approximate(-2.5e-300),
+], ids=str)
+def test_pickle_round_trip_keeps_value_and_text(x):
+    y = pickle.loads(pickle.dumps(x))
+    assert type(y) is Scalar and y.is_exact == x.is_exact
+    assert y == x and str(y) == str(x)
+
+
+def test_equal_values_built_on_different_paths_are_one_value():
+    halves = [Scalar(Fraction(1, 2)), quotient(2, 4), HALF, parse("2/4"),
+              quotient(-3, -6), Scalar(1) / 2, Scalar(Fraction(3, 4)) - Fraction(1, 4)]
+    tsirelson = [quotient(ZSqrt2(2, 2), 4), parse("(1+sqrt2)/2"),
+                 Scalar.quadratic(HALF.a, HALF.a), (Scalar(3) + SQRT2 * 3) / 6,
+                 -parse("1/(2-2*sqrt2)")]
+    for group, text in ((halves, "1/2"), (tsirelson, "(1+1*sqrt2)/2")):
+        for x in group:
+            assert str(x) == text
+            assert x == group[0] and hash(x) == hash(group[0])
+
+
 def test_as_scalar_coercions():
     assert as_scalar(3) == Scalar(3)
     assert as_scalar(Fraction(1, 3)) == Scalar(Fraction(1, 3))
@@ -228,15 +260,29 @@ def ring_results(x, y, n):
     return [x + y, x - y, x * y, x + n, n + x, x - n, n - x, x * n, n * x, -x, abs(x)]
 
 
+def pair_results(x, y, n, sign_x):
+    """:func:`ring_results` written out on ``(a, b)`` pairs of Fractions,
+    by the Q[sqrt2] rules ``(a + b r) + (c + d r) = (a + c) + (b + d) r``
+    and ``(a + b r)(c + d r) = (ac + 2bd) + (ad + bc) r`` for ``r = sqrt2``,
+    with ``abs`` taking ``sign_x``, the sign of ``x``."""
+    (a, b), (c, d), n = map(Fraction, x), map(Fraction, y), Fraction(n)
+    return [
+        (a + c, b + d), (a - c, b - d), (a * c + 2 * b * d, a * d + b * c),
+        (a + n, b), (n + a, b), (a - n, b), (n - a, -b), (a * n, b * n), (n * a, n * b),
+        (-a, -b), (sign_x * a, sign_x * b),
+    ]
+
+
 @given(ring_parts, ring_parts, ints)
 @settings(max_examples=500)
 def test_zsqrt2_matches_scalar(x, y, n):
     rx, ry, sx, sy = ZSqrt2(*x), ZSqrt2(*y), Scalar(*x), Scalar(*y)
-    for got, want in zip(ring_results(rx, ry, n), ring_results(sx, sy, n)):
-        assert type(got) is ZSqrt2
-        assert (got.a, got.b) == (want.a, want.b)
     dx, dy = decimal_value(*x), decimal_value(*y)
-    assert rx.sign() == sx.sign() == (dx > 0) - (dx < 0)
+    sign_x = (dx > 0) - (dx < 0)
+    for got, want in zip(ring_results(rx, ry, n), pair_results(x, y, n, sign_x)):
+        assert type(got) is ZSqrt2
+        assert (got.a, got.b) == want
+    assert rx.sign() == sx.sign() == sign_x
     for op in COMPARISONS:
         assert op(rx, ry) == op(sx, sy) == op(dx, dy), op
         assert op(rx, n) == op(sx, n) == op(dx, n), op
