@@ -448,10 +448,10 @@ def _reduced(n, d: int) -> Scalar:
     if type(n) is ZSqrt2:
         if n.b:
             g = math.gcd(n.a, n.b, d)
-            return _scalar(ZSqrt2(n.a // g, n.b // g), d // g) if g != 1 else _scalar(n, d)
+            return _scalar(ZSqrt2(n.a // g, n.b // g), d // g)
         n = n.a
     g = math.gcd(n, d)
-    return _scalar(n // g, d // g) if g != 1 else _scalar(n, d)
+    return _scalar(n // g, d // g)
 
 
 ZERO = Scalar(0)
@@ -489,7 +489,7 @@ def integers(values) -> tuple[int, list]:
             nums.append(v.numerator)
             dens.append(v.denominator)
     unit = math.lcm(*dens)
-    return unit, [n if d == unit else n * (unit // d) for n, d in zip(nums, dens)]
+    return unit, [n * (unit // d) for n, d in zip(nums, dens)]
 
 
 def quotient(n, unit: int) -> Scalar:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -106,17 +107,25 @@ def test_malformed_marginal_json_is_an_input_error(runner, tmp_path, spec):
         assert "error" in json.loads(result.output)
 
 
+TSIRELSON_MARGINALS = Path(__file__).parent / "data" / "tsirelson.json"
+
+
 def test_support_command(runner, tmp_path):
+    """The support value on the Tsirelson connection pairs, built here and
+    read from the fixture file that CI also feeds the installed script."""
     eps_t = ConnectionVector(*(["(-1+1*sqrt2)/8"] * 4))
     specs = [marginal_spec_to_json(s) for s in connection_marginals(eps_t)]
     marg = tmp_path / "marginals.json"
     marg.write_text(json.dumps({"marginals": specs}))
-    result = invoke(
-        runner, ["support", "--marginals", str(marg), "--direction", "1,1,1,-2"]
-    )
-    assert result.exit_code == 0
-    payload = json.loads(result.output)
-    assert payload["value"] == "(1+1*sqrt2)/2"
+    outputs = []
+    for path in (marg, TSIRELSON_MARGINALS):
+        result = invoke(
+            runner, ["support", "--marginals", str(path), "--direction", "1,1,1,-2"]
+        )
+        assert result.exit_code == 0
+        assert json.loads(result.output)["value"] == "(1+1*sqrt2)/2"
+        outputs.append(result.output)
+    assert outputs[0] == outputs[1]
 
 
 def test_regions_command(runner, tmp_path):

@@ -279,9 +279,10 @@ def test_zsqrt2_matches_scalar(x, y, n):
     rx, ry, sx, sy = ZSqrt2(*x), ZSqrt2(*y), Scalar(*x), Scalar(*y)
     dx, dy = decimal_value(*x), decimal_value(*y)
     sign_x = (dx > 0) - (dx < 0)
-    for got, want in zip(ring_results(rx, ry, n), pair_results(x, y, n, sign_x)):
-        assert type(got) is ZSqrt2
-        assert (got.a, got.b) == want
+    wants = pair_results(x, y, n, sign_x)
+    for got, exact, want in zip(ring_results(rx, ry, n), ring_results(sx, sy, n), wants):
+        assert type(got) is ZSqrt2 and type(exact) is Scalar
+        assert (got.a, got.b) == (exact.a, exact.b) == want
     assert rx.sign() == sx.sign() == sign_x
     for op in COMPARISONS:
         assert op(rx, ry) == op(sx, sy) == op(dx, dy), op
