@@ -261,11 +261,12 @@ class _Uncertified(Exception):
     """HiGHS's answer could not be proven exactly; the message says why."""
 
 
-def _rationalize(values: Sequence[float], limit: int = 1 << 24) -> list[Fraction]:
-    """Each float as ``Fraction(v).limit_denominator(limit)``, the closest
-    fraction with a denominator up to ``limit``, found as the standard
-    library finds it (the continued fraction of ``v``'s exact ratio, then
-    the last convergent or semiconvergent in bounds) but on plain ints."""
+def _rationalize(values: Sequence[float], limit: int = 1 << 24) -> list[Scalar]:
+    """Each float as the Scalar ``Fraction(v).limit_denominator(limit)``,
+    the closest fraction with a denominator up to ``limit``, found as the
+    standard library finds it (the continued fraction of ``v``'s exact
+    ratio, then the last convergent or semiconvergent in bounds) but on
+    plain ints."""
     if not np.isfinite(values).all():
         raise _Uncertified("HiGHS returned non-finite values")
     out = []
@@ -281,7 +282,7 @@ def _rationalize(values: Sequence[float], limit: int = 1 << 24) -> list[Fraction
             p, q = p0 + k * p1, q0 + k * q1
             if abs(p * den - num * q) * q1 < abs(p1 * den - num * q1) * q:
                 p1, q1 = p, q
-        out.append(Fraction(p1, q1))
+        out.append(quotient(p1, q1))
     return out
 
 
@@ -290,7 +291,7 @@ def _witness_on(structure, rhs, proposal: np.ndarray, cols: list[int]) -> dict[i
     rhs, HiGHS's own values, rationalized and proven; over Q[sqrt2] (a float
     has no recoverable sqrt(2) part) or when that proof fails, elimination."""
     if all(type(v) is int for v in rhs[1]):
-        x = {j: Scalar(v) for j, v in zip(cols, _rationalize(proposal[cols])) if v}
+        x = {j: v for j, v in zip(cols, _rationalize(proposal[cols])) if v}
         if _is_witness(structure.col_rows, rhs, x):
             return x
     return _solve_on_support(structure, rhs, cols)
@@ -308,8 +309,8 @@ def _farkas(col_rows, b: list, duals: Sequence[float]) -> bool:
     )
 
 
-def _support(x: np.ndarray, threshold: float) -> list[int]:
-    return np.flatnonzero(x[:N_ASSIGNMENTS] > threshold).tolist()
+def _support(x: np.ndarray) -> list[int]:
+    return np.flatnonzero(x[:N_ASSIGNMENTS] > 1e-9).tolist()
 
 
 #: The options ``linprog(method="highs", options={"presolve": False})`` sets.
@@ -436,14 +437,11 @@ def _certify(structure, rhs: tuple[int, list], b: np.ndarray, objective):
         if res.status != 0:
             raise _Uncertified(_status_reason(res))
         if res.fun < 1e-7:
-            x = _witness_on(structure, rhs, res.x, _support(res.x, 1e-9))
+            x = _witness_on(structure, rhs, res.x, _support(res.x))
             if x is not None:
                 return x, None
         if _farkas(col_rows, rhs[1], res.duals):
             return None, None
-        x = _witness_on(structure, rhs, res.x, _support(res.x, 1e-12))
-        if x is not None:
-            return x, None
         raise _Uncertified("neither the support nor the duals prove a verdict")
 
     res = linprog(coupling, b, -np.array([float(c) for c in objective]))

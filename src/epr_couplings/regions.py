@@ -6,6 +6,10 @@ Three nested regions are mapped: outcome vectors satisfying the classical
 bounds.  Two of the four components are fixed; the remaining two span
 [0, 1/2] x [0, 1/2].  Grid cells are evaluated at their centers in exact
 arithmetic, so an odd resolution puts 1/4 exactly on a sample.
+
+Boundary traces follow rays from the slice point (1/4, 1/4).  The classical
+and Tsirelson regions are polytopes, so each exit is computed exactly from
+their face equations; only the curved quantum boundary is bisected.
 """
 
 from __future__ import annotations
@@ -233,27 +237,32 @@ def _face_times(build, cx, cy, tx, ty, bounds) -> list:
 
 _FACES = {"chsh": (0, 1), "tsirelson": (TSIRELSON_LOW, TSIRELSON_HIGH)}
 
+#: Exact bisection steps on a ``qm`` boundary ray: the point returned lies
+#: within 2**-64 of the ray's length inside the crossing.
+BISECTION_STEPS = 64
+
 
 def trace_boundary(
     region: str,
     fixed: Mapping[str, object],
     rays: int,
-    *,
-    iterations: int = 64,
 ) -> list[tuple[Scalar, Scalar]]:
     """Boundary points of a region on a slice, one per ray from (1/4, 1/4).
 
     Rays aim at ``rays`` points spread uniformly along the slice perimeter.
     If the region reaches the box face along a ray, the face point itself is
-    returned (the region's boundary there is the face).  Otherwise the
-    crossing is bisected in exact arithmetic; for the two linear regions the
-    point is then snapped onto the face equality, making the result exact.
+    returned (the region's boundary there is the face).  The two linear
+    regions are convex and contain the center, so a ray leaves one where a
+    face equality first holds: the exit is the largest face time in
+    ``[0, 1]`` (:func:`_face_times`) whose point is still inside, exact in
+    Q[sqrt2] with no search.  Only the curved ``qm`` boundary is bisected,
+    ``BISECTION_STEPS`` times in exact arithmetic, keeping the inner end.
     """
     predicate = _region_predicate(region)
     fixed_vals, free = _split_components(fixed)
     build = _vector_builder(fixed_vals, free)
     cx, cy = _CENTER
-    if not predicate(build(Scalar(cx), Scalar(cy))):
+    if not predicate(build(cx, cy)):
         raise RegionEmptyError(
             f"region {region!r} does not contain the slice point (1/4, 1/4)"
         )
@@ -264,44 +273,29 @@ def trace_boundary(
     for k in range(rays):
         tx, ty = _perimeter_point(Fraction(k, rays))
 
-        def at(u: Fraction) -> tuple[Fraction, Fraction]:
+        def at(u) -> tuple:
             return (cx + u * (tx - cx), cy + u * (ty - cy))
 
-        def inside(u: Fraction) -> bool:
-            x, y = at(u)
-            return predicate(build(Scalar(x), Scalar(y)))
+        def inside(u) -> bool:
+            return predicate(build(*at(u)))
 
-        if inside(Fraction(1)):
-            points.append((Scalar(tx), Scalar(ty)))
-            continue
-        lo, hi = Fraction(0), Fraction(1)
-        for _ in range(iterations):
-            mid = (lo + hi) / 2
-            if inside(mid):
-                lo = mid
-            else:
-                hi = mid
-
-        snapped = None
-        if region in _FACES:
-            valid = []
-            for u in _face_times(build, cx, cy, tx, ty, _FACES[region]):
-                if lo <= u <= hi:
-                    px, py = at(u)
-                    try:
-                        ok = predicate(build(px, py))
-                    except ValueError:
-                        continue
-                    if ok:
-                        valid.append((u, px, py))
-            if valid:
-                valid.sort(key=lambda item: item[0])
-                snapped = (valid[0][1], valid[0][2])
-        if snapped is not None:
-            points.append(snapped)
+        if inside(1):
+            u = 1
+        elif region in _FACES:
+            u = max(
+                u for u in _face_times(build, cx, cy, tx, ty, _FACES[region])
+                if 0 <= u <= 1 and inside(u)
+            )
         else:
-            x, y = at(lo)
-            points.append((Scalar(x), Scalar(y)))
+            lo, hi = Fraction(0), Fraction(1)
+            for _ in range(BISECTION_STEPS):
+                mid = (lo + hi) / 2
+                if inside(mid):
+                    lo = mid
+                else:
+                    hi = mid
+            u = lo
+        points.append(at(as_scalar(u)))
     return points
 
 

@@ -74,6 +74,14 @@ def _sign(a, b):
     return same * _sgn(sa + sb) + (1 - same) * sa * _sgn(a * a - 2 * b * b)
 
 
+def _ratio(x) -> tuple[int, int]:
+    """Numerator and denominator of a rational ``x`` as Python ints, so a
+    numpy int (or a Fraction of them) never carries fixed-width arithmetic
+    into a Scalar."""
+    x = x if type(x) is Fraction else Fraction(x)
+    return int(x.numerator), int(x.denominator)
+
+
 _INTEGERS = (int, np.ndarray)
 
 
@@ -189,14 +197,13 @@ class Scalar:
 
     def __init__(self, a: Fraction | int = 0, b: Fraction | int = 0):
         if b:
-            a, b = Fraction(a), Fraction(b)
-            d = math.lcm(a.denominator, b.denominator)
-            n = ZSqrt2(a.numerator * (d // a.denominator), b.numerator * (d // b.denominator))
+            (na, da), (nb, db) = _ratio(a), _ratio(b)
+            d = math.lcm(da, db)
+            n = ZSqrt2(na * (d // da), nb * (d // db))
         elif type(a) is int:
             n, d = a, 1
         else:
-            a = a if type(a) is Fraction else Fraction(a)
-            n, d = a.numerator, a.denominator
+            n, d = _ratio(a)
         _set_n(self, n)
         _set_d(self, d)
 

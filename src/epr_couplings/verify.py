@@ -342,10 +342,8 @@ def verify_nomatching(
     cfixed = {"p11": Fraction(curved_crosssection[0]),
               "p12": Fraction(curved_crosssection[1])}
     curved_points = regions.trace_boundary("qm", cfixed, curved_rays)
-    interior = [
-        (x, y) for x, y in curved_points
-        if regions.box_face_defect(x, y) > 1e-6
-    ]
+    half = Fraction(1, 2)
+    interior = [(x, y) for x, y in curved_points if 0 < x < half and 0 < y < half]
     curved_det = _collinearity_det(interior) if len(interior) >= 3 else 0.0
 
     # In-between witnesses: quantum-compliant but CHSH-violating, and

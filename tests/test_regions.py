@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from epr_couplings import regions
+from epr_couplings import regions, stats
 from epr_couplings.model import OutcomeVector
-from epr_couplings.scalars import as_scalar
-from epr_couplings.stats import Compliance
+from epr_couplings.scalars import Scalar, as_scalar
+from epr_couplings.stats import TSIRELSON_HIGH, TSIRELSON_LOW, Compliance
 from test_stats import reference_chsh, reference_qm, reference_tsirelson
 
 QUARTER_SLICE = {"p11": Fraction(1, 4), "p12": Fraction(1, 4)}
@@ -218,6 +218,63 @@ def test_trace_degenerate_slice_snaps_to_interior_face():
     assert len(pts) == 4
     for x, y in pts:
         assert regions.boundary_defect("chsh", fixed, x, y) == 0.0
+
+
+def bisect_and_snap(region, fixed, rays):
+    """Reference trace of a linear region by search: 64 exact bisection
+    steps bracket each exit, then the exit is snapped onto the smallest face
+    time in the bracket whose point is inside, or left at the bracket's
+    inner end when there is none."""
+    bounds = {"chsh": (0, 1), "tsirelson": (TSIRELSON_LOW, TSIRELSON_HIGH)}[region]
+    predicate = regions._region_predicate(region)
+    build = regions._vector_builder(*regions._split_components(fixed))
+    c = Fraction(1, 4)
+    points = []
+    for k in range(rays):
+        tx, ty = regions._perimeter_point(Fraction(k, rays))
+
+        def at(u):
+            return (c + u * (tx - c), c + u * (ty - c))
+
+        def inside(u):
+            return predicate(build(*at(u)))
+
+        if inside(Fraction(1)):
+            points.append((Scalar(tx), Scalar(ty)))
+            continue
+        lo, hi = Fraction(0), Fraction(1)
+        for _ in range(64):
+            mid = (lo + hi) / 2
+            if inside(mid):
+                lo = mid
+            else:
+                hi = mid
+        times = [
+            (bound - a0) / (a1 - a0)
+            for a0, a1 in zip(stats.chsh_expressions(build(c, c).components),
+                              stats.chsh_expressions(build(tx, ty).components))
+            if a1 != a0
+            for bound in bounds
+        ]
+        valid = sorted(u for u in times if lo <= u <= hi and inside(u))
+        points.append(at(valid[0]) if valid else tuple(map(Scalar, at(lo))))
+    return points
+
+
+@pytest.mark.parametrize("region", ["chsh", "tsirelson"])
+@pytest.mark.parametrize("fixed", [
+    {"p21": Fraction(3, 8), "p12": Fraction(1, 16)},
+    {"p11": as_scalar("(2-sqrt2)/8"), "p12": as_scalar("(2+sqrt2)/8")},
+    {"p11": Fraction(1, 2), "p12": Fraction(15, 32)},
+    {"p11": Fraction(1, 2), "p12": Fraction(1, 2)},  # degenerate: the center is on a face
+], ids=["rational", "sqrt2", "tsirelson-cut", "degenerate"])
+def test_linear_traces_equal_bisect_and_snap(region, fixed):
+    pts = regions.trace_boundary(region, fixed, 12)
+    assert [(str(x), str(y)) for x, y in pts] == [
+        (str(x), str(y)) for x, y in bisect_and_snap(region, fixed, 12)
+    ]
+    half = Fraction(1, 2)
+    assert any(0 < x < half and 0 < y < half for x, y in pts)  # some exits cross a face
 
 
 def test_trace_single_ray():

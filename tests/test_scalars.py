@@ -2,6 +2,7 @@ import math
 import operator
 import pickle
 import random
+import warnings
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
@@ -223,6 +224,17 @@ def test_compare_agrees_with_high_precision_floats():
 def test_float_conversion():
     x = parse("(3-1*sqrt2)/2")
     assert math.isclose(float(x), (3 - math.sqrt(2)) / 2, rel_tol=0, abs_tol=1e-15)
+
+
+def test_numpy_ints_become_python_ints():
+    # A numpy int kept as a numerator would multiply in int64 and wrap to 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = Scalar(np.int64(2**62))
+        assert big * big == 2**124
+        assert Scalar(Fraction(np.int64(3), np.int64(4))) * 2**62 == 3 * 2**60
+        assert Scalar(np.int64(1), np.int64(2**62)) * big == Scalar(2**62, 2**124)
+        assert type(float(big)) is float
 
 
 # -- ZSqrt2, the integer ring exact decisions run on -------------------------------
