@@ -21,11 +21,13 @@ variables.  A :class:`MarginalSpec` checks and transforms its values on
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .scalars import DEFAULT_TOLERANCE, HALF, ONE, Scalar, as_scalar, integers, quotient
+from .scalars import HALF, ONE, Scalar, as_scalar, integers, quotient
 
 __all__ = [
     "VariableId",
@@ -92,25 +94,50 @@ def decode(index: int) -> dict[VariableId, int]:
     }
 
 
-def _check_probability(name: str, value: Scalar) -> None:
-    if value.is_exact:
-        unit, (n,) = integers((value,))  # 0 <= n/unit <= 1/2, decided on ints
-        if n < 0 or 2 * n > unit:
-            raise ValueError(f"{name} = {value} outside [0, 1/2]")
-    else:
-        v = value.to_float()
-        if v < -DEFAULT_TOLERANCE or v > 0.5 + DEFAULT_TOLERANCE:
-            raise ValueError(f"{name} = {value} outside [0, 1/2]")
-
-
 def _check_uniform_mode(values: Iterable[Scalar], what: str) -> None:
     modes = {v.is_exact for v in values}
     if len(modes) > 1:
         raise ValueError(f"{what} mixes exact and approximate scalars")
 
 
+class Quadruple:
+    """Base of the frozen four-field dataclasses: scalars of one mode, each
+    in ``[low, high]``.
+
+    A subclass names itself and its range in the class statement,
+    ``class C(Quadruple, what="...", low=..., high=...)``; its annotated
+    fields, in order, are the components.  Exact values are checked exactly;
+    approximate ones up to ``Scalar.compare``'s tolerance.
+    """
+
+    def __init_subclass__(cls, *, what: str, low, high, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._names = tuple(cls.__annotations__)
+        cls._fields = operator.attrgetter(*cls._names)
+        cls._what, cls._low, cls._high = what, low, high
+
+    def __post_init__(self):
+        for name in self._names:
+            object.__setattr__(self, name, as_scalar(getattr(self, name)))
+        _check_uniform_mode(self.components, self._what)
+        for name, value in zip(self._names, self.components):
+            if value < self._low or value > self._high:
+                raise ValueError(f"{name} = {value} outside [{self._low}, {self._high}]")
+
+    @property
+    def components(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+        return self._fields(self)
+
+    @property
+    def is_exact(self) -> bool:
+        return self.components[0].is_exact
+
+    def __str__(self) -> str:
+        return "(" + ", ".join(str(c) for c in self.components) + ")"
+
+
 @dataclass(frozen=True)
-class OutcomeVector:
+class OutcomeVector(Quadruple, what="outcome vector", low=0, high=Fraction(1, 2)):
     """The four observable joint probabilities p_ij = Pr[A_ij = B_ij = +1]."""
 
     p11: Scalar
@@ -118,27 +145,9 @@ class OutcomeVector:
     p21: Scalar
     p22: Scalar
 
-    def __post_init__(self):
-        for name in ("p11", "p12", "p21", "p22"):
-            object.__setattr__(self, name, as_scalar(getattr(self, name)))
-        _check_uniform_mode(self.components, "outcome vector")
-        for name, value in zip(("p11", "p12", "p21", "p22"), self.components):
-            _check_probability(name, value)
-
-    @property
-    def components(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:
-        return (self.p11, self.p12, self.p21, self.p22)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.p11.is_exact
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.components) + ")"
-
 
 @dataclass(frozen=True)
-class ConnectionVector:
+class ConnectionVector(Quadruple, what="connection vector", low=0, high=Fraction(1, 2)):
     """The four imposed connection probabilities.
 
     ``a1``/``a2`` constrain the pairs (A11, A12) and (A21, A22);
@@ -150,24 +159,6 @@ class ConnectionVector:
     a2: Scalar
     b1: Scalar
     b2: Scalar
-
-    def __post_init__(self):
-        for name in ("a1", "a2", "b1", "b2"):
-            object.__setattr__(self, name, as_scalar(getattr(self, name)))
-        _check_uniform_mode(self.components, "connection vector")
-        for name, value in zip(("a1", "a2", "b1", "b2"), self.components):
-            _check_probability(name, value)
-
-    @property
-    def components(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:
-        return (self.a1, self.a2, self.b1, self.b2)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.a1.is_exact
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.components) + ")"
 
 
 def subset_mask(variables: Iterable[VariableId]) -> int:
@@ -456,6 +447,10 @@ def marginal_spec_from_json(data: Mapping) -> MarginalSpec:
         for key, text in data["prob_all_plus"].items():
             names = [n for n in key.split(",") if n.strip()]
             subset = frozenset(VariableId.from_name(n) for n in names)
+            if len(subset) != len(names):
+                raise ValueError(f"subset {key!r} repeats a variable")
+            if subset in probs:
+                raise ValueError(f"subset {key!r} is given twice")
             probs[subset] = as_scalar(text)
         return MarginalSpec.from_prob_all_plus(variables, probs)
     if "table" in data:

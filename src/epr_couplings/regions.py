@@ -38,8 +38,6 @@ __all__ = [
     "MembershipGrid",
     "membership_grid",
     "trace_boundary",
-    "boundary_defect",
-    "box_face_defect",
     "default_grid_filename",
     "MAX_RESOLUTION",
     "check_resolution",
@@ -298,34 +296,3 @@ def trace_boundary(
         points.append(at(as_scalar(u)))
     return points
 
-
-def box_face_defect(x, y) -> float:
-    """Distance from a slice point to the nearest box face."""
-    fx, fy = float(as_scalar(x)), float(as_scalar(y))
-    return min(fx, 0.5 - fx, fy, 0.5 - fy)
-
-
-def boundary_defect(region: str, fixed: Mapping[str, object], x, y) -> float:
-    """Float residual of the region's own boundary equalities at a point
-    (ignoring box faces); small values mean the point sits on the boundary."""
-    fixed_vals, free = _split_components(fixed)
-    build = _vector_builder(fixed_vals, free)
-    sx, sy = as_scalar(x), as_scalar(y)
-    if sx.is_exact != sy.is_exact:  # pragma: no cover - defensive
-        raise ValueError("mixed-mode boundary point")
-    p = build(sx, sy)
-    comps = [float(c) for c in p.components]
-    exprs = stats.chsh_expressions(comps)
-    if region == "chsh":
-        return min(min(abs(e), abs(e - 1)) for e in exprs)
-    if region == "tsirelson":
-        lo, hi = float(TSIRELSON_LOW), float(TSIRELSON_HIGH)
-        return min(min(abs(e - lo), abs(e - hi)) for e in exprs)
-    if region == "qm":
-        r = [4 * c - 1 for c in comps]
-        lhs = abs(r[0] * r[1] - r[2] * r[3])
-        rhs = (max(0.0, (1 - r[0] ** 2) * (1 - r[1] ** 2))) ** 0.5 + (
-            max(0.0, (1 - r[2] ** 2) * (1 - r[3] ** 2))
-        ) ** 0.5
-        return abs(rhs - lhs)
-    raise ValueError(f"unknown region {region!r}")

@@ -568,6 +568,11 @@ def _tokenize(text: str):
     return tokens, has_decimal
 
 
+#: The deepest nesting of parentheses and unary signs a scalar expression may
+#: use; deeper text is refused before it exhausts the interpreter's stack.
+MAX_NESTING = 100
+
+
 class _Parser:
     """Recursive-descent evaluator over either exact Scalars or floats."""
 
@@ -575,6 +580,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.exact = exact
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -614,14 +620,15 @@ class _Parser:
 
     def factor(self):
         kind, text = self.take()
-        if kind == "op" and text in "+-":
-            inner = self.factor()
-            return inner if text == "+" else -inner
-        if kind == "op" and text == "(":
-            value = self.expr()
-            if self.take() != ("op", ")"):
+        if kind == "op" and text in "+-(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ScalarParseError(f"scalar nests deeper than {MAX_NESTING} levels")
+            value = self.expr() if text == "(" else self.factor()
+            if text == "(" and self.take() != ("op", ")"):
                 raise ScalarParseError("unbalanced parentheses")
-            return value
+            self.depth -= 1
+            return -value if text == "-" else value
         if kind == "num":
             return float(text) if not self.exact else Scalar(int(text))
         if kind == "sqrt2":

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import and_
 
-from .model import ConnectionVector, OutcomeVector
+from .model import ConnectionVector, OutcomeVector, Quadruple
 from .scalars import DEFAULT_TOLERANCE, Scalar, as_scalar, integers, quotient
 
 __all__ = [
@@ -61,29 +61,13 @@ class Compliance(enum.Enum):
 
 
 @dataclass(frozen=True)
-class CorrelationQuad:
+class CorrelationQuad(Quadruple, what="correlation quad", low=-1, high=1):
     """Four correlations in [-1, 1]."""
 
     r1: Scalar
     r2: Scalar
     r3: Scalar
     r4: Scalar
-
-    def __post_init__(self):
-        for name in ("r1", "r2", "r3", "r4"):
-            object.__setattr__(self, name, as_scalar(getattr(self, name)))
-        for name, r in zip(("r1", "r2", "r3", "r4"), self.components):
-            if r.is_exact:
-                if r < -1 or r > 1:
-                    raise ValueError(f"{name} = {r} outside [-1, 1]")
-            else:
-                v = r.to_float()
-                if v < -1 - DEFAULT_TOLERANCE or v > 1 + DEFAULT_TOLERANCE:
-                    raise ValueError(f"{name} = {r} outside [-1, 1]")
-
-    @property
-    def components(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:
-        return (self.r1, self.r2, self.r3, self.r4)
 
     @classmethod
     def from_outcomes(cls, p: OutcomeVector) -> CorrelationQuad:
@@ -296,7 +280,7 @@ def noforcing_counterexample(eps: ConnectionVector) -> OutcomeVector:
         parity = "odd"
     else:
         s0p = se.s0
-        s1p = Scalar(Fraction(3, 2)) - s0p if s0p.is_exact else 1.5 - s0p
+        s1p = Fraction(3, 2) - s0p
         parity = "even" if s0p >= s1p else "odd"
         target = SPair(s0p, s1p)
     return realize_s_pair(target, parity).to_outcome_vector()

@@ -107,6 +107,26 @@ def test_malformed_marginal_json_is_an_input_error(runner, tmp_path, spec):
         assert "error" in json.loads(result.output)
 
 
+@pytest.mark.parametrize("p11", ["(" * 400 + "1/4" + ")" * 400, "-" * 1000 + "0"],
+                         ids=["parentheses-400", "minus-1000"])
+def test_deeply_nested_scalar_text_is_an_input_error(runner, p11):
+    result = invoke(runner, ["compat", "--p", f"{p11},1/4,1/4,1/4", "--eps", "0,0,0,0"])
+    assert result.exit_code == 2
+    assert "error" in json.loads(result.output)
+
+
+def test_duplicate_subset_in_marginal_json_is_an_input_error(runner, tmp_path):
+    spec = {"variables": ["A11", "B11"],
+            "prob_all_plus": {"": "1", "A11": "1/2", "B11": "1/2",
+                              "A11,B11": "1/2", "B11,A11": "0"}}
+    marg = tmp_path / "marginals.json"
+    marg.write_text(json.dumps([spec]))
+    result = invoke(runner, ["support", "--marginals", str(marg),
+                             "--direction", "1,0,0,0"])
+    assert result.exit_code == 2
+    assert "B11,A11" in json.loads(result.output)["error"]
+
+
 TSIRELSON_MARGINALS = Path(__file__).parent / "data" / "tsirelson.json"
 
 

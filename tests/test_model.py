@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 from itertools import combinations
@@ -21,7 +22,8 @@ from epr_couplings.model import (
     marginal_specs_from_json,
     outcome_marginals,
 )
-from epr_couplings.scalars import SQRT2, ZERO, Scalar, as_scalar
+from epr_couplings.scalars import DEFAULT_TOLERANCE, SQRT2, ZERO, Scalar, as_scalar
+from epr_couplings.stats import CorrelationQuad
 
 V = VariableId
 HALF = Fraction(1, 2)
@@ -295,6 +297,52 @@ def test_vector_validation():
         ConnectionVector(Fraction(-1, 8), 0, 0, 0)
     with pytest.raises(ValueError, match="mixes"):
         OutcomeVector(Fraction(1, 4), 0.25, Fraction(1, 4), Fraction(1, 4))
+
+
+TOL = DEFAULT_TOLERANCE
+QUADRUPLES = [
+    (OutcomeVector, 0, HALF),
+    (ConnectionVector, 0, HALF),
+    (CorrelationQuad, -1, 1),
+]
+
+
+@pytest.mark.parametrize("kind, low, high", QUADRUPLES,
+                         ids=["outcome", "connection", "correlation"])
+def test_quadruple_range_edges(kind, low, high):
+    """Approximate values are held to the range up to DEFAULT_TOLERANCE;
+    exact values, however close, are decided exactly."""
+    names = [f.name for f in dataclasses.fields(kind)]
+    tiny = Fraction(1, 10**30)
+    for k, name in enumerate(names):
+        def build(value, filler):
+            return kind(*(value if i == k else filler for i in range(4)))
+
+        for bound, out in ((low, -1), (high, 1)):
+            build(float(bound) + out * 0.5 * TOL, 0.0)  # accepted
+            with pytest.raises(ValueError, match=rf"{name} = .* outside \[{low}, {high}\]"):
+                build(float(bound) + out * 2 * TOL, 0.0)
+            build(bound, 0)
+            build(bound - out * tiny, 0)
+            with pytest.raises(ValueError, match=rf"{name} = .* outside"):
+                build(bound + out * tiny, 0)
+    kind(*[as_scalar("(2+sqrt2)/8")] * 4)
+
+
+def test_correlation_quad_refuses_mixed_modes():
+    with pytest.raises(ValueError, match=r"^correlation quad mixes exact and approximate"):
+        CorrelationQuad(Fraction(1, 2), 0.5, 0, 0)
+
+
+def test_duplicate_subsets_in_json_are_refused():
+    base = {"": "1", "A11": "1/2", "B11": "1/2"}
+    for extra, message in (
+        ({"A11,B11": "1/2", "B11,A11": "0"}, "subset 'B11,A11' is given twice"),
+        ({"A11,A11": "1/2", "A11,B11": "1/2"}, "subset 'A11,A11' repeats a variable"),
+    ):
+        data = {"variables": ["A11", "B11"], "prob_all_plus": {**base, **extra}}
+        with pytest.raises(ValueError, match=message):
+            marginal_spec_from_json(data)
 
 
 def test_coupling_table_validation_and_marginals():

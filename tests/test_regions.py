@@ -147,33 +147,48 @@ def test_csv_file_and_json(tmp_path):
     assert len(data["flags"]) == 4
 
 
-def test_trace_chsh_faces_exact():
-    pts = regions.trace_boundary("chsh", {"p11": Fraction(3, 8), "p12": Fraction(3, 8)}, 8)
-    assert len(pts) == 8
+HALF = Fraction(1, 2)
+#: The two bounds of the CHSH expressions on each linear region.
+FACE_BOUNDS = {"chsh": (0, 1), "tsirelson": (TSIRELSON_LOW, TSIRELSON_HIGH)}
+REFERENCE = {"chsh": reference_chsh, "tsirelson": reference_tsirelson}
+
+
+def on_box(x, y) -> bool:
+    """The slice point lies on the boundary of [0, 1/2]^2."""
+    return x in (0, HALF) or y in (0, HALF)
+
+
+def on_face(region, p) -> bool:
+    """Some CHSH expression of p equals one of the region's bounds exactly."""
+    return any(e == bound for e in stats.chsh_expressions(p.components)
+               for bound in FACE_BOUNDS[region])
+
+
+def check_linear_trace(region, fixed, pts):
+    """Each traced point is exact, inside the region, and on the box boundary
+    or on one of the region's faces."""
+    build = regions._vector_builder(*regions._split_components(fixed))
     for x, y in pts:
         assert x.is_exact and y.is_exact
-        defect = regions.boundary_defect(
-            "chsh", {"p11": Fraction(3, 8), "p12": Fraction(3, 8)}, x, y
-        )
-        face = regions.box_face_defect(x, y)
-        assert min(defect, face) == 0.0  # snapped exactly or on the box face
-    interior = [
-        (x, y) for x, y in pts if regions.box_face_defect(x, y) > 1e-9
-    ]
-    assert interior, "expected at least one interior classical facet point"
-    for x, y in interior:
-        assert regions.boundary_defect(
-            "chsh", {"p11": Fraction(3, 8), "p12": Fraction(3, 8)}, x, y
-        ) < 1e-12
+        p = build(x, y)
+        assert REFERENCE[region](p), (x, y)
+        assert on_box(x, y) or on_face(region, p), (x, y)
+
+
+def test_trace_chsh_faces_exact():
+    fixed = {"p11": Fraction(3, 8), "p12": Fraction(3, 8)}
+    pts = regions.trace_boundary("chsh", fixed, 8)
+    assert len(pts) == 8
+    check_linear_trace("chsh", fixed, pts)
+    assert any(not on_box(x, y) for x, y in pts), \
+        "expected at least one interior classical facet point"
 
 
 def test_trace_chsh_faces_on_sqrt2_slice():
     fixed = {"p11": as_scalar("(2-sqrt2)/8"), "p12": as_scalar("(2+sqrt2)/8")}
     pts = regions.trace_boundary("chsh", fixed, 4)
     assert len(pts) == 4
-    for x, y in pts:
-        assert x.is_exact and y.is_exact
-        assert regions.boundary_defect("chsh", fixed, x, y) < 1e-12
+    check_linear_trace("chsh", fixed, pts)
 
 
 def test_trace_qm_quarter_slice_face_points():
@@ -181,43 +196,51 @@ def test_trace_qm_quarter_slice_face_points():
     assert len(pts) == 3
     # the quantum region covers this whole slice; boundaries are box faces
     for x, y in pts:
-        assert regions.box_face_defect(x, y) == 0.0
-    det = abs(
-        (float(pts[1][0]) - float(pts[0][0])) * (float(pts[2][1]) - float(pts[0][1]))
-        - (float(pts[1][1]) - float(pts[0][1])) * (float(pts[2][0]) - float(pts[0][0]))
-    )
-    assert det > 1e-3
+        assert on_box(x, y)
+    (x0, y0), (x1, y1), (x2, y2) = pts
+    det = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+    assert abs(det) > Fraction(1, 1000)
 
 
 def test_trace_qm_curved_slice_interior_points():
-    pts = regions.trace_boundary("qm", CURVED_SLICE, 8)
-    interior = [p for p in pts if regions.box_face_defect(*p) > 1e-6]
-    assert len(interior) >= 3
-    for x, y in interior:
-        assert regions.boundary_defect("qm", CURVED_SLICE, x, y) <= 1e-9
+    """Each interior point is inside the quantum region, and the point
+    2**-64 further along its ray is outside: the bisection's bracket."""
+    rays = 8
+    pts = regions.trace_boundary("qm", CURVED_SLICE, rays)
+    build = regions._vector_builder(*regions._split_components(CURVED_SLICE))
+    c, step = Fraction(1, 4), Fraction(1, 2**64)
+    interior = 0
+    for k, (x, y) in enumerate(pts):
+        if on_box(x, y):
+            continue
+        interior += 1
+        tx, ty = regions._perimeter_point(Fraction(k, rays))
+        assert reference_qm(build(x, y)) is not Compliance.OUTSIDE, (x, y)
+        beyond = build(x + step * (tx - c), y + step * (ty - c))
+        assert reference_qm(beyond) is Compliance.OUTSIDE, (x, y)
+    assert interior >= 3
 
 
 def test_trace_tsirelson_interior_points_exact():
-    fixed = {"p11": Fraction(1, 2), "p12": Fraction(15, 32)}
+    fixed = {"p11": HALF, "p12": Fraction(15, 32)}
     pts = regions.trace_boundary("tsirelson", fixed, 8)
-    interior = [
-        (x, y) for x, y in pts if regions.box_face_defect(x, y) > 1e-9
-    ]
+    check_linear_trace("tsirelson", fixed, pts)
+    interior = [(x, y) for x, y in pts if not on_box(x, y)]
     assert interior, "expected an interior Tsirelson facet crossing"
     for x, y in interior:
-        assert x.is_exact and y.is_exact
-        assert not (x.is_rational and y.is_rational)  # snapped into Q[sqrt2]
-        assert regions.boundary_defect("tsirelson", fixed, x, y) < 1e-12
+        assert not (x.is_rational and y.is_rational)  # on a face in Q[sqrt2]
 
 
 def test_trace_degenerate_slice_snaps_to_interior_face():
     # on the (1/2, 1/2) slice the classical region is the diagonal segment;
-    # off-diagonal rays collapse to the start point, snapped onto the face
-    fixed = {"p11": Fraction(1, 2), "p12": Fraction(1, 2)}
+    # off-diagonal rays collapse to the start point, on the face
+    fixed = {"p11": HALF, "p12": HALF}
     pts = regions.trace_boundary("chsh", fixed, 4)
     assert len(pts) == 4
+    check_linear_trace("chsh", fixed, pts)
+    build = regions._vector_builder(*regions._split_components(fixed))
     for x, y in pts:
-        assert regions.boundary_defect("chsh", fixed, x, y) == 0.0
+        assert on_face("chsh", build(x, y)), (x, y)
 
 
 def bisect_and_snap(region, fixed, rays):
@@ -225,7 +248,7 @@ def bisect_and_snap(region, fixed, rays):
     steps bracket each exit, then the exit is snapped onto the smallest face
     time in the bracket whose point is inside, or left at the bracket's
     inner end when there is none."""
-    bounds = {"chsh": (0, 1), "tsirelson": (TSIRELSON_LOW, TSIRELSON_HIGH)}[region]
+    bounds = FACE_BOUNDS[region]
     predicate = regions._region_predicate(region)
     build = regions._vector_builder(*regions._split_components(fixed))
     c = Fraction(1, 4)

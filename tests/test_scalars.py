@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from epr_couplings.scalars import (
     DEFAULT_TOLERANCE,
     HALF,
+    MAX_NESTING,
     SQRT2,
     Scalar,
     ScalarModeError,
@@ -69,6 +70,19 @@ def test_parse_errors():
             parse(bad)
     with pytest.raises(ScalarParseError):
         parse("1/0")
+
+
+def test_parse_nesting_is_bounded():
+    """Nesting up to MAX_NESTING levels parses; deeper text is refused
+    with a parse error, not the interpreter's RecursionError."""
+    depth = MAX_NESTING
+    assert parse("(" * depth + "1/4" + ")" * depth) == Scalar(Fraction(1, 4))
+    assert parse("-" * depth + "sqrt2") == SQRT2
+    assert parse("(" * depth + "0.25" + ")" * depth).to_float() == 0.25
+    for bad in ("(" * (depth + 1) + "1" + ")" * (depth + 1), "-" * 1000 + "1",
+                "-(" * (depth // 2) + "-1" + ")" * (depth // 2)):
+        with pytest.raises(ScalarParseError, match="nests deeper than 100 levels"):
+            parse(bad)
 
 
 @given(exact_scalars)
