@@ -58,9 +58,24 @@ def _four(text: str, what: str) -> list:
     return parts
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys are all distinct; ``json.load`` would keep
+    the last of two equal keys."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"JSON key {key!r} is given twice")
+        obj[key] = value
+    return obj
+
+
 def _load_specs(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return marginal_specs_from_json(json.load(fh))
+        try:
+            data = json.load(fh, object_pairs_hook=_unique_keys)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+    return marginal_specs_from_json(data)
 
 
 @click.group()

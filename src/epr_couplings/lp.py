@@ -30,6 +30,19 @@ reason, the exact right-hand side and, for a non-optimal HiGHS status, the
 simplex iteration count, on the ``epr_couplings.lp`` logger) and when
 ``engine="exact"`` asks for it.
 
+:func:`feasible` folds a system by the global flip when the rows allow it:
+every row has at most two variables, each variable of a pair row has its
+own singleton row, and every singleton reads exactly 1/2.  Flipping all
+eight spins then maps each coupling to another, so the system is feasible
+exactly when a flip-symmetric coupling is, and HiGHS solves the folded
+model: one weight per orbit ``{c, 255 - c}`` (``c < 128``) and one row per
+pair, ``Pr[u = v] = 2 Pr[uv]``, after the normalization -- 9 rows for an
+oracle query in place of 17.  Its answer is lifted and proven on the full
+rows: a folded witness ``w`` as ``q_c = q_{255-c} = w_c / 2``, a folded
+Farkas ray through ``[u = v] = 2[uv] - [u] - [v] + [()]``.  A lifted answer
+that fails its proof goes to the exact simplex like any other.  Other
+systems, and :func:`optimize`, solve the full model.
+
 Each row structure keeps two HiGHS models, built on first use: phase 1
 over ``[M | I]`` and the coupling model over M alone for :func:`optimize`.
 A solve only sets the row bounds (and, for ``optimize``, the costs), then
@@ -172,34 +185,119 @@ class _Model:
 
 
 class _Structure(NamedTuple):
-    masks: tuple[int, ...]
+    masks: tuple[int, ...]  # one subset per row; a folded row's variables agree
     col_rows: tuple[tuple[int, ...], ...]  # per column of M, its rows
     phase1: _Model  # [M | I]: the identity columns are slacks priced 1
     coupling: _Model  # M alone, for optimize
+    fold: _Fold | None  # these rows folded by the global flip, where they fold
+
+
+#: The flip of all eight spins maps assignment j to ``_FLIP - j``; the orbit
+#: {c, _FLIP - c} is named by its member ``c < _N_ORBITS`` (A11 = -1).
+_FLIP = N_ASSIGNMENTS - 1
+_N_ORBITS = N_ASSIGNMENTS // 2
+
+
+class _Fold(NamedTuple):
+    """A row structure folded by the global flip, for systems whose
+    singleton rows all read 1/2: flipping every spin then maps each
+    coupling to another, so (q + flip q) / 2 is one too, and feasibility
+    is decided over the flip-symmetric couplings, one weight ``w_c = 2 q_c
+    = 2 q_{255-c}`` per orbit.  Folded row 0 is the normalization; folded
+    row k counts the orbits on which pair k's variables agree, Pr[u = v] =
+    2 Pr[uv] (the both -1 mass equals the both +1 mass), and the singleton
+    rows hold for every symmetric q."""
+
+    structure: _Structure  # 128 orbit columns, rows 0 and the pairs
+    rows: tuple[int, ...]  # the full row behind each folded row
+    singles: tuple[int, ...]  # the full singleton rows, which must read 1/2
+    ends: tuple[tuple[int, int], ...]  # per pair row, its singletons' full rows
+    size: int  # the full row count
+
+    def applies(self, rhs: tuple[int, list]) -> bool:
+        """Each singleton reads half the normalization: 1/2."""
+        scaled = rhs[1]
+        return all(2 * scaled[i] == scaled[0] for i in self.singles)
+
+    def rhs(self, rhs: tuple[int, list], b: np.ndarray) -> tuple[tuple[int, list], np.ndarray]:
+        """The folded right-hand side, scaled and as floats: the
+        normalization's, then ``2 Pr[uv]`` per pair."""
+        unit, scaled = rhs
+        pairs = self.rows[1:]
+        folded = [scaled[0], *(2 * scaled[i] for i in pairs)]
+        return (unit, folded), np.concatenate([b[:1], 2 * b[list(pairs)]])
+
+    def witness(self, w: dict[int, Scalar]) -> dict[int, Scalar]:
+        """The symmetric coupling ``q_c = q_{255-c} = w_c / 2``."""
+        x = {}
+        for c, v in w.items():
+            x[c] = x[_FLIP - c] = v / 2
+        return x
+
+    def ray(self, y: list) -> list:
+        """The folded duals on the full rows, by [u = v] = 2[uv] - [u] - [v]
+        + [()]: equal ``y.A_j`` on both columns of an orbit and equal ``y.b``."""
+        full = [0] * self.size
+        full[0] = sum(y)
+        for yk, i, (u, v) in zip(y[1:], self.rows[1:], self.ends):
+            full[i] = 2 * yk
+            full[u] -= yk
+            full[v] -= yk
+        return full
 
 
 _STRUCTURE_CACHE: dict[tuple, _Structure] = {}
 
 
-def _structure(masks: tuple[int, ...]) -> _Structure:
-    """Per-column rows and the two LP models of a row structure."""
-    hit = _STRUCTURE_CACHE.get(masks)
+def _fold_of(masks: tuple[int, ...]) -> _Fold | None:
+    """How ``masks`` fold: when the normalization row comes first, no row
+    has more than two variables, and each variable of a pair row has its
+    own singleton row."""
+    if not masks or masks[0]:
+        return None
+    singles = {mask: i for i, mask in enumerate(masks) if mask.bit_count() == 1}
+    rows, ends = [0], []
+    for i, mask in enumerate(masks[1:], 1):
+        if mask.bit_count() > 2:
+            return None
+        if mask.bit_count() == 2:
+            low = mask & -mask
+            if low not in singles or mask ^ low not in singles:
+                return None
+            rows.append(i)
+            ends.append((singles[mask ^ low], singles[low]))
+    folded = _structure(tuple(masks[i] for i in rows), folded=True)
+    return _Fold(folded, tuple(rows), tuple(singles.values()), tuple(ends), len(masks))
+
+
+def _structure(masks: tuple[int, ...], folded: bool = False) -> _Structure:
+    """Per-column rows and the two LP models of a row structure: over the
+    256 assignments, where row ``mask`` holds when all its variables are
+    +1, or ``folded`` over the 128 flip orbits, where it holds when they
+    agree."""
+    hit = _STRUCTURE_CACHE.get((masks, folded))
     if hit is not None:
         return hit
     m = len(masks)
     rows = np.array(masks)[:, None]
-    pattern = (np.arange(N_ASSIGNMENTS) & rows) == rows  # M, as bools
+    if folded:
+        columns = np.arange(_N_ORBITS) & rows
+        pattern = (columns == rows) | (columns == 0)  # M, as bools
+    else:
+        pattern = (np.arange(N_ASSIGNMENTS) & rows) == rows
+    n = pattern.shape[1]
     a = np.hstack([pattern, np.eye(m)])
     col_rows = tuple(tuple(np.flatnonzero(column).tolist()) for column in pattern.T)
     entry = _Structure(
         masks,
         col_rows,
-        _Model(a, np.concatenate([np.zeros(N_ASSIGNMENTS), np.ones(m)])),
-        _Model(a[:, :N_ASSIGNMENTS], np.zeros(N_ASSIGNMENTS)),
+        _Model(a, np.concatenate([np.zeros(n), np.ones(m)])),
+        _Model(a[:, :n], np.zeros(n)),
+        None if folded else _fold_of(masks),
     )
     if len(_STRUCTURE_CACHE) > 64:
         _STRUCTURE_CACHE.clear()
-    _STRUCTURE_CACHE[masks] = entry
+    _STRUCTURE_CACHE[masks, folded] = entry
     return entry
 
 
@@ -231,13 +329,14 @@ def _solve_on_support(
     one or two int columns (M is already 0/1), every pivot is the exact
     simplex's :func:`~.simplex.pivot`, and only the final ``x_c = t /
     (pivot * d)`` become Scalars."""
-    masks = structure.masks
-    m = len(masks)
+    m = len(structure.masks)
     n = len(cols)
     d, scaled = rhs
     aug = [
-        [1 if (c & mask) == mask else 0 for c in cols] + cells
-        for mask, cells in zip(masks, int_columns(scaled))
+        row + cells
+        for row, cells in zip(
+            structure.coupling.a_eq[:, cols].astype(int).tolist(), int_columns(scaled)
+        )
     ]
     piv = []
     for c in range(n):
@@ -297,20 +396,19 @@ def _witness_on(structure, rhs, proposal: np.ndarray, cols: list[int]) -> dict[i
     return _solve_on_support(structure, rhs, cols)
 
 
-def _farkas(col_rows, b: list, duals: Sequence[float]) -> bool:
+def _farkas(col_rows, b: list, duals: Sequence[float], fold: _Fold | None = None) -> bool:
     """True when the rationalized float duals y, or -y, prove infeasibility:
     y.b > 0 (in Q[sqrt2]) with y.A_j <= 0 for every column, decided on y
-    scaled to ints and on ``b``, the scaled rhs."""
+    scaled to ints and on ``b``, the scaled rhs.  Duals of ``fold``'s model
+    are lifted to the rows of ``col_rows`` first."""
     _, y = integers(_rationalize(duals))
+    if fold is not None:
+        y = fold.ray(y)
     yb = sum(yi * bi for yi, bi in zip(y, b))
     flip = 1 if yb > 0 else -1 if yb < 0 else 0
     return flip != 0 and all(
         flip * sum(map(y.__getitem__, rows)) <= 0 for rows in col_rows
     )
-
-
-def _support(x: np.ndarray) -> list[int]:
-    return np.flatnonzero(x[:N_ASSIGNMENTS] > 1e-9).tolist()
 
 
 #: The options ``linprog(method="highs", options={"presolve": False})`` sets.
@@ -426,21 +524,31 @@ def _status_reason(res: _Proposal) -> str:
     return f"HiGHS status {res.status} after {res.nit} simplex iterations"
 
 
-def _certify(structure, rhs: tuple[int, list], b: np.ndarray, objective):
+def _certify(structure, rhs: tuple[int, list], b: np.ndarray, objective, fold=None):
     """HiGHS proposes, exact arithmetic proves: ``(x, value)`` with ``x``
     None for an infeasible system and ``value`` the optimum when
     ``objective`` is given, for the scaled ``rhs`` and its floats ``b``.
-    Raises :class:`_Uncertified` otherwise."""
-    _, col_rows, phase1, coupling = structure
+    With a ``fold``, HiGHS solves the folded model, and its witness and
+    Farkas ray are lifted and proven on ``structure``.  Raises
+    :class:`_Uncertified` otherwise."""
+    _, col_rows, phase1, coupling, _ = structure
     if objective is None:
-        res = linprog(phase1, b)
+        solved, solved_rhs = structure, rhs
+        if fold is not None:
+            solved, (solved_rhs, b) = fold.structure, fold.rhs(rhs, b)
+        res = linprog(solved.phase1, b)
         if res.status != 0:
             raise _Uncertified(_status_reason(res))
         if res.fun < 1e-7:
-            x = _witness_on(structure, rhs, res.x, _support(res.x))
+            support = np.flatnonzero(res.x[: len(solved.col_rows)] > 1e-9).tolist()
+            x = _witness_on(solved, solved_rhs, res.x, support)
+            if x is not None and fold is not None:
+                x = fold.witness(x)
+                if not _is_witness(col_rows, rhs, x):
+                    x = None
             if x is not None:
                 return x, None
-        if _farkas(col_rows, rhs[1], res.duals):
+        if _farkas(col_rows, rhs[1], res.duals, fold):
             return None, None
         raise _Uncertified("neither the support nor the duals prove a verdict")
 
@@ -518,6 +626,9 @@ def _solve(
     structure = _structure(system.masks)
     objective = None if direction is None else _objective(direction)
     rhs = integers(system.rhs)
+    fold = structure.fold
+    if objective is not None or fold is None or not fold.applies(rhs):
+        fold = None
     if engine == "auto":
         # n / unit rounds the rational rhs value once, as float(Fraction)
         # does; a sqrt(2) part takes Scalar's own float.
@@ -526,7 +637,7 @@ def _solve(
             n / unit if type(n) is int else float(v) for n, v in zip(scaled, system.rhs)
         ])
         try:
-            return (*_certify(structure, rhs, b, objective), "certified-float")
+            return (*_certify(structure, rhs, b, objective, fold), "certified-float")
         except _Uncertified as exc:
             rows = "; ".join(
                 f"Pr[{subset_name(m) or '()'} = +1] = {v}"

@@ -127,6 +127,28 @@ def test_duplicate_subset_in_marginal_json_is_an_input_error(runner, tmp_path):
     assert "B11,A11" in json.loads(result.output)["error"]
 
 
+def test_repeated_json_key_is_an_input_error(runner, tmp_path):
+    """The same key twice reaches no spec: plain ``json.load`` would keep
+    the later ``"0"`` and ``support`` would print it."""
+    marg = tmp_path / "marginals.json"
+    marg.write_text(
+        '[{"variables": ["A11", "B11"], "prob_all_plus": {"": "1", "A11": "1/2", '
+        '"B11": "1/2", "A11,B11": "1/2", "A11,B11": "0"}}]'
+    )
+    result = invoke(runner, ["support", "--marginals", str(marg),
+                             "--direction", "1,0,0,0"])
+    assert result.exit_code == 2
+    assert "'A11,B11' is given twice" in json.loads(result.output)["error"]
+
+
+def test_deeply_nested_marginal_json_is_an_input_error(runner, tmp_path):
+    marg = tmp_path / "marginals.json"
+    marg.write_text("[" * 100000 + "]" * 100000)
+    result = invoke(runner, ["feasible", "--marginals", str(marg)])
+    assert result.exit_code == 2
+    assert "nested too deeply" in json.loads(result.output)["error"]
+
+
 TSIRELSON_MARGINALS = Path(__file__).parent / "data" / "tsirelson.json"
 
 

@@ -29,6 +29,7 @@ from epr_couplings.lp import (
     optimize,
 )
 from epr_couplings.model import (
+    CONNECTION_PAIRS,
     ConnectionVector,
     MarginalSpec,
     OutcomeVector,
@@ -36,6 +37,7 @@ from epr_couplings.model import (
     connection_marginals,
     decode,
     marginal_spec_to_json,
+    marginal_specs_from_json,
     outcome_marginals,
     subset_mask,
 )
@@ -827,6 +829,87 @@ def test_perturbed_primal_never_changes_a_verdict(kind, monkeypatch, caplog):
                 assert res.engine == "exact-simplex"
                 assert len(lp_warnings(caplog)) == 1
     assert feasible_count > 20
+
+
+# -- the flip-folded model ----------------------------------------------------------
+
+
+def highs_rows(monkeypatch):
+    """The row count of every model ``lp.linprog`` receives, for the rest of
+    the test."""
+    rows = []
+    real = lp.linprog
+
+    def counted(model, b, cost=None):
+        rows.append(model.a_eq.shape[0])
+        return real(model, b, cost)
+
+    monkeypatch.setattr(lp, "linprog", counted)
+    return rows
+
+
+def test_folded_answers_equal_the_full_models(monkeypatch, caplog):
+    """On the seeded lattice pairs, the s0 = 1 family and the Q[sqrt2]
+    singlet and PR box at EPS_T, the 9-row folded model and the 17-row full
+    model give the same certified verdicts, and every folded witness is
+    flip-symmetric and reproduces both vectors."""
+    pairs = lattice_pairs() + [(SINGLET, EPS_T), (PR_BOX, EPS_T)]
+    systems = [outcome_marginals(p) + connection_marginals(eps) for p, eps in pairs]
+    rows = highs_rows(monkeypatch)
+    folded = [feasible(specs) for specs in systems]
+    assert rows == [9] * len(pairs)
+    rows.clear()
+    monkeypatch.setattr(lp._Fold, "applies", lambda fold, rhs: False)
+    full = [feasible(specs) for specs in systems]
+    assert rows == [17] * len(pairs)
+    for (p, eps), got, want in zip(pairs, folded, full):
+        assert got.feasible == want.feasible == compatible(p, eps), (p, eps)
+        assert got.engine == want.engine == "certified-float"
+        if got.feasible:
+            table = got.witness.table
+            assert all(table[j] == table[255 - j] for j in range(128))
+            assert got.witness.outcome_vector() == p
+            assert got.witness.connection_vector() == eps
+    assert {res.feasible for res in folded} == {True, False}
+    assert lp_warnings(caplog) == []
+
+
+def pair_spec(pair, plus):
+    """The pair marginal of two independent variables, each +1 with
+    probability ``plus``."""
+    minus = 1 - plus
+    return MarginalSpec(pair, [minus * minus, minus * plus, plus * minus, plus * plus])
+
+
+#: The three-variable spec, variables out of canonical order, that CI feeds
+#: the installed ``support`` command.
+OUT_OF_ORDER = [{"variables": ["B22", "A11", "B11"], "prob_all_plus": {
+    "": "1", "A11": "1/2", "B11": "1/2", "B22": "1/2", "A11,B11": "1/2",
+    "A11,B22": "1/4", "B11,B22": "1/4", "A11,B11,B22": "1/4",
+}}]
+
+
+def test_unfolded_systems_and_optimize_take_the_full_model(monkeypatch, caplog):
+    """Singletons other than 1/2, a three-variable row and every ``optimize``
+    call keep the full model: HiGHS receives all of the system's rows."""
+    quarters = [pair_spec(pair, Fraction(1, 4)) for pair in OUTCOME_PAIRS + CONNECTION_PAIRS]
+    out_of_order = marginal_specs_from_json(OUT_OF_ORDER)
+    oracle = outcome_marginals(QUARTER) + connection_marginals(EPS0)
+    rows = highs_rows(monkeypatch)
+    cases = [
+        (quarters, lambda: feasible(quarters).feasible, True),
+        (out_of_order, lambda: feasible(out_of_order).feasible, True),
+        (out_of_order, lambda: optimize(out_of_order, (1, 1, 1, -2)), Fraction(5, 2)),
+        (oracle, lambda: optimize(oracle, (1, 1, 1, -2)), Fraction(1, 4)),
+    ]
+    for specs, solve, want in cases:
+        rows.clear()
+        assert solve() == want
+        assert rows == [len(build_system(specs).masks)]
+    assert len(build_system(quarters).masks) == len(build_system(oracle).masks) == 17
+    # A pair row whose variables have no singleton rows does not fold either.
+    assert lp._structure((0, subset_mask((V.A11, V.B11)))).fold is None
+    assert lp_warnings(caplog) == []
 
 
 # -- the persistent HiGHS models ----------------------------------------------------
