@@ -199,14 +199,11 @@ _N_ORBITS = N_ASSIGNMENTS // 2
 
 
 class _Fold(NamedTuple):
-    """A row structure folded by the global flip, for systems whose
-    singleton rows all read 1/2: flipping every spin then maps each
-    coupling to another, so (q + flip q) / 2 is one too, and feasibility
-    is decided over the flip-symmetric couplings, one weight ``w_c = 2 q_c
-    = 2 q_{255-c}`` per orbit.  Folded row 0 is the normalization; folded
-    row k counts the orbits on which pair k's variables agree, Pr[u = v] =
-    2 Pr[uv] (the both -1 mass equals the both +1 mass), and the singleton
-    rows hold for every symmetric q."""
+    """A row structure folded by the global flip (see the module
+    docstring): one weight ``w_c = 2 q_c = 2 q_{255-c}`` per orbit, folded
+    row 0 the normalization and folded row k the orbits on which pair k's
+    variables agree.  A symmetric coupling meets every singleton row that
+    reads 1/2, so those rows are dropped."""
 
     structure: _Structure  # 128 orbit columns, rows 0 and the pairs
     rows: tuple[int, ...]  # the full row behind each folded row
