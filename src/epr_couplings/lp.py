@@ -528,7 +528,7 @@ def _certify(structure, rhs: tuple[int, list], b: np.ndarray, objective, fold=No
     With a ``fold``, HiGHS solves the folded model, and its witness and
     Farkas ray are lifted and proven on ``structure``.  Raises
     :class:`_Uncertified` otherwise."""
-    _, col_rows, phase1, coupling, _ = structure
+    col_rows = structure.col_rows
     if objective is None:
         solved, solved_rhs = structure, rhs
         if fold is not None:
@@ -549,7 +549,7 @@ def _certify(structure, rhs: tuple[int, list], b: np.ndarray, objective, fold=No
             return None, None
         raise _Uncertified("neither the support nor the duals prove a verdict")
 
-    res = linprog(coupling, b, -np.array([float(c) for c in objective]))
+    res = linprog(structure.coupling, b, -np.array([float(c) for c in objective]))
     if res.status == 2:
         if _certify(structure, rhs, b, None)[0] is None:
             return None, None
