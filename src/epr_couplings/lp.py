@@ -26,9 +26,9 @@ split into the two int columns ``a`` and ``b``), whose pivot,
 :func:`~.simplex.pivot`, is also the exact Bland simplex's.  Floats only
 choose which columns and duals get checked.  The exact Bland simplex is the
 cold fallback: it decides when a proof fails (logging one WARNING with the
-reason, the exact right-hand side and, for a non-optimal HiGHS status, the
-simplex iteration count, on the ``epr_couplings.lp`` logger) and when
-``engine="exact"`` asks for it.
+model HiGHS solved, folded or full, the reason, the exact right-hand side
+and, for a non-optimal HiGHS status, the simplex iteration count, on the
+``epr_couplings.lp`` logger) and when ``engine="exact"`` asks for it.
 
 :func:`feasible` folds a system by the global flip when the rows allow it:
 every row has at most two variables, each variable of a pair row has its
@@ -40,8 +40,15 @@ pair, ``Pr[u = v] = 2 Pr[uv]``, after the normalization -- 9 rows for an
 oracle query in place of 17.  Its answer is lifted and proven on the full
 rows: a folded witness ``w`` as ``q_c = q_{255-c} = w_c / 2``, a folded
 Farkas ray through ``[u = v] = 2[uv] - [u] - [v] + [()]``.  A lifted answer
-that fails its proof goes to the exact simplex like any other.  Other
-systems, and :func:`optimize`, solve the full model.
+that fails its proof goes to the exact simplex like any other.
+:func:`optimize` folds the same systems when each variable of the four
+observable pairs also has its singleton row: there ``[uv] = ([u = v] + [u]
++ [v] - 1) / 2 = [u = v] / 2``, so HiGHS maximizes ``sum_k d_k [u_k = v_k]
+/ 2`` over the orbits.  Its duals are lifted as the Farkas ray is, then
+each singleton of observable pair k gains ``d_k / 2`` and the
+normalization loses it, which prices the full objective; the bound is
+checked on all 256 columns and the lifted witness must attain it.  Other
+systems solve the full model.
 
 Each row structure keeps two HiGHS models, built on first use: phase 1
 over ``[M | I]`` and the coupling model over M alone for :func:`optimize`.
@@ -210,6 +217,7 @@ class _Fold(NamedTuple):
     singles: tuple[int, ...]  # the full singleton rows, which must read 1/2
     ends: tuple[tuple[int, int], ...]  # per pair row, its singletons' full rows
     size: int  # the full row count
+    outcome_ends: tuple[tuple[int, int], ...] | None  # per observable pair, likewise
 
     def applies(self, rhs: tuple[int, list]) -> bool:
         """Each singleton reads half the normalization: 1/2."""
@@ -242,6 +250,22 @@ class _Fold(NamedTuple):
             full[v] -= yk
         return full
 
+    def duals(self, y: list, sums: list) -> list:
+        """Duals of the folded cost ``sum_k d_k [u_k = v_k] / 2``, scaled
+        with the 16 subset sums ``sums`` of :func:`_objective`, as duals of
+        the full cost doubled: the doubled ray, then each singleton of
+        observable pair k gains ``2 (d_k / 2) = sums[1 << k]`` and the
+        normalization loses it.  ``y.A_j - 2 c_j`` is then twice the folded
+        reduced cost of column j's orbit, and ``y.b`` twice the folded
+        ``y.b``."""
+        full = self.ray([2 * v for v in y])
+        for k, (u, v) in enumerate(self.outcome_ends):
+            d = sums[1 << k]
+            full[u] += d
+            full[v] += d
+            full[0] -= d
+        return full
+
 
 _STRUCTURE_CACHE: dict[tuple, _Structure] = {}
 
@@ -263,8 +287,16 @@ def _fold_of(masks: tuple[int, ...]) -> _Fold | None:
                 return None
             rows.append(i)
             ends.append((singles[mask ^ low], singles[low]))
+    outcome_ends = tuple(
+        (singles[mask ^ (mask & -mask)], singles[mask & -mask])
+        for mask in _PAIR_MASKS
+        if mask ^ (mask & -mask) in singles and mask & -mask in singles
+    )
     folded = _structure(tuple(masks[i] for i in rows), folded=True)
-    return _Fold(folded, tuple(rows), tuple(singles.values()), tuple(ends), len(masks))
+    return _Fold(
+        folded, tuple(rows), tuple(singles.values()), tuple(ends), len(masks),
+        outcome_ends if len(outcome_ends) == len(_PAIR_MASKS) else None,
+    )
 
 
 def _structure(masks: tuple[int, ...], folded: bool = False) -> _Structure:
@@ -521,53 +553,64 @@ def _status_reason(res: _Proposal) -> str:
     return f"HiGHS status {res.status} after {res.nit} simplex iterations"
 
 
-def _certify(structure, rhs: tuple[int, list], b: np.ndarray, objective, fold=None):
+def _certify(structure, rhs: tuple[int, list], b: np.ndarray, sums, fold=None):
     """HiGHS proposes, exact arithmetic proves: ``(x, value)`` with ``x``
-    None for an infeasible system and ``value`` the optimum when
-    ``objective`` is given, for the scaled ``rhs`` and its floats ``b``.
-    With a ``fold``, HiGHS solves the folded model, and its witness and
-    Farkas ray are lifted and proven on ``structure``.  Raises
-    :class:`_Uncertified` otherwise."""
+    None for an infeasible system and ``value`` the optimum when the
+    objective's subset ``sums`` (:func:`_objective`) are given, for the
+    scaled ``rhs`` and its floats ``b``.  With a ``fold``, HiGHS solves the
+    folded model, and its witness, Farkas ray and duals are lifted and
+    proven on ``structure``.  Raises :class:`_Uncertified` otherwise."""
     col_rows = structure.col_rows
-    if objective is None:
-        solved, solved_rhs = structure, rhs
-        if fold is not None:
-            solved, (solved_rhs, b) = fold.structure, fold.rhs(rhs, b)
-        res = linprog(solved.phase1, b)
+    solved, solved_rhs, solved_b = structure, rhs, b
+    if fold is not None:
+        solved, (solved_rhs, solved_b) = fold.structure, fold.rhs(rhs, b)
+
+    def witness(proposal: np.ndarray, cols: list[int]) -> dict[int, Scalar] | None:
+        """:func:`_witness_on` the solved model, lifted to ``structure`` and
+        proven there."""
+        x = _witness_on(solved, solved_rhs, proposal, cols)
+        if x is None or fold is None:
+            return x
+        x = fold.witness(x)
+        return x if _is_witness(col_rows, rhs, x) else None
+
+    if sums is None:
+        res = linprog(solved.phase1, solved_b)
         if res.status != 0:
             raise _Uncertified(_status_reason(res))
         if res.fun < 1e-7:
-            support = np.flatnonzero(res.x[: len(solved.col_rows)] > 1e-9).tolist()
-            x = _witness_on(solved, solved_rhs, res.x, support)
-            if x is not None and fold is not None:
-                x = fold.witness(x)
-                if not _is_witness(col_rows, rhs, x):
-                    x = None
+            x = witness(res.x, np.flatnonzero(res.x[: len(solved.col_rows)] > 1e-9).tolist())
             if x is not None:
                 return x, None
         if _farkas(col_rows, rhs[1], res.duals, fold):
             return None, None
         raise _Uncertified("neither the support nor the duals prove a verdict")
 
-    res = linprog(structure.coupling, b, -np.array([float(c) for c in objective]))
+    res = linprog(solved.coupling, solved_b, _cost(sums, fold is not None))
     if res.status == 2:
-        if _certify(structure, rhs, b, None)[0] is None:
+        if _certify(structure, rhs, b, None, fold)[0] is None:
             return None, None
         raise _Uncertified("HiGHS reported infeasible, yet a coupling exists")
     if res.status != 0:
         raise _Uncertified(_status_reason(res))
     # The duals are d(min -c.q)/db; y = -duals prices the maximum.
     y = [-v for v in _rationalize(res.duals)]
-    unit, scaled = integers(y + objective)
-    ny, nc = scaled[: len(y)], scaled[len(y):]
+    unit, scaled = integers(y + sums)
+    ny, ns = scaled[: len(y)], scaled[len(y):]
+    if fold is not None:
+        unit, ny, ns = 2 * unit, fold.duals(ny, ns), [2 * s for s in ns]
+    nc = [ns[s] for s in _PAIR_PATTERNS.tolist()]
+    # A folded column c < 128 stands for its orbit, whose two columns share
+    # one reduced cost.
+    solved_cols = len(res.x)
     tight = []
     for j, rows in enumerate(col_rows):
-        total = sum(ny[i] for i in rows)
+        total = sum(map(ny.__getitem__, rows))
         if total < nc[j]:
             raise _Uncertified(f"duals violate y.A_j >= c_j at column {j}")
-        if total == nc[j] and res.x[j] > 1e-9:
+        if total == nc[j] and j < solved_cols and res.x[j] > 1e-9:
             tight.append(j)
-    x = _witness_on(structure, rhs, res.x, tight)
+    x = witness(res.x, tight)
     if x is None:
         raise _Uncertified("no witness on the tight support attains the dual bound")
     # y.b == c.x on y and c scaled by one unit, b and x each by their own:
@@ -580,10 +623,43 @@ def _certify(structure, rhs: tuple[int, list], b: np.ndarray, objective, fold=No
     return x, quotient(attained, unit * x_unit)
 
 
-def _bland(structure, system: ConstraintSystem, rhs: tuple[int, list], objective):
+#: Bit k of column j's pattern is set when its assignment sets observable pair k to +1.
+_PAIR_PATTERNS = np.array([
+    sum(1 << k for k, mask in enumerate(_PAIR_MASKS) if (j & mask) == mask)
+    for j in range(N_ASSIGNMENTS)
+])
+#: Bit k of orbit c's pattern is set when observable pair k's variables agree on it.
+_AGREE_PATTERNS = np.array([
+    sum(1 << k for k, mask in enumerate(_PAIR_MASKS) if c & mask in (0, mask))
+    for c in range(_N_ORBITS)
+])
+
+
+def _objective(direction: Sequence[Fraction]) -> list[Fraction]:
+    """The 16 subset sums of ``direction``, bit k of the index adding d_k.
+    ``direction . p`` pushed through the coupling gives column j the sum at
+    its :data:`_PAIR_PATTERNS` entry: d_k for each observable pair k its
+    assignment sets to +1."""
+    sums = [Fraction(0)]
+    for d in direction:
+        sums += [t + d for t in sums]
+    return sums
+
+
+def _cost(sums: list[Fraction], folded: bool) -> np.ndarray:
+    """The cost HiGHS minimizes, minus the objective: per column of the full
+    model its pattern's subset sum; per orbit of the folded model
+    ``sum_k d_k [u_k = v_k] / 2``, the objective on symmetric couplings
+    whose singletons read 1/2."""
+    values = np.array([float(s) for s in sums])
+    return -values[_AGREE_PATTERNS] / 2 if folded else -values[_PAIR_PATTERNS]
+
+
+def _bland(structure, system: ConstraintSystem, rhs: tuple[int, list], sums):
     """The exact Bland simplex on the same rows, with the same answer shape
     as :func:`_certify`."""
     rows = structure.coupling.a_eq.astype(int).tolist()
+    objective = None if sums is None else [sums[s] for s in _PAIR_PATTERNS.tolist()]
     res = solve_lp(rows, system.rhs, objective=objective, maximize=True)
     if res.status == INFEASIBLE:
         return None, None
@@ -595,23 +671,6 @@ def _bland(structure, system: ConstraintSystem, rhs: tuple[int, list], objective
     return x, res.objective
 
 
-#: Bit k of column j's pattern is set when its assignment sets observable pair k to +1.
-_PAIR_PATTERNS = tuple(
-    sum(1 << k for k, mask in enumerate(_PAIR_MASKS) if (j & mask) == mask)
-    for j in range(N_ASSIGNMENTS)
-)
-
-
-def _objective(direction: Sequence[Fraction]) -> list[Fraction]:
-    """``direction . p`` pushed through the coupling: column j gains d_k when
-    its assignment sets both variables of observable pair k to +1, so it
-    takes the subset sum of ``direction`` over its pattern, one of 16."""
-    sums = [Fraction(0)]
-    for d in direction:
-        sums += [t + d for t in sums]
-    return [sums[s] for s in _PAIR_PATTERNS]
-
-
 def _solve(
     system: ConstraintSystem,
     direction: Sequence[Fraction] | None = None,
@@ -621,10 +680,14 @@ def _solve(
     ``(x, value, engine)``, where ``x`` is None for an infeasible system
     and ``value`` is ``max direction . p``."""
     structure = _structure(system.masks)
-    objective = None if direction is None else _objective(direction)
+    sums = None if direction is None else _objective(direction)
     rhs = integers(system.rhs)
     fold = structure.fold
-    if objective is not None or fold is None or not fold.applies(rhs):
+    if (
+        fold is None
+        or not fold.applies(rhs)
+        or (sums is not None and fold.outcome_ends is None)
+    ):
         fold = None
     if engine == "auto":
         # n / unit rounds the rational rhs value once, as float(Fraction)
@@ -634,7 +697,7 @@ def _solve(
             n / unit if type(n) is int else float(v) for n, v in zip(scaled, system.rhs)
         ])
         try:
-            return (*_certify(structure, rhs, b, objective, fold), "certified-float")
+            return (*_certify(structure, rhs, b, sums, fold), "certified-float")
         except _Uncertified as exc:
             rows = "; ".join(
                 f"Pr[{subset_name(m) or '()'} = +1] = {v}"
@@ -642,10 +705,11 @@ def _solve(
             )
             goal = "" if direction is None else f", maximizing ({', '.join(map(str, direction))}) . p"
             _log.warning(
-                "HiGHS answer not certified (%s); exact simplex fallback for rhs [%s]%s",
-                exc, rows, goal,
+                "HiGHS answer on the %s model not certified (%s); exact simplex "
+                "fallback for rhs [%s]%s",
+                "full" if fold is None else "folded", exc, rows, goal,
             )
-    return (*_bland(structure, system, rhs, objective), "exact-simplex")
+    return (*_bland(structure, system, rhs, sums), "exact-simplex")
 
 
 def _require_exact_inputs(specs: list[MarginalSpec], p: OutcomeVector | None) -> None:
@@ -685,7 +749,10 @@ def optimize(specs: Iterable[MarginalSpec], direction: Sequence) -> Scalar:
 
     The objective is pushed through the coupling variables (p is the image of
     the coupling under the four observable-pair rows).  HiGHS proposes the
-    optimum; rationalized duals prove the bound and an exact witness attains
+    optimum, on the flip-folded model when the rows fold and every variable
+    of the four pairs has its singleton row (as for
+    :func:`~.model.connection_marginals`); rationalized duals, lifted to the
+    full rows, prove the bound on every column and an exact witness attains
     it, so values like ``(1+sqrt2)/2`` are returned exactly.  The exact
     simplex decides only when that proof fails.  Raises
     :class:`InfeasibleSystemError` when no coupling exists.

@@ -478,8 +478,8 @@ def highs_reference(model, b, cost=None, bounds=(0, None)):
 def corrupted_linprog(kind):
     """HiGHS with a wrong answer: support moved to other columns, that plus
     a fake Farkas ray (the normalization row, y.b = 1 > 0 but y.A_j = 1 > 0),
-    all duals zero, a suboptimal vertex reported as optimal (the largest
-    weight of the optimum fixed at 0), or a non-optimal status.  The real
+    all duals zero, a suboptimal vertex reported as optimal (a support
+    column of the optimum fixed at 0), or a non-optimal status.  The real
     answers' simplex iteration counts collect in ``fake.iterations``."""
     real = lp.linprog
 
@@ -493,9 +493,16 @@ def corrupted_linprog(kind):
         elif kind == "duals":
             res.duals = np.zeros_like(res.duals)
         elif kind == "suboptimal":
-            bounds = [(0, None)] * len(res.x)
-            bounds[int(np.argmax(res.x))] = (0, 0)
-            ref = highs_reference(model, b, cost, bounds)
+            # A degenerate optimum survives losing some support columns, so
+            # fix at 0 the first whose loss strictly lowers the maximum.
+            for j in np.flatnonzero(res.x > 1e-9):
+                bounds = [(0, None)] * len(res.x)
+                bounds[j] = (0, 0)
+                ref = highs_reference(model, b, cost, bounds)
+                if ref.status == 0 and ref.fun > res.fun + 1e-6:
+                    break
+            else:
+                raise AssertionError("every support column has a twin optimum")
             res = lp._Proposal(ref.status, ref.nit, ref.fun, ref.x, ref.eqlin.marginals)
         elif kind == "status":
             res.status = 4
@@ -555,6 +562,7 @@ def test_failed_certification_falls_back_with_one_warning(
     warnings = lp_warnings(caplog)
     assert len(warnings) == 1
     message = warnings[0].getMessage()
+    assert "on the folded model" in message  # every case here folds
     assert all(str(v) in message for v in build_system(connection_marginals(eps)).rhs)
     if kind == "status":
         assert f"HiGHS status 4 after {fake.iterations[0]} simplex iterations" in message
@@ -874,6 +882,63 @@ def test_folded_answers_equal_the_full_models(monkeypatch, caplog):
     assert lp_warnings(caplog) == []
 
 
+#: The 8 sign/permutation variants of (1, 1, 1, -2) and the 8 +-unit directions.
+SUPPORT_DIRECTIONS = CHSH_DIRECTIONS + UNIT_DIRECTIONS + [
+    tuple(-d for d in unit) for unit in UNIT_DIRECTIONS
+]
+
+
+def support_answers(systems):
+    """``(value, engine)`` of ``lp._solve`` for every system and support
+    direction, value None where the system admits no coupling."""
+    answers = []
+    for specs in systems:
+        system = build_system(specs)
+        for direction in SUPPORT_DIRECTIONS:
+            _, value, engine = lp._solve(system, [Fraction(d) for d in direction])
+            answers.append((value, engine))
+    return answers
+
+
+def test_folded_optimize_equals_the_full_models(monkeypatch, caplog):
+    """On seeded lattice connections, the s0 = 1 family, EPS_T and oracle
+    systems with their outcome rows, ``optimize`` on the folded model (5 or
+    9 rows) certifies the same exact support values as on the full model (13
+    or 17 rows), infeasible systems included, with no fallback."""
+    rng = random.Random(1414)
+    systems = [connection_marginals(random_connection_vector(rng)) for _ in range(24)]
+    systems += [connection_marginals(eps) for eps in enumerate_E0()]
+    systems += [connection_marginals(EPS_T)]
+    systems += [outcome_marginals(random_outcome_vector(rng))
+                + connection_marginals(random_connection_vector(rng)) for _ in range(8)]
+    systems += [outcome_marginals(p) + connection_marginals(eps)
+                for p, eps in ((SINGLET, EPS_T), (PR_BOX, EPS_T), (QUARTER, EPS0))]
+    rows = highs_rows(monkeypatch)
+    folded = support_answers(systems)
+    assert set(rows) == {5, 9}
+    rows.clear()
+    monkeypatch.setattr(lp._Fold, "applies", lambda fold, rhs: False)
+    full = support_answers(systems)
+    assert set(rows) == {13, 17}
+    assert folded == full
+    assert {engine for _, engine in folded} == {"certified-float"}
+    assert {value is None for value, _ in folded} == {True, False}
+    assert Scalar.quadratic(HALF, HALF) in {value for value, _ in folded}
+    assert lp_warnings(caplog) == []
+
+
+def test_fallback_warning_names_the_model_highs_solved(monkeypatch, caplog):
+    """The fallback WARNING says whether HiGHS solved the folded or the full
+    model."""
+    monkeypatch.setattr(lp, "linprog", corrupted_linprog("duals"))
+    partial = [pair_spec(pair, HALF) for pair in ((V.A11, V.A12), (V.B11, V.B21))]
+    for specs, model in ((connection_marginals(EPS0), "folded"), (partial, "full")):
+        caplog.clear()
+        assert optimize(specs, (1, 1, 1, -2)) == bland_support(specs, (1, 1, 1, -2))
+        [warning] = lp_warnings(caplog)
+        assert f"HiGHS answer on the {model} model not certified" in warning.getMessage()
+
+
 def pair_spec(pair, plus):
     """The pair marginal of two independent variables, each +1 with
     probability ``plus``."""
@@ -890,23 +955,31 @@ OUT_OF_ORDER = [{"variables": ["B22", "A11", "B11"], "prob_all_plus": {
 
 
 def test_unfolded_systems_and_optimize_take_the_full_model(monkeypatch, caplog):
-    """Singletons other than 1/2, a three-variable row and every ``optimize``
-    call keep the full model: HiGHS receives all of the system's rows."""
+    """Singletons other than 1/2, a three-variable row, and an ``optimize``
+    over rows that lack an observable variable's singleton keep the full
+    model: HiGHS receives all of the system's rows.  ``feasible`` on those
+    same rows folds, and so does ``optimize`` on an oracle system."""
     quarters = [pair_spec(pair, Fraction(1, 4)) for pair in OUTCOME_PAIRS + CONNECTION_PAIRS]
     out_of_order = marginal_specs_from_json(OUT_OF_ORDER)
     oracle = outcome_marginals(QUARTER) + connection_marginals(EPS0)
+    # Singletons for A11, A12, B11 and B21 only: B12, A21 and A22 are free.
+    partial = [pair_spec(pair, HALF) for pair in ((V.A11, V.A12), (V.B11, V.B21))]
     rows = highs_rows(monkeypatch)
     cases = [
-        (quarters, lambda: feasible(quarters).feasible, True),
-        (out_of_order, lambda: feasible(out_of_order).feasible, True),
-        (out_of_order, lambda: optimize(out_of_order, (1, 1, 1, -2)), Fraction(5, 2)),
-        (oracle, lambda: optimize(oracle, (1, 1, 1, -2)), Fraction(1, 4)),
+        (lambda: feasible(quarters).feasible, True, 17),
+        (lambda: feasible(out_of_order).feasible, True, len(build_system(out_of_order).masks)),
+        (lambda: optimize(out_of_order, (1, 1, 1, -2)), Fraction(5, 2),
+         len(build_system(out_of_order).masks)),
+        (lambda: optimize(partial, (1, 1, 1, -2)), bland_support(partial, (1, 1, 1, -2)), 7),
+        (lambda: feasible(partial).feasible, True, 3),
+        (lambda: optimize(oracle, (1, 1, 1, -2)), Fraction(1, 4), 9),
     ]
-    for specs, solve, want in cases:
+    for solve, want, highs_rows_seen in cases:
         rows.clear()
         assert solve() == want
-        assert rows == [len(build_system(specs).masks)]
+        assert rows == [highs_rows_seen]
     assert len(build_system(quarters).masks) == len(build_system(oracle).masks) == 17
+    assert len(build_system(partial).masks) == 7
     # A pair row whose variables have no singleton rows does not fold either.
     assert lp._structure((0, subset_mask((V.A11, V.B11)))).fold is None
     assert lp_warnings(caplog) == []
@@ -920,28 +993,34 @@ def oracle_lp(specs):
     return lp._structure(system.masks).phase1, np.array([float(v) for v in system.rhs])
 
 
-def support_lp(eps, direction):
+def support_lp(eps, direction, folded=False):
+    """The support LP HiGHS solves: on the full model, column j costs minus
+    its pattern's subset sum of ``direction``; folded, the model, rhs and
+    cost that ``optimize`` passes."""
     system = build_system(connection_marginals(eps))
-    objective = lp._objective([Fraction(d) for d in direction])
-    return (
-        lp._structure(system.masks).coupling,
-        np.array([float(v) for v in system.rhs]),
-        -np.array([float(c) for c in objective]),
-    )
+    structure = lp._structure(system.masks)
+    b = np.array([float(v) for v in system.rhs])
+    sums = lp._objective([Fraction(d) for d in direction])
+    if folded:
+        _, b = structure.fold.rhs(integers(system.rhs), b)
+        return structure.fold.structure.coupling, b, lp._cost(sums, folded=True)
+    return structure.coupling, b, -np.array([float(sums[s]) for s in lp._PAIR_PATTERNS])
 
 
 def test_persistent_highs_proposes_exactly_what_linprog_does():
     """Bit-identical status, x and duals on oracle systems, on the E0
-    family and on support LPs, each set solved twice in shuffled orders, so
-    a basis carried from one solve to the next would show."""
+    family and on full and folded support LPs, each set solved twice in
+    shuffled orders, so a basis carried from one solve to the next would
+    show."""
     rng = random.Random(31)
     lps = [oracle_lp(outcome_marginals(random_outcome_vector(rng))
                      + connection_marginals(random_connection_vector(rng)))
            for _ in range(200)]
     lps += [oracle_lp(outcome_marginals(random_outcome_vector(rng)) + connection_marginals(eps))
             for eps in enumerate_E0()]
-    lps += [support_lp(eps, direction)
-            for eps in (EPS0, EPS_T) for direction in CHSH_DIRECTIONS + UNIT_DIRECTIONS]
+    lps += [support_lp(eps, direction, folded)
+            for eps in (EPS0, EPS_T) for direction in CHSH_DIRECTIONS + UNIT_DIRECTIONS
+            for folded in (False, True)]
     want = [highs_reference(*problem) for problem in lps]
     assert {res.status for res in want} == {0}
     for _ in range(2):
