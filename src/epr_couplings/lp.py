@@ -277,25 +277,27 @@ def _fold_of(masks: tuple[int, ...]) -> _Fold | None:
     if not masks or masks[0]:
         return None
     singles = {mask: i for i, mask in enumerate(masks) if mask.bit_count() == 1}
+
+    def ends_of(pair: int) -> tuple[int, int] | None:
+        low = pair & -pair
+        if low not in singles or pair ^ low not in singles:
+            return None
+        return singles[pair ^ low], singles[low]
+
     rows, ends = [0], []
     for i, mask in enumerate(masks[1:], 1):
         if mask.bit_count() > 2:
             return None
         if mask.bit_count() == 2:
-            low = mask & -mask
-            if low not in singles or mask ^ low not in singles:
+            if (end := ends_of(mask)) is None:
                 return None
             rows.append(i)
-            ends.append((singles[mask ^ low], singles[low]))
-    outcome_ends = tuple(
-        (singles[mask ^ (mask & -mask)], singles[mask & -mask])
-        for mask in _PAIR_MASKS
-        if mask ^ (mask & -mask) in singles and mask & -mask in singles
-    )
+            ends.append(end)
+    outcome_ends = tuple(map(ends_of, _PAIR_MASKS))
     folded = _structure(tuple(masks[i] for i in rows), folded=True)
     return _Fold(
         folded, tuple(rows), tuple(singles.values()), tuple(ends), len(masks),
-        outcome_ends if len(outcome_ends) == len(_PAIR_MASKS) else None,
+        None if None in outcome_ends else outcome_ends,
     )
 
 
