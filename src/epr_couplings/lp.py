@@ -355,8 +355,8 @@ def _solve_on_support(
     structure, rhs: tuple[int, list], cols: list[int]
 ) -> dict[int, Scalar] | None:
     """Exact solution of M[:, cols] x = rhs by fraction-free Gauss-Jordan
-    elimination; None when it fails to produce a nonnegative solution of
-    the full system.  The rhs, scaled by its common denominator ``d``, is
+    elimination, unproven (a weight may be negative); None when the rows
+    are inconsistent.  The rhs, scaled by its common denominator ``d``, is
     one or two int columns (M is already 0/1), every pivot is the exact
     simplex's :func:`~.simplex.pivot`, and only the final ``x_c = t /
     (pivot * d)`` become Scalars."""
@@ -379,12 +379,11 @@ def _solve_on_support(
             piv.append(c)
     if any(any(aug[i][n:]) for i in range(len(piv), m)):
         return None
-    x = {
+    return {
         cols[c]: quotient(column_value(t), aug[i][c] * d)
         for i, c in enumerate(piv)
         if any(t := aug[i][n:])
     }
-    return x if _is_witness(structure.col_rows, rhs, x) else None
 
 
 class _Uncertified(Exception):
@@ -416,15 +415,19 @@ def _rationalize(values: Sequence[float], limit: int = 1 << 24) -> list[Scalar]:
     return out
 
 
-def _witness_on(structure, rhs, proposal: np.ndarray, cols: list[int]) -> dict[int, Scalar] | None:
-    """An exact x >= 0 on ``cols`` with M x = rhs, or None: on a rational
-    rhs, HiGHS's own values, rationalized and proven; over Q[sqrt2] (a float
-    has no recoverable sqrt(2) part) or when that proof fails, elimination."""
+def _witness_on(
+    structure, rhs, proposal: np.ndarray, cols: list[int], proof
+) -> dict[int, Scalar] | None:
+    """A point on ``cols`` with M x = rhs, as ``proof`` returns it once it
+    has proven the point (or None): on a rational rhs, HiGHS's own values,
+    rationalized; over Q[sqrt2] (a float has no recoverable sqrt(2) part)
+    or when that proof fails, elimination."""
     if all(type(v) is int for v in rhs[1]):
-        x = {j: v for j, v in zip(cols, _rationalize(proposal[cols])) if v}
-        if _is_witness(structure.col_rows, rhs, x):
+        x = proof({j: v for j, v in zip(cols, _rationalize(proposal[cols])) if v})
+        if x is not None:
             return x
-    return _solve_on_support(structure, rhs, cols)
+    x = _solve_on_support(structure, rhs, cols)
+    return None if x is None else proof(x)
 
 
 def _farkas(col_rows, b: list, duals: Sequence[float], fold: _Fold | None = None) -> bool:
@@ -567,14 +570,15 @@ def _certify(structure, rhs: tuple[int, list], b: np.ndarray, sums, fold=None):
     if fold is not None:
         solved, (solved_rhs, solved_b) = fold.structure, fold.rhs(rhs, b)
 
-    def witness(proposal: np.ndarray, cols: list[int]) -> dict[int, Scalar] | None:
-        """:func:`_witness_on` the solved model, lifted to ``structure`` and
-        proven there."""
-        x = _witness_on(solved, solved_rhs, proposal, cols)
-        if x is None or fold is None:
-            return x
-        x = fold.witness(x)
+    def proof(x: dict[int, Scalar]) -> dict[int, Scalar] | None:
+        """``x`` on ``structure`` (lifted there from a folded solve), if it
+        is a witness of every row; the one check each point gets."""
+        if fold is not None:
+            x = fold.witness(x)
         return x if _is_witness(col_rows, rhs, x) else None
+
+    def witness(proposal: np.ndarray, cols: list[int]) -> dict[int, Scalar] | None:
+        return _witness_on(solved, solved_rhs, proposal, cols, proof)
 
     if sums is None:
         res = linprog(solved.phase1, solved_b)

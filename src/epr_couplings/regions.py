@@ -53,8 +53,14 @@ _CSV_FLAGS = tuple(f",{f & 1},{f >> 1 & 1},{f >> 2 & 1}\n" for f in range(8))
 #: Cells decided per block of whole grid rows.
 BLOCK = 4096
 
-#: The finest membership grid: in one process, 2001^2 cells take ~5 s over Q
-#: and ~21 s over Q[sqrt2].
+#: The largest ``unit`` a grid is decided at in int64.  Cell values lie in
+#: ``[0, unit/2]``, so ``|4 v - unit| <= unit`` and every term of the region
+#: bodies but :func:`stats.qm_masks`'s ``e`` (computed in Python ints) lies
+#: within ``4 unit^4 <= 2**62``.
+INT64_UNIT = 2 ** 15
+
+#: The finest membership grid: in one process, 2001^2 cells take ~0.8 s over
+#: Q and ~20 s over Q[sqrt2] (2-core VM, Python 3.11, numpy 2.4).
 MAX_RESOLUTION = 2001
 
 
@@ -150,20 +156,25 @@ def membership_grid(fixed: Mapping[str, object], resolution: int = 201) -> Membe
     The fixed values are validated once, as the first cell's outcome vector,
     then scaled together with the cell centers by :func:`scalars.integers`:
     to Python ints, and a fixed value with a sqrt(2) part to a
-    :class:`~.scalars.ZSqrt2` pair of ints.  The grid is decided in blocks
-    of ``max(1, BLOCK // resolution)`` whole rows, each by one call of each
+    :class:`~.scalars.ZSqrt2` pair of ints.  The centers ``(2k+1) / (4
+    resolution)`` share one denominator, so they scale to odd multiples of
+    the scaled ``1 / (4 resolution)``.  The grid is decided in blocks of
+    ``max(1, BLOCK // resolution)`` whole rows, each by one call of each
     :mod:`stats` body on the row values (shape ``(k, 1)``) broadcast
-    against the column (shape ``(1, resolution)``) in numpy object arrays.
-    The inclusion chain (classical inside quantum inside Tsirelson) is
-    asserted on each block's masks; a violation raises.
+    against the column (shape ``(1, resolution)``).  The blocks are numpy
+    int64 arrays when every scaled value is an int and ``unit <=
+    INT64_UNIT``, and object arrays of Python ints otherwise.  The
+    inclusion chain (classical inside quantum inside Tsirelson) is asserted
+    on each block's masks; a violation raises.
     """
     check_resolution(resolution)
     fixed_vals, free = _split_components(fixed)
     centers = tuple(Fraction(2 * k + 1, 4 * resolution) for k in range(resolution))
     OutcomeVector(*_ordered(fixed_vals, free, centers[0], centers[0]))  # raises on bad fixed values
-    unit, scaled = integers([*fixed_vals.values(), *centers])
+    unit, (*scaled, step) = integers([*fixed_vals.values(), Fraction(1, 4 * resolution)])
     scaled_fixed = dict(zip(fixed_vals, scaled))
-    points = np.array(scaled[2:], dtype=object)
+    fits_int64 = unit <= INT64_UNIT and all(type(s) is int for s in scaled)
+    points = step * np.arange(1, 2 * resolution, 2, dtype=np.int64 if fits_int64 else object)
     column = points[np.newaxis, :]
     rows = max(1, BLOCK // resolution)
     flags = np.empty((resolution, resolution), dtype=np.uint8)

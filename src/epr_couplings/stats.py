@@ -16,8 +16,10 @@ their common denominator ``unit``: over Q to Python ints, over Q[sqrt(2)]
 to :class:`~.scalars.ZSqrt2` pairs of Python ints, so every exact decision
 runs on integers, never on ``Scalar`` arithmetic.  The region bodies use
 only arithmetic, comparisons and ``&``, so they also decide a whole block
-of grid cells held in numpy object arrays.  Approximate (decimal) input
-takes one toleranced float path instead.
+of grid cells held in numpy arrays: int64 where every term fits, object
+arrays of Python ints otherwise, and :func:`qm_masks` takes its one
+``unit^8`` term to Python ints itself.  Approximate (decimal) input takes
+one toleranced float path instead.
 """
 
 from __future__ import annotations
@@ -28,8 +30,10 @@ from fractions import Fraction
 from functools import reduce
 from operator import and_
 
+import numpy as np
+
 from .model import ConnectionVector, OutcomeVector, Quadruple
-from .scalars import DEFAULT_TOLERANCE, Scalar, as_scalar, integers, quotient
+from .scalars import DEFAULT_TOLERANCE, Scalar, ZSqrt2, as_scalar, integers, quotient
 
 __all__ = [
     "Compliance",
@@ -152,15 +156,43 @@ def tsirelson_holds(unit, v):
 def qm_masks(unit, v) -> tuple:
     """``(outside, boundary)`` of ``lhs = |r1 r2 - r3 r4| <= sqrt(x) + sqrt(y)``,
     ``x = (1-r1^2)(1-r2^2)``, ``y = (1-r3^2)(1-r4^2)``: ``d = lhs^2 - x - y``
-    against ``2 sqrt(xy)``, then ``e = d^2 - 4xy``; ``d == 0`` leaves ``e <= 0``."""
+    against ``2 sqrt(xy)``, then ``e = d^2 - 4xy``; ``d == 0`` leaves ``e <= 0``.
+
+    With ``|r| <= unit``, ``d`` lies in ``[-2 unit^4, 4 unit^4]``, but ``e``
+    needs about ``unit^8``: it is computed in Python ints, and on a block
+    only on the cells where ``d >= 0``, the only ones either mask can set."""
     r1, r2, r3, r4 = (4 * c - unit for c in v)
     one = unit * unit
     lhs = abs(r1 * r2 - r3 * r4)
     x = (one - r1 * r1) * (one - r2 * r2)
     y = (one - r3 * r3) * (one - r4 * r4)
     d = lhs * lhs - x - y
+    near = d >= 0
+    d, x, y = (_cells(near, t) for t in (d, x, y))
     e = d * d - 4 * x * y
-    return (d > 0) & (e > 0), (d >= 0) & (e == 0)
+    return _spread(near, (d > 0) & (e > 0)), _spread(near, e == 0)
+
+
+def _cells(mask, t):
+    """``t`` on the cells where ``mask`` holds, as Python ints (a 1-D object
+    array, or a ZSqrt2 of two); ``t`` itself at a single point."""
+    if not isinstance(mask, np.ndarray):
+        return t
+    if type(t) is ZSqrt2:
+        return ZSqrt2(_cells(mask, t.a), _cells(mask, t.b))
+    if not isinstance(t, np.ndarray):
+        t = np.array(t, dtype=object)
+    return np.broadcast_to(t, mask.shape)[mask].astype(object)
+
+
+def _spread(mask, m):
+    """``m``, decided on the cells where ``mask`` holds, as a mask of the
+    whole block (false elsewhere); ``mask & m`` at a single point."""
+    if not isinstance(mask, np.ndarray):
+        return mask & m
+    out = np.zeros(mask.shape, dtype=bool)
+    out[mask] = m
+    return out
 
 
 def chsh_satisfied(p: OutcomeVector) -> bool:

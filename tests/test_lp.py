@@ -672,7 +672,11 @@ def test_integer_elimination_matches_fraction_gauss_jordan(system):
     masks, rhs, cols = system
     want = fraction_solve_on_support(masks, rhs, cols)
     rhs_scaled = integers([Scalar(*parts) for parts in zip(*rhs)])
-    got = lp._solve_on_support(lp._structure(masks), rhs_scaled, cols)
+    structure = lp._structure(masks)
+    got = lp._solve_on_support(structure, rhs_scaled, cols)
+    # elimination leaves the proof (x >= 0 and every row) to its caller
+    if got is not None and not lp._is_witness(structure.col_rows, rhs_scaled, got):
+        got = None
     assert got == (None if want is None else {j: Scalar(*p) for j, p in want.items()})
 
 
@@ -740,14 +744,15 @@ def test_rationalize_refuses_non_finite_values():
 
 
 def recorded_witnesses(monkeypatch):
-    """Record every ``lp._witness_on`` call as ``(structure, rhs, cols, x)``,
-    and the columns of every elimination, for the rest of the test."""
+    """Record every ``lp._witness_on`` call as ``(structure, rhs, cols,
+    proof, x)``, and the columns of every elimination, for the rest of the
+    test."""
     calls, eliminations = [], []
     witness_on, solve_on_support = lp._witness_on, lp._solve_on_support
 
-    def recorded(structure, rhs, proposal, cols):
-        x = witness_on(structure, rhs, proposal, cols)
-        calls.append((structure, rhs, cols, x))
+    def recorded(structure, rhs, proposal, cols, proof):
+        x = witness_on(structure, rhs, proposal, cols, proof)
+        calls.append((structure, rhs, cols, proof, x))
         return x
 
     def eliminated(structure, rhs, cols):
@@ -775,8 +780,8 @@ def test_proven_primal_equals_elimination_on_its_support(monkeypatch, caplog):
         feasible_count += res.feasible
     assert eliminations == []
     assert len(calls) == feasible_count > 500
-    for structure, rhs, cols, x in calls:
-        assert x is not None and x == lp._solve_on_support(structure, rhs, cols)
+    for structure, rhs, cols, proof, x in calls:
+        assert x is not None and x == proof(lp._solve_on_support(structure, rhs, cols))
 
     calls.clear()
     eliminations.clear()
@@ -787,8 +792,8 @@ def test_proven_primal_equals_elimination_on_its_support(monkeypatch, caplog):
     assert optimize(connection_marginals(EPS0), (-1, -1, -1, 2)) == HALF
     assert len(eliminations) == 3  # the Q[sqrt2] witnesses; EPS0's is proven
     assert len(calls) == 4
-    for structure, rhs, cols, x in calls:
-        assert x is not None and x == lp._solve_on_support(structure, rhs, cols)
+    for structure, rhs, cols, proof, x in calls:
+        assert x is not None and x == proof(lp._solve_on_support(structure, rhs, cols))
     assert lp_warnings(caplog) == []
 
 

@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 import time
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from epr_couplings.model import OutcomeVector
 from epr_couplings.qm import Settings, maximize_chsh, parse_angle, qm_outcomes
 from epr_couplings.scalars import Scalar
 from epr_couplings.stats import Compliance, qm_compliant, tsirelson_satisfied
@@ -77,6 +79,36 @@ def test_quantum_predictions_satisfy_their_own_characterization():
         p = qm_outcomes(Settings.planar(*angles))
         assert qm_compliant(p) is not Compliance.OUTSIDE
         assert tsirelson_satisfied(p)
+
+
+def rational_axis(rng, plane: bool) -> tuple:
+    """An exact unit vector by inverse stereographic projection of a
+    rational point: of (s, 0) for an axis in the x-z plane, else of (s, t)."""
+    s = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+    t = 0 if plane else Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+    n = 1 + s * s + t * t
+    return (2 * s / n, 2 * t / n, (s * s + t * t - 1) / n)
+
+
+@pytest.mark.parametrize("plane", [False, True], ids=["3d", "plane"])
+def test_exact_singlet_predictions_from_rational_axes(plane):
+    """Singlet predictions p_ij = (1 - a_i.b_j)/4 from exact rational axes:
+    never outside Landau's region, always within Tsirelson's bound, and on
+    the boundary exactly for some coplanar settings."""
+    rng = random.Random(5 + plane)
+    seen = collections.Counter()
+    for _ in range(1000):
+        a1, a2, b1, b2 = (rational_axis(rng, plane) for _ in range(4))
+        assert all(sum(c * c for c in v) == 1 for v in (a1, a2, b1, b2))
+        p = OutcomeVector(*(
+            (1 - sum(x * y for x, y in zip(a, b))) / 4 for a in (a1, a2) for b in (b1, b2)
+        ))
+        verdict = qm_compliant(p)
+        assert verdict is not Compliance.OUTSIDE, p
+        assert tsirelson_satisfied(p), p
+        seen[verdict] += 1
+    if plane:
+        assert seen[Compliance.BOUNDARY] > 0, seen
 
 
 def test_vector_settings():

@@ -5,7 +5,7 @@ import pytest
 
 from epr_couplings import regions, stats
 from epr_couplings.model import OutcomeVector
-from epr_couplings.scalars import Scalar, as_scalar
+from epr_couplings.scalars import Scalar, as_scalar, integers
 from epr_couplings.stats import TSIRELSON_HIGH, TSIRELSON_LOW, Compliance
 from test_stats import reference_chsh, reference_qm, reference_tsirelson
 
@@ -54,6 +54,15 @@ SINGLET_PAIRS = {
 PLACEMENTS = (("p11", "p12"), ("p12", "p11"), ("p21", "p22"), ("p22", "p21"))
 #: A resolution whose rows take more than one grid block, the last one partial.
 SPLIT_RESOLUTION = 65
+#: Slices next to p = 1/4 at resolution 3 (centers 1/12, 1/4, 5/12), whose
+#: ``unit`` = lcm(12, q) for the fixed value's odd denominator q sits just
+#: under regions.INT64_UNIT, just over it, and just under twice it, where
+#: int64 would wrap (x + y near 2 unit^4 > 2^63).
+UNIT_SLICES = {
+    "unit-under-2^15": ({"p11": Fraction(682, 2729), "p21": Fraction(1, 4)}, 32748),
+    "unit-over-2^15": ({"p11": Fraction(683, 2731), "p21": Fraction(1, 4)}, 32772),
+    "unit-under-2^16": ({"p11": Fraction(1365, 5461), "p21": Fraction(1, 4)}, 65532),
+}
 
 
 @pytest.mark.parametrize("fixed, resolution", [
@@ -74,12 +83,14 @@ SPLIT_RESOLUTION = 65
     # rows split into several blocks, the last one partial
     (CURVED_SLICE, SPLIT_RESOLUTION),
     ({"p22": SINGLET_LOW, "p21": SINGLET_HIGH}, SPLIT_RESOLUTION),
+    # the int64 bound on unit, from both sides
+    *((fixed, 3) for fixed, _ in UNIT_SLICES.values()),
 ], ids=["curved", "p11-p12", "p12-p11", "p21-p22", "p22-p21", "p11-p21",
         "half-half", "half-3/8",
         *(f"singlet-{name}" + ("" if first == "p11" else f"-{first}-{second}")
           for name in SINGLET_PAIRS for first, second in PLACEMENTS),
         "singlet-low-3/8", "7/16-singlet-high",
-        "curved-blocks", "singlet-high-low-blocks"])
+        "curved-blocks", "singlet-high-low-blocks", *UNIT_SLICES])
 def test_grid_matches_pointwise_predicates(fixed, resolution):
     grid = regions.membership_grid(fixed, resolution)
     for ix, x in enumerate(grid.centers):
@@ -92,6 +103,13 @@ def test_grid_matches_pointwise_predicates(fixed, resolution):
                 reference_tsirelson(p),
             )
             assert grid.cell(ix, iy) == want, (x, y)
+
+
+def test_unit_slices_straddle_the_int64_bound():
+    for fixed, unit in UNIT_SLICES.values():
+        assert integers([*fixed.values(), Fraction(1, 12)])[0] == unit
+    units = sorted(unit for _, unit in UNIT_SLICES.values())
+    assert units[0] <= regions.INT64_UNIT < units[1] < units[2] <= 2 * regions.INT64_UNIT
 
 
 def test_split_resolution_has_a_partial_last_block():

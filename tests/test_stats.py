@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -335,6 +336,51 @@ def test_compatible_examples():
     assert compatible(PR_BOX, EPS_IND)  # independent coupling accepts anything
     assert not compatible(PR_BOX, EPS0)
     assert compatible(QUARTER, EPS0)
+
+
+def corner_correlations(rng) -> list:
+    """Eight correlations, each a corner +-1 with probability 1/2, else a
+    multiple of 1/8 in [-1, 1]."""
+    return [
+        rng.choice((-1, 1)) if rng.random() < 0.5 else Fraction(rng.randint(-8, 8), 8)
+        for _ in range(8)
+    ]
+
+
+def compatible_on(r) -> bool:
+    """``compatible`` on eight correlations: the outcome ones ``4p - 1``,
+    then the connection ones ``1 - 4 eps``."""
+    return compatible(
+        CorrelationQuad(*r[:4]).to_outcome_vector(),
+        CorrelationQuad(*r[4:]).to_connection_vector(),
+    )
+
+
+def test_compatible_is_invariant_under_permutations_and_even_sign_flips():
+    """The verdict depends on the eight correlations only through the box
+    and the odd-parity inequalities ``sigma.r <= 6``, so it is unchanged by
+    any permutation of them and by any even number of sign flips.  Each
+    draw is checked under the generators of both groups (the adjacent
+    transpositions, the flips of adjacent pairs) and under one random
+    permutation with a random even set of flips."""
+    rng = random.Random(11)
+    verdicts = collections.Counter()
+    for _ in range(400):
+        r = corner_correlations(rng)
+        want = compatible_on(r)
+        verdicts[want] += 1
+        images = []
+        for k in range(7):
+            swapped = list(r)
+            swapped[k], swapped[k + 1] = r[k + 1], r[k]
+            images.append(swapped)
+            images.append([-c if j in (k, k + 1) else c for j, c in enumerate(r)])
+        signs = [rng.choice((-1, 1)) for _ in range(7)]
+        signs.append(math.prod(signs))
+        images.append([s * c for s, c in zip(signs, rng.sample(r, 8))])
+        for image in images:
+            assert compatible_on(image) == want, (r, image)
+    assert verdicts[True] > 50 and verdicts[False] > 50, verdicts
 
 
 def test_enumerate_e0():
