@@ -13,12 +13,14 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
 from .model import OutcomeVector
 from .scalars import Scalar
+from .stats import chsh_expressions
 
 __all__ = [
     "Settings",
@@ -56,9 +58,14 @@ def parse_angle(text: str) -> Fraction | float:
         radians = float(text)
     except ValueError:
         raise ValueError(f"cannot parse angle {text!r}") from None
-    if radians == 0.0:
-        return Fraction(0)
-    return radians
+    return _radians(radians, text)
+
+
+def _radians(radians: float, shown) -> Fraction | float:
+    """A finite angle in radians; 0 becomes the exact Fraction(0)."""
+    if not math.isfinite(radians):
+        raise ValueError(f"angle {shown!r} is not finite")
+    return Fraction(0) if radians == 0.0 else radians
 
 
 def _as_angle(value) -> Fraction | float:
@@ -66,10 +73,8 @@ def _as_angle(value) -> Fraction | float:
         return parse_angle(value)
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value) if value == 0 else float(value)
-    if isinstance(value, float):
-        return Fraction(0) if value == 0.0 else value
+    if isinstance(value, (int, float)):
+        return _radians(float(value), value)
     raise TypeError(f"cannot interpret {value!r} as an angle")
 
 
@@ -77,6 +82,8 @@ def _unit(vector: Sequence[float]) -> tuple[float, float, float]:
     v = np.asarray(vector, dtype=float)
     if v.shape != (3,):
         raise ValueError("measurement axes must be 3-vectors")
+    if not np.isfinite(v).all():
+        raise ValueError(f"measurement axis {v.tolist()} is not finite")
     norm = float(np.linalg.norm(v))
     if norm < 1e-12:
         raise ValueError("measurement axis has zero length")
@@ -156,12 +163,8 @@ def qm_outcomes(settings: Settings) -> OutcomeVector:
 
 def _excess(a2: float, b1: float, b2: float) -> float:
     """max_ij |expression_ij - 1/2| for planar angles (0, a2, b1, b2)."""
-    c11 = math.cos(-b1)
-    c12 = math.cos(-b2)
-    c21 = math.cos(a2 - b1)
-    c22 = math.cos(a2 - b2)
-    s = c11 + c12 + c21 + c22
-    return max(abs(s - 2 * c) for c in (c11, c12, c21, c22)) / 4.0
+    cosines = (math.cos(-b1), math.cos(-b2), math.cos(a2 - b1), math.cos(a2 - b2))
+    return max(abs(e) for e in chsh_expressions(cosines)) / 4.0
 
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
@@ -206,15 +209,8 @@ def maximize_chsh(resolution: int = 64, refine: int = 3) -> tuple[Settings, Scal
     b1v = grid[None, :, None]
     b2v = grid[None, None, :]
     a2v = grid[:, None, None]
-    c11 = np.cos(-b1v)
-    c12 = np.cos(-b2v)
-    c21 = np.cos(a2v - b1v)
-    c22 = np.cos(a2v - b2v)
-    s = c11 + c12 + c21 + c22
-    obj = np.maximum(
-        np.maximum(np.abs(s - 2 * c11), np.abs(s - 2 * c12)),
-        np.maximum(np.abs(s - 2 * c21), np.abs(s - 2 * c22)),
-    ) / 4.0
+    cosines = (np.cos(-b1v), np.cos(-b2v), np.cos(a2v - b1v), np.cos(a2v - b2v))
+    obj = reduce(np.maximum, (np.abs(e) for e in chsh_expressions(cosines))) / 4.0
     ia, ib1, ib2 = np.unravel_index(int(np.argmax(obj)), obj.shape)
     best = [float(grid[ia]), float(grid[ib1]), float(grid[ib2])]
     step = 2.0 * math.pi / resolution

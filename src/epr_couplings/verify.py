@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Sequence
 
 from . import regions
@@ -21,7 +20,6 @@ from .model import (
     connection_marginals,
     outcome_marginals,
 )
-from .parallel import ordered_map, worker_count
 from .scalars import Scalar
 from .stats import (
     Compliance,
@@ -44,18 +42,11 @@ __all__ = [
     "verify_noforcing",
     "verify_nomatching",
     "run_all",
-    "worker_count",
     "MAX_DENSITY",
     "MAX_TRIALS",
 ]
 
 _MAX_RECORDED_FAILURES = 20
-
-
-def _lemma1_trial(compat, pair: tuple) -> tuple[bool, bool]:
-    p, eps = pair
-    lp = feasible(outcome_marginals(p) + connection_marginals(eps))
-    return compat(p, eps), lp.feasible
 
 
 def random_probability(rng: random.Random, denominator: int = 64) -> Fraction:
@@ -80,8 +71,8 @@ def _record(failures: list, entry: dict) -> None:
         failures.append(entry)
 
 
-#: The most trials one suite samples: lemma1 holds every (p, eps) pair in
-#: memory (~1 KB each) before its first trial.
+#: The most trials one suite samples: 100k lemma1 trials, one LP each, take
+#: under a minute on a 2-core VM.
 MAX_TRIALS = 100_000
 
 
@@ -108,25 +99,21 @@ def verify_lemma1(
     """
     _check_sampling(trials, denominator)
     rng = random.Random(seed)
-    pairs = [
-        (random_outcome_vector(rng, denominator), random_connection_vector(rng, denominator))
-        for _ in range(trials)
-    ]
-    trial = partial(_lemma1_trial, compat_fn or compatible)
-    if compat_fn is None:
-        verdicts = ordered_map(trial, pairs)
-    else:  # a planted criterion may be a closure, which no worker can unpickle
-        verdicts = [trial(pair) for pair in pairs]
+    compat = compat_fn or compatible
     agreements = 0
     n_feasible = 0
     failures: list[dict] = []
-    for index, ((closed, lp), (p, eps)) in enumerate(zip(verdicts, pairs)):
+    for trial in range(trials):
+        p = random_outcome_vector(rng, denominator)
+        eps = random_connection_vector(rng, denominator)
+        closed = compat(p, eps)
+        lp = feasible(outcome_marginals(p) + connection_marginals(eps)).feasible
         if closed == lp:
             agreements += 1
         else:
             _record(
                 failures,
-                {"trial": index, "p": _strs(p), "eps": _strs(eps),
+                {"trial": trial, "p": _strs(p), "eps": _strs(eps),
                  "compatible": closed, "lp_feasible": lp},
             )
         n_feasible += lp
@@ -220,6 +207,10 @@ def _grid_connection_vectors(density: int) -> list[ConnectionVector]:
     return out
 
 
+#: Random p checked against each s0 = 1 connection vector in noforcing.
+BOUNDARY_SAMPLES = 40
+
+
 def _opens(eps: ConnectionVector) -> bool:
     """s0(eps) < 1: the connection vector admits a no-forcing counterexample."""
     return s_pair(CorrelationQuad.from_connections(eps)).s0 < 1
@@ -231,7 +222,6 @@ def verify_noforcing(
     *,
     min_vectors: int = 1000,
     denominator: int = 64,
-    boundary_samples: int = 40,
 ) -> dict:
     """For every connection vector with s0 < 1 (grid plus random), the
     constructed counterexample must be compatible (closed form and LP) and
@@ -277,7 +267,7 @@ def verify_noforcing(
             except ValueError:
                 pass
             ok = True
-            for _ in range(boundary_samples):
+            for _ in range(BOUNDARY_SAMPLES):
                 p = random_outcome_vector(rng, denominator)
                 if compatible(p, eps) and not (
                     chsh_satisfied(p) and qm_compliant(p) is not Compliance.OUTSIDE
@@ -290,7 +280,7 @@ def verify_noforcing(
         "suite": "noforcing",
         "params": {"density": density, "seed": seed, "min_vectors": min_vectors,
                    "denominator": denominator,
-                   "boundary_samples": boundary_samples, "engine": "auto"},
+                   "boundary_samples": BOUNDARY_SAMPLES, "engine": "auto"},
         "open_checked": checked,
         "open_verified": verified,
         "s0_one_checked": boundary_checked,
@@ -299,6 +289,15 @@ def verify_noforcing(
         "pass": verified == checked and boundary_ok == boundary_checked
         and checked >= min_vectors,
     }
+
+
+#: Rays bisected on the requested cross-section of nomatching: three points
+#: decide collinearity.
+RAYS = 3
+#: A cross-section where the quantum boundary is visibly curved, and the rays
+#: bisected on it.
+CURVED_CROSSSECTION = (Fraction(7, 16), Fraction(7, 16))
+CURVED_RAYS = 8
 
 
 def _collinearity_det(points: Sequence[tuple]) -> float:
@@ -312,10 +311,7 @@ def verify_nomatching(
     crosssection: tuple = (Fraction(1, 4), Fraction(1, 4)),
     seed: int = 0,
     *,
-    rays: int = 3,
     grid_resolution: int = 201,
-    curved_crosssection: tuple = (Fraction(7, 16), Fraction(7, 16)),
-    curved_rays: int = 8,
 ) -> dict:
     """Property-level evidence that no marginal constraint set carves out
     exactly the quantum-realizable region.
@@ -334,14 +330,11 @@ def verify_nomatching(
                 f"degenerate cross-section: fixed value {v} on the cube boundary"
             )
     fixed = {"p11": v1, "p12": v2}
-    if rays < 3:
-        raise ValueError("need at least three rays for a collinearity check")
-    points = regions.trace_boundary("qm", fixed, rays)
+    points = regions.trace_boundary("qm", fixed, RAYS)
     det = _collinearity_det(points)
 
-    cfixed = {"p11": Fraction(curved_crosssection[0]),
-              "p12": Fraction(curved_crosssection[1])}
-    curved_points = regions.trace_boundary("qm", cfixed, curved_rays)
+    cfixed = dict(zip(("p11", "p12"), CURVED_CROSSSECTION))
+    curved_points = regions.trace_boundary("qm", cfixed, CURVED_RAYS)
     half = Fraction(1, 2)
     interior = [(x, y) for x, y in curved_points if 0 < x < half and 0 < y < half]
     curved_det = _collinearity_det(interior) if len(interior) >= 3 else 0.0
@@ -376,10 +369,10 @@ def verify_nomatching(
         "params": {
             "crosssection": [str(v1), str(v2)],
             "seed": seed,
-            "rays": rays,
+            "rays": RAYS,
             "grid_resolution": grid_resolution,
-            "curved_crosssection": [str(cfixed["p11"]), str(cfixed["p12"])],
-            "curved_rays": curved_rays,
+            "curved_crosssection": [str(v) for v in CURVED_CROSSSECTION],
+            "curved_rays": CURVED_RAYS,
         },
         "boundary_points": [[str(x), str(y)] for x, y in points],
         "collinearity_det": det,

@@ -63,6 +63,13 @@ def test_qm_angle_example(runner):
     assert payload["qm_classification"] == "boundary"
 
 
+@pytest.mark.parametrize("angle", ["inf", "-Infinity", "nan", "1e400"])
+def test_qm_non_finite_angle_is_an_input_error(runner, angle):
+    result = invoke(runner, ["qm", "--angles", f"0,{angle},pi/4,-pi/4"])
+    assert result.exit_code == 2
+    assert json.loads(result.output) == {"error": f"angle {angle!r} is not finite"}
+
+
 def test_feasible_with_witness_file(runner, tmp_path):
     specs = [
         marginal_spec_to_json(s)

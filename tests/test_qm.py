@@ -124,6 +124,14 @@ def test_vector_settings():
         Settings.from_vectors([1, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1])
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_settings_are_refused(bad):
+    with pytest.raises(ValueError, match="angle .* is not finite"):
+        Settings.planar(0, bad, "pi/4", "-pi/4")
+    with pytest.raises(ValueError, match=r"measurement axis \[0.0, .*, 1.0\] is not finite"):
+        Settings.from_vectors([0, bad, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1])
+
+
 def test_maximize_chsh_reaches_tsirelson_bound():
     start = time.monotonic()
     settings, value = maximize_chsh(64, 3)

@@ -1,5 +1,5 @@
+import hashlib
 import json
-import os
 from fractions import Fraction
 
 import pytest
@@ -53,6 +53,13 @@ def test_lemma1_determinism():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def test_lemma1_report_bytes_are_pinned():
+    # Each trial draws p, then eps, from the seeded rng; a change in that
+    # order or in any verdict changes these bytes.
+    report = json.dumps(verify.verify_lemma1(300, seed=5), sort_keys=True, indent=2)
+    assert hashlib.md5(report.encode()).hexdigest() == "abf501ce5ee297d651fc95f147141e4f"
+
+
 def test_fine_small_run():
     report = verify.verify_fine(400, seed=3)
     assert report["pass"]
@@ -69,9 +76,7 @@ def test_e0_report():
 
 
 def test_noforcing_small_run():
-    report = verify.verify_noforcing(
-        density=3, seed=11, min_vectors=100, boundary_samples=8
-    )
+    report = verify.verify_noforcing(density=3, seed=11, min_vectors=100)
     assert report["pass"]
     assert report["open_checked"] >= 100
     assert report["open_verified"] == report["open_checked"]
@@ -106,8 +111,6 @@ def test_nomatching_rejects_degenerate_crosssection():
         verify.verify_nomatching((Fraction(1, 2), Fraction(1, 4)))
     with pytest.raises(ValueError, match="degenerate"):
         verify.verify_nomatching((Fraction(1, 4), Fraction(0)))
-    with pytest.raises(ValueError, match="three rays"):
-        verify.verify_nomatching(rays=2, grid_resolution=11)
 
 
 def test_nomatching_determinism():
@@ -122,34 +125,6 @@ def test_run_all_small():
     )
     assert report["pass"]
     assert set(report["suites"]) == {"lemma1", "fine", "noforcing", "nomatching"}
-
-
-def test_coupling_threads_parallel_matches_sequential(monkeypatch):
-    sequential = verify.verify_lemma1(50, seed=13)
-    monkeypatch.setenv("COUPLING_THREADS", "3")
-    parallel = verify.verify_lemma1(50, seed=13)
-    assert json.dumps(sequential, sort_keys=True) == json.dumps(parallel, sort_keys=True)
-
-
-def test_coupling_threads_validation(monkeypatch):
-    monkeypatch.setenv("COUPLING_THREADS", "many")
-    with pytest.raises(ValueError, match="COUPLING_THREADS"):
-        verify.worker_count()
-    monkeypatch.setenv("COUPLING_THREADS", "0")
-    assert verify.worker_count() == 1
-    # a huge request is capped at the machine's cores (no pool is started)
-    monkeypatch.setenv("COUPLING_THREADS", str(10 ** 12))
-    assert verify.worker_count() == (os.cpu_count() or 1)
-
-
-def test_parallel_grid_matches_sequential(monkeypatch):
-    from epr_couplings import regions
-
-    fixed = {"p11": Fraction(7, 16), "p12": Fraction(7, 16)}
-    sequential = regions.membership_grid(fixed, 13)
-    monkeypatch.setenv("COUPLING_THREADS", "2")
-    parallel = regions.membership_grid(fixed, 13)
-    assert (sequential.flags == parallel.flags).all()
 
 
 def test_sampling_bounds():
