@@ -61,8 +61,13 @@ def parse_angle(text: str) -> Fraction | float:
     return _radians(radians, text)
 
 
-def _radians(radians: float, shown) -> Fraction | float:
-    """A finite angle in radians; 0 becomes the exact Fraction(0)."""
+def _radians(value, shown) -> Fraction | float:
+    """A number as a finite angle in radians; 0 becomes the exact
+    Fraction(0).  An int beyond the float range is not finite either."""
+    try:
+        radians = float(value)
+    except OverflowError:
+        radians = math.inf
     if not math.isfinite(radians):
         raise ValueError(f"angle {shown!r} is not finite")
     return Fraction(0) if radians == 0.0 else radians
@@ -74,12 +79,15 @@ def _as_angle(value) -> Fraction | float:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, float)):
-        return _radians(float(value), value)
+        return _radians(value, value)
     raise TypeError(f"cannot interpret {value!r} as an angle")
 
 
 def _unit(vector: Sequence[float]) -> tuple[float, float, float]:
-    v = np.asarray(vector, dtype=float)
+    try:
+        v = np.asarray(vector, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"measurement axis {list(vector)} is not finite") from None
     if v.shape != (3,):
         raise ValueError("measurement axes must be 3-vectors")
     if not np.isfinite(v).all():

@@ -14,15 +14,17 @@ their face equations; only the curved quantum boundary is bisected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Mapping, TextIO
 
 import numpy as np
 
 from . import stats
 from .model import OutcomeVector
-from .scalars import Scalar, as_scalar, integers
+from .scalars import Scalar, ZSqrt2, as_scalar, integers
 from .stats import (
     TSIRELSON_HIGH,
     TSIRELSON_LOW,
@@ -53,15 +55,52 @@ _CSV_FLAGS = tuple(f",{f & 1},{f >> 1 & 1},{f >> 2 & 1}\n" for f in range(8))
 #: Cells decided per block of whole grid rows.
 BLOCK = 4096
 
-#: The largest ``unit`` a grid is decided at in int64.  Cell values lie in
-#: ``[0, unit/2]``, so ``|4 v - unit| <= unit`` and every term of the region
-#: bodies but :func:`stats.qm_masks`'s ``e`` (computed in Python ints) lies
-#: within ``4 unit^4 <= 2**62``.
+#: The largest ``unit`` a grid over Q is decided at in int64.  Cell values
+#: lie in ``[0, unit/2]``, so ``|4 v - unit| <= unit`` and every term of the
+#: region bodies but :func:`stats.qm_masks`'s ``e`` (computed in Python ints)
+#: lies within ``4 unit^4 <= 2**62``.
+#:
+#: A grid over Q[sqrt2] is decided in int64 while ``16 W^8 < 2^63``, that is
+#: ``W <= 165``, for the int ``W >= unit`` of :func:`_conjugate_width`, which
+#: bounds ``|4 v - unit|`` and ``|4 conj(v) - unit|`` for every cell value
+#: ``v``.  Proof: ``t -> t`` and ``t -> conj(t)`` are ring maps Z[sqrt2] -> R,
+#: so each term of the bodies, a polynomial in ``unit`` and the ``r = 4 v -
+#: unit``, lies in both images where that polynomial of reals in ``[-W, W]``
+#: does.  The largest term whose sign is taken is ``qm_masks``'s ``d = unit^2
+#: (r1^2 + r2^2 + r3^2 + r4^2) - 2 unit^4 - 2 r1 r2 r3 r4``, within ``[-4 W^4,
+#: 4 W^4]``; no other term or partial sum exceeds ``5 W^4``.  The parts of
+#: ``t = a + b sqrt2`` are ``a = (t + conj t)/2`` and ``b sqrt2 = (t - conj
+#: t)/2``, so ``|a|`` and ``|b| sqrt2`` are at most the larger image, and
+#: :func:`scalars._sign`'s ``a^2``, ``2 b^2`` and their difference at most
+#: ``16 W^8`` on ``d``.
 INT64_UNIT = 2 ** 15
 
-#: The finest membership grid: in one process, 2001^2 cells take ~0.8 s over
-#: Q and ~20 s over Q[sqrt2] (2-core VM, Python 3.11, numpy 2.4).
+#: The finest membership grid: in one process, 2001^2 cells take ~0.5 s over
+#: Q and ~11 s over Q[sqrt2], whose unit 16008 there takes object arrays
+#: (2-core VM, Python 3.11, numpy 2.4).
 MAX_RESOLUTION = 2001
+
+
+def _conjugate_width(unit: int, scaled) -> int:
+    """``W = max(unit, |4 a - unit| + ceil(4 |b| sqrt2))`` over the scaled
+    fixed values ``a + b sqrt2`` (ints or :class:`ZSqrt2`): an int that
+    bounds ``|4 v - unit|`` and ``|4 conj(v) - unit|`` for every cell value
+    ``v``, since a free value in ``[0, unit/2]`` has ``|4 v - unit| <=
+    unit``.  ``32 b^2`` is no square for ``b != 0``, so ``ceil(4 |b| sqrt2)``
+    is its isqrt plus one."""
+    width = unit
+    for v in scaled:
+        a, b = (v.a, v.b) if type(v) is ZSqrt2 else (v, 0)
+        width = max(width, abs(4 * a - unit) + math.isqrt(32 * b * b) + (b != 0))
+    return width
+
+
+def _fits_int64(unit: int, scaled) -> bool:
+    """Whether every term of the region bodies, on the cells of a grid with
+    these scaled fixed values, is exact in int64 (see :data:`INT64_UNIT`)."""
+    if all(type(v) is int for v in scaled):
+        return unit <= INT64_UNIT
+    return 16 * _conjugate_width(unit, scaled) ** 8 < 2 ** 63
 
 
 def check_resolution(resolution: int) -> None:
@@ -112,8 +151,12 @@ class MembershipGrid:
     fixed: dict[str, Scalar]
     free: tuple[str, str]
     resolution: int
-    centers: tuple[Fraction, ...]
     flags: np.ndarray  # shape (resolution, resolution), bits: 1 chsh, 2 qm, 4 tsirelson
+
+    @cached_property
+    def centers(self) -> tuple[Fraction, ...]:
+        """The cell centers along each free axis, built on first read."""
+        return tuple(_center(k, self.resolution) for k in range(self.resolution))
 
     def counts(self) -> dict[str, int]:
         return {
@@ -150,6 +193,11 @@ class MembershipGrid:
         }
 
 
+def _center(k: int, resolution: int) -> Fraction:
+    """The center ``(2k+1) / (4 resolution)`` of cell ``k`` along a free axis."""
+    return Fraction(2 * k + 1, 4 * resolution)
+
+
 def membership_grid(fixed: Mapping[str, object], resolution: int = 201) -> MembershipGrid:
     """Evaluate all three region predicates at every cell center.
 
@@ -162,19 +210,24 @@ def membership_grid(fixed: Mapping[str, object], resolution: int = 201) -> Membe
     ``max(1, BLOCK // resolution)`` whole rows, each by one call of each
     :mod:`stats` body on the row values (shape ``(k, 1)``) broadcast
     against the column (shape ``(1, resolution)``).  The blocks are numpy
-    int64 arrays when every scaled value is an int and ``unit <=
-    INT64_UNIT``, and object arrays of Python ints otherwise.  The
+    int64 arrays when a static bound from ``unit`` and the scaled fixed
+    values proves every term exact (:data:`INT64_UNIT`): over Q while
+    ``unit <= INT64_UNIT``, over Q[sqrt2] while ``16 W^8 < 2^63`` for the
+    conjugate width ``W`` of the fixed values (``W <= 165``; the singlet
+    slices through ``(2 -+ sqrt2)/8`` have ``W = unit``, 72 at resolution
+    9 and 120 at 15), and object arrays of Python ints otherwise.  The
     inclusion chain (classical inside quantum inside Tsirelson) is asserted
-    on each block's masks; a violation raises.
+    on each block's masks; a violation raises.  The grid's ``centers`` are
+    built only when read.
     """
     check_resolution(resolution)
     fixed_vals, free = _split_components(fixed)
-    centers = tuple(Fraction(2 * k + 1, 4 * resolution) for k in range(resolution))
-    OutcomeVector(*_ordered(fixed_vals, free, centers[0], centers[0]))  # raises on bad fixed values
-    unit, (*scaled, step) = integers([*fixed_vals.values(), Fraction(1, 4 * resolution)])
+    first = _center(0, resolution)
+    OutcomeVector(*_ordered(fixed_vals, free, first, first))  # raises on bad fixed values
+    unit, (*scaled, step) = integers([*fixed_vals.values(), first])
     scaled_fixed = dict(zip(fixed_vals, scaled))
-    fits_int64 = unit <= INT64_UNIT and all(type(s) is int for s in scaled)
-    points = step * np.arange(1, 2 * resolution, 2, dtype=np.int64 if fits_int64 else object)
+    dtype = np.int64 if _fits_int64(unit, scaled) else object
+    points = step * np.arange(1, 2 * resolution, 2, dtype=dtype)
     column = points[np.newaxis, :]
     rows = max(1, BLOCK // resolution)
     flags = np.empty((resolution, resolution), dtype=np.uint8)
@@ -187,14 +240,14 @@ def membership_grid(fixed: Mapping[str, object], resolution: int = 201) -> Membe
         if violated.any():
             ix, iy = np.argwhere(violated)[0]
             raise AssertionError(
-                f"inclusion chain violated at cell ({centers[start + ix]}, {centers[iy]})"
+                "inclusion chain violated at cell "
+                f"({_center(start + ix, resolution)}, {_center(iy, resolution)})"
             )
         flags[start:start + rows] = chsh + 2 * ~outside + 4 * tsir
     return MembershipGrid(
         fixed=dict(fixed_vals),
         free=free,
         resolution=resolution,
-        centers=centers,
         flags=flags,
     )
 

@@ -64,14 +64,29 @@ def _sgn(x):
 
 def _sign(a, b):
     """Exact sign of ``a + b*sqrt(2)`` for ints ``a``, ``b`` (or int arrays,
-    elementwise), without branches: with parts of the same sign (or a zero
-    part) it is the sign of their sum; with opposite signs ``|a|`` vs
+    elementwise, by :func:`_block_sign`): with parts of the same sign (or a
+    zero part) it is the sign of their sum; with opposite signs ``|a|`` vs
     ``|b| sqrt2`` reduces to ``a^2`` vs ``2 b^2``, never equal for nonzero
     ints (sqrt(2) is irrational), and takes the sign of ``a`` when ``a``
     wins."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return _block_sign(a, b)
     sa, sb = _sgn(a), _sgn(b)
-    same = sa * sb >= 0
-    return same * _sgn(sa + sb) + (1 - same) * sa * _sgn(a * a - 2 * b * b)
+    if sa * sb >= 0:
+        return _sgn(sa + sb)
+    return sa * _sgn(a * a - 2 * b * b)
+
+
+def _block_sign(a, b):
+    """:func:`_sign` on arrays (an int part broadcasts) as an int64 array,
+    one numpy ufunc per step and both rules computed on every element.
+    ``a^2 - 2 b^2`` is computed in the parts' dtype: Python ints in object
+    arrays, or int64, exact only while ``a^2`` and ``2 b^2`` stay below
+    2^63 (``regions.membership_grid`` proves that before it builds int64
+    blocks)."""
+    sgn = _sgn if np.result_type(a, b) == object else np.sign
+    sa, sb = sgn(a), sgn(b)
+    return np.where(sa * sb >= 0, np.sign(sa + sb), sa * sgn(a * a - 2 * b * b))
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -108,12 +123,18 @@ class ZSqrt2:
     """``a + b*sqrt(2)`` with integer ``a`` and ``b``: an element of the ring
     Z[sqrt(2)], the number type exact Q[sqrt(2)] decisions run on.
 
-    Each field is an int or a numpy object array of ints, so one value
-    holds a single number or a whole block of them; ``+ - *`` (with ints,
-    int arrays and each other, either side), ``abs``, :meth:`sign` and the
-    six comparisons then act elementwise and return ints or arrays of them.
-    ``__array_ufunc__ = None`` sends ``ndarray + ZSqrt2`` to the reflected
-    method here, so it never becomes an object array of ZSqrt2s.
+    Each field is an int, a numpy object array of ints or a numpy int64
+    array, so one value holds a single number or a whole block of them;
+    ``+ - *`` (with ints, int arrays and each other, either side), ``abs``,
+    :meth:`sign` and the six comparisons then act elementwise and return
+    ints or arrays of them.  Arithmetic keeps the parts' dtype: object
+    arrays stay Python ints, which never overflow, and int64 arrays stay
+    int64, exact only while every part and every square that :func:`_sign`
+    takes stays below 2^63; ``regions.membership_grid`` proves that bound
+    (``16 W^8 < 2^63``, see ``regions.INT64_UNIT``) before it builds int64
+    blocks of Q[sqrt2] values.  ``__array_ufunc__ = None`` sends ``ndarray
+    + ZSqrt2`` to the reflected method here, so it never becomes an object
+    array of ZSqrt2s.
     """
 
     __slots__ = ("a", "b")
@@ -154,12 +175,12 @@ class ZSqrt2:
 
     def __abs__(self) -> ZSqrt2:
         s = self.sign()
-        if isinstance(s, np.ndarray):  # keep the parts Python ints
-            s = s.astype(object)
+        if isinstance(s, np.ndarray) and np.result_type(self.a, self.b) == object:
+            s = s.astype(object)  # an int part beside an object array stays a Python int
         return ZSqrt2(self.a * s, self.b * s)
 
     def sign(self):
-        """Exact sign: -1, 0 or +1, or an int array of them."""
+        """Exact sign: -1, 0 or +1, or an int64 array of them."""
         return _sign(self.a, self.b)
 
     def _three_way(self, other):

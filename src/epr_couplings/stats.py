@@ -16,10 +16,14 @@ their common denominator ``unit``: over Q to Python ints, over Q[sqrt(2)]
 to :class:`~.scalars.ZSqrt2` pairs of Python ints, so every exact decision
 runs on integers, never on ``Scalar`` arithmetic.  The region bodies use
 only arithmetic, comparisons and ``&``, so they also decide a whole block
-of grid cells held in numpy arrays: int64 where every term fits, object
-arrays of Python ints otherwise, and :func:`qm_masks` takes its one
-``unit^8`` term to Python ints itself.  Approximate (decimal) input takes
-one toleranced float path instead.
+of grid cells held in numpy arrays, over Q and over Q[sqrt2] alike: int64
+where ``regions.membership_grid`` proves every term fits (over Q while
+``unit <= 2^15``; over Q[sqrt2] while ``16 W^8 < 2^63`` for the bound ``W``
+on ``|4 v - unit|`` and its conjugate, so that :func:`scalars._sign` may
+square :func:`qm_masks`'s degree-4 ``d``), object arrays of Python ints
+otherwise, and :func:`qm_masks` takes its one ``unit^8`` term to Python
+ints itself.  Approximate (decimal) input takes one toleranced float path
+instead.
 """
 
 from __future__ import annotations

@@ -132,6 +132,16 @@ def test_non_finite_settings_are_refused(bad):
         Settings.from_vectors([0, bad, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1])
 
 
+def test_angle_beyond_the_float_range_is_refused():
+    with pytest.raises(ValueError, match=r"angle 10{400} is not finite"):
+        Settings.planar(0, 10 ** 400, "pi/4", "-pi/4")
+
+
+def test_axis_beyond_the_float_range_is_refused():
+    with pytest.raises(ValueError, match=r"measurement axis \[0, 10{400}, 1\] is not finite"):
+        Settings.from_vectors([0, 10 ** 400, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1])
+
+
 def test_maximize_chsh_reaches_tsirelson_bound():
     start = time.monotonic()
     settings, value = maximize_chsh(64, 3)

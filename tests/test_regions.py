@@ -1,4 +1,5 @@
 import io
+import math
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,18 @@ UNIT_SLICES = {
     "unit-over-2^15": ({"p11": Fraction(683, 2731), "p21": Fraction(1, 4)}, 32772),
     "unit-under-2^16": ({"p11": Fraction(1365, 5461), "p21": Fraction(1, 4)}, 65532),
 }
+#: Q[sqrt2] slices whose conjugate width W sits just under the int64 bound
+#: 16 W^8 < 2^63 (W <= 165) and over it, inside 16 W^8 < 2^64.  Their fixed
+#: r = 4p - 1 lie near -unit with conjugates near +unit, so qm_masks's d
+#: reaches the edge: on cells where its parts differ in sign, _sign squares
+#: a part to 0.71 * 2^63 on the first slice and 1.37 * 2^63 on the second,
+#: which would wrap in int64.
+SQRT2_SLICES = {
+    "width-164": ({"p11": as_scalar("(21-14*sqrt2)/82"), "p12": as_scalar("(21-14*sqrt2)/82")},
+                  41, 164),
+    "width-180": ({"p11": as_scalar("(23-15*sqrt2)/90"), "p12": as_scalar("(23-15*sqrt2)/90")},
+                  45, 180),
+}
 
 
 @pytest.mark.parametrize("fixed, resolution", [
@@ -85,12 +98,14 @@ UNIT_SLICES = {
     ({"p22": SINGLET_LOW, "p21": SINGLET_HIGH}, SPLIT_RESOLUTION),
     # the int64 bound on unit, from both sides
     *((fixed, 3) for fixed, _ in UNIT_SLICES.values()),
+    # the int64 bound on the conjugate width of Q[sqrt2] values, from both sides
+    *((fixed, resolution) for fixed, resolution, _ in SQRT2_SLICES.values()),
 ], ids=["curved", "p11-p12", "p12-p11", "p21-p22", "p22-p21", "p11-p21",
         "half-half", "half-3/8",
         *(f"singlet-{name}" + ("" if first == "p11" else f"-{first}-{second}")
           for name in SINGLET_PAIRS for first, second in PLACEMENTS),
         "singlet-low-3/8", "7/16-singlet-high",
-        "curved-blocks", "singlet-high-low-blocks", *UNIT_SLICES])
+        "curved-blocks", "singlet-high-low-blocks", *UNIT_SLICES, *SQRT2_SLICES])
 def test_grid_matches_pointwise_predicates(fixed, resolution):
     grid = regions.membership_grid(fixed, resolution)
     for ix, x in enumerate(grid.centers):
@@ -110,6 +125,30 @@ def test_unit_slices_straddle_the_int64_bound():
         assert integers([*fixed.values(), Fraction(1, 12)])[0] == unit
     units = sorted(unit for _, unit in UNIT_SLICES.values())
     assert units[0] <= regions.INT64_UNIT < units[1] < units[2] <= 2 * regions.INT64_UNIT
+
+
+def test_sqrt2_slices_straddle_the_int64_bound():
+    fits = []
+    for fixed, resolution, width in SQRT2_SLICES.values():
+        unit, (*scaled, _) = integers([*fixed.values(), Fraction(1, 4 * resolution)])
+        assert regions._conjugate_width(unit, scaled) == width
+        fits.append(regions._fits_int64(unit, scaled))
+    assert fits == [True, False]
+    under, over = (width for *_, width in SQRT2_SLICES.values())
+    assert 16 * under ** 8 < 2 ** 63 <= 16 * over ** 8 < 2 ** 64
+
+
+def test_conjugate_width_bounds_both_images():
+    """W is ``max(unit, ceil(|4a - unit| + 4 |b| sqrt2))`` for a scaled
+    value ``a + b sqrt2``, so it bounds ``|4 v - unit|`` and ``|4 conj(v) -
+    unit|`` (checked in floats, far from any tie)."""
+    for text in ("(2-sqrt2)/8", "(2+sqrt2)/8", "(21-14*sqrt2)/82", "(3+sqrt2)/20", "5/16"):
+        value = as_scalar(text)
+        unit, (scaled,) = integers([value])
+        a, b = float(value.a * unit), float(value.b * unit)
+        images = [abs(4 * (a + s * b * 2 ** 0.5) - unit) for s in (1, -1)]
+        want = max(unit, math.ceil(abs(4 * a - unit) + 4 * abs(b) * 2 ** 0.5))
+        assert regions._conjugate_width(unit, [scaled]) == want >= max(images)
 
 
 def test_split_resolution_has_a_partial_last_block():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epr_couplings import regions, scalars
 from epr_couplings.scalars import (
     DEFAULT_TOLERANCE,
     HALF,
@@ -253,10 +254,18 @@ def test_numpy_ints_become_python_ints():
 
 # -- ZSqrt2, the integer ring exact decisions run on -------------------------------
 
-#: Pell pairs, |a^2 - 2 b^2| = 1: a + b*sqrt2 with opposite signs is as close
-#: to zero as pairs of that size get.
-PELL = ((1, 1), (3, 2), (7, 5), (17, 12), (41, 29), (99, 70), (239, 169),
-        (577, 408), (1393, 985), (3363, 2378), (8119, 5741))
+def pell_pairs(limit):
+    """The Pell pairs ``(a, b)``, ``|a^2 - 2 b^2| = 1``, with ``a <= limit``:
+    ``a + b*sqrt2`` with opposite signs is as close to zero as pairs of that
+    size get."""
+    pairs, (a, b) = [], (1, 1)
+    while a <= limit:
+        pairs.append((a, b))
+        a, b = a + 2 * b, a + b
+    return pairs
+
+
+PELL = pell_pairs(10 ** 4)
 signs = st.sampled_from((1, -1))
 big = st.integers(-10**12, 10**12)
 ring_parts = st.one_of(
@@ -348,6 +357,69 @@ def test_zsqrt2_on_object_arrays_matches_one_value_at_a_time(rows):
             assert list(op(block, other)) == [op(x, y) for x, y, _ in singles], op
             assert list(op(block, n)) == [op(x, k) for x, _, k in singles], op
             assert list(op(n, block)) == [op(k, x) for x, _, k in singles], op
+
+
+#: The largest parts ``a + b sqrt2`` that ``regions.membership_grid`` lets
+#: ``_sign`` square in int64: ``|a|, |b| sqrt2 <= 4 W^4`` for the largest
+#: conjugate width W = 165 of its bound ``16 W^8 < 2^63``.
+INT64_A = 4 * 165 ** 4
+INT64_B = math.isqrt(INT64_A ** 2 // 2)
+
+
+int64_a, int64_b = st.integers(-INT64_A, INT64_A), st.integers(-INT64_B, INT64_B)
+int64_cells = st.one_of(
+    st.just((0, 0)),
+    st.tuples(st.just(0), int64_b),
+    st.tuples(int64_a, st.just(0)),
+    # opposite signs, |a| within a few units of |b| sqrt2
+    st.builds(lambda b, da, s: (s * (math.isqrt(2 * b * b) + da), -s * b),
+              st.integers(1, INT64_B - 2), st.integers(-2, 2), signs),
+    st.builds(lambda ab, sa, sb: (sa * ab[0], sb * ab[1]),
+              st.sampled_from(pell_pairs(INT64_A)), signs, signs),
+    st.tuples(int64_a, int64_b),
+)
+
+
+def decimal_sign(a, b) -> int:
+    d = decimal_value(a, b)
+    return (d > 0) - (d < 0)
+
+
+def test_int64_parts_reach_the_grid_bound():
+    assert 16 * 165 ** 8 < 2 ** 63 <= 16 * 166 ** 8
+    assert not regions._fits_int64(166, [ZSqrt2(0, 0)])
+    assert regions._fits_int64(165, [ZSqrt2(0, 0)])
+    assert max(INT64_A ** 2, 2 * INT64_B ** 2) < 2 ** 63
+    assert pell_pairs(INT64_A)[-1] == (1855077841, 1311738121)
+
+
+@given(st.lists(int64_cells, min_size=1, max_size=48), ints)
+@settings(max_examples=300)
+def test_sign_kernel_matches_decimal(cells, n):
+    """``_sign`` on int64 arrays, on object arrays, on an array beside an
+    int part (as in a grid block) and on each pair of Python ints agrees
+    with the sign of ``a + b sqrt2`` in 80-digit decimal."""
+    a, b = (list(parts) for parts in zip(*cells))
+    want = [decimal_sign(x, y) for x, y in cells]
+    for dtype in (np.int64, object):
+        got = scalars._sign(np.array(a, dtype=dtype), np.array(b, dtype=dtype))
+        assert got.dtype == np.int64 and got.tolist() == want, dtype
+    assert [scalars._sign(x, y) for x, y in cells] == want
+    b0 = max(-INT64_B, min(INT64_B, n))
+    for dtype in (np.int64, object):
+        got = scalars._sign(np.array(a, dtype=dtype), b0)
+        assert got.tolist() == [decimal_sign(x, b0) for x in a], dtype
+    assert all(type(scalars._sign(x, y)) is int for x, y in cells)
+
+
+def test_zsqrt2_abs_keeps_the_parts_dtype():
+    parts = np.array([3, -7, 0, -1], dtype=np.int64), np.array([-2, 5, -1, 0], dtype=np.int64)
+    magnitude = abs(ZSqrt2(*parts))
+    assert magnitude.a.dtype == magnitude.b.dtype == np.int64
+    assert (magnitude.a.tolist(), magnitude.b.tolist()) == ([3, -7, 0, 1], [-2, 5, 1, 0])
+    big = 2 ** 70  # an int part beside an object array stays a Python int
+    magnitude = abs(ZSqrt2(np.array([-big ** 2, big ** 2], dtype=object), big))
+    assert magnitude.b.tolist() == [-big, big] and all(type(v) is int for v in magnitude.b)
 
 
 def test_zsqrt2_rejects_other_number_types():
