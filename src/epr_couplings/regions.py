@@ -60,24 +60,35 @@ BLOCK = 4096
 #: region bodies but :func:`stats.qm_masks`'s ``e`` (computed in Python ints)
 #: lies within ``4 unit^4 <= 2**62``.
 #:
-#: A grid over Q[sqrt2] is decided in int64 while ``16 W^8 < 2^63``, that is
-#: ``W <= 165``, for the int ``W >= unit`` of :func:`_conjugate_width`, which
-#: bounds ``|4 v - unit|`` and ``|4 conj(v) - unit|`` for every cell value
-#: ``v``.  Proof: ``t -> t`` and ``t -> conj(t)`` are ring maps Z[sqrt2] -> R,
-#: so each term of the bodies, a polynomial in ``unit`` and the ``r = 4 v -
-#: unit``, lies in both images where that polynomial of reals in ``[-W, W]``
-#: does.  The largest term whose sign is taken is ``qm_masks``'s ``d = unit^2
-#: (r1^2 + r2^2 + r3^2 + r4^2) - 2 unit^4 - 2 r1 r2 r3 r4``, within ``[-4 W^4,
-#: 4 W^4]``; no other term or partial sum exceeds ``5 W^4``.  The parts of
-#: ``t = a + b sqrt2`` are ``a = (t + conj t)/2`` and ``b sqrt2 = (t - conj
-#: t)/2``, so ``|a|`` and ``|b| sqrt2`` are at most the larger image, and
-#: :func:`scalars._sign`'s ``a^2``, ``2 b^2`` and their difference at most
-#: ``16 W^8`` on ``d``.
+#: A grid over Q[sqrt2] is decided in int64 while ``5 W^4 < 2^63``, that is
+#: ``W <= 36853``, for the int ``W >= unit`` of :func:`_conjugate_width`,
+#: which bounds ``|4 v - unit|`` and ``|4 conj(v) - unit|`` for every cell
+#: value ``v``.  Proof: ``t -> t`` and ``t -> conj(t)`` are ring maps
+#: Z[sqrt2] -> R, so each value the bodies compute, a polynomial in ``unit``
+#: and the ``r = 4 v - unit``, has both images where that polynomial of reals
+#: in ``[-W, W]`` lies.  The parts of ``t = a + b sqrt2`` are ``a = (t + conj
+#: t)/2`` and ``b sqrt2 = (t - conj t)/2``, so ``|a|`` and ``|b| sqrt2`` are
+#: at most the larger image.  A product of values whose images lie within
+#: ``X`` and ``Y`` forms, in ``ZSqrt2.__mul__``, ``a c``, ``2 b d`` (after
+#: ``2 b``), ``a d`` and ``b c``, each within ``X Y``, and sums them to its
+#: own parts.  The CHSH and Tsirelson terms stay within ``27 W^2`` (``t = 2 e
+#: - unit`` within ``5 W``).  In :func:`stats.qm_masks`, ``lhs = |r1 r2 - r3
+#: r4|`` lies within ``2 W^2``, ``lhs^2`` within ``4 W^4``, ``x`` and ``y``
+#: within ``W^4`` (their factors ``unit^2 - r^2`` within ``W^2``), the
+#: partial sum ``lhs^2 - x`` within ``5 W^4``, and ``d = unit^2 (r1^2 + r2^2 +
+#: r3^2 + r4^2) - 2 unit^4 - 2 r1 r2 r3 r4`` within ``4 W^4``; ``e`` is
+#: computed in Python ints.  So every part and every product of parts lies
+#: within ``5 W^4 < 2^63``.  The one square beyond that bound,
+#: :func:`scalars._sign`'s ``a^2`` and ``2 b^2``, is taken in int64 only on
+#: the cells whose parts pass its per-cell guard (``|a| <=
+#: scalars.SQUARE_A``, ``|b| <= scalars.SQUARE_B``, so each square is below
+#: 2^63), and in Python ints on the cells whose parts differ in sign and
+#: fail it; a cell whose parts agree in sign takes the sign of their sum.
 INT64_UNIT = 2 ** 15
 
-#: The finest membership grid: in one process, 2001^2 cells take ~0.5 s over
-#: Q and ~11 s over Q[sqrt2], whose unit 16008 there takes object arrays
-#: (2-core VM, Python 3.11, numpy 2.4).
+#: The finest membership grid: in one process, 2001^2 cells take ~0.4 s over
+#: Q and ~0.9 s over Q[sqrt2] (the singlet slice, unit 16008), both on int64
+#: blocks (2-core VM, Python 3.11, numpy 2.4).
 MAX_RESOLUTION = 2001
 
 
@@ -100,7 +111,7 @@ def _fits_int64(unit: int, scaled) -> bool:
     these scaled fixed values, is exact in int64 (see :data:`INT64_UNIT`)."""
     if all(type(v) is int for v in scaled):
         return unit <= INT64_UNIT
-    return 16 * _conjugate_width(unit, scaled) ** 8 < 2 ** 63
+    return 5 * _conjugate_width(unit, scaled) ** 4 < 2 ** 63
 
 
 def check_resolution(resolution: int) -> None:
@@ -201,30 +212,35 @@ def _center(k: int, resolution: int) -> Fraction:
 def membership_grid(fixed: Mapping[str, object], resolution: int = 201) -> MembershipGrid:
     """Evaluate all three region predicates at every cell center.
 
-    The fixed values are validated once, as the first cell's outcome vector,
-    then scaled together with the cell centers by :func:`scalars.integers`:
-    to Python ints, and a fixed value with a sqrt(2) part to a
-    :class:`~.scalars.ZSqrt2` pair of ints.  The centers ``(2k+1) / (4
-    resolution)`` share one denominator, so they scale to odd multiples of
-    the scaled ``1 / (4 resolution)``.  The grid is decided in blocks of
-    ``max(1, BLOCK // resolution)`` whole rows, each by one call of each
-    :mod:`stats` body on the row values (shape ``(k, 1)``) broadcast
-    against the column (shape ``(1, resolution)``).  The blocks are numpy
-    int64 arrays when a static bound from ``unit`` and the scaled fixed
-    values proves every term exact (:data:`INT64_UNIT`): over Q while
-    ``unit <= INT64_UNIT``, over Q[sqrt2] while ``16 W^8 < 2^63`` for the
-    conjugate width ``W`` of the fixed values (``W <= 165``; the singlet
-    slices through ``(2 -+ sqrt2)/8`` have ``W = unit``, 72 at resolution
-    9 and 120 at 15), and object arrays of Python ints otherwise.  The
-    inclusion chain (classical inside quantum inside Tsirelson) is asserted
-    on each block's masks; a violation raises.  The grid's ``centers`` are
-    built only when read.
+    The fixed values are scaled together with the cell centers by
+    :func:`scalars.integers`: to Python ints, and a fixed value with a
+    sqrt(2) part to a :class:`~.scalars.ZSqrt2` pair of ints.  They are
+    checked to lie in ``[0, 1/2]`` on those ints; an outcome vector is built
+    only to raise on one that does not, or on an approximate value.  The
+    centers ``(2k+1) / (4 resolution)`` share one denominator, so they scale
+    to odd multiples of the scaled ``1 / (4 resolution)``.  The grid is
+    decided in blocks of ``max(1, BLOCK // resolution)`` whole rows, each by
+    one call of each :mod:`stats` body on the row values (shape ``(k, 1)``)
+    broadcast against the column (shape ``(1, resolution)``).  The blocks
+    are numpy int64 arrays when a static bound from ``unit`` and the scaled
+    fixed values proves every term exact (:data:`INT64_UNIT`): over Q while
+    ``unit <= INT64_UNIT``, over Q[sqrt2] while ``5 W^4 < 2^63`` for the
+    conjugate width ``W`` of the fixed values (``W <= 36853``; the singlet
+    slices through ``(2 -+ sqrt2)/8`` have ``W = unit = 8 resolution`` at an
+    odd resolution, so every one up to :data:`MAX_RESOLUTION` qualifies),
+    and object arrays of Python ints otherwise.  On an int64 block an exact
+    sign squares parts in int64 only where a per-cell guard admits them
+    (:func:`scalars._block_sign`).  The inclusion chain (classical inside
+    quantum inside Tsirelson) is asserted on each block's masks; a violation
+    raises.  The grid's ``centers`` are built only when read.
     """
     check_resolution(resolution)
     fixed_vals, free = _split_components(fixed)
     first = _center(0, resolution)
-    OutcomeVector(*_ordered(fixed_vals, free, first, first))  # raises on bad fixed values
     unit, (*scaled, step) = integers([*fixed_vals.values(), first])
+    exact = all(v.is_exact for v in fixed_vals.values())
+    if not (exact and all(0 <= 2 * v <= unit for v in scaled)):
+        OutcomeVector(*_ordered(fixed_vals, free, first, first))  # raises
     scaled_fixed = dict(zip(fixed_vals, scaled))
     dtype = np.int64 if _fits_int64(unit, scaled) else object
     points = step * np.arange(1, 2 * resolution, 2, dtype=dtype)

@@ -77,16 +77,40 @@ def _sign(a, b):
     return sa * _sgn(a * a - 2 * b * b)
 
 
+#: The largest ``|a|`` and ``|b|`` whose ``a^2`` and ``2 b^2`` lie below
+#: 2^63: the per-cell bound under which :func:`_block_sign` squares int64
+#: parts.
+SQUARE_A = math.isqrt(2 ** 63 - 1)
+SQUARE_B = math.isqrt(2 ** 62 - 1)
+
+
 def _block_sign(a, b):
-    """:func:`_sign` on arrays (an int part broadcasts) as an int64 array,
-    one numpy ufunc per step and both rules computed on every element.
-    ``a^2 - 2 b^2`` is computed in the parts' dtype: Python ints in object
-    arrays, or int64, exact only while ``a^2`` and ``2 b^2`` stay below
-    2^63 (``regions.membership_grid`` proves that before it builds int64
-    blocks)."""
-    sgn = _sgn if np.result_type(a, b) == object else np.sign
-    sa, sb = sgn(a), sgn(b)
-    return np.where(sa * sb >= 0, np.sign(sa + sb), sa * sgn(a * a - 2 * b * b))
+    """:func:`_sign` on arrays (an int part broadcasts), as an int64 array.
+
+    While every cell is narrow it is one step on all of them: ``a^2 > 2
+    b^2`` picks the sign of ``a``, otherwise that of ``b``, right where the
+    parts agree in sign or one is zero and by ``|a|`` vs ``|b| sqrt2``
+    where they differ.  An int64 cell is narrow while ``|a| <= SQUARE_A``
+    and ``|b| <= SQUARE_B``, so ``a^2``, ``2 b^2`` and their difference lie
+    below 2^63; every cell of an object array is wide.  A block with a wide
+    cell takes the sign of ``sa + sb`` on every cell, and squares parts only
+    on the cells where they differ in sign: in int64 on the narrow ones, in
+    Python ints on the wide ones."""
+    if np.result_type(a, b) == object:
+        sa, sb = _sgn(a), _sgn(b)
+        wide = np.True_
+    else:
+        sa, sb = np.sign(a), np.sign(b)
+        wide = (np.abs(a) > SQUARE_A) | (np.abs(b) > SQUARE_B)
+        if not wide.any():
+            return np.where(a * a > 2 * b * b, sa, sb)
+    sign = np.sign(sa + sb)
+    split = sa * sb < 0
+    for cells, dtype in ((split & ~wide, np.int64), (split & wide, object)):
+        if cells.any():
+            x, y, s = (np.broadcast_to(t, cells.shape)[cells].astype(dtype) for t in (a, b, sa))
+            sign[cells] = np.where(x * x > 2 * y * y, s, -s)
+    return sign
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -129,12 +153,13 @@ class ZSqrt2:
     :meth:`sign` and the six comparisons then act elementwise and return
     ints or arrays of them.  Arithmetic keeps the parts' dtype: object
     arrays stay Python ints, which never overflow, and int64 arrays stay
-    int64, exact only while every part and every square that :func:`_sign`
-    takes stays below 2^63; ``regions.membership_grid`` proves that bound
-    (``16 W^8 < 2^63``, see ``regions.INT64_UNIT``) before it builds int64
-    blocks of Q[sqrt2] values.  ``__array_ufunc__ = None`` sends ``ndarray
-    + ZSqrt2`` to the reflected method here, so it never becomes an object
-    array of ZSqrt2s.
+    int64, exact only while every part and every product of parts stays
+    below 2^63; ``regions.membership_grid`` proves that bound (``5 W^4 <
+    2^63``, see ``regions.INT64_UNIT``) before it builds int64 blocks of
+    Q[sqrt2] values.  :func:`_sign` needs no bound: it squares int64 parts
+    only on the cells its per-cell guard passes.  ``__array_ufunc__ =
+    None`` sends ``ndarray + ZSqrt2`` to the reflected method here, so it
+    never becomes an object array of ZSqrt2s.
     """
 
     __slots__ = ("a", "b")

@@ -18,12 +18,15 @@ runs on integers, never on ``Scalar`` arithmetic.  The region bodies use
 only arithmetic, comparisons and ``&``, so they also decide a whole block
 of grid cells held in numpy arrays, over Q and over Q[sqrt2] alike: int64
 where ``regions.membership_grid`` proves every term fits (over Q while
-``unit <= 2^15``; over Q[sqrt2] while ``16 W^8 < 2^63`` for the bound ``W``
-on ``|4 v - unit|`` and its conjugate, so that :func:`scalars._sign` may
-square :func:`qm_masks`'s degree-4 ``d``), object arrays of Python ints
-otherwise, and :func:`qm_masks` takes its one ``unit^8`` term to Python
-ints itself.  Approximate (decimal) input takes one toleranced float path
-instead.
+``unit <= 2^15``; over Q[sqrt2] while ``5 W^4 < 2^63`` for the bound ``W``
+on ``|4 v - unit|`` and its conjugate, with :func:`scalars._sign` squaring
+parts in int64 only on the cells its per-cell guard admits), object arrays
+of Python ints otherwise, and :func:`qm_masks` takes its one ``unit^8``
+term to Python ints itself.  On a Q[sqrt2] block the two CHSH-family
+bodies decide the four expressions stacked into one array, so a block
+takes six exact signs: two for CHSH, one for Tsirelson, three in
+:func:`qm_masks`.  Approximate (decimal) input takes one toleranced float
+path instead.
 """
 
 from __future__ import annotations
@@ -146,25 +149,47 @@ def chsh_expressions(v) -> list:
 
 def chsh_holds(unit, v):
     """``0 <= e <= unit`` for each CHSH expression ``e`` of ``v``."""
-    return reduce(and_, ((0 <= e) & (e <= unit) for e in chsh_expressions(v)))
+    return _each(lambda e: (0 <= e) & (e <= unit), chsh_expressions(v))
 
 
 def tsirelson_holds(unit, v):
     """``|e - unit/2| <= unit sqrt2/2``, as ``(2e - unit)^2 <= 2 unit^2``,
     for each CHSH expression ``e`` of ``v``."""
     bound = 2 * unit * unit
-    t = [2 * e - unit for e in chsh_expressions(v)]
-    return reduce(and_, (c * c <= bound for c in t))
+
+    def holds(e):
+        t = 2 * e - unit
+        return t * t <= bound
+
+    return _each(holds, chsh_expressions(v))
+
+
+def _each(holds, expressions):
+    """``holds(e)`` for every expression ``e``, and-ed together.  On a
+    Q[sqrt2] block the four are stacked into one ZSqrt2 whose parts have a
+    new first axis (the ``b`` parts are ints on a grid, so only the ``a``
+    parts take a ``np.stack``), decided by one call and reduced over that
+    axis; elsewhere ``holds`` runs on each."""
+    first = expressions[0]
+    if type(first) is ZSqrt2 and isinstance(first.a, np.ndarray):
+        a = np.stack([e.a for e in expressions])
+        b = np.array([e.b for e in expressions], dtype=a.dtype)
+        stacked = ZSqrt2(a, b.reshape(b.shape + (1,) * (a.ndim - b.ndim)))
+        return holds(stacked).all(axis=0)
+    return reduce(and_, map(holds, expressions))
 
 
 def qm_masks(unit, v) -> tuple:
     """``(outside, boundary)`` of ``lhs = |r1 r2 - r3 r4| <= sqrt(x) + sqrt(y)``,
     ``x = (1-r1^2)(1-r2^2)``, ``y = (1-r3^2)(1-r4^2)``: ``d = lhs^2 - x - y``
-    against ``2 sqrt(xy)``, then ``e = d^2 - 4xy``; ``d == 0`` leaves ``e <= 0``.
+    against ``2 sqrt(xy)``, then ``e = d^2 - 4xy``.  Both masks hold only
+    where ``d >= 0``; there ``d == 0`` forces ``e = -4xy <= 0`` (``|r| <=
+    1`` makes ``x, y >= 0``), so ``outside`` is ``e > 0`` and ``boundary``
+    is ``e == 0``, both read off one sign of ``e``.
 
     With ``|r| <= unit``, ``d`` lies in ``[-2 unit^4, 4 unit^4]``, but ``e``
     needs about ``unit^8``: it is computed in Python ints, and on a block
-    only on the cells where ``d >= 0``, the only ones either mask can set."""
+    only on the cells where ``d >= 0``."""
     r1, r2, r3, r4 = (4 * c - unit for c in v)
     one = unit * unit
     lhs = abs(r1 * r2 - r3 * r4)
@@ -174,7 +199,8 @@ def qm_masks(unit, v) -> tuple:
     near = d >= 0
     d, x, y = (_cells(near, t) for t in (d, x, y))
     e = d * d - 4 * x * y
-    return _spread(near, (d > 0) & (e > 0)), _spread(near, e == 0)
+    sign = e.sign() if type(e) is ZSqrt2 else e  # over Q, e itself
+    return _spread(near, sign > 0), _spread(near, sign == 0)
 
 
 def _cells(mask, t):

@@ -306,7 +306,8 @@ def test_regions_rejects_bad_fixed_values(runner, fix, message):
     ("1/4,1/4", "21", "66d6c4901d9c3bd3507a6a842f2ebf4b"),
     ("(2-sqrt2)/8,(2+sqrt2)/8", "15", "8fea82ef8c4826ae261b673646313051"),
     ("7/16,7/16", "201", "8e79dd3170b549eaf4e37dc2a85db831"),
-], ids=["quarter-21", "singlet-15", "curved-201"])
+    ("(2-sqrt2)/8,(2+sqrt2)/8", "201", "02ece506e75d8c311fb80f33f6338946"),
+], ids=["quarter-21", "singlet-15", "curved-201", "singlet-201"])
 def test_regions_csv_bytes_are_pinned(runner, fix, resolution, digest):
     result = invoke(runner, ["regions", "--fix", fix, "--grid", resolution,
                              "--format", "csv"])

@@ -1,10 +1,13 @@
 import io
+import itertools
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from epr_couplings import regions, stats
+from epr_couplings import regions, scalars, stats
 from epr_couplings.model import OutcomeVector
 from epr_couplings.scalars import Scalar, as_scalar, integers
 from epr_couplings.stats import TSIRELSON_HIGH, TSIRELSON_LOW, Compliance
@@ -64,17 +67,25 @@ UNIT_SLICES = {
     "unit-over-2^15": ({"p11": Fraction(683, 2731), "p21": Fraction(1, 4)}, 32772),
     "unit-under-2^16": ({"p11": Fraction(1365, 5461), "p21": Fraction(1, 4)}, 65532),
 }
-#: Q[sqrt2] slices whose conjugate width W sits just under the int64 bound
-#: 16 W^8 < 2^63 (W <= 165) and over it, inside 16 W^8 < 2^64.  Their fixed
-#: r = 4p - 1 lie near -unit with conjugates near +unit, so qm_masks's d
-#: reaches the edge: on cells where its parts differ in sign, _sign squares
-#: a part to 0.71 * 2^63 on the first slice and 1.37 * 2^63 on the second,
-#: which would wrap in int64.
-SQRT2_SLICES = {
+#: Q[sqrt2] slices whose fixed r = 4p - 1 lie near -unit with conjugates
+#: near +unit, so qm_masks's d reaches the edge of its range.  On the cells
+#: where d's parts differ in sign, its ``a`` part stays under the per-cell
+#: guard ``scalars.SQUARE_A`` on the first slice and passes it, by less than
+#: twice, on the second: int64 squares of those parts would wrap.
+GUARD_SLICES = {
     "width-164": ({"p11": as_scalar("(21-14*sqrt2)/82"), "p12": as_scalar("(21-14*sqrt2)/82")},
                   41, 164),
     "width-180": ({"p11": as_scalar("(23-15*sqrt2)/90"), "p12": as_scalar("(23-15*sqrt2)/90")},
                   45, 180),
+}
+#: Q[sqrt2] slices at resolution 3 (unit 12) whose conjugate width W sits
+#: just under the int64 rule 5 W^4 < 2^63 (W <= 36853) and just over it:
+#: each fixed value lies in [0, 1/2] while its conjugate is near 768.
+SQRT2_SLICES = {
+    "width-36853": ({"p11": as_scalar("(4610-3257*sqrt2)/12"),
+                     "p12": as_scalar("(4610-3257*sqrt2)/12")}, 3, 36853),
+    "width-36855": ({"p11": as_scalar("(4609-3258*sqrt2)/12"),
+                     "p12": as_scalar("(4609-3258*sqrt2)/12")}, 3, 36855),
 }
 
 
@@ -98,14 +109,17 @@ SQRT2_SLICES = {
     ({"p22": SINGLET_LOW, "p21": SINGLET_HIGH}, SPLIT_RESOLUTION),
     # the int64 bound on unit, from both sides
     *((fixed, 3) for fixed, _ in UNIT_SLICES.values()),
-    # the int64 bound on the conjugate width of Q[sqrt2] values, from both sides
+    # the per-cell guard on int64 squares, and the int64 rule on the
+    # conjugate width of Q[sqrt2] values, each from both sides
+    *((fixed, resolution) for fixed, resolution, _ in GUARD_SLICES.values()),
     *((fixed, resolution) for fixed, resolution, _ in SQRT2_SLICES.values()),
 ], ids=["curved", "p11-p12", "p12-p11", "p21-p22", "p22-p21", "p11-p21",
         "half-half", "half-3/8",
         *(f"singlet-{name}" + ("" if first == "p11" else f"-{first}-{second}")
           for name in SINGLET_PAIRS for first, second in PLACEMENTS),
         "singlet-low-3/8", "7/16-singlet-high",
-        "curved-blocks", "singlet-high-low-blocks", *UNIT_SLICES, *SQRT2_SLICES])
+        "curved-blocks", "singlet-high-low-blocks", *UNIT_SLICES, *GUARD_SLICES,
+        *SQRT2_SLICES])
 def test_grid_matches_pointwise_predicates(fixed, resolution):
     grid = regions.membership_grid(fixed, resolution)
     for ix, x in enumerate(grid.centers):
@@ -127,15 +141,102 @@ def test_unit_slices_straddle_the_int64_bound():
     assert units[0] <= regions.INT64_UNIT < units[1] < units[2] <= 2 * regions.INT64_UNIT
 
 
+def conjugate_width(fixed, resolution) -> tuple[int, bool]:
+    """The slice's conjugate width W and whether it is decided in int64."""
+    unit, (*scaled, _) = integers([*fixed.values(), Fraction(1, 4 * resolution)])
+    return regions._conjugate_width(unit, scaled), regions._fits_int64(unit, scaled)
+
+
 def test_sqrt2_slices_straddle_the_int64_bound():
-    fits = []
     for fixed, resolution, width in SQRT2_SLICES.values():
-        unit, (*scaled, _) = integers([*fixed.values(), Fraction(1, 4 * resolution)])
-        assert regions._conjugate_width(unit, scaled) == width
-        fits.append(regions._fits_int64(unit, scaled))
-    assert fits == [True, False]
-    under, over = (width for *_, width in SQRT2_SLICES.values())
-    assert 16 * under ** 8 < 2 ** 63 <= 16 * over ** 8 < 2 ** 64
+        assert conjugate_width(fixed, resolution) == (width, width <= 36853)
+    assert [width for *_, width in SQRT2_SLICES.values()] == [36853, 36855]
+    assert 5 * 36853 ** 4 < 2 ** 63 <= 5 * 36854 ** 4
+
+
+def largest_split_part(fixed, resolution) -> int:
+    """The largest ``|a|`` over the int64 cells whose parts ``a``, ``b``
+    differ in sign, over every sign the grid takes: the parts the per-cell
+    guard decides whether to square in int64."""
+    largest = 0
+    block_sign = scalars._block_sign
+
+    def recording(a, b):
+        nonlocal largest
+        if np.result_type(a, b) != object:
+            split = np.sign(a) * np.sign(b) < 0
+            if split.any():
+                parts = np.abs(np.broadcast_to(a, split.shape)[split])
+                largest = max(largest, int(parts.max()))
+        return block_sign(a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scalars, "_block_sign", recording)
+        regions.membership_grid(fixed, resolution)
+    return largest
+
+
+def test_guard_slices_straddle_the_per_cell_guard():
+    for fixed, resolution, width in GUARD_SLICES.values():
+        assert conjugate_width(fixed, resolution) == (width, True)
+    under, over = (largest_split_part(fixed, resolution)
+                   for fixed, resolution, _ in GUARD_SLICES.values())
+    assert under <= scalars.SQUARE_A < over <= 2 * scalars.SQUARE_A
+
+
+def random_fixed_value(rng, field):
+    """A fixed value in [0, 1/2]: a rational, or ``(c + d sqrt2)/q`` with a
+    sqrt(2) part of up to about 200/q, whose conjugate then lies up to about
+    560/q from the value."""
+    q = rng.randint(2, 48)
+    if field == "rational":
+        q = rng.choice((q, rng.randint(200, 2000)))
+        return Fraction(rng.randint(0, q // 2), q)
+    while True:
+        d = rng.choice((-1, 1)) * int(10 ** rng.uniform(0, 2.3))
+        c = round(q / 4 - d * 2 ** 0.5) + rng.randint(-q // 4, q // 4)
+        value = Scalar(Fraction(c, q), Fraction(d, q))
+        if 0 <= value <= HALF:
+            return value
+
+
+ORDERED_PLACEMENTS = list(itertools.permutations(("p11", "p12", "p21", "p22"), 2))
+FIELDS = (("sqrt2", "sqrt2"), ("sqrt2", "rational"), ("rational", "sqrt2"),
+          ("rational", "rational"))
+
+
+def test_int64_flags_equal_object_flags():
+    """300 seeded slices, over Q, Q[sqrt2] and both, at all 12 ordered
+    placements, on both sides of the int64 rules and of the per-cell guard:
+    the grid decided on int64 blocks, where its rule admits them, equals the
+    same bodies run on object arrays of Python ints."""
+    rng = random.Random(21)
+    slices = []
+    for k in range(300):
+        first, second = ORDERED_PLACEMENTS[k % 12]
+        fields = rng.choice(FIELDS)
+        fixed = {first: random_fixed_value(rng, fields[0]),
+                 second: random_fixed_value(rng, fields[1])}
+        slices.append((fixed, rng.randint(2, 13)))
+    grids = [regions.membership_grid(fixed, resolution).flags for fixed, resolution in slices]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(regions, "_fits_int64", lambda unit, scaled: False)
+        for (fixed, resolution), flags in zip(slices, grids):
+            want = regions.membership_grid(fixed, resolution).flags
+            assert np.array_equal(flags, want), (fixed, resolution)
+    # what the slices cover
+    rational = [all(type(v) is Fraction for v in fixed.values()) for fixed, _ in slices]
+    sqrt2 = [s for s, over_q in zip(slices, rational) if not over_q]
+    widths = [conjugate_width(fixed, resolution) for fixed, resolution in sqrt2]
+    assert sum(fits and width > 20000 for width, fits in widths) >= 10
+    assert sum(not fits for _, fits in widths) >= 50
+    wide = sum(largest_split_part(*s) > scalars.SQUARE_A
+               for s, (_, fits) in zip(sqrt2, widths) if fits)
+    assert wide >= 50
+    units = [integers([*fixed.values(), Fraction(1, 4 * resolution)])[0]
+             for (fixed, resolution), over_q in zip(slices, rational) if over_q]
+    assert sum(unit <= regions.INT64_UNIT for unit in units) >= 20
+    assert sum(unit > regions.INT64_UNIT for unit in units) >= 20
 
 
 def test_conjugate_width_bounds_both_images():
@@ -170,6 +271,18 @@ def test_grid_validation():
         regions.membership_grid({"p11": Fraction(1, 4), "bogus": 0}, 11)
     with pytest.raises(ValueError):
         regions.membership_grid(QUARTER_SLICE, 1)
+    # fixed values outside [0, 1/2], and a decimal beside the exact centers
+    for fixed, message in [
+        ({"p11": Fraction(3, 4), "p12": Fraction(1, 4)}, "p11 = 3/4 outside [0, 1/2]"),
+        ({"p21": Fraction(1, 4), "p12": Fraction(-1, 8)}, "p12 = -1/8 outside [0, 1/2]"),
+        ({"p11": as_scalar("(1+sqrt2)/4"), "p22": Fraction(1, 4)},
+         "p11 = (1+1*sqrt2)/4 outside [0, 1/2]"),
+        ({"p11": as_scalar("0.25"), "p12": Fraction(1, 4)},
+         "outcome vector mixes exact and approximate scalars"),
+    ]:
+        with pytest.raises(ValueError) as raised:
+            regions.membership_grid(fixed, 5)
+        assert str(raised.value) == message
 
 
 def test_grid_other_fixed_components():

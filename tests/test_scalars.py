@@ -284,7 +284,7 @@ COMPARISONS = (operator.lt, operator.le, operator.eq, operator.ne, operator.gt, 
 
 def decimal_value(a, b):
     """a + b*sqrt2 to 80 digits: far finer than any gap between the values
-    drawn here (at least 1/(4 * 10**12))."""
+    drawn here (at least 1/(4 * 10**12), and 1/2^65 for int64 parts)."""
     with localcontext() as ctx:
         ctx.prec = 80
         return Decimal(a) + Decimal(b) * Decimal(2).sqrt()
@@ -359,14 +359,18 @@ def test_zsqrt2_on_object_arrays_matches_one_value_at_a_time(rows):
             assert list(op(n, block)) == [op(k, x) for x, _, k in singles], op
 
 
-#: The largest parts ``a + b sqrt2`` that ``regions.membership_grid`` lets
-#: ``_sign`` square in int64: ``|a|, |b| sqrt2 <= 4 W^4`` for the largest
-#: conjugate width W = 165 of its bound ``16 W^8 < 2^63``.
-INT64_A = 4 * 165 ** 4
+#: The largest parts ``a + b sqrt2`` that ``_sign`` meets in int64: an int64
+#: grid keeps every part within ``5 W^4 < 2^63`` (``|a|, |b| sqrt2 <= 2^63 -
+#: 1``).  The per-cell guard squares them in int64 only up to
+#: ``scalars.SQUARE_A`` and ``SQUARE_B``, in Python ints beyond.
+INT64_A = 2 ** 63 - 1
 INT64_B = math.isqrt(INT64_A ** 2 // 2)
 
 
 int64_a, int64_b = st.integers(-INT64_A, INT64_A), st.integers(-INT64_B, INT64_B)
+#: Parts at the guard and one past it, on either side.
+guard_a = st.sampled_from((scalars.SQUARE_A, scalars.SQUARE_A + 1))
+guard_b = st.sampled_from((scalars.SQUARE_B, scalars.SQUARE_B + 1))
 int64_cells = st.one_of(
     st.just((0, 0)),
     st.tuples(st.just(0), int64_b),
@@ -376,6 +380,9 @@ int64_cells = st.one_of(
               st.integers(1, INT64_B - 2), st.integers(-2, 2), signs),
     st.builds(lambda ab, sa, sb: (sa * ab[0], sb * ab[1]),
               st.sampled_from(pell_pairs(INT64_A)), signs, signs),
+    st.builds(lambda a, b, sa, sb: (sa * a, sb * b),
+              st.one_of(guard_a, st.integers(0, INT64_A)),
+              st.one_of(guard_b, st.integers(0, INT64_B)), signs, signs),
     st.tuples(int64_a, int64_b),
 )
 
@@ -386,11 +393,16 @@ def decimal_sign(a, b) -> int:
 
 
 def test_int64_parts_reach_the_grid_bound():
-    assert 16 * 165 ** 8 < 2 ** 63 <= 16 * 166 ** 8
-    assert not regions._fits_int64(166, [ZSqrt2(0, 0)])
-    assert regions._fits_int64(165, [ZSqrt2(0, 0)])
-    assert max(INT64_A ** 2, 2 * INT64_B ** 2) < 2 ** 63
-    assert pell_pairs(INT64_A)[-1] == (1855077841, 1311738121)
+    assert 5 * 36853 ** 4 < 2 ** 63 <= 5 * 36854 ** 4
+    assert not regions._fits_int64(36854, [ZSqrt2(0, 0)])
+    assert regions._fits_int64(36853, [ZSqrt2(0, 0)])
+    assert 5 * 36853 ** 4 <= INT64_A
+    # the guard: the largest parts whose squares stay below 2^63
+    assert max(scalars.SQUARE_A ** 2, 2 * scalars.SQUARE_B ** 2) < 2 ** 63
+    assert min((scalars.SQUARE_A + 1) ** 2, 2 * (scalars.SQUARE_B + 1) ** 2) >= 2 ** 63
+    # the Pell pairs drawn straddle it: the closest opposite-sign pairs
+    assert pell_pairs(scalars.SQUARE_A)[-1] == (1855077841, 1311738121)
+    assert pell_pairs(INT64_A)[-1][0] > scalars.SQUARE_A
 
 
 @given(st.lists(int64_cells, min_size=1, max_size=48), ints)
