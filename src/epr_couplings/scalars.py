@@ -90,9 +90,10 @@ def _block_sign(a, b):
     While every cell is narrow it is one step on all of them: ``a^2 > 2
     b^2`` picks the sign of ``a``, otherwise that of ``b``, right where the
     parts agree in sign or one is zero and by ``|a|`` vs ``|b| sqrt2``
-    where they differ.  An int64 cell is narrow while ``|a| <= SQUARE_A``
-    and ``|b| <= SQUARE_B``, so ``a^2``, ``2 b^2`` and their difference lie
-    below 2^63; every cell of an object array is wide.  A block with a wide
+    where they differ.  An int64 cell (its parts above -2^63, where
+    ``np.abs`` wraps) is narrow while ``|a| <= SQUARE_A`` and ``|b| <=
+    SQUARE_B``, so ``a^2``, ``2 b^2`` and their difference lie below 2^63;
+    every cell of an object array is wide.  A block with a wide
     cell takes the sign of ``sa + sb`` on every cell, and squares parts only
     on the cells where they differ in sign: in int64 on the narrow ones, in
     Python ints on the wide ones."""
@@ -156,8 +157,8 @@ class ZSqrt2:
     int64, exact only while every part and every product of parts stays
     below 2^63; ``regions.membership_grid`` proves that bound (``5 W^4 <
     2^63``, see ``regions.INT64_UNIT``) before it builds int64 blocks of
-    Q[sqrt2] values.  :func:`_sign` needs no bound: it squares int64 parts
-    only on the cells its per-cell guard passes.  ``__array_ufunc__ =
+    Q[sqrt2] values.  :func:`_sign` needs no further bound: it squares
+    int64 parts only on the cells its per-cell guard passes.  ``__array_ufunc__ =
     None`` sends ``ndarray + ZSqrt2`` to the reflected method here, so it
     never becomes an object array of ZSqrt2s.
     """
