@@ -656,8 +656,13 @@ def _cost(sums: list[Fraction], folded: bool) -> np.ndarray:
     """The cost HiGHS minimizes, minus the objective: per column of the full
     model its pattern's subset sum; per orbit of the folded model
     ``sum_k d_k [u_k = v_k] / 2``, the objective on symmetric couplings
-    whose singletons read 1/2."""
-    values = np.array([float(s) for s in sums])
+    whose singletons read 1/2.  A direction whose sums leave the float
+    range is refused."""
+    try:
+        values = np.array([float(s) for s in sums])
+    except OverflowError:
+        direction = ", ".join(str(sums[1 << k]) for k in range(4))
+        raise ValueError(f"direction ({direction}) is beyond the float range") from None
     return -values[_AGREE_PATTERNS] / 2 if folded else -values[_PAIR_PATTERNS]
 
 

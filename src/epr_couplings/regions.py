@@ -55,40 +55,9 @@ _CSV_FLAGS = tuple(f",{f & 1},{f >> 1 & 1},{f >> 2 & 1}\n" for f in range(8))
 #: Cells decided per block of whole grid rows.
 BLOCK = 4096
 
-#: The largest ``unit`` a grid over Q is decided at in int64.  Cell values
-#: lie in ``[0, unit/2]``, so ``|4 v - unit| <= unit`` and every term of the
-#: region bodies but :func:`stats.qm_masks`'s ``e`` (computed in Python ints)
-#: lies within ``4 unit^4 <= 2**62``.
-#:
-#: A grid over Q[sqrt2] is decided in int64 while ``5 W^4 < 2^63``, that is
-#: ``W <= 36853``, for the int ``W >= unit`` of :func:`_conjugate_width`,
-#: which bounds ``|4 v - unit|`` and ``|4 conj(v) - unit|`` for every cell
-#: value ``v``.  Proof: ``t -> t`` and ``t -> conj(t)`` are ring maps
-#: Z[sqrt2] -> R, so each value the bodies compute, a polynomial in ``unit``
-#: and the ``r = 4 v - unit``, has both images where that polynomial of reals
-#: in ``[-W, W]`` lies.  The parts of ``t = a + b sqrt2`` are ``a = (t + conj
-#: t)/2`` and ``b sqrt2 = (t - conj t)/2``, so ``|a|`` and ``|b| sqrt2`` are
-#: at most the larger image.  A product of values whose images lie within
-#: ``X`` and ``Y`` forms, in ``ZSqrt2.__mul__``, ``a c``, ``2 b d`` (after
-#: ``2 b``), ``a d`` and ``b c``, each within ``X Y``, and sums them to its
-#: own parts.  The CHSH and Tsirelson terms stay within ``27 W^2`` (``t = 2 e
-#: - unit`` within ``5 W``).  In :func:`stats.qm_masks`, ``lhs = |r1 r2 - r3
-#: r4|`` lies within ``2 W^2``, ``lhs^2`` within ``4 W^4``, ``x`` and ``y``
-#: within ``W^4`` (their factors ``unit^2 - r^2`` within ``W^2``), the
-#: partial sum ``lhs^2 - x`` within ``5 W^4``, and ``d = unit^2 (r1^2 + r2^2 +
-#: r3^2 + r4^2) - 2 unit^4 - 2 r1 r2 r3 r4`` within ``4 W^4``; ``e`` is
-#: computed in Python ints.  So every part and every product of parts lies
-#: within ``5 W^4 < 2^63``.  The one square beyond that bound,
-#: :func:`scalars._sign`'s ``a^2`` and ``2 b^2``, is taken in int64 only on
-#: the cells whose parts pass its per-cell guard (``|a| <=
-#: scalars.SQUARE_A``, ``|b| <= scalars.SQUARE_B``, so each square is below
-#: 2^63), and in Python ints on the cells whose parts differ in sign and
-#: fail it; a cell whose parts agree in sign takes the sign of their sum.
-INT64_UNIT = 2 ** 15
-
-#: The finest membership grid: in one process, 2001^2 cells take ~0.4 s over
-#: Q and ~0.9 s over Q[sqrt2] (the singlet slice, unit 16008), both on int64
-#: blocks (2-core VM, Python 3.11, numpy 2.4).
+#: The finest membership grid: in one process, 2001^2 cells take 0.35-0.4 s
+#: over Q and 0.9-1.1 s over Q[sqrt2] (the singlet slice, unit 16008), both
+#: on int64 blocks (2-core VM, Python 3.11, numpy 2.4).
 MAX_RESOLUTION = 2001
 
 
@@ -108,9 +77,32 @@ def _conjugate_width(unit: int, scaled) -> int:
 
 def _fits_int64(unit: int, scaled) -> bool:
     """Whether every term of the region bodies, on the cells of a grid with
-    these scaled fixed values, is exact in int64 (see :data:`INT64_UNIT`)."""
-    if all(type(v) is int for v in scaled):
-        return unit <= INT64_UNIT
+    these scaled fixed values, is exact in int64: ``5 W^4 < 2^63``, that is
+    ``W <= 36853``, for the conjugate width ``W >= unit`` of
+    :func:`_conjugate_width`.
+
+    Proof, for values ``z = a + b sqrt2``; over Q every ``b`` is 0, ``z``
+    is its own conjugate and ``W = unit``, since every value lies in ``[0,
+    unit/2]``.  ``z -> z`` and ``z -> conj(z)`` are ring maps Z[sqrt2] -> R,
+    so each value the bodies compute, a polynomial in ``unit`` and the ``r =
+    4 v - unit``, has both images where that polynomial of reals in ``[-W,
+    W]`` lies.  The parts ``a = (z + conj z)/2`` and ``b sqrt2 = (z - conj
+    z)/2`` are at most the larger image.  A product of values whose images
+    lie within ``X`` and ``Y`` forms, in ``ZSqrt2.__mul__``, ``a c``, ``2 b
+    d`` (after ``2 b``), ``a d`` and ``b c``, each within ``X Y``, and sums
+    them to its own parts.  The CHSH and Tsirelson terms stay within ``27
+    W^2`` (``t = 2 e - unit`` within ``5 W``).  In :func:`stats.qm_masks`,
+    ``t = r1 r2 - r3 r4`` lies within ``2 W^2``, ``t^2`` within ``4 W^4``,
+    ``x`` and ``y`` within ``W^4`` (their factors ``unit^2 - r^2`` within
+    ``W^2``), the partial sum ``t^2 - x`` within ``5 W^4``, and ``d =
+    unit^2 (r1^2 + r2^2 + r3^2 + r4^2) - 2 unit^4 - 2 r1 r2 r3 r4`` within
+    ``4 W^4``; ``e`` is computed in Python ints.  So every part and every
+    product of parts lies within ``5 W^4 < 2^63``.  The one square beyond
+    that bound, :func:`scalars._sign`'s ``a^2`` and ``2 b^2``, is taken in
+    int64 only on the cells whose parts pass its per-cell guard (``|a| <=
+    scalars.SQUARE_A``, ``|b| <= scalars.SQUARE_B``, so each square is below
+    2^63), and in Python ints on the cells whose parts differ in sign and
+    fail it; a cell whose parts agree in sign takes the sign of their sum."""
     return 5 * _conjugate_width(unit, scaled) ** 4 < 2 ** 63
 
 
@@ -222,15 +214,14 @@ def membership_grid(fixed: Mapping[str, object], resolution: int = 201) -> Membe
     decided in blocks of ``max(1, BLOCK // resolution)`` whole rows, each by
     one call of each :mod:`stats` body on the row values (shape ``(k, 1)``)
     broadcast against the column (shape ``(1, resolution)``).  The blocks
-    are numpy int64 arrays when a static bound from ``unit`` and the scaled
-    fixed values proves every term exact (:data:`INT64_UNIT`): over Q while
-    ``unit <= INT64_UNIT``, over Q[sqrt2] while ``5 W^4 < 2^63`` for the
-    conjugate width ``W`` of the fixed values (``W <= 36853``; the singlet
-    slices through ``(2 -+ sqrt2)/8`` have ``W = unit = 8 resolution`` at an
-    odd resolution, so every one up to :data:`MAX_RESOLUTION` qualifies),
-    and object arrays of Python ints otherwise.  On an int64 block an exact
-    sign squares parts in int64 only where a per-cell guard admits them
-    (:func:`scalars._block_sign`).  The inclusion chain (classical inside
+    are numpy int64 arrays when ``5 W^4 < 2^63`` for the conjugate width
+    ``W`` of ``unit`` and the scaled fixed values, which proves every term
+    exact (:func:`_fits_int64`): over Q ``W = unit``, so while ``unit <=
+    36853``; the singlet slices through ``(2 -+ sqrt2)/8`` have ``W = unit
+    = 8 resolution`` at an odd resolution, so every one up to
+    :data:`MAX_RESOLUTION` qualifies.  Other grids take object arrays of
+    Python ints.  On an int64 block an exact sign squares parts in int64
+    only where a per-cell guard admits them (:func:`scalars._block_sign`).  The inclusion chain (classical inside
     quantum inside Tsirelson) is asserted on each block's masks; a violation
     raises.  The grid's ``centers`` are built only when read.
     """

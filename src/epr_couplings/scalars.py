@@ -109,9 +109,21 @@ def _block_sign(a, b):
     split = sa * sb < 0
     for cells, dtype in ((split & ~wide, np.int64), (split & wide, object)):
         if cells.any():
-            x, y, s = (np.broadcast_to(t, cells.shape)[cells].astype(dtype) for t in (a, b, sa))
+            x, y, s = (gather(cells, t, dtype) for t in (a, b, sa))
             sign[cells] = np.where(x * x > 2 * y * y, s, -s)
     return sign
+
+
+def gather(mask, t, dtype):
+    """``t`` on the cells where the array ``mask`` holds, as a 1-D array of
+    ``dtype`` (a ZSqrt2 of two).  A part that is no array, such as an int or
+    a numpy scalar, is returned as it is: it broadcasts against the gathered
+    cells."""
+    if type(t) is ZSqrt2:
+        return ZSqrt2(gather(mask, t.a, dtype), gather(mask, t.b, dtype))
+    if not isinstance(t, np.ndarray):
+        return t
+    return np.broadcast_to(t, mask.shape)[mask].astype(dtype, copy=False)
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -156,10 +168,9 @@ class ZSqrt2:
     arrays stay Python ints, which never overflow, and int64 arrays stay
     int64, exact only while every part and every product of parts stays
     below 2^63; ``regions.membership_grid`` proves that bound (``5 W^4 <
-    2^63``, see ``regions.INT64_UNIT``) before it builds int64 blocks of
-    Q[sqrt2] values.  :func:`_sign` needs no further bound: it squares
-    int64 parts only on the cells its per-cell guard passes.  ``__array_ufunc__ =
-    None`` sends ``ndarray + ZSqrt2`` to the reflected method here, so it
+    2^63``) before it builds int64 blocks.  :func:`_sign` needs no further
+    bound: it squares int64 parts only on the cells its per-cell guard
+    passes.  ``__array_ufunc__ = None`` sends ``ndarray + ZSqrt2`` to the reflected method here, so it
     never becomes an object array of ZSqrt2s.
     """
 

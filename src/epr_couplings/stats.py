@@ -17,16 +17,15 @@ to :class:`~.scalars.ZSqrt2` pairs of Python ints, so every exact decision
 runs on integers, never on ``Scalar`` arithmetic.  The region bodies use
 only arithmetic, comparisons and ``&``, so they also decide a whole block
 of grid cells held in numpy arrays, over Q and over Q[sqrt2] alike: int64
-where ``regions.membership_grid`` proves every term fits (over Q while
-``unit <= 2^15``; over Q[sqrt2] while ``5 W^4 < 2^63`` for the bound ``W``
-on ``|4 v - unit|`` and its conjugate, with :func:`scalars._sign` squaring
-parts in int64 only on the cells its per-cell guard admits), object arrays
-of Python ints otherwise, and :func:`qm_masks` takes its one ``unit^8``
-term to Python ints itself.  On a Q[sqrt2] block the two CHSH-family
-bodies decide the four expressions stacked into one array, so a block
-takes six exact signs: two for CHSH, one for Tsirelson, three in
-:func:`qm_masks`.  Approximate (decimal) input takes one toleranced float
-path instead.
+where ``regions.membership_grid`` proves every term fits (while ``5 W^4 <
+2^63`` for the bound ``W`` on ``|4 v - unit|`` and its conjugate, ``W =
+unit`` over Q, with :func:`scalars._sign` squaring parts in int64 only on
+the cells its per-cell guard admits), object arrays of Python ints
+otherwise, and :func:`qm_masks` takes its one ``unit^8`` term to Python
+ints itself.  On a Q[sqrt2] block the two CHSH-family bodies decide the
+four expressions stacked into one array, so a block takes five exact
+signs: two for CHSH, one for Tsirelson, two in :func:`qm_masks`.
+Approximate (decimal) input takes one toleranced float path instead.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from operator import and_
 import numpy as np
 
 from .model import ConnectionVector, OutcomeVector, Quadruple
-from .scalars import DEFAULT_TOLERANCE, Scalar, ZSqrt2, as_scalar, integers, quotient
+from .scalars import DEFAULT_TOLERANCE, Scalar, ZSqrt2, as_scalar, gather, integers, quotient
 
 __all__ = [
     "Compliance",
@@ -180,39 +179,28 @@ def _each(holds, expressions):
 
 
 def qm_masks(unit, v) -> tuple:
-    """``(outside, boundary)`` of ``lhs = |r1 r2 - r3 r4| <= sqrt(x) + sqrt(y)``,
-    ``x = (1-r1^2)(1-r2^2)``, ``y = (1-r3^2)(1-r4^2)``: ``d = lhs^2 - x - y``
-    against ``2 sqrt(xy)``, then ``e = d^2 - 4xy``.  Both masks hold only
-    where ``d >= 0``; there ``d == 0`` forces ``e = -4xy <= 0`` (``|r| <=
-    1`` makes ``x, y >= 0``), so ``outside`` is ``e > 0`` and ``boundary``
-    is ``e == 0``, both read off one sign of ``e``.
+    """``(outside, boundary)`` of ``|t| <= sqrt(x) + sqrt(y)`` for ``t = r1
+    r2 - r3 r4``, ``x = (1-r1^2)(1-r2^2)`` and ``y = (1-r3^2)(1-r4^2)``:
+    ``d = t^2 - x - y`` (``|t|^2 = t^2``, so ``|t|`` is never taken) against
+    ``2 sqrt(xy)``, then ``e = d^2 - 4xy``.  Both masks hold only where ``d
+    >= 0``; there ``d == 0`` forces ``e = -4xy <= 0`` (``|r| <= 1`` makes
+    ``x, y >= 0``), so ``outside`` is ``e > 0`` and ``boundary`` is ``e ==
+    0``, both read off one sign of ``e``.
 
     With ``|r| <= unit``, ``d`` lies in ``[-2 unit^4, 4 unit^4]``, but ``e``
     needs about ``unit^8``: it is computed in Python ints, and on a block
     only on the cells where ``d >= 0``."""
     r1, r2, r3, r4 = (4 * c - unit for c in v)
     one = unit * unit
-    lhs = abs(r1 * r2 - r3 * r4)
+    t = r1 * r2 - r3 * r4
     x = (one - r1 * r1) * (one - r2 * r2)
     y = (one - r3 * r3) * (one - r4 * r4)
-    d = lhs * lhs - x - y
+    d = t * t - x - y
     near = d >= 0
-    d, x, y = (_cells(near, t) for t in (d, x, y))
+    d, x, y = (gather(near, part, object) for part in (d, x, y))
     e = d * d - 4 * x * y
     sign = e.sign() if type(e) is ZSqrt2 else e  # over Q, e itself
     return _spread(near, sign > 0), _spread(near, sign == 0)
-
-
-def _cells(mask, t):
-    """``t`` on the cells where ``mask`` holds, as Python ints (a 1-D object
-    array, or a ZSqrt2 of two); ``t`` itself at a single point."""
-    if not isinstance(mask, np.ndarray):
-        return t
-    if type(t) is ZSqrt2:
-        return ZSqrt2(_cells(mask, t.a), _cells(mask, t.b))
-    if not isinstance(t, np.ndarray):
-        t = np.array(t, dtype=object)
-    return np.broadcast_to(t, mask.shape)[mask].astype(object)
 
 
 def _spread(mask, m):

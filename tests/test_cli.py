@@ -177,6 +177,16 @@ def test_support_command(runner, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_support_direction_beyond_the_float_range_is_an_input_error(runner):
+    huge = "1" * 401
+    result = invoke(runner, ["support", "--marginals", str(TSIRELSON_MARGINALS),
+                             "--direction", f"{huge},1,1,1"])
+    assert result.exit_code == 2
+    assert json.loads(result.output) == {
+        "error": f"direction ({huge}, 1, 1, 1) is beyond the float range"
+    }
+
+
 def test_regions_command(runner, tmp_path):
     out = tmp_path / "grid.csv"
     result = invoke(
@@ -307,7 +317,8 @@ def test_regions_rejects_bad_fixed_values(runner, fix, message):
     ("(2-sqrt2)/8,(2+sqrt2)/8", "15", "8fea82ef8c4826ae261b673646313051"),
     ("7/16,7/16", "201", "8e79dd3170b549eaf4e37dc2a85db831"),
     ("(2-sqrt2)/8,(2+sqrt2)/8", "201", "02ece506e75d8c311fb80f33f6338946"),
-], ids=["quarter-21", "singlet-15", "curved-201", "singlet-201"])
+    ("1/36000,17999/36000", "15", "501e24b6720e04294a22e3e65031fd44"),
+], ids=["quarter-21", "singlet-15", "curved-201", "singlet-201", "unit-36000-15"])
 def test_regions_csv_bytes_are_pinned(runner, fix, resolution, digest):
     result = invoke(runner, ["regions", "--fix", fix, "--grid", resolution,
                              "--format", "csv"])

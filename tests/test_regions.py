@@ -58,14 +58,16 @@ SINGLET_PAIRS = {
 PLACEMENTS = (("p11", "p12"), ("p12", "p11"), ("p21", "p22"), ("p22", "p21"))
 #: A resolution whose rows take more than one grid block, the last one partial.
 SPLIT_RESOLUTION = 65
-#: Slices next to p = 1/4 at resolution 3 (centers 1/12, 1/4, 5/12), whose
-#: ``unit`` = lcm(12, q) for the fixed value's odd denominator q sits just
-#: under regions.INT64_UNIT, just over it, and just under twice it, where
-#: int64 would wrap (x + y near 2 unit^4 > 2^63).
+#: Rational slices at resolution 15, each with the fixed values 1/unit and
+#: (unit/2 - 1)/unit (r = 4p - 1 at -+(1 - 4/unit)), so on the corner cells
+#: (free r at +-14/15) qm_masks's d exceeds 3 unit^4 of its bound 4 W^4
+#: (``W = unit`` over Q).  The unit lies just under the int64 rule ``5 W^4 <
+#: 2^63`` (``W <= 36853``), just over it, and over ``4 W^4 < 2^63`` (``W <=
+#: 38967``) but within the same rule read with ``2^64`` (``W <= 43826``): an
+#: int64 block there would wrap ``t^2``.
 UNIT_SLICES = {
-    "unit-under-2^15": ({"p11": Fraction(682, 2729), "p21": Fraction(1, 4)}, 32748),
-    "unit-over-2^15": ({"p11": Fraction(683, 2731), "p21": Fraction(1, 4)}, 32772),
-    "unit-under-2^16": ({"p11": Fraction(1365, 5461), "p21": Fraction(1, 4)}, 65532),
+    f"unit-{unit}": ({"p11": Fraction(1, unit), "p12": Fraction(unit // 2 - 1, unit)}, 15, unit)
+    for unit in (36840, 36900, 43800)
 }
 #: Q[sqrt2] slices whose fixed r = 4p - 1 lie near -unit with conjugates
 #: near +unit, so qm_masks's d reaches the edge of its range.  On the cells
@@ -107,8 +109,8 @@ SQRT2_SLICES = {
     # rows split into several blocks, the last one partial
     (CURVED_SLICE, SPLIT_RESOLUTION),
     ({"p22": SINGLET_LOW, "p21": SINGLET_HIGH}, SPLIT_RESOLUTION),
-    # the int64 bound on unit, from both sides
-    *((fixed, 3) for fixed, _ in UNIT_SLICES.values()),
+    # the int64 rule over Q, from both sides, and where 2^64 would wrap
+    *((fixed, resolution) for fixed, resolution, _ in UNIT_SLICES.values()),
     # the per-cell guard on int64 squares, and the int64 rule on the
     # conjugate width of Q[sqrt2] values, each from both sides
     *((fixed, resolution) for fixed, resolution, _ in GUARD_SLICES.values()),
@@ -134,17 +136,42 @@ def test_grid_matches_pointwise_predicates(fixed, resolution):
             assert grid.cell(ix, iy) == want, (x, y)
 
 
-def test_unit_slices_straddle_the_int64_bound():
-    for fixed, unit in UNIT_SLICES.values():
-        assert integers([*fixed.values(), Fraction(1, 12)])[0] == unit
-    units = sorted(unit for _, unit in UNIT_SLICES.values())
-    assert units[0] <= regions.INT64_UNIT < units[1] < units[2] <= 2 * regions.INT64_UNIT
-
-
 def conjugate_width(fixed, resolution) -> tuple[int, bool]:
     """The slice's conjugate width W and whether it is decided in int64."""
     unit, (*scaled, _) = integers([*fixed.values(), Fraction(1, 4 * resolution)])
     return regions._conjugate_width(unit, scaled), regions._fits_int64(unit, scaled)
+
+
+def largest_d(fixed, resolution) -> int:
+    """The largest ``d = t^2 - x - y`` that qm_masks forms on the cells of a
+    rational slice, in Python ints."""
+    unit, (*scaled, step) = integers([*fixed.values(), Fraction(1, 4 * resolution)])
+    free = [name for name in ("p11", "p12", "p21", "p22") if name not in fixed]
+    ds = []
+    for i, j in itertools.product(range(resolution), repeat=2):
+        values = dict(zip(fixed, scaled), **{free[0]: (2 * i + 1) * step,
+                                             free[1]: (2 * j + 1) * step})
+        r1, r2, r3, r4 = (4 * values[name] - unit for name in ("p11", "p12", "p21", "p22"))
+        x = (unit ** 2 - r1 ** 2) * (unit ** 2 - r2 ** 2)
+        y = (unit ** 2 - r3 ** 2) * (unit ** 2 - r4 ** 2)
+        ds.append((r1 * r2 - r3 * r4) ** 2 - x - y)
+    return max(ds)
+
+
+def test_unit_slices_straddle_the_int64_bound():
+    """Over Q the conjugate width is the unit, so the one rule admits int64
+    while ``unit <= 36853``; each slice's d comes near its bound ``4
+    unit^4``, and past 2^63 on the last."""
+    largest = {}
+    for fixed, resolution, unit in UNIT_SLICES.values():
+        assert conjugate_width(fixed, resolution) == (unit, unit <= 36853)
+        largest[unit] = largest_d(fixed, resolution)
+        assert 3 * unit ** 4 < largest[unit] <= 4 * unit ** 4
+    under, over, wraps = largest
+    assert 2 ** 15 < under <= 36853 < over <= 38967 < wraps <= 43826
+    assert 4 * 38967 ** 4 < 2 ** 63 <= 4 * 38968 ** 4
+    assert 5 * 43826 ** 4 < 2 ** 64 <= 5 * 43827 ** 4
+    assert largest[wraps] >= 2 ** 63
 
 
 def test_sqrt2_slices_straddle_the_int64_bound():
@@ -200,14 +227,31 @@ def random_fixed_value(rng, field):
             return value
 
 
+def random_unit_slice(rng, low, high):
+    """A rational slice and resolution whose unit lies in ``[low, high]``:
+    the two fixed values share the denominator ``unit``, a multiple of ``4
+    resolution``, with numerators prime to it, each within 1/64 of 0 or of
+    1/2 or anywhere in ``[0, 1/2]``."""
+    resolution = rng.randint(2, 13)
+    step = 4 * resolution
+    unit = step * rng.randint(-(-low // step), high // step)
+    values = []
+    while len(values) < 2:
+        lo, hi = rng.choice(((0, unit // 64), (31 * unit // 64, unit // 2), (0, unit // 2)))
+        n = rng.randint(lo, hi)
+        if math.gcd(n, unit) == 1:
+            values.append(Fraction(n, unit))
+    return values, resolution
+
+
 ORDERED_PLACEMENTS = list(itertools.permutations(("p11", "p12", "p21", "p22"), 2))
 FIELDS = (("sqrt2", "sqrt2"), ("sqrt2", "rational"), ("rational", "sqrt2"),
           ("rational", "rational"))
 
 
 def test_int64_flags_equal_object_flags():
-    """300 seeded slices, over Q, Q[sqrt2] and both, at all 12 ordered
-    placements, on both sides of the int64 rules and of the per-cell guard:
+    """343 seeded slices, over Q, Q[sqrt2] and both, at all 12 ordered
+    placements, on both sides of the int64 rule and of the per-cell guard:
     the grid decided on int64 blocks, where its rule admits them, equals the
     same bodies run on object arrays of Python ints."""
     rng = random.Random(21)
@@ -218,6 +262,12 @@ def test_int64_flags_equal_object_flags():
         fixed = {first: random_fixed_value(rng, fields[0]),
                  second: random_fixed_value(rng, fields[1])}
         slices.append((fixed, rng.randint(2, 13)))
+    # rational slices under the rule's unit 36853, and where 2^64 would wrap
+    for k, (low, high) in enumerate([(2 ** 15 + 1, 36853), (38968, 43826)] * 20):
+        (a, b), resolution = random_unit_slice(rng, low, high)
+        first, second = ORDERED_PLACEMENTS[k % 12]
+        slices.append(({first: a, second: b}, resolution))
+    slices += [(fixed, resolution) for fixed, resolution, _ in UNIT_SLICES.values()]
     grids = [regions.membership_grid(fixed, resolution).flags for fixed, resolution in slices]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(regions, "_fits_int64", lambda unit, scaled: False)
@@ -235,8 +285,9 @@ def test_int64_flags_equal_object_flags():
     assert wide >= 50
     units = [integers([*fixed.values(), Fraction(1, 4 * resolution)])[0]
              for (fixed, resolution), over_q in zip(slices, rational) if over_q]
-    assert sum(unit <= regions.INT64_UNIT for unit in units) >= 20
-    assert sum(unit > regions.INT64_UNIT for unit in units) >= 20
+    assert sum(unit <= 2 ** 15 for unit in units) >= 20
+    assert sum(2 ** 15 < unit <= 36853 for unit in units) >= 20
+    assert sum(unit > 36853 for unit in units) >= 20
 
 
 def test_conjugate_width_bounds_both_images():
