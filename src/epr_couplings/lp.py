@@ -24,11 +24,11 @@ point fails its proof, the witness comes from fraction-free elimination on
 HiGHS's support instead (``M`` is 0/1; a ZSqrt2 entry ``a + b*sqrt2`` is
 split into the two int columns ``a`` and ``b``), whose pivot,
 :func:`~.simplex.pivot`, is also the exact Bland simplex's.  Floats only
-choose which columns and duals get checked.  The exact Bland simplex is the
-cold fallback: it decides when a proof fails (logging one WARNING with the
-model HiGHS solved, folded or full, the reason, the exact right-hand side
-and, for a non-optimal HiGHS status, the simplex iteration count, on the
-``epr_couplings.lp`` logger) and when ``engine="exact"`` asks for it.
+choose which columns and duals get checked.  The exact Bland simplex is
+only the cold fallback: it decides when a proof fails, logging one WARNING
+with the model HiGHS solved, folded or full, the reason, the exact
+right-hand side and, for a non-optimal HiGHS status, the simplex iteration
+count, on the ``epr_couplings.lp`` logger.
 
 :func:`feasible` folds a system by the global flip when the rows allow it:
 every row has at most two variables, each variable of a pair row has its
@@ -671,7 +671,7 @@ def _bland(structure, system: ConstraintSystem, rhs: tuple[int, list], sums):
     as :func:`_certify`."""
     rows = structure.coupling.a_eq.astype(int).tolist()
     objective = None if sums is None else [sums[s] for s in _PAIR_PATTERNS.tolist()]
-    res = solve_lp(rows, system.rhs, objective=objective, maximize=True)
+    res = solve_lp(rows, system.rhs, objective=objective)
     if res.status == INFEASIBLE:
         return None, None
     if res.status != OPTIMAL:
@@ -682,11 +682,7 @@ def _bland(structure, system: ConstraintSystem, rhs: tuple[int, list], sums):
     return x, res.objective
 
 
-def _solve(
-    system: ConstraintSystem,
-    direction: Sequence[Fraction] | None = None,
-    engine: str = "auto",
-):
+def _solve(system: ConstraintSystem, direction: Sequence[Fraction] | None = None):
     """The one exact solve behind :func:`feasible` and :func:`optimize`:
     ``(x, value, engine)``, where ``x`` is None for an infeasible system
     and ``value`` is ``max direction . p``."""
@@ -700,26 +696,25 @@ def _solve(
         or (sums is not None and fold.outcome_ends is None)
     ):
         fold = None
-    if engine == "auto":
-        # n / unit rounds the rational rhs value once, as float(Fraction)
-        # does; a sqrt(2) part takes Scalar's own float.
-        unit, scaled = rhs
-        b = np.array([
-            n / unit if type(n) is int else float(v) for n, v in zip(scaled, system.rhs)
-        ])
-        try:
-            return (*_certify(structure, rhs, b, sums, fold), "certified-float")
-        except _Uncertified as exc:
-            rows = "; ".join(
-                f"Pr[{subset_name(m) or '()'} = +1] = {v}"
-                for m, v in zip(system.masks, system.rhs)
-            )
-            goal = "" if direction is None else f", maximizing ({', '.join(map(str, direction))}) . p"
-            _log.warning(
-                "HiGHS answer on the %s model not certified (%s); exact simplex "
-                "fallback for rhs [%s]%s",
-                "full" if fold is None else "folded", exc, rows, goal,
-            )
+    # n / unit rounds the rational rhs value once, as float(Fraction) does;
+    # a sqrt(2) part takes Scalar's own float.
+    unit, scaled = rhs
+    b = np.array([
+        n / unit if type(n) is int else float(v) for n, v in zip(scaled, system.rhs)
+    ])
+    try:
+        return (*_certify(structure, rhs, b, sums, fold), "certified-float")
+    except _Uncertified as exc:
+        rows = "; ".join(
+            f"Pr[{subset_name(m) or '()'} = +1] = {v}"
+            for m, v in zip(system.masks, system.rhs)
+        )
+        goal = "" if direction is None else f", maximizing ({', '.join(map(str, direction))}) . p"
+        _log.warning(
+            "HiGHS answer on the %s model not certified (%s); exact simplex "
+            "fallback for rhs [%s]%s",
+            "full" if fold is None else "folded", exc, rows, goal,
+        )
     return (*_bland(structure, system, rhs, sums), "exact-simplex")
 
 
@@ -731,27 +726,19 @@ def _require_exact_inputs(specs: list[MarginalSpec], p: OutcomeVector | None) ->
         )
 
 
-def feasible(
-    specs: Iterable[MarginalSpec],
-    p: OutcomeVector | None = None,
-    *,
-    engine: str = "auto",
-) -> FeasibilityResult:
+def feasible(specs: Iterable[MarginalSpec], p: OutcomeVector | None = None) -> FeasibilityResult:
     """Decide whether the marginals (plus, optionally, the four observable
     pair probabilities of ``p``) admit a coupling; return an exact witness
     when they do.
 
-    ``"auto"`` certifies the HiGHS answer exactly, over Q or Q[sqrt2]
-    (engine ``"certified-float"``), and falls back to the exact simplex
-    when that fails; ``engine="exact"`` goes straight to the exact simplex
+    The HiGHS answer is certified exactly, over Q or Q[sqrt2] (engine
+    ``"certified-float"``); when that fails the exact simplex decides
     (engine ``"exact-simplex"``).  Either way the verdict and any witness
     are exact.
     """
-    if engine not in ("auto", "exact"):
-        raise ValueError(f"unknown engine {engine!r}")
     specs = list(specs)
     _require_exact_inputs(specs, p)
-    x, _, used = _solve(_augmented_system(specs, p), engine=engine)
+    x, _, used = _solve(_augmented_system(specs, p))
     return FeasibilityResult(x is not None, x, used)
 
 

@@ -50,9 +50,10 @@ def parse_angle(text: str) -> Fraction | float:
     m = _PI_RE.match(text)
     if m:
         sign, coef, den = m.groups()
-        value = Fraction(coef) if coef else Fraction(1)
-        if den:
-            value /= int(den)
+        try:
+            value = Fraction(coef or 1) / int(den or 1)
+        except ZeroDivisionError:
+            raise ValueError(f"angle {text!r} has a zero denominator") from None
         return -value if sign == "-" else value
     try:
         radians = float(text)

@@ -212,8 +212,6 @@ class ZSqrt2:
 
     def __abs__(self) -> ZSqrt2:
         s = self.sign()
-        if isinstance(s, np.ndarray) and np.result_type(self.a, self.b) == object:
-            s = s.astype(object)  # an int part beside an object array stays a Python int
         return ZSqrt2(self.a * s, self.b * s)
 
     def sign(self):

@@ -1,14 +1,15 @@
 """Exact Bland-rule simplex on a tableau of Python ints, and the
 fraction-free pivot it shares with the support elimination in :mod:`.lp`.
 
-Solves  find/optimize x >= 0  subject to  A x = b  for an int matrix A, b
+Solves  find/maximize x >= 0  subject to  A x = b  for an int matrix A, b
 over Q or Q[sqrt(2)] (scaled once by :func:`~.scalars.integers` into one or
 two int columns) and a rational objective.  Each row is its textbook row
 times a positive scale, so signs read straight off the ints, ratios compare
 by cross-multiplication, and the pivots are the textbook ones (Edmonds, J.
 Res. NBS 71B, 1967; Bareiss, Math. Comp. 22, 1968).  Phase 1 minimizes the
-sum of one artificial per row, phase 2 the objective; Bland's smallest-index
-rule picks every pivot, so the degenerate boundary cases terminate.
+sum of one artificial per row, phase 2 minus the objective; Bland's
+smallest-index rule picks every pivot, so the degenerate boundary cases
+terminate.
 """
 
 from __future__ import annotations
@@ -69,13 +70,10 @@ def column_value(cells: Sequence[int]):
 
 
 def solve_lp(
-    rows: Sequence[Sequence[int]],
-    rhs: Sequence,
-    objective: Sequence | None = None,
-    *,
-    maximize: bool = True,
+    rows: Sequence[Sequence[int]], rhs: Sequence, objective: Sequence | None = None
 ) -> LPResult:
-    """Solve ``A x = b, x >= 0`` exactly, optionally optimizing ``objective``.
+    """Solve ``A x = b, x >= 0`` exactly, optionally maximizing ``objective``
+    (negate it to minimize).
 
     ``rows`` holds ints; ``rhs`` ints, Fractions or exact Scalars;
     ``objective`` rationals; anything else raises ValueError.  With no
@@ -151,9 +149,9 @@ def solve_lp(
                 pivot(tab, i, basis[i])
 
     if objective is not None:
-        # Phase 2: minimize (-objective if maximizing) over the structural
-        # columns; pivoting again on the basic ones prices out the cost row.
-        tab[m] = [-v for v in costs] if maximize else list(costs)
+        # Phase 2: minimize -objective over the structural columns; pivoting
+        # again on the basic ones prices out the cost row.
+        tab[m] = [-v for v in costs]
         for i, j in enumerate(basis):
             if j < n:
                 pivot(tab, i, j)

@@ -159,6 +159,25 @@ def test_deeply_nested_marginal_json_is_an_input_error(runner, tmp_path):
 TSIRELSON_MARGINALS = Path(__file__).parent / "data" / "tsirelson.json"
 
 
+@pytest.mark.parametrize("args", [
+    pytest.param(["compat", "--p", "1/0,1/4,1/4,1/4", "--eps", "0,0,0,0"], id="p"),
+    pytest.param(["compat", "--p", "1/4,1/4,1/4,1/4", "--eps", "0,0,0,1/0"], id="eps"),
+    pytest.param(["feasible", "--marginals", str(TSIRELSON_MARGINALS), "--p", "0,pi/0,0,0"],
+                 id="feasible-p"),
+    pytest.param(["support", "--marginals", str(TSIRELSON_MARGINALS), "--direction", "1,1,1/0,1"],
+                 id="direction"),
+    pytest.param(["regions", "--fix", "1/4,1/0", "--grid", "5"], id="fix"),
+    pytest.param(["qm", "--angles", "pi/0,0,0,0"], id="angles-pi/0"),
+    pytest.param(["qm", "--angles", "0,1/0*pi,0,0"], id="angles-1/0*pi"),
+    pytest.param(["qm", "--angles", "0,0,0/0pi,0"], id="angles-0/0pi"),
+    pytest.param(["qm", "--angles", "0,0,0,1/0"], id="angles-1/0"),
+])
+def test_zero_denominator_is_an_input_error(runner, args):
+    result = invoke(runner, args)
+    assert result.exit_code == 2
+    assert "error" in json.loads(result.output)
+
+
 def test_support_command(runner, tmp_path):
     """The support value on the Tsirelson connection pairs, built here and
     read from the fixture file that CI also feeds the installed script."""

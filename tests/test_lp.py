@@ -228,13 +228,16 @@ def test_m1_rows_conflict_with_outcome_specs():
 
 def test_hybrid_and_exact_engines_agree():
     rng = random.Random(13)
-    for _ in range(30):
-        p = random_p(rng, denominator=16)
-        eps = random_eps(rng, denominator=16)
+    pairs = [(random_p(rng, denominator=16), random_eps(rng, denominator=16)) for _ in range(30)]
+    # every random pair above is compatible, so add two that are not
+    pairs += [(PR_BOX, EPS0), (PR_BOX, EPS_T)]
+    verdicts = set()
+    for p, eps in pairs:
         specs = outcome_marginals(p) + connection_marginals(eps)
-        fast = feasible(specs)
-        slow = feasible(specs, engine="exact")
-        assert fast.feasible == slow.feasible == compatible(p, eps)
+        want = compatible(p, eps)
+        assert feasible(specs).feasible == bland_feasible(specs) == want
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_witness_reproduces_every_row_exactly():
@@ -374,38 +377,37 @@ def test_lp_rejects_approximate_inputs():
         optimize(connection_marginals(eps), (1, 1, 1, -2))
 
 
-def test_sqrt2_rhs_routing():
+def test_sqrt2_rhs_routing(monkeypatch):
     res = feasible(connection_marginals(EPS_T))
     assert res.feasible
     assert res.engine == "certified-float"
     assert res.witness.connection_vector() == EPS_T
-    forced = feasible(connection_marginals(EPS_T), engine="exact")
+    monkeypatch.setattr(lp, "linprog", corrupted_linprog("x"))
+    forced = feasible(connection_marginals(EPS_T))
     assert forced.engine == "exact-simplex"
     assert forced.witness.connection_vector() == EPS_T
-
-
-def test_unknown_engine_rejected_before_building_rows():
-    with pytest.raises(ValueError, match="unknown engine"):
-        feasible(outcome_marginals(QUARTER), p=PR_BOX, engine="bland")
 
 
 def test_only_the_simplex_fallback_reaches_lp_solve_lp(monkeypatch):
     """The benchmark times the exact simplex by rebinding ``lp.solve_lp``,
     so the name must stay in ``lp`` and the support elimination, which
-    shares the simplex's row update, must never go through it."""
+    shares the simplex's row update, must never go through it.  Only an
+    answer that fails its certificate reaches it."""
+    calls = []
 
-    class Reached(Exception):
-        pass
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_lp(*args, **kwargs)
 
-    def solve_lp_reached(*args, **kwargs):
-        raise Reached
-
-    monkeypatch.setattr(lp, "solve_lp", solve_lp_reached)
+    monkeypatch.setattr(lp, "solve_lp", counted)
     specs = outcome_marginals(QUARTER) + connection_marginals(random_eps(random.Random(3)))
     assert feasible(specs).engine == "certified-float"
     assert optimize(connection_marginals(EPS_T), (1, 1, 1, -2)) == Scalar.quadratic(HALF, HALF)
-    with pytest.raises(Reached):
-        feasible(specs, engine="exact")
+    assert calls == []
+    monkeypatch.setattr(lp, "linprog", corrupted_linprog("status"))
+    res = feasible(specs)
+    assert (res.feasible, res.engine) == (True, "exact-simplex")
+    assert len(calls) == 1
 
 
 # -- certification against the exact simplex as reference ----------------------
@@ -429,8 +431,13 @@ def bland_support(specs, direction):
         objective.append(sum(
             d for d, (a, b) in zip(direction, OUTCOME_PAIRS) if outcome[a] == outcome[b] == 1
         ))
-    res = solve_lp(rows, system.rhs, objective=objective, maximize=True)
+    res = solve_lp(rows, system.rhs, objective=objective)
     return None if res.status == INFEASIBLE else res.objective
+
+
+def bland_feasible(specs):
+    """Whether the specs admit a coupling, by the exact simplex alone."""
+    return bland_support(specs, (0, 0, 0, 0)) is not None
 
 
 def lp_warnings(caplog):
@@ -545,7 +552,7 @@ def test_failed_certification_falls_back_with_one_warning(
     else:
         args = ["feasible", "--marginals", str(marg),
                 "--p", ",".join(str(c) for c in p.components)]
-        want = feasible(outcome_marginals(p) + connection_marginals(eps), engine="exact")
+        want = bland_feasible(outcome_marginals(p) + connection_marginals(eps))
     clean = runner.invoke(cli_main, args, catch_exceptions=False)
     assert lp_warnings(caplog) == []
 
@@ -555,7 +562,7 @@ def test_failed_certification_falls_back_with_one_warning(
         assert optimize(connection_marginals(eps), (1, 1, 1, -2)) == want
     else:
         got = feasible(outcome_marginals(p) + connection_marginals(eps))
-        assert (got.feasible, got.engine) == (want.feasible, "exact-simplex")
+        assert (got.feasible, got.engine) == (want, "exact-simplex")
         if got.feasible:
             assert got.witness.outcome_vector() == p
             assert got.witness.connection_vector() == eps

@@ -1,6 +1,7 @@
 import collections
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -22,8 +23,12 @@ def test_parse_angle():
     assert parse_angle("pi") == Fraction(1)
     assert parse_angle("0") == Fraction(0)
     assert parse_angle("1.5") == 1.5
+    assert parse_angle("1/2*pi/3") == Fraction(1, 6)
     with pytest.raises(ValueError):
         parse_angle("tau/4")
+    for text in ("pi/0", "1/0*pi", "0/0pi"):
+        with pytest.raises(ValueError, match=f"angle '{re.escape(text)}' has a zero denominator"):
+            parse_angle(text)
 
 
 def test_aligned_axes_never_agree():

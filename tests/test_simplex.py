@@ -27,28 +27,29 @@ def test_negative_rhs_normalization():
 
 def test_optimize_bounded():
     # max x + 2y st x + y = 1
-    res = solve_lp([[1, 1]], [F(1)], objective=[F(1), F(2)], maximize=True)
+    res = solve_lp([[1, 1]], [F(1)], objective=[F(1), F(2)])
     assert res.status == OPTIMAL
     assert res.objective == 2
     assert res.x == [0, 1]
 
 
 def test_optimize_minimize():
-    res = solve_lp([[1, 1]], [F(1)], objective=[F(1), F(2)], maximize=False)
+    # min x + 2y st x + y = 1, as max -x - 2y
+    res = solve_lp([[1, 1]], [F(1)], objective=[F(-1), F(-2)])
     assert res.status == OPTIMAL
-    assert res.objective == 1
+    assert res.objective == -1
     assert res.x == [1, 0]
 
 
 def test_unbounded_detected():
     # max x - y st x - y = 0: x can grow without bound
-    res = solve_lp([[1, -1]], [F(0)], objective=[F(1), F(0)], maximize=True)
+    res = solve_lp([[1, -1]], [F(0)], objective=[F(1), F(0)])
     assert res.status == UNBOUNDED
 
 
 def test_redundant_rows_handled():
     rows = [[1, 1], [1, 1], [2, 2]]
-    res = solve_lp(rows, [F(1), F(1), F(2)], objective=[F(3), F(1)], maximize=True)
+    res = solve_lp(rows, [F(1), F(1), F(2)], objective=[F(3), F(1)])
     assert res.status == OPTIMAL
     assert res.objective == 3
 
@@ -62,7 +63,7 @@ def test_degenerate_vertices_terminate():
         [0, 1, 0, 1],
     ]
     rhs = [F(1, 2), F(1, 2), F(1, 2), F(1, 2)]
-    res = solve_lp(rows, rhs, objective=[F(1), F(0), F(0), F(1)], maximize=True)
+    res = solve_lp(rows, rhs, objective=[F(1), F(0), F(0), F(1)])
     assert res.status == OPTIMAL
     assert res.objective == 1
 
@@ -71,7 +72,7 @@ def test_quadratic_field_lp():
     # x + y = sqrt2, x - y = 2 - sqrt2  =>  x = 1, y = sqrt2 - 1
     rows = [[1, 1], [1, -1]]
     rhs = [SQRT2, Scalar(2) - SQRT2]
-    res = solve_lp(rows, rhs, objective=[Scalar(1), Scalar(0)], maximize=True)
+    res = solve_lp(rows, rhs, objective=[Scalar(1), Scalar(0)])
     assert res.status == OPTIMAL
     assert res.x[0] == Scalar(1)
     assert res.x[1] == SQRT2 - 1

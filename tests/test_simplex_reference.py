@@ -141,10 +141,12 @@ def test_integer_simplex_matches_fraction_tableau(system):
     rows, rhs, objective, maximize = system
     status, x, value = fraction_solve_lp(rows, rhs, objective, maximize)
     event(status)
-    got = solve_lp(rows, rhs, objective, maximize=maximize)
+    # solve_lp only maximizes: a minimum is minus the maximum of -objective
+    sign = 1 if maximize else -1
+    got = solve_lp(rows, rhs, None if objective is None else [sign * v for v in objective])
     assert got.status == status
     assert got.x == (None if x is None else [as_scalar(v) for v in x])
-    assert got.objective == (None if value is None else as_scalar(value))
+    assert got.objective == (None if value is None else as_scalar(sign * value))
 
 
 @pytest.mark.parametrize(

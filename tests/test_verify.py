@@ -33,14 +33,15 @@ def test_sampling_limits_are_checked_before_any_work():
         verify.verify_fine(0, denominator=0)
 
 
-def test_lemma1_detects_corrupted_criterion():
+def test_lemma1_detects_corrupted_criterion(monkeypatch):
     def corrupted(p, eps):
         se = s_pair(CorrelationQuad.from_connections(eps))
         sp = s_pair(CorrelationQuad.from_outcomes(p))
         limit = Fraction(5, 4)  # deflated bound: rejects genuinely compatible pairs
         return se.s0 + sp.s1 <= limit and se.s1 + sp.s0 <= limit
 
-    report = verify.verify_lemma1(200, seed=7, compat_fn=corrupted)
+    monkeypatch.setattr(verify, "compatible", corrupted)
+    report = verify.verify_lemma1(200, seed=7)
     assert not report["pass"]
     assert report["failures"]
     first = report["failures"][0]
