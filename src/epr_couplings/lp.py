@@ -58,13 +58,22 @@ depends on its own LP alone, never on the queries before it.  A lock
 serializes the solves on one model across threads.  Where scipy lacks the
 private ``scipy.optimize._highspy._core`` bindings, the same proposals come
 from :func:`scipy.optimize.linprog` with the same options; both paths
-return one small :class:`_Proposal`.  scipy is
-imported by the first solve, so code that never solves an LP never loads it.
+return one small :class:`_Proposal`.  The first solve loads that
+extension module alone, found in scipy's directory and registered under its
+own name, never the ``scipy.optimize`` package around it, whose import
+takes 0.45-0.58 s on a 2-core VM; a later ``import scipy.optimize`` shares
+the same module.  HiGHS's column-wise matrix is built with numpy, so
+``scipy.sparse`` is not imported either.  Code that never solves an LP
+loads no part of scipy.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import logging
+import os
+import sys
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -457,38 +466,66 @@ _HIGHS_OPTIONS = (
 
 
 _UNLOADED = object()
-#: scipy's private ``scipy.optimize._highspy._core`` HiGHS bindings, imported
-#: by the first solve (so scipy is imported only then); None where scipy
-#: lacks them.
+_CORE_NAME = "scipy.optimize._highspy._core"
+#: scipy's private HiGHS bindings, the extension module ``_CORE_NAME``,
+#: loaded by the first solve without the scipy packages around it; None
+#: where scipy lacks them.
 _core = _UNLOADED
+_core_lock = threading.Lock()
 
 
 def _highs_bindings():
     global _core
     if _core is _UNLOADED:
-        try:  # private bindings; older scipy releases lack them
-            from scipy.optimize._highspy import _core as core
-        except ImportError:
-            core = None
-        _core = core
+        with _core_lock:
+            if _core is _UNLOADED:
+                _core = sys.modules.get(_CORE_NAME) or _load_core()
     return _core
 
 
-def _new_highs(model: _Model):
-    from scipy.sparse import csc_array
+def _load_core():
+    """The ``_core`` file in ``<scipy>/optimize/_highspy``, loaded and
+    registered in ``sys.modules`` under ``_CORE_NAME``, so that a later
+    ``import scipy.optimize`` reuses it; None where there is no such file
+    (older scipy releases) or it does not load."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        return None
+    where = [os.path.join(p, "optimize", "_highspy") for p in scipy.submodule_search_locations]
+    spec = importlib.machinery.PathFinder.find_spec(_CORE_NAME, where)
+    if spec is None:
+        return None
+    try:
+        core = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(core)
+    except ImportError:
+        return None
+    sys.modules[_CORE_NAME] = core
+    return core
 
+
+def _csc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The column-wise ``(start, index, value)`` arrays of the dense ``a``,
+    equal to ``scipy.sparse.csc_array(a)``'s ``indptr``, ``indices`` and
+    ``data``: each column's nonzero entries in row order."""
+    cols, rows = np.nonzero(a.T)
+    start = np.concatenate([[0], np.cumsum(np.count_nonzero(a, axis=0))])
+    return start.astype(np.int32), rows.astype(np.int32), a[rows, cols]
+
+
+def _new_highs(model: _Model):
     highs = _core._Highs()
     for name, value in _HIGHS_OPTIONS:
         highs.setOptionValue(name, value)
-    a = csc_array(model.a_eq)
-    m, n = a.shape
+    m, n = model.a_eq.shape
+    start, index, value = _csc(model.a_eq)
     problem = _core.HighsLp()
     problem.num_col_ = problem.a_matrix_.num_col_ = n
     problem.num_row_ = problem.a_matrix_.num_row_ = m
     problem.a_matrix_.format_ = _core.MatrixFormat.kColwise
-    problem.a_matrix_.start_ = a.indptr
-    problem.a_matrix_.index_ = a.indices
-    problem.a_matrix_.value_ = a.data
+    problem.a_matrix_.start_ = start
+    problem.a_matrix_.index_ = index
+    problem.a_matrix_.value_ = value
     problem.col_cost_ = model.cost
     problem.col_lower_ = np.zeros(n)
     problem.col_upper_ = np.full(n, _core.kHighsInf)

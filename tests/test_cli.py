@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from epr_couplings import lp
 from epr_couplings.cli import main
 from epr_couplings.model import (
     ConnectionVector,
@@ -70,13 +71,14 @@ def test_qm_non_finite_angle_is_an_input_error(runner, angle):
     assert json.loads(result.output) == {"error": f"angle {angle!r} is not finite"}
 
 
+NULL_CONNECTION_SPECS = [
+    marginal_spec_to_json(s) for s in connection_marginals(ConnectionVector(0, 0, 0, 0))
+]
+
+
 def test_feasible_with_witness_file(runner, tmp_path):
-    specs = [
-        marginal_spec_to_json(s)
-        for s in connection_marginals(ConnectionVector(0, 0, 0, 0))
-    ]
     marg = tmp_path / "marginals.json"
-    marg.write_text(json.dumps(specs))
+    marg.write_text(json.dumps(NULL_CONNECTION_SPECS))
     witness = tmp_path / "witness.json"
 
     result = invoke(
@@ -95,6 +97,26 @@ def test_feasible_with_witness_file(runner, tmp_path):
     )
     assert result.exit_code == 1
     assert json.loads(result.output)["feasible"] is False
+
+
+@pytest.mark.skipif(lp._highs_bindings() is None,
+                    reason="the bytes are the vertex of the HiGHS build in scipy's bindings")
+@pytest.mark.parametrize("specs, p, digest", [
+    (None, "(2-sqrt2)/8,(2-sqrt2)/8,(2-sqrt2)/8,(2+sqrt2)/8", "468f0d96fa297e9d450855a2b990ca52"),
+    (NULL_CONNECTION_SPECS, "1/4,1/4,1/4,1/4", "4d844d96e94662b84d2721df875a3d9b"),
+], ids=["tsirelson-sqrt2", "null-connection-rational"])
+def test_feasible_witness_bytes_are_pinned(runner, tmp_path, specs, p, digest):
+    """The witness files move if HiGHS gets another model or proposes
+    another vertex."""
+    marg = TSIRELSON_MARGINALS
+    if specs is not None:
+        marg = tmp_path / "marginals.json"
+        marg.write_text(json.dumps(specs))
+    witness = tmp_path / "witness.json"
+    result = invoke(runner, ["feasible", "--marginals", str(marg), "--p", p,
+                             "--witness", str(witness)])
+    assert result.exit_code == 0
+    assert hashlib.md5(witness.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("spec", [

@@ -17,6 +17,7 @@ import scipy.optimize
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csc_array
 
 from epr_couplings import lp
 from epr_couplings.cli import main as cli_main
@@ -1107,23 +1108,84 @@ def test_linprog_shim_without_private_highs_bindings(monkeypatch, caplog):
     assert lp_warnings(caplog) == []
 
 
+def run_fresh(*blocks: str) -> list[str]:
+    """The words the code ``blocks`` print, run one after another in a
+    fresh interpreter on this package."""
+    src = str(Path(lp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "\n".join(map(textwrap.dedent, blocks))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120, check=True).stdout.split()
+
+
 def test_scipy_is_imported_only_by_a_solve():
-    """The package, its CLI and a membership grid never load scipy; the
-    first HiGHS solve does."""
-    code = textwrap.dedent("""
+    """The package, its CLI and a membership grid never load any part of
+    scipy; the first HiGHS solve does."""
+    assert run_fresh("""
         import sys
         from fractions import Fraction
         import epr_couplings, epr_couplings.cli
         from epr_couplings import regions
+        scipy_loaded = lambda: any(name.partition(".")[0] == "scipy" for name in sys.modules)
         regions.membership_grid({"p11": Fraction(7, 16), "p12": Fraction(7, 16)}, 9)
-        print("scipy" in sys.modules)
+        print(scipy_loaded())
         epr_couplings.feasible(
             epr_couplings.connection_marginals(epr_couplings.ConnectionVector(0, 0, 0, 0)))
-        print("scipy" in sys.modules)
-    """)
-    src = str(Path(lp.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120, check=True).stdout
-    assert out.split() == ["False", "True"]
+        print(scipy_loaded())
+    """) == ["False", "True"]
+
+
+ORACLE_SOLVE = """
+    from fractions import Fraction
+    from epr_couplings import feasible, lp
+    from epr_couplings.model import (
+        ConnectionVector, OutcomeVector, connection_marginals, outcome_marginals)
+    quarter = Fraction(1, 4)
+    feasible(outcome_marginals(OutcomeVector(quarter, quarter, quarter, quarter))
+             + connection_marginals(ConnectionVector(0, 0, 0, 0)))
+"""
+
+
+@pytest.mark.skipif(lp._highs_bindings() is None, reason="scipy has no _highspy._core file")
+def test_a_solve_loads_highs_alone_and_shares_it_with_scipy_optimize():
+    """The first solve loads HiGHS's extension module, never the
+    ``scipy.optimize`` package or ``scipy.sparse``; ``scipy.optimize``
+    imported afterwards shares that module and solves with it, and one
+    imported first lends its module to ``lp``."""
+    assert run_fresh("import sys", ORACLE_SOLVE, """
+        print(sorted({"scipy.optimize", "scipy.sparse"} & sys.modules.keys()))
+        print(sys.modules.get("scipy.optimize._highspy._core") is lp._core)
+        import scipy.optimize
+        from scipy.optimize._highspy import _core
+        print(_core is lp._core is sys.modules["scipy.optimize._highspy._core"])
+        print(scipy.optimize.linprog([1, 2], A_eq=[[1, 1]], b_eq=[1], method="highs").status)
+    """) == ["[]", "True", "True", "0"]
+    assert run_fresh("""
+        import importlib.util
+        import sys
+        import scipy.optimize
+        before = sys.modules["scipy.optimize._highspy._core"]
+        loaded = []
+        module_from_spec = importlib.util.module_from_spec
+        importlib.util.module_from_spec = lambda spec: (
+            loaded.append(spec.name), module_from_spec(spec))[1]
+    """, ORACLE_SOLVE, """
+        print(lp._core is before is sys.modules["scipy.optimize._highspy._core"], loaded)
+    """) == ["True", "[]"]
+
+
+def test_csc_arrays_equal_scipy_sparse():
+    """HiGHS gets the column-wise matrix ``scipy.sparse.csc_array`` would
+    give it, on both models of the oracle rows (17, folded 9) and of the
+    connection rows (13, folded 5)."""
+    oracle = lp._structure(ORACLE_MASKS)
+    connection = lp._structure(build_system(connection_marginals(EPS0)).masks)
+    structures = [oracle, oracle.fold.structure, connection, connection.fold.structure]
+    assert [len(s.masks) for s in structures] == [17, 9, 13, 5]
+    for structure in structures:
+        for model in (structure.phase1, structure.coupling):
+            want = csc_array(model.a_eq)
+            for got, ref in zip(lp._csc(model.a_eq), (want.indptr, want.indices, want.data)):
+                assert got.dtype == ref.dtype
+                assert np.array_equal(got, ref)
