@@ -15,20 +15,21 @@ and exact arithmetic proves it: a witness ``q >= 0`` that reproduces every
 row, a Farkas ray for infeasibility, or -- for :func:`optimize` -- duals
 bounding the objective together with a witness that attains the bound.  A
 proof rationalizes HiGHS's floats (the closest fractions with denominators
-up to 2**24) and decides on the integer kernel of :mod:`.scalars`:
-:func:`~.scalars.integers` scales the right-hand side once per query, and
-the point and the duals each by their own positive unit, to ints, or to
-ZSqrt2 pairs over Q[sqrt(2)], whose one sign rule decides.  A float has no
-recoverable sqrt(2) part, so over Q[sqrt(2)], and wherever a rationalized
-point fails its proof, the witness comes from fraction-free elimination on
-HiGHS's support instead (``M`` is 0/1; a ZSqrt2 entry ``a + b*sqrt2`` is
-split into the two int columns ``a`` and ``b``), whose pivot,
-:func:`~.simplex.pivot`, is also the exact Bland simplex's.  Floats only
-choose which columns and duals get checked.  The exact Bland simplex is
-only the cold fallback: it decides when a proof fails, logging one WARNING
-with the model HiGHS solved, folded or full, the reason, the exact
-right-hand side and, for a non-optimal HiGHS status, the simplex iteration
-count, on the ``epr_couplings.lp`` logger.
+up to 2**24), scales the rhs, the point, the duals and the direction each
+by its own positive unit to ints (a ZSqrt2 ``a + b*sqrt2`` to its two int
+parts; :func:`~.scalars.integers`), and decides each check as one product
+with the structure's 0/1 incidence matrix ``M``: ``M x`` for a witness,
+``y M`` on all 256 columns for a Farkas ray or the dual bound, in int64
+where a guard proves it exact, else in Python ints (:func:`_vector`).
+Scalars are built only for answers.  A float has no recoverable sqrt(2)
+part, so over Q[sqrt(2)], and wherever a rationalized point fails its
+proof, the witness comes from fraction-free elimination on HiGHS's support
+instead, whose pivot, :func:`~.simplex.pivot`, is also the exact Bland
+simplex's.  Floats only choose which columns and duals get checked.  The
+exact Bland simplex is only the cold fallback: it decides when a proof
+fails, logging one WARNING with the model HiGHS solved, folded or full,
+the reason, the exact right-hand side and, for a non-optimal HiGHS status,
+the simplex iteration count, on the ``epr_couplings.lp`` logger.
 
 :func:`feasible` folds a system by the global flip when the rows allow it:
 every row has at most two variables, each variable of a pair row has its
@@ -72,6 +73,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import logging
+import math
 import os
 import sys
 import threading
@@ -91,7 +93,7 @@ from .model import (
     subset_name,
     subset_order,
 )
-from .scalars import ONE, ZERO, Scalar, as_scalar, integers, quotient
+from .scalars import ONE, ZERO, Scalar, _sign, as_scalar, integers, quotient
 from .simplex import INFEASIBLE, OPTIMAL, column_value, int_columns, pivot, solve_lp
 
 __all__ = [
@@ -163,20 +165,21 @@ class FeasibilityResult:
     """Feasibility verdict plus (for feasible systems) an exact witness.
 
     The witness coupling is certified against every constraint row at solve
-    time; the 256-entry table object itself is materialized lazily.
+    time as the scaled point ``(unit, cols, weights)``, ``q_j = w / unit``;
+    its weights become Scalars when :attr:`witness` is first read.
     """
 
     feasible: bool
-    _x: dict[int, Scalar] | None = field(repr=False)
+    _x: tuple[int, list[int], list] | None = field(repr=False)
     engine: str
     _witness: CouplingTable | None = field(default=None, init=False, repr=False)
 
     @property
     def witness(self) -> CouplingTable | None:
         if self._x is not None and self._witness is None:
-            self._witness = CouplingTable(
-                tuple(self._x.get(j, ZERO) for j in range(N_ASSIGNMENTS))
-            )
+            unit, cols, weights = self._x
+            x = dict(zip(cols, (quotient(w, unit) for w in weights)))
+            self._witness = CouplingTable(tuple(x.get(j, ZERO) for j in range(N_ASSIGNMENTS)))
         return self._witness
 
     def __bool__(self) -> bool:
@@ -202,7 +205,7 @@ class _Model:
 
 class _Structure(NamedTuple):
     masks: tuple[int, ...]  # one subset per row; a folded row's variables agree
-    col_rows: tuple[tuple[int, ...], ...]  # per column of M, its rows
+    incidence: np.ndarray  # M, rows by columns, as int64 0s and 1s
     phase1: _Model  # [M | I]: the identity columns are slacks priced 1
     coupling: _Model  # M alone, for optimize
     fold: _Fold | None  # these rows folded by the global flip, where they fold
@@ -241,12 +244,11 @@ class _Fold(NamedTuple):
         folded = [scaled[0], *(2 * scaled[i] for i in pairs)]
         return (unit, folded), np.concatenate([b[:1], 2 * b[list(pairs)]])
 
-    def witness(self, w: dict[int, Scalar]) -> dict[int, Scalar]:
-        """The symmetric coupling ``q_c = q_{255-c} = w_c / 2``."""
-        x = {}
-        for c, v in w.items():
-            x[c] = x[_FLIP - c] = v / 2
-        return x
+    def witness(self, w: tuple[int, list[int], list]) -> tuple[int, list[int], list]:
+        """The symmetric coupling ``q_c = q_{255-c} = w_c / 2``: each scaled
+        weight on both columns of its orbit, over twice the unit."""
+        unit, cols, weights = w
+        return 2 * unit, cols + [_FLIP - c for c in cols], weights + weights
 
     def ray(self, y: list) -> list:
         """The folded duals on the full rows, by [u = v] = 2[uv] - [u] - [v]
@@ -261,12 +263,11 @@ class _Fold(NamedTuple):
 
     def duals(self, y: list, sums: list) -> list:
         """Duals of the folded cost ``sum_k d_k [u_k = v_k] / 2``, scaled
-        with the 16 subset sums ``sums`` of :func:`_objective`, as duals of
-        the full cost doubled: the doubled ray, then each singleton of
-        observable pair k gains ``2 (d_k / 2) = sums[1 << k]`` and the
-        normalization loses it.  ``y.A_j - 2 c_j`` is then twice the folded
-        reduced cost of column j's orbit, and ``y.b`` twice the folded
-        ``y.b``."""
+        with the subset sums of :func:`_objective`, as duals of the full
+        cost doubled: the doubled ray, then each singleton of observable
+        pair k gains ``2 (d_k / 2) = sums[1 << k]`` and the normalization
+        loses it.  ``y.A_j - 2 c_j`` is then twice the folded reduced cost
+        of column j's orbit, and ``y.b`` twice the folded ``y.b``."""
         full = self.ray([2 * v for v in y])
         for k, (u, v) in enumerate(self.outcome_ends):
             d = sums[1 << k]
@@ -311,7 +312,7 @@ def _fold_of(masks: tuple[int, ...]) -> _Fold | None:
 
 
 def _structure(masks: tuple[int, ...], folded: bool = False) -> _Structure:
-    """Per-column rows and the two LP models of a row structure: over the
+    """The incidence matrix and the two LP models of a row structure: over the
     256 assignments, where row ``mask`` holds when all its variables are
     +1, or ``folded`` over the 128 flip orbits, where it holds when they
     agree."""
@@ -327,10 +328,9 @@ def _structure(masks: tuple[int, ...], folded: bool = False) -> _Structure:
         pattern = (np.arange(N_ASSIGNMENTS) & rows) == rows
     n = pattern.shape[1]
     a = np.hstack([pattern, np.eye(m)])
-    col_rows = tuple(tuple(np.flatnonzero(column).tolist()) for column in pattern.T)
     entry = _Structure(
         masks,
-        col_rows,
+        pattern.astype(np.int64),
         _Model(a, np.concatenate([np.zeros(n), np.ones(m)])),
         _Model(a[:, :n], np.zeros(n)),
         None if folded else _fold_of(masks),
@@ -344,40 +344,45 @@ def _structure(masks: tuple[int, ...], folded: bool = False) -> _Structure:
 # -- exact certification on the integer kernel -----------------------------------
 
 
-def _is_witness(col_rows, rhs: tuple[int, list], x: dict) -> bool:
-    """Exact check that x >= 0 and M x = rhs, where ``rhs`` is the
-    ``(unit, scaled)`` of :func:`~.scalars.integers` and x is scaled by its
-    own unit: each weight is added into its column's rows, and row i holds
-    when ``unit * sum == x_unit * scaled[i]``."""
+def _vector(values: list[int], terms: int) -> np.ndarray:
+    """``values`` as int64 when ``max|v| * terms < 2**63``, else Python ints:
+    each entry of a product with a 0/1 matrix, and each partial sum on the
+    way, adds at most ``terms`` values (one more for a subtracted value)."""
+    top = max(map(abs, values), default=0)
+    return np.array(values, dtype=np.int64 if top * terms < 1 << 63 else object)
+
+
+def _is_witness(incidence: np.ndarray, rhs: tuple[int, list], x: tuple) -> bool:
+    """Exact check that the scaled point ``(x_unit, cols, weights)`` is
+    nonnegative and has M x = rhs: ``unit * total == x_unit * scaled[i]``
+    on every row and int part (``a``, ``b`` of ``a + b sqrt2``), in ints."""
     unit, scaled = rhs
-    x_unit, weights = integers(x.values())
-    if any(w < 0 for w in weights):
+    x_unit, cols, weights = x
+    k = len(cols)
+    parts = [[*weights, *scaled]]
+    if not all(type(v) is int for v in parts[0]):
+        parts = [list(part) for part in zip(*int_columns(parts[0]))]
+    signs = parts[0][:k] if len(parts) == 1 else map(_sign, parts[0][:k], parts[1][:k])
+    if min(signs, default=0) < 0:
         return False
-    sums = [0] * len(scaled)
-    for j, w in zip(x, weights):
-        for i in col_rows[j]:
-            sums[i] += w
-    return all(unit * total == x_unit * want for total, want in zip(sums, scaled))
+    block = _vector([v for part in parts for v in part[:k]], k).reshape(len(parts), k)
+    totals = (incidence.take(cols, axis=1) @ block.T).T.tolist()
+    rows = (zip(total, part[k:]) for total, part in zip(totals, parts))
+    return all(unit * t == x_unit * w for row in rows for t, w in row)
 
 
 def _solve_on_support(
     structure, rhs: tuple[int, list], cols: list[int]
-) -> dict[int, Scalar] | None:
+) -> tuple[int, list[int], list] | None:
     """Exact solution of M[:, cols] x = rhs by fraction-free Gauss-Jordan
-    elimination, unproven (a weight may be negative); None when the rows
-    are inconsistent.  The rhs, scaled by its common denominator ``d``, is
-    one or two int columns (M is already 0/1), every pivot is the exact
-    simplex's :func:`~.simplex.pivot`, and only the final ``x_c = t /
-    (pivot * d)`` become Scalars."""
+    elimination on the rhs's one or two int columns (scaled by ``d``), each
+    pivot :func:`~.simplex.pivot`: the unproven scaled point of the nonzero
+    ``t / (pivot * d)`` over ``d * lcm(pivots)``, or None if inconsistent."""
     m = len(structure.masks)
     n = len(cols)
     d, scaled = rhs
-    aug = [
-        row + cells
-        for row, cells in zip(
-            structure.coupling.a_eq[:, cols].astype(int).tolist(), int_columns(scaled)
-        )
-    ]
+    columns = zip(structure.incidence.take(cols, axis=1).tolist(), int_columns(scaled))
+    aug = [row + cells for row, cells in columns]
     piv = []
     for c in range(n):
         r = len(piv)
@@ -388,23 +393,21 @@ def _solve_on_support(
             piv.append(c)
     if any(any(aug[i][n:]) for i in range(len(piv), m)):
         return None
-    return {
-        cols[c]: quotient(column_value(t), aug[i][c] * d)
-        for i, c in enumerate(piv)
-        if any(t := aug[i][n:])
-    }
+    rows = [(i, c) for i, c in enumerate(piv) if any(aug[i][n:])]
+    lcm = math.lcm(*(aug[i][c] for i, c in rows))
+    weights = [column_value(aug[i][n:]) * (lcm // aug[i][c]) for i, c in rows]
+    return d * lcm, [cols[c] for _, c in rows], weights
 
 
 class _Uncertified(Exception):
     """HiGHS's answer could not be proven exactly; the message says why."""
 
 
-def _rationalize(values: Sequence[float], limit: int = 1 << 24) -> list[Scalar]:
-    """Each float as the Scalar ``Fraction(v).limit_denominator(limit)``,
-    the closest fraction with a denominator up to ``limit``, found as the
+def _rationalize(values: Sequence[float], limit: int = 1 << 24) -> tuple[int, list[int]]:
+    """Each float as ``Fraction(v).limit_denominator(limit)``, found as the
     standard library finds it (the continued fraction of ``v``'s exact
     ratio, then the last convergent or semiconvergent in bounds) but on
-    plain ints."""
+    plain ints, all scaled by their common denominator: ``(unit, ints)``."""
     if not np.isfinite(values).all():
         raise _Uncertified("HiGHS returned non-finite values")
     out = []
@@ -420,38 +423,45 @@ def _rationalize(values: Sequence[float], limit: int = 1 << 24) -> list[Scalar]:
             p, q = p0 + k * p1, q0 + k * q1
             if abs(p * den - num * q) * q1 < abs(p1 * den - num * q1) * q:
                 p1, q1 = p, q
-        out.append(quotient(p1, q1))
-    return out
+        out.append((p1, q1))
+    unit = math.lcm(*(q for _, q in out))
+    return unit, [p * (unit // q) for p, q in out]
 
 
 def _witness_on(
     structure, rhs, proposal: np.ndarray, cols: list[int], proof
-) -> dict[int, Scalar] | None:
+) -> tuple[int, list[int], list] | None:
     """A point on ``cols`` with M x = rhs, as ``proof`` returns it once it
     has proven the point (or None): on a rational rhs, HiGHS's own values,
     rationalized; over Q[sqrt2] (a float has no recoverable sqrt(2) part)
     or when that proof fails, elimination."""
     if all(type(v) is int for v in rhs[1]):
-        x = proof({j: v for j, v in zip(cols, _rationalize(proposal[cols])) if v})
+        unit, weights = _rationalize(proposal[cols])
+        x = proof((unit, cols, weights))
         if x is not None:
             return x
     x = _solve_on_support(structure, rhs, cols)
     return None if x is None else proof(x)
 
 
-def _farkas(col_rows, b: list, duals: Sequence[float], fold: _Fold | None = None) -> bool:
-    """True when the rationalized float duals y, or -y, prove infeasibility:
-    y.b > 0 (in Q[sqrt2]) with y.A_j <= 0 for every column, decided on y
-    scaled to ints and on ``b``, the scaled rhs.  Duals of ``fold``'s model
-    are lifted to the rows of ``col_rows`` first."""
-    _, y = integers(_rationalize(duals))
-    if fold is not None:
-        y = fold.ray(y)
+def _farkas(incidence: np.ndarray, b: list, y: list) -> bool:
+    """True when the scaled duals y, or -y, prove infeasibility: y.b > 0
+    (in Q[sqrt2]) for the scaled rhs ``b``, and y.A_j <= 0 on every
+    column, one product of y with the incidence matrix."""
     yb = sum(yi * bi for yi, bi in zip(y, b))
     flip = 1 if yb > 0 else -1 if yb < 0 else 0
-    return flip != 0 and all(
-        flip * sum(map(y.__getitem__, rows)) <= 0 for rows in col_rows
-    )
+    return flip != 0 and bool((flip * _vector(y, len(y)) @ incidence).max() <= 0)
+
+
+def _tight_support(incidence: np.ndarray, y: list, sums: list, x: np.ndarray) -> list[int]:
+    """The dual bound as one product: ``y.A_j - sums[_PAIR_PATTERNS[j]]`` on
+    every column, raising :class:`_Uncertified` at the first negative one;
+    then the tight columns among the first ``len(x)`` where ``x`` > 0."""
+    v = _vector(y + sums, len(y) + 1)
+    slack = v[: len(y)] @ incidence - v[len(y):][_PAIR_PATTERNS]
+    if slack.min() < 0:
+        raise _Uncertified(f"duals violate y.A_j >= c_j at column {int(np.argmax(slack < 0))}")
+    return np.flatnonzero((slack[: len(x)] == 0) & (x > 1e-9)).tolist()
 
 
 #: The options ``linprog(method="highs", options={"presolve": False})`` sets.
@@ -595,72 +605,64 @@ def _status_reason(res: _Proposal) -> str:
     return f"HiGHS status {res.status} after {res.nit} simplex iterations"
 
 
-def _certify(structure, rhs: tuple[int, list], b: np.ndarray, sums, fold=None):
-    """HiGHS proposes, exact arithmetic proves: ``(x, value)`` with ``x``
-    None for an infeasible system and ``value`` the optimum when the
-    objective's subset ``sums`` (:func:`_objective`) are given, for the
-    scaled ``rhs`` and its floats ``b``.  With a ``fold``, HiGHS solves the
-    folded model, and its witness, Farkas ray and duals are lifted and
-    proven on ``structure``.  Raises :class:`_Uncertified` otherwise."""
-    col_rows = structure.col_rows
+def _certify(structure, rhs: tuple[int, list], b: np.ndarray, objective, fold=None):
+    """HiGHS proposes, exact arithmetic proves: ``(x, value)``, the scaled
+    point of a witness (None for an infeasible system) and, given an
+    ``objective`` (:func:`_objective`), the optimum, for the scaled ``rhs``
+    and its floats ``b``.  A ``fold``'s answer is lifted and proven on
+    ``structure``.  Raises :class:`_Uncertified` otherwise."""
+    incidence = structure.incidence
     solved, solved_rhs, solved_b = structure, rhs, b
     if fold is not None:
         solved, (solved_rhs, solved_b) = fold.structure, fold.rhs(rhs, b)
 
-    def proof(x: dict[int, Scalar]) -> dict[int, Scalar] | None:
+    def proof(x: tuple) -> tuple | None:
         """``x`` on ``structure`` (lifted there from a folded solve), if it
         is a witness of every row; the one check each point gets."""
         if fold is not None:
             x = fold.witness(x)
-        return x if _is_witness(col_rows, rhs, x) else None
+        return x if _is_witness(incidence, rhs, x) else None
 
-    def witness(proposal: np.ndarray, cols: list[int]) -> dict[int, Scalar] | None:
+    def witness(proposal: np.ndarray, cols: list[int]) -> tuple | None:
         return _witness_on(solved, solved_rhs, proposal, cols, proof)
 
-    if sums is None:
+    if objective is None:
         res = linprog(solved.phase1, solved_b)
         if res.status != 0:
             raise _Uncertified(_status_reason(res))
         if res.fun < 1e-7:
-            x = witness(res.x, np.flatnonzero(res.x[: len(solved.col_rows)] > 1e-9).tolist())
+            x = witness(res.x, np.flatnonzero(res.x[: solved.incidence.shape[1]] > 1e-9).tolist())
             if x is not None:
                 return x, None
-        if _farkas(col_rows, rhs[1], res.duals, fold):
+        _, y = _rationalize(res.duals)
+        if _farkas(incidence, rhs[1], y if fold is None else fold.ray(y)):
             return None, None
         raise _Uncertified("neither the support nor the duals prove a verdict")
 
-    res = linprog(solved.coupling, solved_b, _cost(sums, fold is not None))
+    res = linprog(solved.coupling, solved_b, _cost(objective, fold is not None))
     if res.status == 2:
         if _certify(structure, rhs, b, None, fold)[0] is None:
             return None, None
         raise _Uncertified("HiGHS reported infeasible, yet a coupling exists")
     if res.status != 0:
         raise _Uncertified(_status_reason(res))
-    # The duals are d(min -c.q)/db; y = -duals prices the maximum.
-    y = [-v for v in _rationalize(res.duals)]
-    unit, scaled = integers(y + sums)
-    ny, ns = scaled[: len(y)], scaled[len(y):]
+    # The duals are d(min -c.q)/db; y = -duals prices the maximum, scaled by
+    # one unit with the subset sums.  A folded column c < 128 stands for its
+    # orbit, whose two columns share one reduced cost.
+    y_unit, y = _rationalize(res.duals)
+    unit = math.lcm(y_unit, objective[0])
+    ny = [-(unit // y_unit) * v for v in y]
+    ns = [unit // objective[0] * s for s in objective[1]]
     if fold is not None:
         unit, ny, ns = 2 * unit, fold.duals(ny, ns), [2 * s for s in ns]
-    nc = [ns[s] for s in _PAIR_PATTERNS.tolist()]
-    # A folded column c < 128 stands for its orbit, whose two columns share
-    # one reduced cost.
-    solved_cols = len(res.x)
-    tight = []
-    for j, rows in enumerate(col_rows):
-        total = sum(map(ny.__getitem__, rows))
-        if total < nc[j]:
-            raise _Uncertified(f"duals violate y.A_j >= c_j at column {j}")
-        if total == nc[j] and j < solved_cols and res.x[j] > 1e-9:
-            tight.append(j)
-    x = witness(res.x, tight)
+    x = witness(res.x, _tight_support(incidence, ny, ns, res.x))
     if x is None:
         raise _Uncertified("no witness on the tight support attains the dual bound")
     # y.b == c.x on y and c scaled by one unit, b and x each by their own:
     # b_unit * c.x == x_unit * y.b.  The optimum is c.x over unit * x_unit.
     b_unit, nb = rhs
-    x_unit, nx = integers(x.values())
-    attained = sum(nc[j] * w for j, w in zip(x, nx))
+    x_unit, cols, nx = x
+    attained = sum(ns[s] * w for s, w in zip(_PAIR_PATTERNS[cols].tolist(), nx))
     if b_unit * attained != x_unit * sum(yi * bi for yi, bi in zip(ny, nb)):
         raise _Uncertified("c.q differs from y.b")
     return x, quotient(attained, unit * x_unit)
@@ -678,45 +680,47 @@ _AGREE_PATTERNS = np.array([
 ])
 
 
-def _objective(direction: Sequence[Fraction]) -> list[Fraction]:
-    """The 16 subset sums of ``direction``, bit k of the index adding d_k.
-    ``direction . p`` pushed through the coupling gives column j the sum at
-    its :data:`_PAIR_PATTERNS` entry: d_k for each observable pair k its
-    assignment sets to +1."""
-    sums = [Fraction(0)]
-    for d in direction:
+def _objective(direction: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """``(unit, sums)``: the 16 subset sums of ``direction`` scaled to ints
+    (:func:`~.scalars.integers`), bit k of the index adding d_k.  ``direction
+    . p`` pushed through the coupling gives column j the sum at its
+    :data:`_PAIR_PATTERNS` entry: d_k for each pair k it sets to +1."""
+    unit, scaled = integers(direction)
+    sums = [0]
+    for d in scaled:
         sums += [t + d for t in sums]
-    return sums
+    return unit, sums
 
 
-def _cost(sums: list[Fraction], folded: bool) -> np.ndarray:
+def _cost(objective: tuple[int, list[int]], folded: bool) -> np.ndarray:
     """The cost HiGHS minimizes, minus the objective: per column of the full
     model its pattern's subset sum; per orbit of the folded model
     ``sum_k d_k [u_k = v_k] / 2``, the objective on symmetric couplings
-    whose singletons read 1/2.  A direction whose sums leave the float
-    range is refused."""
+    whose singletons read 1/2.  ``n / unit`` rounds as ``float(Fraction)``
+    does; a direction whose sums leave the float range is refused."""
+    unit, sums = objective
     try:
-        values = np.array([float(s) for s in sums])
+        values = np.array([s / unit for s in sums])
     except OverflowError:
-        direction = ", ".join(str(sums[1 << k]) for k in range(4))
+        direction = ", ".join(str(Fraction(sums[1 << k], unit)) for k in range(4))
         raise ValueError(f"direction ({direction}) is beyond the float range") from None
     return -values[_AGREE_PATTERNS] / 2 if folded else -values[_PAIR_PATTERNS]
 
 
-def _bland(structure, system: ConstraintSystem, rhs: tuple[int, list], sums):
+def _bland(structure, system: ConstraintSystem, rhs: tuple[int, list], objective):
     """The exact Bland simplex on the same rows, with the same answer shape
-    as :func:`_certify`."""
-    rows = structure.coupling.a_eq.astype(int).tolist()
-    objective = None if sums is None else [sums[s] for s in _PAIR_PATTERNS.tolist()]
-    res = solve_lp(rows, system.rhs, objective=objective)
+    as :func:`_certify`; the scaled sums' optimum is the value times their unit."""
+    costs = None if objective is None else [objective[1][s] for s in _PAIR_PATTERNS.tolist()]
+    res = solve_lp(structure.incidence.tolist(), system.rhs, objective=costs)
     if res.status == INFEASIBLE:
         return None, None
     if res.status != OPTIMAL:
         raise AssertionError("support query unbounded despite normalization row")
-    x = {j: v for j, v in enumerate(res.x) if v}
-    if not _is_witness(structure.col_rows, rhs, x):
+    x_unit, weights = integers(res.x)
+    x = x_unit, list(range(N_ASSIGNMENTS)), weights
+    if not _is_witness(structure.incidence, rhs, x):
         raise AssertionError("exact simplex produced an invalid basic solution")
-    return x, res.objective
+    return x, None if objective is None else res.objective / objective[0]
 
 
 def _solve(system: ConstraintSystem, direction: Sequence[Fraction] | None = None):
@@ -724,13 +728,13 @@ def _solve(system: ConstraintSystem, direction: Sequence[Fraction] | None = None
     ``(x, value, engine)``, where ``x`` is None for an infeasible system
     and ``value`` is ``max direction . p``."""
     structure = _structure(system.masks)
-    sums = None if direction is None else _objective(direction)
+    objective = None if direction is None else _objective(direction)
     rhs = integers(system.rhs)
     fold = structure.fold
     if (
         fold is None
         or not fold.applies(rhs)
-        or (sums is not None and fold.outcome_ends is None)
+        or (objective is not None and fold.outcome_ends is None)
     ):
         fold = None
     # n / unit rounds the rational rhs value once, as float(Fraction) does;
@@ -740,7 +744,7 @@ def _solve(system: ConstraintSystem, direction: Sequence[Fraction] | None = None
         n / unit if type(n) is int else float(v) for n, v in zip(scaled, system.rhs)
     ])
     try:
-        return (*_certify(structure, rhs, b, sums, fold), "certified-float")
+        return (*_certify(structure, rhs, b, objective, fold), "certified-float")
     except _Uncertified as exc:
         rows = "; ".join(
             f"Pr[{subset_name(m) or '()'} = +1] = {v}"
@@ -752,7 +756,7 @@ def _solve(system: ConstraintSystem, direction: Sequence[Fraction] | None = None
             "fallback for rhs [%s]%s",
             "full" if fold is None else "folded", exc, rows, goal,
         )
-    return (*_bland(structure, system, rhs, sums), "exact-simplex")
+    return (*_bland(structure, system, rhs, objective), "exact-simplex")
 
 
 def _require_exact_inputs(specs: list[MarginalSpec], p: OutcomeVector | None) -> None:

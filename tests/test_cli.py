@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -226,6 +227,25 @@ def test_support_direction_beyond_the_float_range_is_an_input_error(runner):
     assert json.loads(result.output) == {
         "error": f"direction ({huge}, 1, 1, 1) is beyond the float range"
     }
+
+
+def test_support_without_a_coupling_exits_1(runner, tmp_path, caplog):
+    """The anti-correlation cycle A11 = B11, A11 != B12, B11 = B12 admits no
+    coupling: HiGHS reports the support LP infeasible, and the Farkas ray of
+    the feasibility LP proves it, with no exact-simplex fallback."""
+    pairs = [("A11", "B11", "1/2"), ("A11", "B12", "0"), ("B11", "B12", "1/2")]
+    marg = tmp_path / "cycle.json"
+    marg.write_text(json.dumps([
+        {"variables": [u, v], "prob_all_plus": {"": "1", u: "1/2", v: "1/2", f"{u},{v}": both}}
+        for u, v, both in pairs
+    ]))
+    with caplog.at_level(logging.WARNING, logger="epr_couplings.lp"):
+        result = invoke(runner, ["support", "--marginals", str(marg), "--direction", "1,1,1,-2"])
+    assert result.exit_code == 1
+    assert json.loads(result.output) == {
+        "error": "the marginal constraints admit no coupling", "feasible": False
+    }
+    assert caplog.records == []
 
 
 def test_regions_command(runner, tmp_path):

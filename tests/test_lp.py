@@ -42,7 +42,7 @@ from epr_couplings.model import (
     outcome_marginals,
     subset_mask,
 )
-from epr_couplings.scalars import Scalar, integers
+from epr_couplings.scalars import Scalar, ZSqrt2, integers, quotient
 from epr_couplings.simplex import INFEASIBLE, solve_lp
 from epr_couplings.stats import compatible, enumerate_E0
 from epr_couplings.verify import random_connection_vector, random_outcome_vector
@@ -588,6 +588,16 @@ def test_failed_certification_falls_back_with_one_warning(
         assert json.loads(dirty.stdout) == payload
 
 
+def exact(point):
+    """A scaled point ``(unit, cols, weights)`` as its exact nonzero
+    weights ``{col: Scalar}``, so that points over different units compare
+    by value; None stays None."""
+    if point is None:
+        return None
+    unit, cols, weights = point
+    return {j: v for j, w in zip(cols, weights) if (v := quotient(w, unit))}
+
+
 # -- integer elimination against the Fraction Gauss-Jordan it replaced ---------
 
 
@@ -683,9 +693,9 @@ def test_integer_elimination_matches_fraction_gauss_jordan(system):
     structure = lp._structure(masks)
     got = lp._solve_on_support(structure, rhs_scaled, cols)
     # elimination leaves the proof (x >= 0 and every row) to its caller
-    if got is not None and not lp._is_witness(structure.col_rows, rhs_scaled, got):
+    if got is not None and not lp._is_witness(structure.incidence, rhs_scaled, got):
         got = None
-    assert got == (None if want is None else {j: Scalar(*p) for j, p in want.items()})
+    assert exact(got) == (None if want is None else {j: Scalar(*p) for j, p in want.items()})
 
 
 @pytest.mark.parametrize("b, proves", [
@@ -697,7 +707,7 @@ def test_farkas_decides_y_dot_b_in_q_sqrt2(b, proves):
     """Rows q = 1 and 0 = b, duals (-1, 1): y.b = b - 1 proves infeasibility
     only when it is strictly positive, a sign only b's sqrt(2) part decides
     (the flipped duals -y price the column positive)."""
-    assert lp._farkas([(0,)], integers([Scalar(1), b])[1], (-1.0, 1.0)) is proves
+    assert lp._farkas(np.array([[1], [0]]), integers([Scalar(1), b])[1], [-1, 1]) is proves
 
 
 @pytest.mark.parametrize("x, valid", [
@@ -708,7 +718,152 @@ def test_farkas_decides_y_dot_b_in_q_sqrt2(b, proves):
 def test_is_witness_decides_in_q_sqrt2(x, valid):
     """The one normalization row q0 + q1 = 1: signs and the row sum depend
     on the sqrt(2) parts, which a check on the rational parts misses."""
-    assert lp._is_witness(lp._structure((0,)).col_rows, integers([Scalar(1)]), x) is valid
+    unit, weights = integers(x.values())
+    point = (unit, list(x), weights)
+    assert lp._is_witness(lp._structure((0,)).incidence, integers([Scalar(1)]), point) is valid
+
+
+# -- the incidence products against the per-column loops they replaced ---------
+
+ORACLE = lp._structure(ORACLE_MASKS)
+#: Per column of the oracle structure's M, its rows: what the loops walk.
+ORACLE_COL_ROWS = tuple(tuple(np.flatnonzero(column).tolist()) for column in ORACLE.incidence.T)
+
+
+def loop_row_sums(col_rows, m, cols, weights):
+    """M x on ``m`` rows, each weight added into its column's rows."""
+    sums = [0] * m
+    for j, w in zip(cols, weights):
+        for i in col_rows[j]:
+            sums[i] += w
+    return sums
+
+
+def loop_is_witness(col_rows, rhs, x):
+    """``lp._is_witness`` as each weight added into its column's rows in
+    Python ints."""
+    unit, scaled = rhs
+    x_unit, cols, weights = x
+    if any(w < 0 for w in weights):
+        return False
+    sums = loop_row_sums(col_rows, len(scaled), cols, weights)
+    return all(unit * total == x_unit * want for total, want in zip(sums, scaled))
+
+
+def loop_farkas(col_rows, b, y):
+    """``lp._farkas`` as one Python sum of y over each column's rows."""
+    yb = sum(yi * bi for yi, bi in zip(y, b))
+    flip = 1 if yb > 0 else -1 if yb < 0 else 0
+    return flip != 0 and all(flip * sum(map(y.__getitem__, rows)) <= 0 for rows in col_rows)
+
+
+def loop_tight_support(col_rows, y, sums, x):
+    """``lp._tight_support`` as one Python sum of y over each column's
+    rows, compared with the column's subset sum."""
+    c = [sums[s] for s in lp._PAIR_PATTERNS.tolist()]
+    tight = []
+    for j, rows in enumerate(col_rows):
+        total = sum(map(y.__getitem__, rows))
+        if total < c[j]:
+            raise lp._Uncertified(f"duals violate y.A_j >= c_j at column {j}")
+        if total == c[j] and j < len(x) and x[j] > 1e-9:
+            tight.append(j)
+    return tight
+
+
+def outcome(check, *args):
+    """What ``check`` returns, or the message of the _Uncertified it raises."""
+    try:
+        return check(*args)
+    except lp._Uncertified as exc:
+        return str(exc)
+
+
+def boundary_vectors(rng, n, terms):
+    """Seeded length-``n`` int vectors whose largest magnitude is one under,
+    at and one over ``(2**63 - 1) // terms``, the largest that
+    ``lp._vector`` keeps in int64 for ``terms`` terms: all of it, all of its
+    negative, and mixed signs."""
+    limit = (2 ** 63 - 1) // terms
+    for top in (limit - 1, limit, limit + 1):
+        mixed = [rng.choice((1, -1)) * rng.randint(0, top) for _ in range(n)]
+        mixed[rng.randrange(n)] = rng.choice((1, -1)) * top
+        yield from ([top] * n, [-top] * n, mixed)
+
+
+def test_vector_is_int64_exactly_while_its_sums_fit():
+    """Both dtypes run on the boundary vectors below: int64 up to the
+    limit, Python ints one past it."""
+    for terms in (17, 18, 40, 256):
+        limit = (2 ** 63 - 1) // terms
+        assert lp._vector([limit, -limit], terms).dtype == np.int64
+        assert lp._vector([-limit - 1, 0], terms).dtype == object
+        assert lp._vector([limit + 1], terms).tolist() == [limit + 1]
+
+
+def test_is_witness_product_equals_the_column_loop():
+    """Points on all 256 columns and on 40, over Q and over Q[sqrt2] with
+    parts of opposite sign, against the exact row sums and a row nudged by
+    one, at both units."""
+    rng = random.Random(25)
+    m = len(ORACLE_MASKS)
+    verdicts = set()
+    for n in (256, 40):
+        cols = sorted(rng.sample(range(256), n))
+        for a in boundary_vectors(rng, n, n):
+            # |b| <= 2|a|/3 < |a|/sqrt2 keeps each weight's sign that of a;
+            # the last weight's b = -a makes it negative when a > 0.
+            b = [-(1 if v > 0 else -1) * rng.randint(0, abs(v) * 2 // 3) for v in a]
+            for weights in (a, list(map(ZSqrt2, a, b)), list(map(ZSqrt2, a, b[:-1] + [-a[-1]]))):
+                sums = loop_row_sums(ORACLE_COL_ROWS, m, cols, weights)
+                nudged = list(sums)
+                nudged[rng.randrange(m)] += 1
+                for unit, scaled in ((1, sums), (1, nudged), (3, [3 * v for v in sums])):
+                    x = (1, cols, weights)
+                    got = lp._is_witness(ORACLE.incidence, (unit, scaled), x)
+                    assert got is loop_is_witness(ORACLE_COL_ROWS, (unit, scaled), x)
+                    verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_farkas_product_equals_the_column_loop():
+    """Duals at the int64 boundary against right-hand sides of either sign,
+    over Q and over Q[sqrt2]."""
+    rng = random.Random(26)
+    m = len(ORACLE_MASKS)
+    verdicts = set()
+    for y in boundary_vectors(rng, m, m):
+        for b in (
+            [1] * m,
+            [-1] * m,
+            [rng.randint(-9, 9) for _ in range(m)],
+            [ZSqrt2(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(m)],
+        ):
+            got = lp._farkas(ORACLE.incidence, b, y)
+            assert got is loop_farkas(ORACLE_COL_ROWS, b, y), (y, b)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_dual_bound_product_equals_the_column_loop():
+    """Duals and subset sums at the int64 boundary, the sums negated, and
+    sums tight on one column of each pattern; on all 256 columns and on a
+    folded model's first 128."""
+    rng = random.Random(27)
+    m = len(ORACLE_MASKS)
+    patterns = lp._PAIR_PATTERNS.tolist()
+    x = np.array([rng.choice((0.0, 0.25)) for _ in range(256)])
+    outcomes = set()
+    for v in boundary_vectors(rng, m + 16, m + 1):
+        y, sums = v[:m], v[m:]
+        totals = [sum(map(y.__getitem__, rows)) for rows in ORACLE_COL_ROWS]
+        tight = [min(t for t, s in zip(totals, patterns) if s == k) for k in range(16)]
+        for case in (sums, [-s for s in sums], tight):
+            for proposal in (x, x[:128]):
+                got = outcome(lp._tight_support, ORACLE.incidence, y, case, proposal)
+                assert got == outcome(loop_tight_support, ORACLE_COL_ROWS, y, case, proposal)
+                outcomes.add("raised" if isinstance(got, str) else "tight" if got else "none")
+    assert {"raised", "tight"} <= outcomes
 
 
 def lattice_pairs():
@@ -743,7 +898,8 @@ def test_presolve_free_highs_never_falls_back(caplog):
               st.integers(1, 10**5), st.sampled_from([0.0, 1e-15, -3e-16, 1e-9])),
 ))
 def test_rationalize_is_limit_denominator(v):
-    assert lp._rationalize([v]) == [Fraction(v).limit_denominator(1 << 24)]
+    unit, (n,) = lp._rationalize([v])
+    assert Fraction(n, unit) == Fraction(v).limit_denominator(1 << 24)
 
 
 def test_rationalize_refuses_non_finite_values():
@@ -789,7 +945,8 @@ def test_proven_primal_equals_elimination_on_its_support(monkeypatch, caplog):
     assert eliminations == []
     assert len(calls) == feasible_count > 500
     for structure, rhs, cols, proof, x in calls:
-        assert x is not None and x == proof(lp._solve_on_support(structure, rhs, cols))
+        eliminated = proof(lp._solve_on_support(structure, rhs, cols))
+        assert x is not None and exact(x) == exact(eliminated)
 
     calls.clear()
     eliminations.clear()
@@ -801,7 +958,8 @@ def test_proven_primal_equals_elimination_on_its_support(monkeypatch, caplog):
     assert len(eliminations) == 3  # the Q[sqrt2] witnesses; EPS0's is proven
     assert len(calls) == 4
     for structure, rhs, cols, proof, x in calls:
-        assert x is not None and x == proof(lp._solve_on_support(structure, rhs, cols))
+        eliminated = proof(lp._solve_on_support(structure, rhs, cols))
+        assert x is not None and exact(x) == exact(eliminated)
     assert lp_warnings(caplog) == []
 
 
@@ -1013,11 +1171,12 @@ def support_lp(eps, direction, folded=False):
     system = build_system(connection_marginals(eps))
     structure = lp._structure(system.masks)
     b = np.array([float(v) for v in system.rhs])
-    sums = lp._objective([Fraction(d) for d in direction])
+    objective = lp._objective([Fraction(d) for d in direction])
     if folded:
         _, b = structure.fold.rhs(integers(system.rhs), b)
-        return structure.fold.structure.coupling, b, lp._cost(sums, folded=True)
-    return structure.coupling, b, -np.array([float(sums[s]) for s in lp._PAIR_PATTERNS])
+        return structure.fold.structure.coupling, b, lp._cost(objective, folded=True)
+    unit, sums = objective
+    return structure.coupling, b, -np.array([sums[s] / unit for s in lp._PAIR_PATTERNS])
 
 
 def test_persistent_highs_proposes_exactly_what_linprog_does():
@@ -1060,7 +1219,7 @@ def test_threads_sharing_one_model_get_the_sequential_answers(caplog):
         ])
 
     def solve(batch):
-        return [(res.feasible, res.engine, res._x) for res in map(feasible, batch)]
+        return [(res.feasible, res.engine, exact(res._x)) for res in map(feasible, batch)]
 
     sequential = [solve(batch) for batch in batches]
     barrier = threading.Barrier(len(batches))
