@@ -26,10 +26,11 @@ part, so over Q[sqrt(2)], and wherever a rationalized point fails its
 proof, the witness comes from fraction-free elimination on HiGHS's support
 instead, whose pivot, :func:`~.simplex.pivot`, is also the exact Bland
 simplex's.  Floats only choose which columns and duals get checked.  The
-exact Bland simplex is only the cold fallback: it decides when a proof
-fails, logging one WARNING with the model HiGHS solved, folded or full,
-the reason, the exact right-hand side and, for a non-optimal HiGHS status,
-the simplex iteration count, on the ``epr_couplings.lp`` logger.
+exact Bland simplex is only the cold fallback: it decides on the same
+scaled rhs when a proof fails, its point read and proven as the
+elimination's is, and logs one WARNING with the model HiGHS solved, folded
+or full, the reason, the exact right-hand side and, for a non-optimal HiGHS
+status, the simplex iteration count, on the ``epr_couplings.lp`` logger.
 
 :func:`feasible` folds a system by the global flip when the rows allow it:
 every row has at most two variables, each variable of a pair row has its
@@ -94,7 +95,7 @@ from .model import (
     subset_order,
 )
 from .scalars import ONE, ZERO, Scalar, _sign, as_scalar, integers, quotient
-from .simplex import INFEASIBLE, OPTIMAL, column_value, int_columns, pivot, solve_lp
+from .simplex import INFEASIBLE, OPTIMAL, basic_point, int_columns, pivot, solve_lp
 
 __all__ = [
     "ConstraintSystem",
@@ -376,8 +377,8 @@ def _solve_on_support(
 ) -> tuple[int, list[int], list] | None:
     """Exact solution of M[:, cols] x = rhs by fraction-free Gauss-Jordan
     elimination on the rhs's one or two int columns (scaled by ``d``), each
-    pivot :func:`~.simplex.pivot`: the unproven scaled point of the nonzero
-    ``t / (pivot * d)`` over ``d * lcm(pivots)``, or None if inconsistent."""
+    pivot :func:`~.simplex.pivot`: the unproven scaled point that
+    :func:`~.simplex.basic_point` reads, or None if inconsistent."""
     m = len(structure.masks)
     n = len(cols)
     d, scaled = rhs
@@ -393,20 +394,22 @@ def _solve_on_support(
             piv.append(c)
     if any(any(aug[i][n:]) for i in range(len(piv), m)):
         return None
-    rows = [(i, c) for i, c in enumerate(piv) if any(aug[i][n:])]
-    lcm = math.lcm(*(aug[i][c] for i, c in rows))
-    weights = [column_value(aug[i][n:]) * (lcm // aug[i][c]) for i, c in rows]
-    return d * lcm, [cols[c] for _, c in rows], weights
+    unit, basic, weights = basic_point(aug, enumerate(piv), n, d)
+    return unit, [cols[c] for c in basic], weights
 
 
 class _Uncertified(Exception):
     """HiGHS's answer could not be proven exactly; the message says why."""
 
 
-def _rationalize(values: Sequence[float], limit: int = 1 << 24) -> tuple[int, list[int]]:
-    """Each float as ``Fraction(v).limit_denominator(limit)``, found as the
-    standard library finds it (the continued fraction of ``v``'s exact
-    ratio, then the last convergent or semiconvergent in bounds) but on
+#: The largest denominator :func:`_rationalize` gives a float, 2**24.
+_DENOMINATOR_LIMIT = 1 << 24
+
+
+def _rationalize(values: Sequence[float]) -> tuple[int, list[int]]:
+    """Each float as ``Fraction(v).limit_denominator(_DENOMINATOR_LIMIT)``,
+    found as the standard library finds it (the continued fraction of its
+    exact ratio, then the last convergent or semiconvergent in bounds) on
     plain ints, all scaled by their common denominator: ``(unit, ints)``."""
     if not np.isfinite(values).all():
         raise _Uncertified("HiGHS returned non-finite values")
@@ -414,12 +417,12 @@ def _rationalize(values: Sequence[float], limit: int = 1 << 24) -> tuple[int, li
     for v in values:
         num, den = n, d = v.as_integer_ratio()
         p0, q0, p1, q1 = 0, 1, 1, 0
-        while d and q0 + n // d * q1 <= limit:
+        while d and q0 + n // d * q1 <= _DENOMINATOR_LIMIT:
             a = n // d
             p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
             n, d = d, n - a * d
         if d:  # p1/q1 unless the semiconvergent p/q is strictly closer
-            k = (limit - q0) // q1
+            k = (_DENOMINATOR_LIMIT - q0) // q1
             p, q = p0 + k * p1, q0 + k * q1
             if abs(p * den - num * q) * q1 < abs(p1 * den - num * q1) * q:
                 p1, q1 = p, q
@@ -673,11 +676,8 @@ _PAIR_PATTERNS = np.array([
     sum(1 << k for k, mask in enumerate(_PAIR_MASKS) if (j & mask) == mask)
     for j in range(N_ASSIGNMENTS)
 ])
-#: Bit k of orbit c's pattern is set when observable pair k's variables agree on it.
-_AGREE_PATTERNS = np.array([
-    sum(1 << k for k, mask in enumerate(_PAIR_MASKS) if c & mask in (0, mask))
-    for c in range(_N_ORBITS)
-])
+#: Bit k of orbit c's pattern is set when pair k is +1 on c or on its flip: it agrees on c.
+_AGREE_PATTERNS = _PAIR_PATTERNS[:_N_ORBITS] | _PAIR_PATTERNS[_FLIP - np.arange(_N_ORBITS)]
 
 
 def _objective(direction: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -707,20 +707,18 @@ def _cost(objective: tuple[int, list[int]], folded: bool) -> np.ndarray:
     return -values[_AGREE_PATTERNS] / 2 if folded else -values[_PAIR_PATTERNS]
 
 
-def _bland(structure, system: ConstraintSystem, rhs: tuple[int, list], objective):
+def _bland(structure, rhs: tuple[int, list], objective):
     """The exact Bland simplex on the same rows, with the same answer shape
-    as :func:`_certify`; the scaled sums' optimum is the value times their unit."""
+    as :func:`_certify`; its value is the scaled sums' optimum times x's unit."""
     costs = None if objective is None else [objective[1][s] for s in _PAIR_PATTERNS.tolist()]
-    res = solve_lp(structure.incidence.tolist(), system.rhs, objective=costs)
+    res = solve_lp(structure.incidence.tolist(), rhs, costs)
     if res.status == INFEASIBLE:
         return None, None
     if res.status != OPTIMAL:
         raise AssertionError("support query unbounded despite normalization row")
-    x_unit, weights = integers(res.x)
-    x = x_unit, list(range(N_ASSIGNMENTS)), weights
-    if not _is_witness(structure.incidence, rhs, x):
+    if not _is_witness(structure.incidence, rhs, res.x):
         raise AssertionError("exact simplex produced an invalid basic solution")
-    return x, None if objective is None else res.objective / objective[0]
+    return res.x, None if objective is None else quotient(res.value, res.x[0] * objective[0])
 
 
 def _solve(system: ConstraintSystem, direction: Sequence[Fraction] | None = None):
@@ -756,7 +754,7 @@ def _solve(system: ConstraintSystem, direction: Sequence[Fraction] | None = None
             "fallback for rhs [%s]%s",
             "full" if fold is None else "folded", exc, rows, goal,
         )
-    return (*_bland(structure, system, rhs, objective), "exact-simplex")
+    return (*_bland(structure, rhs, objective), "exact-simplex")
 
 
 def _require_exact_inputs(specs: list[MarginalSpec], p: OutcomeVector | None) -> None:

@@ -1,38 +1,36 @@
 """Exact Bland-rule simplex on a tableau of Python ints, and the
-fraction-free pivot it shares with the support elimination in :mod:`.lp`.
+fraction-free pivot and basic-point reader it shares with the support
+elimination in :mod:`.lp`.
 
-Solves  find/maximize x >= 0  subject to  A x = b  for an int matrix A, b
-over Q or Q[sqrt(2)] (scaled once by :func:`~.scalars.integers` into one or
-two int columns) and a rational objective.  Each row is its textbook row
-times a positive scale, so signs read straight off the ints, ratios compare
-by cross-multiplication, and the pivots are the textbook ones (Edmonds, J.
-Res. NBS 71B, 1967; Bareiss, Math. Comp. 22, 1968).  Phase 1 minimizes the
-sum of one artificial per row, phase 2 minus the objective; Bland's
-smallest-index rule picks every pivot, so the degenerate boundary cases
-terminate.
+Solves  find/maximize costs . x  over x >= 0  subject to  A x = b  for int
+A and costs on lp's scaled ints: b as :func:`~.scalars.integers` scales it
+(over Q[sqrt(2)], two int columns) in, the scaled basic point out.  Rows
+are textbook rows times positive scales, so signs read straight off the
+ints, ratios compare by cross-multiplication, and the pivots are the
+textbook ones (Edmonds, J. Res. NBS 71B, 1967; Bareiss, Math. Comp. 22,
+1968).  Phase 1 minimizes the sum of one artificial per row, phase 2 minus
+the cost; Bland's smallest-index rule picks every pivot, so degenerate
+boundary cases terminate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from numbers import Rational
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .scalars import ZERO, Scalar, ZSqrt2, integers, quotient
+from .scalars import ZSqrt2
 
-__all__ = ["LPResult", "column_value", "int_columns", "pivot", "solve_lp"]
+__all__ = ["LPResult", "basic_point", "column_value", "int_columns", "pivot", "solve_lp"]
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass
-class LPResult:
+class LPResult(NamedTuple):
     status: str
-    x: list | None = None
-    objective: object | None = None
+    x: tuple[int, list[int], list] | None = None
+    value: object | None = None
 
 
 def pivot(tab: list[list[int]], r: int, c: int) -> None:
@@ -69,36 +67,36 @@ def column_value(cells: Sequence[int]):
     return ZSqrt2(*cells) if len(cells) == 2 else cells[0]
 
 
-def solve_lp(
-    rows: Sequence[Sequence[int]], rhs: Sequence, objective: Sequence | None = None
-) -> LPResult:
-    """Solve ``A x = b, x >= 0`` exactly, optionally maximizing ``objective``
-    (negate it to minimize).
+def basic_point(tab: list[list[int]], pivots, width: int, unit: int) -> tuple:
+    """``(unit * lcm, cols, weights)``: each pivot ``(i, c)``, ``tab[i][c] >
+    0``, whose rhs cells ``tab[i][width:]`` are nonzero sets ``x_c = cells /
+    (tab[i][c] * unit)``, all over ``unit`` times the lcm of those pivots."""
+    rows = [(tab[i], c) for i, c in pivots if any(tab[i][width:])]
+    lcm = math.lcm(*(row[c] for row, c in rows))
+    weights = [column_value(row[width:]) * (lcm // row[c]) for row, c in rows]
+    return unit * lcm, [c for _, c in rows], weights
 
-    ``rows`` holds ints; ``rhs`` ints, Fractions or exact Scalars;
-    ``objective`` rationals; anything else raises ValueError.  With no
-    objective the result is any basic feasible point (or the INFEASIBLE
-    status).  ``x`` and ``objective`` come back as Scalars.
+
+def solve_lp(rows: list[list[int]], rhs: tuple, costs: list[int] | None = None) -> LPResult:
+    """Solve ``A x = b, x >= 0`` exactly, optionally maximizing ``costs . x``
+    (negate them to minimize).
+
+    ``rows`` and ``costs`` hold ints and ``rhs = (unit, scaled)`` ints or
+    ZSqrt2s; anything else raises ValueError.  ``x`` is a basic feasible
+    point (none when INFEASIBLE), as :func:`basic_point` reads it, and
+    ``value`` is ``costs . weights``: the optimum times ``x``'s unit.
     """
+    unit, scaled = rhs
     m = len(rows)
     n = len(rows[0]) if m else 0
     if any(len(r) != n for r in rows):
         raise ValueError("ragged constraint matrix")
-    if not all(isinstance(a, int) for r in rows for a in r):
-        raise ValueError("constraint rows must hold ints")
-    if not all(isinstance(v, (Rational, Scalar)) for v in [*rhs, *(objective or [])]):
-        raise ValueError("rhs and objective take ints, Fractions or Scalars")
-    if len(rhs) != m:
-        raise ValueError("rhs length does not match row count")
-    if objective is not None and len(objective) != n:
-        raise ValueError("objective length does not match column count")
-    unit, scaled = integers(rhs)
+    if not all(isinstance(a, int) for r in [*rows, costs or []] for a in r):
+        raise ValueError("constraint rows and costs must hold ints")
     if any(type(v) not in (int, ZSqrt2) for v in scaled):
-        raise ValueError("the right-hand side must be exact")
-    if objective is not None:
-        cost_unit, costs = integers(objective)
-        if any(type(v) is not int for v in costs):
-            raise ValueError("the objective must be rational")
+        raise ValueError("the scaled right-hand side must hold ints or ZSqrt2s")
+    if len(scaled) != m or (costs is not None and len(costs) != n):
+        raise ValueError("rhs or cost length does not match the matrix")
 
     width = n + m  # structural + artificial columns; then the rhs column(s)
     tab: list[list[int]] = []
@@ -148,8 +146,8 @@ def solve_lp(
             if basis[i] < n:
                 pivot(tab, i, basis[i])
 
-    if objective is not None:
-        # Phase 2: minimize -objective over the structural columns; pivoting
+    if costs is not None:
+        # Phase 2: minimize -costs over the structural columns; pivoting
         # again on the basic ones prices out the cost row.
         tab[m] = [-v for v in costs]
         for i, j in enumerate(basis):
@@ -157,11 +155,7 @@ def solve_lp(
                 pivot(tab, i, j)
         if run_bland(n) == UNBOUNDED:
             return LPResult(UNBOUNDED)
-    x = [ZERO] * n
-    for row, j in zip(tab, basis):
-        if j < n:
-            x[j] = quotient(column_value(row[width:]), row[j] * unit)
-    if objective is None:
-        return LPResult(OPTIMAL, x=x)
-    total = sum((c * v for c, v in zip(costs, x) if c), ZERO)
-    return LPResult(OPTIMAL, x=x, objective=total / cost_unit)
+    # An artificial still basic sits on a redundant row, whose cells are zero.
+    x = basic_point(tab, enumerate(basis), width, unit)
+    value = None if costs is None else sum(costs[j] * w for j, w in zip(x[1], x[2]))
+    return LPResult(OPTIMAL, x, value)

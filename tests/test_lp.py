@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csc_array
 
-from epr_couplings import lp
+from epr_couplings import lp, simplex
 from epr_couplings.cli import main as cli_main
 from epr_couplings.lp import (
     OUTCOME_PAIRS,
@@ -43,9 +43,10 @@ from epr_couplings.model import (
     subset_mask,
 )
 from epr_couplings.scalars import Scalar, ZSqrt2, integers, quotient
-from epr_couplings.simplex import INFEASIBLE, solve_lp
+from epr_couplings.simplex import INFEASIBLE
 from epr_couplings.stats import compatible, enumerate_E0
 from epr_couplings.verify import random_connection_vector, random_outcome_vector
+from test_simplex import solve_lp
 
 V = VariableId
 HALF = Fraction(1, 2)
@@ -398,7 +399,7 @@ def test_only_the_simplex_fallback_reaches_lp_solve_lp(monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return solve_lp(*args, **kwargs)
+        return simplex.solve_lp(*args, **kwargs)
 
     monkeypatch.setattr(lp, "solve_lp", counted)
     specs = outcome_marginals(QUARTER) + connection_marginals(random_eps(random.Random(3)))

@@ -1,11 +1,41 @@
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
-from epr_couplings.scalars import SQRT2, Scalar
-from epr_couplings.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from epr_couplings import simplex
+from epr_couplings.scalars import SQRT2, ZERO, Scalar, integers, quotient
+from epr_couplings.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 
 F = Fraction
+
+
+class Solution(NamedTuple):
+    status: str
+    x: list | None
+    objective: Scalar | None
+
+
+def _scaled(values):
+    """``integers(values)`` for ints, Fractions and Scalars; anything else
+    passes as it is, for :func:`simplex.solve_lp` to refuse."""
+    if all(isinstance(v, (int, Fraction, Scalar)) for v in values):
+        return integers(values)
+    return 1, list(values)
+
+
+def solve_lp(rows, rhs, objective=None):
+    """:func:`simplex.solve_lp` on Fraction and Scalar values: the rhs and
+    the objective go in scaled, and the point comes back as one Scalar per
+    column, the optimum as one Scalar."""
+    cost_unit, costs = (1, None) if objective is None else _scaled(objective)
+    res = simplex.solve_lp(rows, _scaled(rhs), costs)
+    if res.x is None:
+        return Solution(res.status, None, None)
+    unit, cols, weights = res.x
+    point = dict(zip(cols, (quotient(w, unit) for w in weights)))
+    x = [point.get(j, ZERO) for j in range(len(rows[0]))]
+    return Solution(res.status, x, None if costs is None else quotient(res.value, unit * cost_unit))
 
 
 def test_simple_feasible_point():

@@ -10,7 +10,8 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from epr_couplings.scalars import SQRT2, Scalar, as_scalar
-from epr_couplings.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from epr_couplings.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
+from test_simplex import solve_lp
 
 F = Fraction
 
