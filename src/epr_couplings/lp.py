@@ -13,7 +13,10 @@ vector is admitted.
 Verdicts are always exact.  A float LP solver (HiGHS) proposes every answer
 and exact arithmetic proves it: a witness ``q >= 0`` that reproduces every
 row, a Farkas ray for infeasibility, or -- for :func:`optimize` -- duals
-bounding the objective together with a witness that attains the bound.  A
+bounding the objective on every column together with a witness that attains
+the bound.  Floats only choose what gets checked, with no tolerance: a
+witness lies on the columns HiGHS gives positive weight (its nonbasic
+weights are exactly 0.0), sought when no phase-1 slack carries weight.  A
 proof rationalizes HiGHS's floats (the closest fractions with denominators
 up to 2**24), scales the rhs, the point, the duals and the direction each
 by its own positive unit to ints (a ZSqrt2 ``a + b*sqrt2`` to its two int
@@ -23,10 +26,9 @@ with the structure's 0/1 incidence matrix ``M``: ``M x`` for a witness,
 where a guard proves it exact, else in Python ints (:func:`_vector`).
 Scalars are built only for answers.  A float has no recoverable sqrt(2)
 part, so over Q[sqrt(2)], and wherever a rationalized point fails its
-proof, the witness comes from fraction-free elimination on HiGHS's support
+proof, the witness comes from fraction-free elimination on the same columns
 instead, whose pivot, :func:`~.simplex.pivot`, is also the exact Bland
-simplex's.  Floats only choose which columns and duals get checked.  The
-exact Bland simplex is only the cold fallback: it decides on the same
+simplex's.  That simplex is only the cold fallback: it decides on the same
 scaled rhs when a proof fails, its point read and proven as the
 elimination's is, and logs one WARNING with the model HiGHS solved, folded
 or full, the reason, the exact right-hand side and, for a non-optimal HiGHS
@@ -431,13 +433,13 @@ def _rationalize(values: Sequence[float]) -> tuple[int, list[int]]:
     return unit, [p * (unit // q) for p, q in out]
 
 
-def _witness_on(
-    structure, rhs, proposal: np.ndarray, cols: list[int], proof
-) -> tuple[int, list[int], list] | None:
-    """A point on ``cols`` with M x = rhs, as ``proof`` returns it once it
+def _witness_on(structure, rhs, proposal: np.ndarray, proof) -> tuple[int, list[int], list] | None:
+    """A point with M x = rhs on the columns HiGHS gives positive weight
+    (its nonbasic weights are exactly 0.0), as ``proof`` returns it once it
     has proven the point (or None): on a rational rhs, HiGHS's own values,
     rationalized; over Q[sqrt2] (a float has no recoverable sqrt(2) part)
     or when that proof fails, elimination."""
+    cols = np.flatnonzero(proposal[: structure.incidence.shape[1]] > 0).tolist()
     if all(type(v) is int for v in rhs[1]):
         unit, weights = _rationalize(proposal[cols])
         x = proof((unit, cols, weights))
@@ -456,15 +458,13 @@ def _farkas(incidence: np.ndarray, b: list, y: list) -> bool:
     return flip != 0 and bool((flip * _vector(y, len(y)) @ incidence).max() <= 0)
 
 
-def _tight_support(incidence: np.ndarray, y: list, sums: list, x: np.ndarray) -> list[int]:
+def _dual_bound(incidence: np.ndarray, y: list, sums: list) -> None:
     """The dual bound as one product: ``y.A_j - sums[_PAIR_PATTERNS[j]]`` on
-    every column, raising :class:`_Uncertified` at the first negative one;
-    then the tight columns among the first ``len(x)`` where ``x`` > 0."""
+    every column, raising :class:`_Uncertified` at the first negative one."""
     v = _vector(y + sums, len(y) + 1)
     slack = v[: len(y)] @ incidence - v[len(y):][_PAIR_PATTERNS]
     if slack.min() < 0:
         raise _Uncertified(f"duals violate y.A_j >= c_j at column {int(np.argmax(slack < 0))}")
-    return np.flatnonzero((slack[: len(x)] == 0) & (x > 1e-9)).tolist()
 
 
 #: The options ``linprog(method="highs", options={"presolve": False})`` sets.
@@ -626,15 +626,12 @@ def _certify(structure, rhs: tuple[int, list], b: np.ndarray, objective, fold=No
             x = fold.witness(x)
         return x if _is_witness(incidence, rhs, x) else None
 
-    def witness(proposal: np.ndarray, cols: list[int]) -> tuple | None:
-        return _witness_on(solved, solved_rhs, proposal, cols, proof)
-
     if objective is None:
         res = linprog(solved.phase1, solved_b)
         if res.status != 0:
             raise _Uncertified(_status_reason(res))
-        if res.fun < 1e-7:
-            x = witness(res.x, np.flatnonzero(res.x[: solved.incidence.shape[1]] > 1e-9).tolist())
+        if not (res.x[solved.incidence.shape[1]:] > 0).any():  # no slack carries weight
+            x = _witness_on(solved, solved_rhs, res.x, proof)
             if x is not None:
                 return x, None
         _, y = _rationalize(res.duals)
@@ -650,19 +647,19 @@ def _certify(structure, rhs: tuple[int, list], b: np.ndarray, objective, fold=No
     if res.status != 0:
         raise _Uncertified(_status_reason(res))
     # The duals are d(min -c.q)/db; y = -duals prices the maximum, scaled by
-    # one unit with the subset sums.  A folded column c < 128 stands for its
-    # orbit, whose two columns share one reduced cost.
+    # one unit with the subset sums.
     y_unit, y = _rationalize(res.duals)
     unit = math.lcm(y_unit, objective[0])
     ny = [-(unit // y_unit) * v for v in y]
     ns = [unit // objective[0] * s for s in objective[1]]
     if fold is not None:
         unit, ny, ns = 2 * unit, fold.duals(ny, ns), [2 * s for s in ns]
-    x = witness(res.x, _tight_support(incidence, ny, ns, res.x))
+    _dual_bound(incidence, ny, ns)
+    x = _witness_on(solved, solved_rhs, res.x, proof)
     if x is None:
-        raise _Uncertified("no witness on the tight support attains the dual bound")
-    # y.b == c.x on y and c scaled by one unit, b and x each by their own:
-    # b_unit * c.x == x_unit * y.b.  The optimum is c.x over unit * x_unit.
+        raise _Uncertified("no witness on HiGHS's support")
+    # By weak duality x is optimal when c.x == y.b; y and c share one unit, b and
+    # x have their own: b_unit * c.x == x_unit * y.b.  The optimum is c.x / (unit * x_unit).
     b_unit, nb = rhs
     x_unit, cols, nx = x
     attained = sum(ns[s] * w for s, w in zip(_PAIR_PATTERNS[cols].tolist(), nx))

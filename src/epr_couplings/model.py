@@ -463,6 +463,6 @@ def marginal_spec_from_json(data: Mapping) -> MarginalSpec:
 def marginal_specs_from_json(data) -> list[MarginalSpec]:
     if isinstance(data, Mapping):
         data = data.get("marginals", data)
-    if isinstance(data, Mapping):
+    if not isinstance(data, list):
         raise ValueError("expected a list of marginal specs or {'marginals': [...]}")
     return [marginal_spec_from_json(item) for item in data]

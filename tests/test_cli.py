@@ -137,6 +137,17 @@ def test_malformed_marginal_json_is_an_input_error(runner, tmp_path, spec):
         assert "error" in json.loads(result.output)
 
 
+@pytest.mark.parametrize("data", [{"marginals": 5}, "A11,B11"], ids=["marginals-number", "string"])
+def test_marginals_file_without_a_list_is_an_input_error(runner, tmp_path, data):
+    marg = tmp_path / "marginals.json"
+    marg.write_text(json.dumps(data))
+    result = invoke(runner, ["feasible", "--marginals", str(marg)])
+    assert result.exit_code == 2
+    assert json.loads(result.output) == {
+        "error": "expected a list of marginal specs or {'marginals': [...]}"
+    }
+
+
 @pytest.mark.parametrize("p11", ["(" * 400 + "1/4" + ")" * 400, "-" * 1000 + "0"],
                          ids=["parentheses-400", "minus-1000"])
 def test_deeply_nested_scalar_text_is_an_input_error(runner, p11):

@@ -44,7 +44,14 @@ from epr_couplings.model import (
 )
 from epr_couplings.scalars import Scalar, ZSqrt2, integers, quotient
 from epr_couplings.simplex import INFEASIBLE
-from epr_couplings.stats import compatible, enumerate_E0
+from epr_couplings.stats import (
+    CorrelationQuad,
+    SPair,
+    compatible,
+    enumerate_E0,
+    realize_s_pair,
+    s_pair,
+)
 from epr_couplings.verify import random_connection_vector, random_outcome_vector
 from test_simplex import solve_lp
 
@@ -758,18 +765,13 @@ def loop_farkas(col_rows, b, y):
     return flip != 0 and all(flip * sum(map(y.__getitem__, rows)) <= 0 for rows in col_rows)
 
 
-def loop_tight_support(col_rows, y, sums, x):
-    """``lp._tight_support`` as one Python sum of y over each column's
-    rows, compared with the column's subset sum."""
+def loop_dual_bound(col_rows, y, sums):
+    """``lp._dual_bound`` as one Python sum of y over each column's rows,
+    compared with the column's subset sum."""
     c = [sums[s] for s in lp._PAIR_PATTERNS.tolist()]
-    tight = []
     for j, rows in enumerate(col_rows):
-        total = sum(map(y.__getitem__, rows))
-        if total < c[j]:
+        if sum(map(y.__getitem__, rows)) < c[j]:
             raise lp._Uncertified(f"duals violate y.A_j >= c_j at column {j}")
-        if total == c[j] and j < len(x) and x[j] > 1e-9:
-            tight.append(j)
-    return tight
 
 
 def outcome(check, *args):
@@ -847,24 +849,22 @@ def test_farkas_product_equals_the_column_loop():
 
 
 def test_dual_bound_product_equals_the_column_loop():
-    """Duals and subset sums at the int64 boundary, the sums negated, and
-    sums tight on one column of each pattern; on all 256 columns and on a
-    folded model's first 128."""
+    """Duals and subset sums at the int64 boundary, the sums negated, sums
+    tight on one column of each pattern, and those sums one over: the
+    product raises, naming the same column, exactly when the loop does."""
     rng = random.Random(27)
     m = len(ORACLE_MASKS)
     patterns = lp._PAIR_PATTERNS.tolist()
-    x = np.array([rng.choice((0.0, 0.25)) for _ in range(256)])
     outcomes = set()
     for v in boundary_vectors(rng, m + 16, m + 1):
         y, sums = v[:m], v[m:]
         totals = [sum(map(y.__getitem__, rows)) for rows in ORACLE_COL_ROWS]
         tight = [min(t for t, s in zip(totals, patterns) if s == k) for k in range(16)]
-        for case in (sums, [-s for s in sums], tight):
-            for proposal in (x, x[:128]):
-                got = outcome(lp._tight_support, ORACLE.incidence, y, case, proposal)
-                assert got == outcome(loop_tight_support, ORACLE_COL_ROWS, y, case, proposal)
-                outcomes.add("raised" if isinstance(got, str) else "tight" if got else "none")
-    assert {"raised", "tight"} <= outcomes
+        for case in (sums, [-s for s in sums], tight, [t + 1 for t in tight]):
+            got = outcome(lp._dual_bound, ORACLE.incidence, y, case)
+            assert got == outcome(loop_dual_bound, ORACLE_COL_ROWS, y, case)
+            outcomes.add("raised" if isinstance(got, str) else "bounded")
+    assert outcomes == {"raised", "bounded"}
 
 
 def lattice_pairs():
@@ -886,6 +886,83 @@ def test_presolve_free_highs_never_falls_back(caplog):
         assert res.feasible == compatible(p, eps), (p, eps)
         verdicts.add(res.feasible)
     assert verdicts == {True, False}  # witnesses and Farkas rays both certified
+    assert lp_warnings(caplog) == []
+
+
+def near_face_pairs(n, side):
+    """Lattice outcome vectors (seed 5) with ``eps`` realizing ``(A, A/2)``,
+    ``A = 3/2 - s1(p) + side / n``: ``s0(eps) + s1(p) = 3/2 + side / n``,
+    just inside Lemma 1's face for ``side = -1`` and just outside for +1."""
+    rng = random.Random(5)
+    for _ in range(40):
+        p = random_outcome_vector(rng)
+        a = Fraction(3, 2) - s_pair(CorrelationQuad.from_outcomes(p)).s1 + Fraction(side, n)
+        if 0 <= a <= 1:
+            yield p, realize_s_pair(SPair(a, a / 2), "even").to_connection_vector()
+
+
+@pytest.mark.parametrize("n", [10**9, 10**12], ids=["1e9", "1e12"])
+def test_near_face_points_are_certified_inside(n, caplog):
+    """Inside the face, HiGHS's basic weights of about 1/n are positive, so
+    the witness is eliminated on them and proven with no fallback.  Outside
+    it, HiGHS's rounded phase 1 gives no Farkas ray and the exact simplex
+    decides; only the verdict is checked there."""
+    inside = list(near_face_pairs(n, -1))
+    assert len(inside) > 10
+    for p, eps in inside:
+        res = feasible(outcome_marginals(p) + connection_marginals(eps))
+        assert (res.feasible, res.engine) == (True, "certified-float"), (p, eps)
+        assert compatible(p, eps)
+    assert lp_warnings(caplog) == []
+    for p, eps in near_face_pairs(n, 1):
+        assert not feasible(outcome_marginals(p) + connection_marginals(eps)).feasible
+        assert not compatible(p, eps)
+
+
+#: The 8-cycle of pair marginals: outcome and connection pairs alternate.
+CYCLE = (V.A11, V.B11, V.B21, V.A21, V.A22, V.B22, V.B12, V.A12)
+
+
+def mapped_spec(spec, image, flipped):
+    """``spec`` on the variables ``image`` names, with the sign of
+    ``flipped`` reversed: its bit toggled in every table index."""
+    k = len(spec.variables)
+    toggle = sum(1 << (k - 1 - j) for j, v in enumerate(spec.variables) if v == flipped)
+    return MarginalSpec([image[v] for v in spec.variables],
+                        [spec.table[i ^ toggle] for i in range(len(spec.table))])
+
+
+def test_cycle_automorphisms_keep_verdicts_and_witnesses(caplog):
+    """Each of the 16 rotations and reflections of the cycle, alone and
+    with one variable flipped, maps ten compatible and ten incompatible
+    seeded lattice systems to systems with the same verdict that still
+    fold; every mapped system is certified and its witness reproduces every
+    mapped spec."""
+    rng = random.Random(16)
+    counts = {True: 0, False: 0}
+    while min(counts.values()) < 10:
+        p, eps = random_outcome_vector(rng), random_connection_vector(rng)
+        want = compatible(p, eps)
+        if counts[want] == 10:
+            continue
+        counts[want] += 1
+        specs = outcome_marginals(p) + connection_marginals(eps)
+        flipped = rng.choice(CYCLE)
+        for shift, step in itertools.product(range(8), (1, -1)):
+            image = {v: CYCLE[(shift + step * i) % 8] for i, v in enumerate(CYCLE)}
+            for flip in (None, flipped):
+                mapped = [mapped_spec(spec, image, flip) for spec in specs]
+                system = build_system(mapped)
+                fold = lp._structure(system.masks).fold
+                assert fold is not None and fold.applies(integers(system.rhs))
+                res = feasible(mapped)
+                assert (res.feasible, res.engine) == (want, "certified-float")
+                if res.feasible:
+                    witness = res.witness
+                    for spec in mapped:
+                        for size in range(3):
+                            for subset in itertools.combinations(spec.variables, size):
+                                assert witness.prob_all_plus(subset) == spec.prob_all_plus(subset)
     assert lp_warnings(caplog) == []
 
 
@@ -915,8 +992,9 @@ def recorded_witnesses(monkeypatch):
     calls, eliminations = [], []
     witness_on, solve_on_support = lp._witness_on, lp._solve_on_support
 
-    def recorded(structure, rhs, proposal, cols, proof):
-        x = witness_on(structure, rhs, proposal, cols, proof)
+    def recorded(structure, rhs, proposal, proof):
+        x = witness_on(structure, rhs, proposal, proof)
+        cols = np.flatnonzero(proposal[: structure.incidence.shape[1]] > 0).tolist()
         calls.append((structure, rhs, cols, proof, x))
         return x
 

@@ -412,6 +412,13 @@ def test_marginal_specs_from_json_shapes():
     assert len(marginal_specs_from_json({"marginals": [spec_data, spec_data]})) == 2
 
 
+@pytest.mark.parametrize("data", [5, "A11", {"marginals": 5}, {"marginals": "A11"}, {"A11": []}])
+def test_marginal_specs_from_json_refuses_a_non_list(data):
+    """A string is not read character by character, nor a number iterated."""
+    with pytest.raises(ValueError, match=r"expected a list of marginal specs or \{'marginals'"):
+        marginal_specs_from_json(data)
+
+
 def test_marginal_spec_json_keys_follow_canonical_order():
     # Table index bits, most significant first: B22, A11, A21.
     spec = MarginalSpec((V.B22, V.A11, V.A21), [Fraction(i, 36) for i in range(1, 9)])
