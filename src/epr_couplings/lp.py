@@ -28,11 +28,12 @@ Scalars are built only for answers.  A float has no recoverable sqrt(2)
 part, so over Q[sqrt(2)], and wherever a rationalized point fails its
 proof, the witness comes from fraction-free elimination on the same columns
 instead, whose pivot, :func:`~.simplex.pivot`, is also the exact Bland
-simplex's.  That simplex is only the cold fallback: it decides on the same
-scaled rhs when a proof fails, its point read and proven as the
-elimination's is, and logs one WARNING with the model HiGHS solved, folded
-or full, the reason, the exact right-hand side and, for a non-optimal HiGHS
-status, the simplex iteration count, on the ``epr_couplings.lp`` logger.
+simplex's.  When HiGHS's answer fails its proof, that simplex proposes on
+the model HiGHS solved, folded or full, and its point, Farkas ray or duals
+are proven as HiGHS's are: no answer leaves ``lp`` unproven, and one that
+fails raises AssertionError.  It logs one WARNING with that model, the
+reason, the exact right-hand side and, for a non-optimal HiGHS status, the
+simplex iteration count, on the ``epr_couplings.lp`` logger.
 
 :func:`feasible` folds a system by the global flip when the rows allow it:
 every row has at most two variables, each variable of a pair row has its
@@ -66,13 +67,14 @@ return one small :class:`_Proposal`.  The first solve loads that
 extension module alone, found in scipy's directory and registered under its
 own name, never the ``scipy.optimize`` package around it, whose import
 takes 0.45-0.58 s on a 2-core VM; a later ``import scipy.optimize`` shares
-the same module.  HiGHS's column-wise matrix is built with numpy, so
-``scipy.sparse`` is not imported either.  Code that never solves an LP
-loads no part of scipy.
+the same module.  HiGHS takes each model row by row from numpy in one
+``passModel`` call, so ``scipy.sparse`` is not imported either.  Code that
+never solves an LP loads no part of scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import logging
@@ -239,13 +241,10 @@ class _Fold(NamedTuple):
         scaled = rhs[1]
         return all(2 * scaled[i] == scaled[0] for i in self.singles)
 
-    def rhs(self, rhs: tuple[int, list], b: np.ndarray) -> tuple[tuple[int, list], np.ndarray]:
-        """The folded right-hand side, scaled and as floats: the
-        normalization's, then ``2 Pr[uv]`` per pair."""
-        unit, scaled = rhs
-        pairs = self.rows[1:]
-        folded = [scaled[0], *(2 * scaled[i] for i in pairs)]
-        return (unit, folded), np.concatenate([b[:1], 2 * b[list(pairs)]])
+    def rhs(self, values: Sequence) -> list:
+        """The folded right-hand side of the full one, scaled or as floats:
+        the normalization's, then ``2 Pr[uv]`` per pair."""
+        return [values[0], *(2 * values[i] for i in self.rows[1:])]
 
     def witness(self, w: tuple[int, list[int], list]) -> tuple[int, list[int], list]:
         """The symmetric coupling ``q_c = q_{255-c} = w_c / 2``: each scaled
@@ -280,9 +279,6 @@ class _Fold(NamedTuple):
         return full
 
 
-_STRUCTURE_CACHE: dict[tuple, _Structure] = {}
-
-
 def _fold_of(masks: tuple[int, ...]) -> _Fold | None:
     """How ``masks`` fold: when the normalization row comes first, no row
     has more than two variables, and each variable of a pair row has its
@@ -307,21 +303,20 @@ def _fold_of(masks: tuple[int, ...]) -> _Fold | None:
             rows.append(i)
             ends.append(end)
     outcome_ends = tuple(map(ends_of, _PAIR_MASKS))
-    folded = _structure(tuple(masks[i] for i in rows), folded=True)
+    folded = _structure(tuple(masks[i] for i in rows), True)
     return _Fold(
         folded, tuple(rows), tuple(singles.values()), tuple(ends), len(masks),
         None if None in outcome_ends else outcome_ends,
     )
 
 
+@functools.lru_cache(maxsize=64)
 def _structure(masks: tuple[int, ...], folded: bool = False) -> _Structure:
     """The incidence matrix and the two LP models of a row structure: over the
     256 assignments, where row ``mask`` holds when all its variables are
     +1, or ``folded`` over the 128 flip orbits, where it holds when they
-    agree."""
-    hit = _STRUCTURE_CACHE.get((masks, folded))
-    if hit is not None:
-        return hit
+    agree.  Pass ``folded`` only positionally, as the cache keys a keyword
+    apart."""
     m = len(masks)
     rows = np.array(masks)[:, None]
     if folded:
@@ -331,17 +326,13 @@ def _structure(masks: tuple[int, ...], folded: bool = False) -> _Structure:
         pattern = (np.arange(N_ASSIGNMENTS) & rows) == rows
     n = pattern.shape[1]
     a = np.hstack([pattern, np.eye(m)])
-    entry = _Structure(
+    return _Structure(
         masks,
         pattern.astype(np.int64),
         _Model(a, np.concatenate([np.zeros(n), np.ones(m)])),
         _Model(a[:, :n], np.zeros(n)),
         None if folded else _fold_of(masks),
     )
-    if len(_STRUCTURE_CACHE) > 64:
-        _STRUCTURE_CACHE.clear()
-    _STRUCTURE_CACHE[masks, folded] = entry
-    return entry
 
 
 # -- exact certification on the integer kernel -----------------------------------
@@ -517,33 +508,19 @@ def _load_core():
     return core
 
 
-def _csc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The column-wise ``(start, index, value)`` arrays of the dense ``a``,
-    equal to ``scipy.sparse.csc_array(a)``'s ``indptr``, ``indices`` and
-    ``data``: each column's nonzero entries in row order."""
-    cols, rows = np.nonzero(a.T)
-    start = np.concatenate([[0], np.cumsum(np.count_nonzero(a, axis=0))])
-    return start.astype(np.int32), rows.astype(np.int32), a[rows, cols]
-
-
 def _new_highs(model: _Model):
+    """HiGHS holding ``model``, passed row by row as ``np.nonzero`` lists it."""
     highs = _core._Highs()
     for name, value in _HIGHS_OPTIONS:
         highs.setOptionValue(name, value)
     m, n = model.a_eq.shape
-    start, index, value = _csc(model.a_eq)
-    problem = _core.HighsLp()
-    problem.num_col_ = problem.a_matrix_.num_col_ = n
-    problem.num_row_ = problem.a_matrix_.num_row_ = m
-    problem.a_matrix_.format_ = _core.MatrixFormat.kColwise
-    problem.a_matrix_.start_ = start
-    problem.a_matrix_.index_ = index
-    problem.a_matrix_.value_ = value
-    problem.col_cost_ = model.cost
-    problem.col_lower_ = np.zeros(n)
-    problem.col_upper_ = np.full(n, _core.kHighsInf)
-    problem.row_lower_ = problem.row_upper_ = np.zeros(m)
-    highs.passModel(problem)
+    rows, cols = np.nonzero(model.a_eq)
+    highs.passModel(
+        n, m, len(rows), _core.MatrixFormat.kRowwise, _core.ObjSense.kMinimize, 0.0,
+        model.cost, np.zeros(n), np.full(n, _core.kHighsInf), np.zeros(m), np.zeros(m),
+        np.searchsorted(rows, np.arange(m)).astype(np.int32), cols.astype(np.int32),
+        model.a_eq[rows, cols], np.zeros(n, dtype=np.int32),
+    )
     return highs
 
 
@@ -604,60 +581,28 @@ def linprog(model: _Model, b: np.ndarray, cost: np.ndarray | None = None) -> _Pr
         )
 
 
-def _status_reason(res: _Proposal) -> str:
-    return f"HiGHS status {res.status} after {res.nit} simplex iterations"
-
-
-def _certify(structure, rhs: tuple[int, list], b: np.ndarray, objective, fold=None):
-    """HiGHS proposes, exact arithmetic proves: ``(x, value)``, the scaled
-    point of a witness (None for an infeasible system) and, given an
-    ``objective`` (:func:`_objective`), the optimum, for the scaled ``rhs``
-    and its floats ``b``.  A ``fold``'s answer is lifted and proven on
-    ``structure``.  Raises :class:`_Uncertified` otherwise."""
-    incidence = structure.incidence
-    solved, solved_rhs, solved_b = structure, rhs, b
+def _proof(structure, rhs: tuple[int, list], fold, x: tuple) -> tuple | None:
+    """``x`` on ``structure`` (lifted there from a folded solve), if it is a
+    witness of every row: the one check each proposed point gets."""
     if fold is not None:
-        solved, (solved_rhs, solved_b) = fold.structure, fold.rhs(rhs, b)
+        x = fold.witness(x)
+    return x if _is_witness(structure.incidence, rhs, x) else None
 
-    def proof(x: tuple) -> tuple | None:
-        """``x`` on ``structure`` (lifted there from a folded solve), if it
-        is a witness of every row; the one check each point gets."""
-        if fold is not None:
-            x = fold.witness(x)
-        return x if _is_witness(incidence, rhs, x) else None
 
-    if objective is None:
-        res = linprog(solved.phase1, solved_b)
-        if res.status != 0:
-            raise _Uncertified(_status_reason(res))
-        if not (res.x[solved.incidence.shape[1]:] > 0).any():  # no slack carries weight
-            x = _witness_on(solved, solved_rhs, res.x, proof)
-            if x is not None:
-                return x, None
-        _, y = _rationalize(res.duals)
-        if _farkas(incidence, rhs[1], y if fold is None else fold.ray(y)):
-            return None, None
-        raise _Uncertified("neither the support nor the duals prove a verdict")
-
-    res = linprog(solved.coupling, solved_b, _cost(objective, fold is not None))
-    if res.status == 2:
-        if _certify(structure, rhs, b, None, fold)[0] is None:
-            return None, None
-        raise _Uncertified("HiGHS reported infeasible, yet a coupling exists")
-    if res.status != 0:
-        raise _Uncertified(_status_reason(res))
-    # The duals are d(min -c.q)/db; y = -duals prices the maximum, scaled by
-    # one unit with the subset sums.
-    y_unit, y = _rationalize(res.duals)
+def _optimum(structure, rhs: tuple[int, list], objective, fold, duals: tuple[int, list], x):
+    """``(x, max)``, proven: ``y / unit`` of ``duals = (unit, y)`` prices the
+    maximum on the solved model, lifted by ``fold`` it bounds every column,
+    and the proven point ``x`` attains that bound.  Raises
+    :class:`_Uncertified` otherwise, or when ``x`` is None."""
+    y_unit, y = duals
     unit = math.lcm(y_unit, objective[0])
-    ny = [-(unit // y_unit) * v for v in y]
+    ny = [unit // y_unit * v for v in y]
     ns = [unit // objective[0] * s for s in objective[1]]
     if fold is not None:
         unit, ny, ns = 2 * unit, fold.duals(ny, ns), [2 * s for s in ns]
-    _dual_bound(incidence, ny, ns)
-    x = _witness_on(solved, solved_rhs, res.x, proof)
+    _dual_bound(structure.incidence, ny, ns)
     if x is None:
-        raise _Uncertified("no witness on HiGHS's support")
+        raise _Uncertified("no witness on the proposed support")
     # By weak duality x is optimal when c.x == y.b; y and c share one unit, b and
     # x have their own: b_unit * c.x == x_unit * y.b.  The optimum is c.x / (unit * x_unit).
     b_unit, nb = rhs
@@ -666,6 +611,39 @@ def _certify(structure, rhs: tuple[int, list], b: np.ndarray, objective, fold=No
     if b_unit * attained != x_unit * sum(yi * bi for yi, bi in zip(ny, nb)):
         raise _Uncertified("c.q differs from y.b")
     return x, quotient(attained, unit * x_unit)
+
+
+def _certify(structure, rhs: tuple[int, list], objective, fold, solved: tuple):
+    """HiGHS proposes, exact arithmetic proves: ``(x, value)``, the scaled
+    point of a witness (None for an infeasible system) and, given an
+    ``objective`` (:func:`_objective`), the optimum, for the scaled ``rhs``.
+    HiGHS solves ``solved`` (a structure, its scaled rhs and their floats),
+    ``fold``'s where given.  Raises :class:`_Uncertified` otherwise."""
+    model, model_rhs, b = solved
+    proof = functools.partial(_proof, structure, rhs, fold)
+    if objective is None:
+        res = linprog(model.phase1, b)
+    else:
+        res = linprog(model.coupling, b, _cost(objective, fold is not None))
+        if res.status == 2:
+            if _certify(structure, rhs, None, fold, solved)[0] is None:
+                return None, None
+            raise _Uncertified("HiGHS reported infeasible, yet a coupling exists")
+    if res.status != 0:
+        raise _Uncertified(f"HiGHS status {res.status} after {res.nit} simplex iterations")
+    if objective is not None:
+        # The duals are d(min -c.q)/db; minus them price the maximum.
+        y_unit, y = _rationalize(res.duals)
+        x = _witness_on(model, model_rhs, res.x, proof)
+        return _optimum(structure, rhs, objective, fold, (y_unit, [-v for v in y]), x)
+    if not (res.x[model.incidence.shape[1]:] > 0).any():  # no slack carries weight
+        x = _witness_on(model, model_rhs, res.x, proof)
+        if x is not None:
+            return x, None
+    _, y = _rationalize(res.duals)
+    if _farkas(structure.incidence, rhs[1], y if fold is None else fold.ray(y)):
+        return None, None
+    raise _Uncertified("neither the support nor the duals prove a verdict")
 
 
 #: Bit k of column j's pattern is set when its assignment sets observable pair k to +1.
@@ -704,18 +682,31 @@ def _cost(objective: tuple[int, list[int]], folded: bool) -> np.ndarray:
     return -values[_AGREE_PATTERNS] / 2 if folded else -values[_PAIR_PATTERNS]
 
 
-def _bland(structure, rhs: tuple[int, list], objective):
-    """The exact Bland simplex on the same rows, with the same answer shape
-    as :func:`_certify`; its value is the scaled sums' optimum times x's unit."""
-    costs = None if objective is None else [objective[1][s] for s in _PAIR_PATTERNS.tolist()]
-    res = solve_lp(structure.incidence.tolist(), rhs, costs)
-    if res.status == INFEASIBLE:
-        return None, None
-    if res.status != OPTIMAL:
-        raise AssertionError("support query unbounded despite normalization row")
-    if not _is_witness(structure.incidence, rhs, res.x):
-        raise AssertionError("exact simplex produced an invalid basic solution")
-    return res.x, None if objective is None else quotient(res.value, res.x[0] * objective[0])
+def _bland(structure, rhs: tuple[int, list], objective, fold, solved: tuple):
+    """The exact Bland simplex as the second proposer, on the model HiGHS
+    solved, with :func:`_certify`'s answer shape: its point, Farkas ray or
+    duals are lifted and proven as HiGHS's are.  An answer that fails its
+    proof is a bug and raises AssertionError."""
+    model, model_rhs, _ = solved
+    patterns = _PAIR_PATTERNS if fold is None else _AGREE_PATTERNS  # folded: twice the cost
+    costs = None if objective is None else [objective[1][s] for s in patterns.tolist()]
+    res = solve_lp(model.incidence.tolist(), model_rhs, costs)
+    try:
+        if res.status == INFEASIBLE:
+            y = res.y[1]
+            if _farkas(structure.incidence, rhs[1], y if fold is None else fold.ray(y)):
+                return None, None
+        elif res.status == OPTIMAL:
+            x = _proof(structure, rhs, fold, res.x)
+            if objective is not None:
+                k, y = res.y  # y / k prices the sums: objective[0] times the cost solved
+                unit = k * objective[0] * (1 if fold is None else 2)
+                return _optimum(structure, rhs, objective, fold, (unit, y), x)
+            if x is not None:
+                return x, None
+    except _Uncertified as exc:
+        raise AssertionError(f"exact simplex answer not proven: {exc}") from None
+    raise AssertionError(f"exact simplex answer ({res.status}) not proven")
 
 
 def _solve(system: ConstraintSystem, direction: Sequence[Fraction] | None = None):
@@ -726,32 +717,24 @@ def _solve(system: ConstraintSystem, direction: Sequence[Fraction] | None = None
     objective = None if direction is None else _objective(direction)
     rhs = integers(system.rhs)
     fold = structure.fold
-    if (
-        fold is None
-        or not fold.applies(rhs)
-        or (objective is not None and fold.outcome_ends is None)
-    ):
+    if fold is not None and not (fold.applies(rhs) and (objective is None or fold.outcome_ends)):
         fold = None
     # n / unit rounds the rational rhs value once, as float(Fraction) does;
     # a sqrt(2) part takes Scalar's own float.
     unit, scaled = rhs
-    b = np.array([
-        n / unit if type(n) is int else float(v) for n, v in zip(scaled, system.rhs)
-    ])
+    b = np.array([n / unit if type(n) is int else float(v) for n, v in zip(scaled, system.rhs)])
+    solved = structure, rhs, b
+    if fold is not None:
+        solved = fold.structure, (unit, fold.rhs(scaled)), np.array(fold.rhs(b))
     try:
-        return (*_certify(structure, rhs, b, objective, fold), "certified-float")
+        return (*_certify(structure, rhs, objective, fold, solved), "certified-float")
     except _Uncertified as exc:
-        rows = "; ".join(
-            f"Pr[{subset_name(m) or '()'} = +1] = {v}"
-            for m, v in zip(system.masks, system.rhs)
-        )
+        rows = "; ".join(f"Pr[{subset_name(m) or '()'} = +1] = {v}"
+                         for m, v in zip(system.masks, system.rhs))
         goal = "" if direction is None else f", maximizing ({', '.join(map(str, direction))}) . p"
-        _log.warning(
-            "HiGHS answer on the %s model not certified (%s); exact simplex "
-            "fallback for rhs [%s]%s",
-            "full" if fold is None else "folded", exc, rows, goal,
-        )
-    return (*_bland(structure, rhs, objective), "exact-simplex")
+        _log.warning("HiGHS answer on the %s model not certified (%s); exact simplex fallback "
+                     "for rhs [%s]%s", "full" if fold is None else "folded", exc, rows, goal)
+    return (*_bland(structure, rhs, objective, fold, solved), "exact-simplex")
 
 
 def _require_exact_inputs(specs: list[MarginalSpec], p: OutcomeVector | None) -> None:

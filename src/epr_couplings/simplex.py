@@ -10,7 +10,8 @@ ints, ratios compare by cross-multiplication, and the pivots are the
 textbook ones (Edmonds, J. Res. NBS 71B, 1967; Bareiss, Math. Comp. 22,
 1968).  Phase 1 minimizes the sum of one artificial per row, phase 2 minus
 the cost; Bland's smallest-index rule picks every pivot, so degenerate
-boundary cases terminate.
+boundary cases terminate.  The artificial columns keep ``B^-1``, so each
+answer comes with its duals: a Farkas ray, or the bound an optimum attains.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ UNBOUNDED = "unbounded"
 class LPResult(NamedTuple):
     status: str
     x: tuple[int, list[int], list] | None = None
-    value: object | None = None
+    y: tuple[int, list[int]] | None = None
 
 
 def pivot(tab: list[list[int]], r: int, c: int) -> None:
@@ -83,8 +84,10 @@ def solve_lp(rows: list[list[int]], rhs: tuple, costs: list[int] | None = None) 
 
     ``rows`` and ``costs`` hold ints and ``rhs = (unit, scaled)`` ints or
     ZSqrt2s; anything else raises ValueError.  ``x`` is a basic feasible
-    point (none when INFEASIBLE), as :func:`basic_point` reads it, and
-    ``value`` is ``costs . weights``: the optimum times ``x``'s unit.
+    point (none when INFEASIBLE), as :func:`basic_point` reads it.  ``y =
+    (k, duals)``, k times the last phase's ``c_B B^-1`` in the caller's row
+    signs, is a Farkas ray when INFEASIBLE (``duals . b > 0 >= duals .
+    A_j``), else given costs ``duals . A_j >= k costs_j``, ``duals . b = k max``.
     """
     unit, scaled = rhs
     m = len(rows)
@@ -99,9 +102,9 @@ def solve_lp(rows: list[list[int]], rhs: tuple, costs: list[int] | None = None) 
         raise ValueError("rhs or cost length does not match the matrix")
 
     width = n + m  # structural + artificial columns; then the rhs column(s)
+    signs = [-1 if v < 0 else 1 for v in scaled]
     tab: list[list[int]] = []
-    for i, (row, v, cells) in enumerate(zip(rows, scaled, int_columns(scaled))):
-        s = -1 if v < 0 else 1
+    for i, (row, s, cells) in enumerate(zip(rows, signs, int_columns(scaled))):
         tab.append([s * a for a in row] + [int(k == i) for k in range(m)] + [s * c for c in cells])
     basis = list(range(n, width))
     # tab[m] is the cost row, updated by every pivot.  Phase 1 prices the
@@ -133,10 +136,18 @@ def solve_lp(rows: list[list[int]], rhs: tuple, costs: list[int] | None = None) 
             pivot(tab, leave, enter)
             basis[leave] = enter
 
+    def duals(price) -> tuple[int, list[int]]:
+        # Row i of B^-1 is tab[i][n:width] over tab[i][basis[i]] > 0.
+        priced = [(tab[i], j, c) for i, j in enumerate(basis) if (c := price(j))]
+        k = math.lcm(*(row[j] for row, j, _ in priced))
+        return k, [s * sum(c * (k // row[j]) * row[n + t] for row, j, c in priced)
+                   for t, s in enumerate(signs)]
+
     status = run_bland(width)
     assert status == OPTIMAL  # phase 1 is bounded below by zero
     if any(basis[i] >= n and any(tab[i][width:]) for i in range(m)):
-        return LPResult(INFEASIBLE)  # an artificial is still positive
+        # an artificial is still positive: phase 1's duals are a Farkas ray
+        return LPResult(INFEASIBLE, y=duals(lambda j: int(j >= n)))
 
     # Drive remaining zero-valued artificials out of the basis; rows with no
     # structural pivot available are redundant and keep theirs at zero.
@@ -157,5 +168,5 @@ def solve_lp(rows: list[list[int]], rhs: tuple, costs: list[int] | None = None) 
             return LPResult(UNBOUNDED)
     # An artificial still basic sits on a redundant row, whose cells are zero.
     x = basic_point(tab, enumerate(basis), width, unit)
-    value = None if costs is None else sum(costs[j] * w for j, w in zip(x[1], x[2]))
-    return LPResult(OPTIMAL, x, value)
+    y = None if costs is None else duals(lambda j: costs[j] if j < n else 0)
+    return LPResult(OPTIMAL, x, y)

@@ -919,6 +919,100 @@ def test_near_face_points_are_certified_inside(n, caplog):
         assert not compatible(p, eps)
 
 
+def recorded_simplex_rows(monkeypatch):
+    """The row count of every ``lp.solve_lp`` call, for the rest of the test."""
+    rows = []
+
+    def recorded(matrix, rhs, costs=None):
+        rows.append(len(matrix))
+        return simplex.solve_lp(matrix, rhs, costs)
+
+    monkeypatch.setattr(lp, "solve_lp", recorded)
+    return rows
+
+
+@pytest.mark.parametrize("n,sides", [(10**9, (1,)), (10**12, (1,)), (10**20, (-1, 1))],
+                         ids=["1e9", "1e12", "1e20"])
+def test_near_face_fallbacks_solve_the_folded_model(n, sides, monkeypatch, caplog):
+    """Outside the face, HiGHS's rounded phase 1 gives no Farkas ray, and
+    at N = 1e20 its float rhs cannot see 1/N on either side.  There the
+    exact simplex solves the 9 folded rows HiGHS solved, never the 17 full
+    ones, and its answer is proven on the full rows: every verdict equals
+    ``compatible``, every witness reproduces its inputs, and each query
+    logs one WARNING naming the folded model."""
+    rows = recorded_simplex_rows(monkeypatch)
+    points = [point for side in sides for point in near_face_pairs(n, side)]
+    assert len(points) > 10
+    for p, eps in points:
+        caplog.clear()
+        res = feasible(outcome_marginals(p) + connection_marginals(eps))
+        assert (res.feasible, res.engine) == (compatible(p, eps), "exact-simplex"), (p, eps)
+        if res.feasible:
+            assert res.witness.outcome_vector() == p
+            assert res.witness.connection_vector() == eps
+        [warning] = lp_warnings(caplog)
+        assert "HiGHS answer on the folded model not certified" in warning.getMessage()
+    assert rows == [9] * len(points)
+
+
+def planted_solve_lp(kind):
+    """``simplex.solve_lp`` with a wrong answer: the first witness weight
+    moved to a column with another row pattern, INFEASIBLE with the
+    normalization row as its ray (y.b = 1 > 0 but y.A_j = 1 > 0), or an
+    optimum's duals doubled (so y.b is twice the optimum)."""
+
+    def planted(rows, rhs, costs=None):
+        res = simplex.solve_lp(rows, rhs, costs)
+        if kind == "moved":
+            unit, cols, weights = res.x
+            columns = list(zip(*rows))
+            target = next(j for j, column in enumerate(columns)
+                          if column != columns[cols[0]] and j not in cols)
+            res = res._replace(x=(unit, [target, *cols[1:]], weights))
+        elif kind == "infeasible":
+            res = simplex.LPResult(INFEASIBLE, y=(1, [1] + [0] * (len(rows) - 1)))
+        elif kind == "duals":
+            k, y = res.y
+            res = res._replace(y=(k, [2 * v for v in y]))
+        return res
+
+    return planted
+
+
+#: Queries the fallback decides on the folded model and on the full one,
+#: with the rows the exact simplex solves: an oracle system and the
+#: connection rows over Q[sqrt2] (folded), singletons other than 1/2 and the
+#: three-variable spec CI feeds ``support`` (full).
+PLANTED_QUERIES = {
+    "folded-feasible": (9, lambda: feasible(outcome_marginals(QUARTER)
+                                            + connection_marginals(EPS0))),
+    "folded-optimize": (5, lambda: optimize(connection_marginals(EPS_T), (1, 1, 1, -2))),
+    "quarters-feasible": (17, lambda: feasible(QUARTER_PAIRS)),
+    "quarters-optimize": (17, lambda: optimize(QUARTER_PAIRS, (1, 1, 1, -2))),
+    "three-variable-feasible": (8, lambda: feasible(marginal_specs_from_json(OUT_OF_ORDER))),
+    "three-variable-optimize": (8, lambda: optimize(marginal_specs_from_json(OUT_OF_ORDER),
+                                                    (1, 1, 1, -2))),
+}
+PLANTED_CASES = [(kind, name) for kind in ("moved", "infeasible", "duals")
+                 for name in PLANTED_QUERIES if kind != "duals" or name.endswith("optimize")]
+
+
+@pytest.mark.parametrize("kind,name", PLANTED_CASES, ids=[f"{k}-{n}" for k, n in PLANTED_CASES])
+def test_a_wrong_exact_simplex_answer_raises(kind, name, monkeypatch):
+    """With HiGHS failing, the exact simplex proposes on the rows HiGHS
+    solved, and its answer is proven as HiGHS's is: a planted wrong
+    witness, Farkas ray or dual bound raises AssertionError, on folded and
+    full models alike, and is never returned."""
+    solved_rows, query = PLANTED_QUERIES[name]
+    monkeypatch.setattr(lp, "linprog", corrupted_linprog("status"))
+    rows = recorded_simplex_rows(monkeypatch)
+    query()
+    assert rows == [solved_rows]
+    monkeypatch.setattr(lp, "solve_lp", planted_solve_lp(kind))
+    with pytest.raises(AssertionError, match="exact simplex answer"):
+        query()
+
+
 #: The 8-cycle of pair marginals: outcome and connection pairs alternate.
 CYCLE = (V.A11, V.B11, V.B21, V.A21, V.A22, V.B22, V.B12, V.A12)
 
@@ -1196,6 +1290,10 @@ def pair_spec(pair, plus):
     return MarginalSpec(pair, [minus * minus, minus * plus, plus * minus, plus * plus])
 
 
+#: Pair marginals of independent variables, each +1 with probability 1/4:
+#: singletons other than 1/2, so the 17 rows do not fold.
+QUARTER_PAIRS = [pair_spec(pair, Fraction(1, 4)) for pair in OUTCOME_PAIRS + CONNECTION_PAIRS]
+
 #: The three-variable spec, variables out of canonical order, that CI feeds
 #: the installed ``support`` command.
 OUT_OF_ORDER = [{"variables": ["B22", "A11", "B11"], "prob_all_plus": {
@@ -1209,14 +1307,13 @@ def test_unfolded_systems_and_optimize_take_the_full_model(monkeypatch, caplog):
     over rows that lack an observable variable's singleton keep the full
     model: HiGHS receives all of the system's rows.  ``feasible`` on those
     same rows folds, and so does ``optimize`` on an oracle system."""
-    quarters = [pair_spec(pair, Fraction(1, 4)) for pair in OUTCOME_PAIRS + CONNECTION_PAIRS]
     out_of_order = marginal_specs_from_json(OUT_OF_ORDER)
     oracle = outcome_marginals(QUARTER) + connection_marginals(EPS0)
     # Singletons for A11, A12, B11 and B21 only: B12, A21 and A22 are free.
     partial = [pair_spec(pair, HALF) for pair in ((V.A11, V.A12), (V.B11, V.B21))]
     rows = highs_rows(monkeypatch)
     cases = [
-        (lambda: feasible(quarters).feasible, True, 17),
+        (lambda: feasible(QUARTER_PAIRS).feasible, True, 17),
         (lambda: feasible(out_of_order).feasible, True, len(build_system(out_of_order).masks)),
         (lambda: optimize(out_of_order, (1, 1, 1, -2)), Fraction(5, 2),
          len(build_system(out_of_order).masks)),
@@ -1228,7 +1325,7 @@ def test_unfolded_systems_and_optimize_take_the_full_model(monkeypatch, caplog):
         rows.clear()
         assert solve() == want
         assert rows == [highs_rows_seen]
-    assert len(build_system(quarters).masks) == len(build_system(oracle).masks) == 17
+    assert len(build_system(QUARTER_PAIRS).masks) == len(build_system(oracle).masks) == 17
     assert len(build_system(partial).masks) == 7
     # A pair row whose variables have no singleton rows does not fold either.
     assert lp._structure((0, subset_mask((V.A11, V.B11)))).fold is None
@@ -1252,7 +1349,7 @@ def support_lp(eps, direction, folded=False):
     b = np.array([float(v) for v in system.rhs])
     objective = lp._objective([Fraction(d) for d in direction])
     if folded:
-        _, b = structure.fold.rhs(integers(system.rhs), b)
+        b = np.array(structure.fold.rhs(b))
         return structure.fold.structure.coupling, b, lp._cost(objective, folded=True)
     unit, sums = objective
     return structure.coupling, b, -np.array([sums[s] / unit for s in lp._PAIR_PATTERNS])
@@ -1413,17 +1510,23 @@ def test_a_solve_loads_highs_alone_and_shares_it_with_scipy_optimize():
     """) == ["True", "[]"]
 
 
-def test_csc_arrays_equal_scipy_sparse():
-    """HiGHS gets the column-wise matrix ``scipy.sparse.csc_array`` would
-    give it, on both models of the oracle rows (17, folded 9) and of the
-    connection rows (13, folded 5)."""
+@pytest.mark.skipif(lp._highs_bindings() is None, reason="scipy has no _highspy._core file")
+def test_highs_stores_the_scipy_sparse_matrix():
+    """What HiGHS holds after the row-wise ``passModel``, read back through
+    ``getLp()``, is the column-wise matrix ``scipy.sparse.csc_array`` gives
+    and the model's cost, on both models of the oracle rows (17, folded 9)
+    and of the connection rows (13, folded 5)."""
     oracle = lp._structure(ORACLE_MASKS)
     connection = lp._structure(build_system(connection_marginals(EPS0)).masks)
     structures = [oracle, oracle.fold.structure, connection, connection.fold.structure]
     assert [len(s.masks) for s in structures] == [17, 9, 13, 5]
     for structure in structures:
         for model in (structure.phase1, structure.coupling):
+            held = lp._new_highs(model).getLp()
             want = csc_array(model.a_eq)
-            for got, ref in zip(lp._csc(model.a_eq), (want.indptr, want.indices, want.data)):
-                assert got.dtype == ref.dtype
+            matrix = held.a_matrix_
+            assert matrix.format_ == lp._core.MatrixFormat.kColwise
+            for got, ref in zip((matrix.start_, matrix.index_, matrix.value_),
+                                (want.indptr, want.indices, want.data)):
                 assert np.array_equal(got, ref)
+            assert np.array_equal(held.col_cost_, model.cost)

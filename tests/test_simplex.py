@@ -14,6 +14,7 @@ class Solution(NamedTuple):
     status: str
     x: list | None
     objective: Scalar | None
+    duals: list[Fraction] | None = None
 
 
 def _scaled(values):
@@ -27,15 +28,18 @@ def _scaled(values):
 def solve_lp(rows, rhs, objective=None):
     """:func:`simplex.solve_lp` on Fraction and Scalar values: the rhs and
     the objective go in scaled, and the point comes back as one Scalar per
-    column, the optimum as one Scalar."""
+    column, the optimum as one Scalar, the duals as Fractions that price
+    the objective itself."""
     cost_unit, costs = (1, None) if objective is None else _scaled(objective)
     res = simplex.solve_lp(rows, _scaled(rhs), costs)
+    duals = None if res.y is None else [F(v, res.y[0] * cost_unit) for v in res.y[1]]
     if res.x is None:
-        return Solution(res.status, None, None)
+        return Solution(res.status, None, None, duals)
     unit, cols, weights = res.x
     point = dict(zip(cols, (quotient(w, unit) for w in weights)))
     x = [point.get(j, ZERO) for j in range(len(rows[0]))]
-    return Solution(res.status, x, None if costs is None else quotient(res.value, unit * cost_unit))
+    value = None if costs is None else sum(v * F(c, cost_unit) for v, c in zip(x, costs))
+    return Solution(res.status, x, value, duals)
 
 
 def test_simple_feasible_point():

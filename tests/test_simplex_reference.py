@@ -149,6 +149,18 @@ def test_integer_simplex_matches_fraction_tableau(system):
     assert got.x == (None if x is None else [as_scalar(v) for v in x])
     assert got.objective == (None if value is None else as_scalar(sign * value))
 
+    # The duals certify the answer: a Farkas ray when infeasible, and when
+    # optimal, a bound on every column that the optimum attains.
+    def dot(values):
+        return sum((y * as_scalar(v) for y, v in zip(got.duals, values)), as_scalar(0))
+
+    if status == INFEASIBLE:
+        assert dot(rhs) > 0
+        assert all(dot(column) <= 0 for column in zip(*rows))
+    elif status == OPTIMAL and objective is not None:
+        assert all(dot(column) >= sign * c for column, c in zip(zip(*rows), objective))
+        assert dot(rhs) == got.objective
+
 
 @pytest.mark.parametrize(
     "rows, rhs, objective",
