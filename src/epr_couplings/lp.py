@@ -27,8 +27,9 @@ where a guard proves it exact, else in Python ints (:func:`_vector`).
 Scalars are built only for answers.  A float has no recoverable sqrt(2)
 part, so over Q[sqrt(2)], and wherever a rationalized point fails its
 proof, the witness comes from fraction-free elimination on the same columns
-instead, whose pivot, :func:`~.simplex.pivot`, is also the exact Bland
-simplex's.  When HiGHS's answer fails its proof, that simplex proposes on
+instead, :func:`~.simplex.eliminate`, which shares its pivots and its
+drive-out step with the exact Bland simplex.  When HiGHS's answer fails
+its proof, that simplex proposes on
 the model HiGHS solved, folded or full, and its point, Farkas ray or duals
 are proven as HiGHS's are: no answer leaves ``lp`` unproven, and one that
 fails raises AssertionError.  It logs one WARNING with that model, the
@@ -99,7 +100,7 @@ from .model import (
     subset_order,
 )
 from .scalars import ONE, ZERO, Scalar, _sign, as_scalar, integers, quotient
-from .simplex import INFEASIBLE, OPTIMAL, basic_point, int_columns, pivot, solve_lp
+from .simplex import INFEASIBLE, OPTIMAL, eliminate, int_columns, solve_lp
 
 __all__ = [
     "ConstraintSystem",
@@ -365,32 +366,6 @@ def _is_witness(incidence: np.ndarray, rhs: tuple[int, list], x: tuple) -> bool:
     return all(unit * t == x_unit * w for row in rows for t, w in row)
 
 
-def _solve_on_support(
-    structure, rhs: tuple[int, list], cols: list[int]
-) -> tuple[int, list[int], list] | None:
-    """Exact solution of M[:, cols] x = rhs by fraction-free Gauss-Jordan
-    elimination on the rhs's one or two int columns (scaled by ``d``), each
-    pivot :func:`~.simplex.pivot`: the unproven scaled point that
-    :func:`~.simplex.basic_point` reads, or None if inconsistent."""
-    m = len(structure.masks)
-    n = len(cols)
-    d, scaled = rhs
-    columns = zip(structure.incidence.take(cols, axis=1).tolist(), int_columns(scaled))
-    aug = [row + cells for row, cells in columns]
-    piv = []
-    for c in range(n):
-        r = len(piv)
-        pr = next((i for i in range(r, m) if aug[i][c]), None)
-        if pr is not None:
-            aug[r], aug[pr] = aug[pr], aug[r]
-            pivot(aug, r, c)
-            piv.append(c)
-    if any(any(aug[i][n:]) for i in range(len(piv), m)):
-        return None
-    unit, basic, weights = basic_point(aug, enumerate(piv), n, d)
-    return unit, [cols[c] for c in basic], weights
-
-
 class _Uncertified(Exception):
     """HiGHS's answer could not be proven exactly; the message says why."""
 
@@ -429,15 +404,15 @@ def _witness_on(structure, rhs, proposal: np.ndarray, proof) -> tuple[int, list[
     (its nonbasic weights are exactly 0.0), as ``proof`` returns it once it
     has proven the point (or None): on a rational rhs, HiGHS's own values,
     rationalized; over Q[sqrt2] (a float has no recoverable sqrt(2) part)
-    or when that proof fails, elimination."""
+    or when that proof fails, :func:`~.simplex.eliminate` on those columns."""
     cols = np.flatnonzero(proposal[: structure.incidence.shape[1]] > 0).tolist()
     if all(type(v) is int for v in rhs[1]):
         unit, weights = _rationalize(proposal[cols])
         x = proof((unit, cols, weights))
         if x is not None:
             return x
-    x = _solve_on_support(structure, rhs, cols)
-    return None if x is None else proof(x)
+    x = eliminate(structure.incidence.take(cols, axis=1).tolist(), rhs)
+    return None if x is None else proof((x[0], [cols[c] for c in x[1]], x[2]))
 
 
 def _farkas(incidence: np.ndarray, b: list, y: list) -> bool:
@@ -509,18 +484,21 @@ def _load_core():
 
 
 def _new_highs(model: _Model):
-    """HiGHS holding ``model``, passed row by row as ``np.nonzero`` lists it."""
+    """HiGHS holding ``model``, passed row by row as ``np.nonzero`` lists it;
+    a model HiGHS refuses raises RuntimeError."""
     highs = _core._Highs()
     for name, value in _HIGHS_OPTIONS:
         highs.setOptionValue(name, value)
     m, n = model.a_eq.shape
     rows, cols = np.nonzero(model.a_eq)
-    highs.passModel(
+    status = highs.passModel(
         n, m, len(rows), _core.MatrixFormat.kRowwise, _core.ObjSense.kMinimize, 0.0,
         model.cost, np.zeros(n), np.full(n, _core.kHighsInf), np.zeros(m), np.zeros(m),
         np.searchsorted(rows, np.arange(m)).astype(np.int32), cols.astype(np.int32),
         model.a_eq[rows, cols], np.zeros(n, dtype=np.int32),
     )
+    if status != _core.HighsStatus.kOk:
+        raise RuntimeError(f"HiGHS refused the {m}-row, {n}-column model: {status}")
     return highs
 
 
@@ -528,11 +506,10 @@ def _new_highs(model: _Model):
 class _Proposal:
     """HiGHS's answer on either path of :func:`linprog`: ``status`` (0
     optimal, 2 infeasible, else 4 or scipy's code), the simplex iteration
-    count ``nit`` and, if optimal, ``fun``, ``x`` and ``duals`` = d fun/d b."""
+    count ``nit`` and, if optimal, ``x`` and ``duals`` = d min/d b."""
 
     status: int
     nit: int
-    fun: float | None = None
     x: np.ndarray | None = None
     duals: np.ndarray | None = None
 
@@ -558,7 +535,7 @@ def linprog(model: _Model, b: np.ndarray, cost: np.ndarray | None = None) -> _Pr
         )
         if res.status != 0:
             return _Proposal(res.status, res.nit)
-        return _Proposal(0, res.nit, res.fun, res.x, res.eqlin.marginals)
+        return _Proposal(0, res.nit, res.x, res.eqlin.marginals)
     with model.lock:
         highs = model.highs
         if highs is None:
@@ -575,10 +552,7 @@ def linprog(model: _Model, b: np.ndarray, cost: np.ndarray | None = None) -> _Pr
             infeasible = model_status == core.HighsModelStatus.kInfeasible
             return _Proposal(2 if infeasible else 4, nit)
         solution = highs.getSolution()
-        return _Proposal(
-            0, nit, highs.getObjectiveValue(),
-            np.array(solution.col_value), np.array(solution.row_dual),
-        )
+        return _Proposal(0, nit, np.array(solution.col_value), np.array(solution.row_dual))
 
 
 def _proof(structure, rhs: tuple[int, list], fold, x: tuple) -> tuple | None:

@@ -1,6 +1,5 @@
 """Exact Bland-rule simplex on a tableau of Python ints, and the
-fraction-free pivot and basic-point reader it shares with the support
-elimination in :mod:`.lp`.
+fraction-free Gauss-Jordan elimination that solves :mod:`.lp`'s supports.
 
 Solves  find/maximize costs . x  over x >= 0  subject to  A x = b  for int
 A and costs on lp's scaled ints: b as :func:`~.scalars.integers` scales it
@@ -12,6 +11,10 @@ textbook ones (Edmonds, J. Res. NBS 71B, 1967; Bareiss, Math. Comp. 22,
 the cost; Bland's smallest-index rule picks every pivot, so degenerate
 boundary cases terminate.  The artificial columns keep ``B^-1``, so each
 answer comes with its duals: a Farkas ray, or the bound an optimum attains.
+
+:func:`eliminate` runs the simplex's drive-out step (:func:`_drive_out`) on
+the narrow tableau ``[A | b]``; a column becomes a pivot exactly when it is
+independent of the columns before it, as in column-order elimination.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 from .scalars import ZSqrt2
 
-__all__ = ["LPResult", "basic_point", "column_value", "int_columns", "pivot", "solve_lp"]
+__all__ = ["LPResult", "eliminate", "int_columns", "solve_lp"]
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -34,7 +37,7 @@ class LPResult(NamedTuple):
     y: tuple[int, list[int]] | None = None
 
 
-def pivot(tab: list[list[int]], r: int, c: int) -> None:
+def _pivot(tab: list[list[int]], r: int, c: int) -> None:
     """Pivot ``tab`` on row ``r``, column ``c``, fraction-free: make
     ``tab[r][c]`` positive (``pv``), then replace every other row whose
     column-``c`` entry ``f`` is nonzero by ``(pv/g) row - (f/g) tab[r]``,
@@ -63,19 +66,45 @@ def int_columns(scaled: Sequence) -> list[list[int]]:
     return [[v] for v in scaled]
 
 
-def column_value(cells: Sequence[int]):
+def _column_value(cells: Sequence[int]):
     """The int or ZSqrt2 that :func:`int_columns` split into ``cells``."""
     return ZSqrt2(*cells) if len(cells) == 2 else cells[0]
 
 
-def basic_point(tab: list[list[int]], pivots, width: int, unit: int) -> tuple:
+def _basic_point(tab: list[list[int]], pivots, width: int, unit: int) -> tuple:
     """``(unit * lcm, cols, weights)``: each pivot ``(i, c)``, ``tab[i][c] >
     0``, whose rhs cells ``tab[i][width:]`` are nonzero sets ``x_c = cells /
     (tab[i][c] * unit)``, all over ``unit`` times the lcm of those pivots."""
     rows = [(tab[i], c) for i, c in pivots if any(tab[i][width:])]
     lcm = math.lcm(*(row[c] for row, c in rows))
-    weights = [column_value(row[width:]) * (lcm // row[c]) for row, c in rows]
+    weights = [_column_value(row[width:]) * (lcm // row[c]) for row, c in rows]
     return unit * lcm, [c for _, c in rows], weights
+
+
+def _drive_out(tab: list[list[int]], basis: list[int], n: int) -> None:
+    """Pivot each row ``i`` with no structural pivot (``basis[i] >= n``) on
+    its first nonzero column ``j < n``, if any, and set ``basis[i] = j``."""
+    for i in range(len(basis)):
+        if basis[i] >= n:
+            j = next((j for j in range(n) if tab[i][j]), None)
+            if j is not None:
+                _pivot(tab, i, j)
+                basis[i] = j
+
+
+def eliminate(rows: list[list[int]], rhs: tuple) -> tuple[int, list[int], list] | None:
+    """``A x = b`` solved on the columns Gauss-Jordan elimination makes
+    basic, ``rhs`` as :func:`solve_lp` takes it: the scaled point ``(unit,
+    cols, weights)`` that :func:`solve_lp` returns, unproven (a weight may be
+    negative), or None when the system is inconsistent."""
+    unit, scaled = rhs
+    n = len(rows[0]) if rows else 0
+    tab = [row + cells for row, cells in zip(rows, int_columns(scaled))]
+    basis = [n] * len(tab)
+    _drive_out(tab, basis, n)
+    if any(j >= n and any(row[n:]) for row, j in zip(tab, basis)):
+        return None
+    return _basic_point(tab, enumerate(basis), n, unit)
 
 
 def solve_lp(rows: list[list[int]], rhs: tuple, costs: list[int] | None = None) -> LPResult:
@@ -84,7 +113,7 @@ def solve_lp(rows: list[list[int]], rhs: tuple, costs: list[int] | None = None) 
 
     ``rows`` and ``costs`` hold ints and ``rhs = (unit, scaled)`` ints or
     ZSqrt2s; anything else raises ValueError.  ``x`` is a basic feasible
-    point (none when INFEASIBLE), as :func:`basic_point` reads it.  ``y =
+    point (none when INFEASIBLE), as :func:`_basic_point` reads it.  ``y =
     (k, duals)``, k times the last phase's ``c_B B^-1`` in the caller's row
     signs, is a Farkas ray when INFEASIBLE (``duals . b > 0 >= duals .
     A_j``), else given costs ``duals . A_j >= k costs_j``, ``duals . b = k max``.
@@ -125,15 +154,15 @@ def solve_lp(rows: list[list[int]], rhs: tuple, costs: list[int] | None = None) 
                 if leave >= 0:
                     # b_i/a against b_leave/a_leave; both denominators are positive
                     diff = (
-                        column_value(tab[i][width:]) * tab[leave][enter]
-                        - column_value(tab[leave][width:]) * a
+                        _column_value(tab[i][width:]) * tab[leave][enter]
+                        - _column_value(tab[leave][width:]) * a
                     )
                     if diff > 0 or (diff == 0 and basis[i] > basis[leave]):
                         continue
                 leave = i
             if leave < 0:
                 return UNBOUNDED
-            pivot(tab, leave, enter)
+            _pivot(tab, leave, enter)
             basis[leave] = enter
 
     def duals(price) -> tuple[int, list[int]]:
@@ -149,13 +178,9 @@ def solve_lp(rows: list[list[int]], rhs: tuple, costs: list[int] | None = None) 
         # an artificial is still positive: phase 1's duals are a Farkas ray
         return LPResult(INFEASIBLE, y=duals(lambda j: int(j >= n)))
 
-    # Drive remaining zero-valued artificials out of the basis; rows with no
-    # structural pivot available are redundant and keep theirs at zero.
-    for i in range(m):
-        if basis[i] >= n:
-            basis[i] = next((j for j in range(n) if tab[i][j]), basis[i])
-            if basis[i] < n:
-                pivot(tab, i, basis[i])
+    # Rows with no structural pivot available are redundant and keep their
+    # zero-valued artificial.
+    _drive_out(tab, basis, n)
 
     if costs is not None:
         # Phase 2: minimize -costs over the structural columns; pivoting
@@ -163,10 +188,10 @@ def solve_lp(rows: list[list[int]], rhs: tuple, costs: list[int] | None = None) 
         tab[m] = [-v for v in costs]
         for i, j in enumerate(basis):
             if j < n:
-                pivot(tab, i, j)
+                _pivot(tab, i, j)
         if run_bland(n) == UNBOUNDED:
             return LPResult(UNBOUNDED)
     # An artificial still basic sits on a redundant row, whose cells are zero.
-    x = basic_point(tab, enumerate(basis), width, unit)
+    x = _basic_point(tab, enumerate(basis), width, unit)
     y = None if costs is None else duals(lambda j: costs[j] if j < n else 0)
     return LPResult(OPTIMAL, x, y)

@@ -10,6 +10,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -297,6 +298,12 @@ def test_optimize_zero_direction():
     assert optimize(connection_marginals(EPS0), (0, 0, 0, 0)) == Scalar(0)
 
 
+@pytest.mark.parametrize("direction", [(1, 1, 1), (1, 1, 1, -2, 0)], ids=["3", "5"])
+def test_optimize_refuses_a_direction_without_4_components(direction):
+    with pytest.raises(ValueError, match="direction needs exactly 4 components"):
+        optimize(connection_marginals(EPS0), direction)
+
+
 def test_optimize_vertex_cross_check():
     # the classical face value 1 is attained at p = (1/2, 1/2, 0, 0)
     vertex = OutcomeVector(HALF, HALF, 0, 0)
@@ -495,7 +502,8 @@ def corrupted_linprog(kind):
     """HiGHS with a wrong answer: support moved to other columns, that plus
     a fake Farkas ray (the normalization row, y.b = 1 > 0 but y.A_j = 1 > 0),
     all duals zero, a suboptimal vertex reported as optimal (a support
-    column of the optimum fixed at 0), or a non-optimal status.  The real
+    column of the optimum fixed at 0), a non-optimal status, or status 2
+    (infeasible) on the coupling model of :func:`optimize`.  The real
     answers' simplex iteration counts collect in ``fake.iterations``."""
     real = lp.linprog
 
@@ -511,17 +519,20 @@ def corrupted_linprog(kind):
         elif kind == "suboptimal":
             # A degenerate optimum survives losing some support columns, so
             # fix at 0 the first whose loss strictly lowers the maximum.
+            c = model.cost if cost is None else cost
             for j in np.flatnonzero(res.x > 1e-9):
                 bounds = [(0, None)] * len(res.x)
                 bounds[j] = (0, 0)
                 ref = highs_reference(model, b, cost, bounds)
-                if ref.status == 0 and ref.fun > res.fun + 1e-6:
+                if ref.status == 0 and ref.fun > c @ res.x + 1e-6:
                     break
             else:
                 raise AssertionError("every support column has a twin optimum")
-            res = lp._Proposal(ref.status, ref.nit, ref.fun, ref.x, ref.eqlin.marginals)
+            res = lp._Proposal(ref.status, ref.nit, ref.x, ref.eqlin.marginals)
         elif kind == "status":
             res.status = 4
+        elif kind == "infeasible" and cost is not None:
+            res = lp._Proposal(2, res.nit)
         return res
 
     fake.iterations = []
@@ -544,6 +555,7 @@ FALLBACK_CASES = [
     ("optimize", "duals", None, EPS_T),
     ("optimize", "suboptimal", None, EPS_T),
     ("optimize", "status", None, EPS_T),
+    ("optimize", "infeasible", None, EPS_T),
 ]
 
 
@@ -583,6 +595,8 @@ def test_failed_certification_falls_back_with_one_warning(
     if kind == "status":
         assert f"HiGHS status 4 after {fake.iterations[0]} simplex iterations" in message
         assert fake.iterations[0] > 0
+    if kind == "infeasible":
+        assert "HiGHS reported infeasible, yet a coupling exists" in message
 
     caplog.clear()
     dirty = runner.invoke(cli_main, args, catch_exceptions=False)
@@ -609,10 +623,21 @@ def exact(point):
 # -- integer elimination against the Fraction Gauss-Jordan it replaced ---------
 
 
+def eliminate_on(structure, rhs, cols):
+    """``simplex.eliminate`` on the columns ``cols`` of ``structure``'s
+    incidence matrix, as :func:`lp._witness_on` runs it: the scaled point
+    on those columns, or None."""
+    x = simplex.eliminate(structure.incidence.take(cols, axis=1).tolist(), rhs)
+    if x is None:
+        return None
+    unit, basic, weights = x
+    return unit, [cols[c] for c in basic], weights
+
+
 def fraction_solve_on_support(masks, rhs, cols):
     """Gauss-Jordan on Fraction rows, then a Fraction check that the point
     is nonnegative and reproduces every row: the reference for
-    ``lp._solve_on_support``."""
+    ``simplex.eliminate``."""
     m = len(masks)
     n = len(cols)
     aug = []
@@ -699,7 +724,7 @@ def test_integer_elimination_matches_fraction_gauss_jordan(system):
     want = fraction_solve_on_support(masks, rhs, cols)
     rhs_scaled = integers([Scalar(*parts) for parts in zip(*rhs)])
     structure = lp._structure(masks)
-    got = lp._solve_on_support(structure, rhs_scaled, cols)
+    got = eliminate_on(structure, rhs_scaled, cols)
     # elimination leaves the proof (x >= 0 and every row) to its caller
     if got is not None and not lp._is_witness(structure.incidence, rhs_scaled, got):
         got = None
@@ -1081,10 +1106,10 @@ def test_rationalize_refuses_non_finite_values():
 
 def recorded_witnesses(monkeypatch):
     """Record every ``lp._witness_on`` call as ``(structure, rhs, cols,
-    proof, x)``, and the columns of every elimination, for the rest of the
+    proof, x)``, and the rows of every elimination, for the rest of the
     test."""
     calls, eliminations = [], []
-    witness_on, solve_on_support = lp._witness_on, lp._solve_on_support
+    witness_on, eliminate = lp._witness_on, lp.eliminate
 
     def recorded(structure, rhs, proposal, proof):
         x = witness_on(structure, rhs, proposal, proof)
@@ -1092,12 +1117,12 @@ def recorded_witnesses(monkeypatch):
         calls.append((structure, rhs, cols, proof, x))
         return x
 
-    def eliminated(structure, rhs, cols):
-        eliminations.append(cols)
-        return solve_on_support(structure, rhs, cols)
+    def eliminated(rows, rhs):
+        eliminations.append(rows)
+        return eliminate(rows, rhs)
 
     monkeypatch.setattr(lp, "_witness_on", recorded)
-    monkeypatch.setattr(lp, "_solve_on_support", eliminated)
+    monkeypatch.setattr(lp, "eliminate", eliminated)
     return calls, eliminations
 
 
@@ -1118,7 +1143,7 @@ def test_proven_primal_equals_elimination_on_its_support(monkeypatch, caplog):
     assert eliminations == []
     assert len(calls) == feasible_count > 500
     for structure, rhs, cols, proof, x in calls:
-        eliminated = proof(lp._solve_on_support(structure, rhs, cols))
+        eliminated = proof(eliminate_on(structure, rhs, cols))
         assert x is not None and exact(x) == exact(eliminated)
 
     calls.clear()
@@ -1131,7 +1156,7 @@ def test_proven_primal_equals_elimination_on_its_support(monkeypatch, caplog):
     assert len(eliminations) == 3  # the Q[sqrt2] witnesses; EPS0's is proven
     assert len(calls) == 4
     for structure, rhs, cols, proof, x in calls:
-        eliminated = proof(lp._solve_on_support(structure, rhs, cols))
+        eliminated = proof(eliminate_on(structure, rhs, cols))
         assert x is not None and exact(x) == exact(eliminated)
     assert lp_warnings(caplog) == []
 
@@ -1530,3 +1555,25 @@ def test_highs_stores_the_scipy_sparse_matrix():
                                 (want.indptr, want.indices, want.data)):
                 assert np.array_equal(got, ref)
             assert np.array_equal(held.col_cost_, model.cost)
+
+
+@pytest.mark.skipif(lp._highs_bindings() is None, reason="scipy has no _highspy._core file")
+def test_a_model_highs_refuses_raises(monkeypatch):
+    """``passModel`` returning ``kError`` raises, naming the status and the
+    model's shape, in place of leaving HiGHS empty."""
+    core = lp._highs_bindings()
+
+    class Refusing:
+        def setOptionValue(self, name, value):
+            pass
+
+        def passModel(self, *args):
+            return core.HighsStatus.kError
+
+    monkeypatch.setattr(lp, "_core", SimpleNamespace(
+        _Highs=Refusing, HighsStatus=core.HighsStatus, MatrixFormat=core.MatrixFormat,
+        ObjSense=core.ObjSense, kHighsInf=core.kHighsInf,
+    ))
+    model = lp._structure(ORACLE_MASKS).phase1
+    with pytest.raises(RuntimeError, match=r"17-row, 273-column model: HighsStatus\.kError"):
+        lp._new_highs(model)
