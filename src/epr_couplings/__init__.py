@@ -8,7 +8,6 @@ from .scalars import (
     ScalarModeError,
     ScalarParseError,
     as_scalar,
-    compare,
 )
 from .model import (
     ConnectionVector,
@@ -18,7 +17,6 @@ from .model import (
     VariableId,
     connection_marginals,
     decode,
-    full_table,
     index_of,
     outcome_marginals,
 )
@@ -52,7 +50,6 @@ __all__ = [
     "ScalarModeError",
     "ScalarParseError",
     "as_scalar",
-    "compare",
     "SQRT2",
     "DEFAULT_TOLERANCE",
     "VariableId",
@@ -62,7 +59,6 @@ __all__ = [
     "MarginalSpec",
     "index_of",
     "decode",
-    "full_table",
     "connection_marginals",
     "outcome_marginals",
     "Compliance",

@@ -2,13 +2,17 @@
 identical inputs and seeds give byte-identical output.
 
 Exit codes: 0 = success / compatible / feasible / suite passed;
-1 = incompatible / infeasible / suite failed; 2 = input error.
+1 = incompatible / infeasible / suite failed; 2 = input error (and click's
+usage errors); 3 = internal error, a fault that is not an input error (its
+traceback goes to stderr).  :class:`_Commands` is the one place a command's
+exception becomes an exit code.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 import click
@@ -47,10 +51,6 @@ def _emit(payload: dict, code: int) -> None:
     sys.exit(code)
 
 
-def _fail_input(message: str) -> None:
-    _emit({"error": message}, 2)
-
-
 def _four(text: str, what: str) -> list:
     parts = [s for s in text.split(",") if s.strip()]
     if len(parts) != 4:
@@ -78,7 +78,26 @@ def _load_specs(path: str):
     return marginal_specs_from_json(data)
 
 
-@click.group()
+class _Commands(click.Group):
+    """The command group, and the one error boundary of every command: an
+    input error prints ``{"error": ...}`` and exits 2; any other fault
+    prints ``{"error": "internal error: ..."}``, its traceback on stderr,
+    and exits 3, never a verdict's code.  Click's own exits (usage errors,
+    ``--help``, aborts) pass through unchanged."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except _INPUT_ERRORS as exc:
+            _emit({"error": str(exc)}, 2)
+        except Exception as exc:
+            traceback.print_exc()
+            _emit({"error": f"internal error: {type(exc).__name__}: {exc}"}, 3)
+
+
+@click.group(cls=_Commands)
 def main() -> None:
     """Exact compatibility checks between observable outcome probabilities
     and imposed marginal constraints."""
@@ -90,21 +109,18 @@ def main() -> None:
 @click.option("--lp-crosscheck", is_flag=True, help="also decide by LP feasibility")
 def compat_cmd(p_text: str, eps_text: str, lp_crosscheck: bool) -> None:
     """Decide compatibility of an outcome vector with a connection vector."""
-    try:
-        p = OutcomeVector(*_four(p_text, "--p"))
-        eps = ConnectionVector(*_four(eps_text, "--eps"))
-        verdict = compatible(p, eps)
-        payload = {
-            "p": [str(c) for c in p.components],
-            "eps": [str(c) for c in eps.components],
-            "compatible": verdict,
-        }
-        if lp_crosscheck:
-            result = lp_feasible(outcome_marginals(p) + connection_marginals(eps))
-            payload["lp_feasible"] = result.feasible
-            payload["lp_agrees"] = result.feasible == verdict
-    except _INPUT_ERRORS as exc:
-        _fail_input(str(exc))
+    p = OutcomeVector(*_four(p_text, "--p"))
+    eps = ConnectionVector(*_four(eps_text, "--eps"))
+    verdict = compatible(p, eps)
+    payload = {
+        "p": [str(c) for c in p.components],
+        "eps": [str(c) for c in eps.components],
+        "compatible": verdict,
+    }
+    if lp_crosscheck:
+        result = lp_feasible(outcome_marginals(p) + connection_marginals(eps))
+        payload["lp_feasible"] = result.feasible
+        payload["lp_agrees"] = result.feasible == verdict
     _emit(payload, 0 if verdict else 1)
 
 
@@ -114,18 +130,15 @@ def compat_cmd(p_text: str, eps_text: str, lp_crosscheck: bool) -> None:
 @click.option("--witness", "witness_path", default=None, type=click.Path())
 def feasible_cmd(path: str, p_text: str | None, witness_path: str | None) -> None:
     """Decide whether marginal specs (a JSON file) admit a coupling."""
-    try:
-        specs = _load_specs(path)
-        p = OutcomeVector(*_four(p_text, "--p")) if p_text else None
-        result = lp_feasible(specs, p)
-        payload = {"feasible": result.feasible, "engine": result.engine}
-        if result.feasible and witness_path:
-            with open(witness_path, "w", encoding="utf-8") as fh:
-                json.dump(result.witness.to_strings(), fh, indent=2)
-                fh.write("\n")
-            payload["witness"] = witness_path
-    except _INPUT_ERRORS as exc:
-        _fail_input(str(exc))
+    specs = _load_specs(path)
+    p = OutcomeVector(*_four(p_text, "--p")) if p_text else None
+    result = lp_feasible(specs, p)
+    payload = {"feasible": result.feasible, "engine": result.engine}
+    if result.feasible and witness_path:
+        with open(witness_path, "w", encoding="utf-8") as fh:
+            json.dump(result.witness.to_strings(), fh, indent=2)
+            fh.write("\n")
+        payload["witness"] = witness_path
     _emit(payload, 0 if result.feasible else 1)
 
 
@@ -134,14 +147,12 @@ def feasible_cmd(path: str, p_text: str | None, witness_path: str | None) -> Non
 @click.option("--direction", required=True, help="four rationals, e.g. 1,1,1,-2")
 def support_cmd(path: str, direction: str) -> None:
     """Maximize direction . p over the outcome vectors the marginals admit."""
+    specs = _load_specs(path)
+    dirs = [as_scalar(t) for t in _four(direction, "--direction")]
     try:
-        specs = _load_specs(path)
-        dirs = [as_scalar(t) for t in _four(direction, "--direction")]
         value = lp_optimize(specs, dirs)
     except InfeasibleSystemError as exc:
         _emit({"error": str(exc), "feasible": False}, 1)
-    except _INPUT_ERRORS as exc:
-        _fail_input(str(exc))
     _emit({"value": str(value), "value_float": float(value)}, 0)
 
 
@@ -149,11 +160,8 @@ def support_cmd(path: str, direction: str) -> None:
 @click.option("--angles", required=True, help="a1,a2,b1,b2 (radians or pi fractions)")
 def qm_cmd(angles: str) -> None:
     """Singlet predictions for four planar measurement angles."""
-    try:
-        settings = qm_module.Settings.planar(*_four(angles, "--angles"))
-        p = qm_module.qm_outcomes(settings)
-    except _INPUT_ERRORS as exc:
-        _fail_input(str(exc))
+    settings = qm_module.Settings.planar(*_four(angles, "--angles"))
+    p = qm_module.qm_outcomes(settings)
     _emit(
         {
             "p": [str(c) for c in p.components],
@@ -169,10 +177,7 @@ def qm_cmd(angles: str) -> None:
 @click.option("--refine", default=3, show_default=True)
 def qm_max_chsh_cmd(resolution: int, refine: int) -> None:
     """Grid-plus-refinement search for the maximal expression value."""
-    try:
-        settings, value = qm_module.maximize_chsh(resolution, refine)
-    except _INPUT_ERRORS as exc:
-        _fail_input(str(exc))
+    settings, value = qm_module.maximize_chsh(resolution, refine)
     _emit(
         {
             "value": float(value),
@@ -193,19 +198,16 @@ def qm_max_chsh_cmd(resolution: int, refine: int) -> None:
               show_default=True)
 def regions_cmd(fix_text: str, resolution: int, out_path: str | None, fmt: str) -> None:
     """Membership grid for the classical/quantum/Tsirelson regions."""
-    try:
-        parts = [s for s in fix_text.split(",") if s.strip()]
-        if len(parts) != 2:
-            raise ValueError("--fix needs two values (for p11,p12)")
-        fixed = {"p11": as_scalar(parts[0]), "p12": as_scalar(parts[1])}
-        grid = regions_module.membership_grid(fixed, resolution)
-        path = out_path or regions_module.default_grid_filename(fixed, resolution)
-        if fmt == "csv" and out_path is None:
-            grid.write_csv(sys.stdout)
-            sys.exit(0)
-        grid.to_csv(path)
-    except _INPUT_ERRORS as exc:
-        _fail_input(str(exc))
+    parts = [s for s in fix_text.split(",") if s.strip()]
+    if len(parts) != 2:
+        raise ValueError("--fix needs two values (for p11,p12)")
+    fixed = {"p11": as_scalar(parts[0]), "p12": as_scalar(parts[1])}
+    grid = regions_module.membership_grid(fixed, resolution)
+    path = out_path or regions_module.default_grid_filename(fixed, resolution)
+    if fmt == "csv" and out_path is None:
+        grid.write_csv(sys.stdout)
+        sys.exit(0)
+    grid.to_csv(path)
     _emit(
         {
             "out": path,
@@ -236,28 +238,25 @@ def verify_cmd(suite: str, trials: int | None, seed: int, denominator: int,
     # Default sample counts; an explicit --trials (0 included) overrides both.
     many = 10000 if trials is None else trials
     few = 1000 if trials is None else trials
-    try:
-        if suite == "lemma1":
-            report = verify_module.verify_lemma1(many, seed, denominator=denominator)
-        elif suite == "fine":
-            report = verify_module.verify_fine(many, seed, denominator=denominator)
-        elif suite == "noforcing":
-            report = verify_module.verify_noforcing(
-                density, seed, min_vectors=few, denominator=denominator
-            )
-        elif suite == "nomatching":
-            report = verify_module.verify_nomatching(
-                (Fraction(1, 4), Fraction(1, 4)), seed,
-                grid_resolution=grid_resolution,
-            )
-        else:
-            report = verify_module.run_all(
-                many, seed, denominator=denominator,
-                noforcing_min=few, density=density,
-                grid_resolution=grid_resolution,
-            )
-    except _INPUT_ERRORS as exc:
-        _fail_input(str(exc))
+    if suite == "lemma1":
+        report = verify_module.verify_lemma1(many, seed, denominator=denominator)
+    elif suite == "fine":
+        report = verify_module.verify_fine(many, seed, denominator=denominator)
+    elif suite == "noforcing":
+        report = verify_module.verify_noforcing(
+            density, seed, min_vectors=few, denominator=denominator
+        )
+    elif suite == "nomatching":
+        report = verify_module.verify_nomatching(
+            (Fraction(1, 4), Fraction(1, 4)), seed,
+            grid_resolution=grid_resolution,
+        )
+    else:
+        report = verify_module.run_all(
+            many, seed, denominator=denominator,
+            noforcing_min=few, density=density,
+            grid_resolution=grid_resolution,
+        )
     _emit(report, 0 if report["pass"] else 1)
 
 

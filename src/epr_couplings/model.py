@@ -42,7 +42,6 @@ __all__ = [
     "subset_order",
     "index_of",
     "decode",
-    "full_table",
     "connection_marginals",
     "outcome_marginals",
     "marginal_spec_to_json",
@@ -354,10 +353,6 @@ class CouplingTable(MarginalSpec):
     def __init__(self, entries: Sequence[Scalar]):
         super().__init__(tuple(VariableId), entries)
 
-    @property
-    def entries(self) -> tuple[Scalar, ...]:
-        return self.table
-
     def probability(self, assignment: Mapping[VariableId, int]) -> Scalar:
         return self.table[index_of(assignment)]
 
@@ -372,12 +367,7 @@ class CouplingTable(MarginalSpec):
         ))
 
     def to_strings(self) -> list[str]:
-        return [str(e) for e in self.entries]
-
-
-def full_table(spec: MarginalSpec) -> tuple[Scalar, ...]:
-    """The 2^k joint table of a marginal spec (+1 = set bit, msb first)."""
-    return spec.table
+        return [str(e) for e in self.table]
 
 
 def _equal_margin_pairs(pairs, vector, off_diagonal: bool) -> list[MarginalSpec]:

@@ -36,7 +36,7 @@ __all__ = [
 MAX_CHSH_RESOLUTION = 128
 
 #: The most golden-section sweeps :func:`maximize_chsh` runs (1000 take
-#: ~0.8 s on a 2-core VM); a few already reach the float optimum.
+#: ~1 s on a 2-core VM); a few already reach the float optimum.
 MAX_CHSH_REFINE = 1000
 
 _PI_RE = re.compile(r"^([+-]?)(?:(\d+(?:/\d+)?)\*?)?pi(?:/(\d+))?$")
@@ -170,10 +170,11 @@ def qm_outcomes(settings: Settings) -> OutcomeVector:
     return OutcomeVector(*((1.0 - c) / 4.0 for c in cosines))
 
 
-def _excess(a2: float, b1: float, b2: float) -> float:
-    """max_ij |expression_ij - 1/2| for planar angles (0, a2, b1, b2)."""
-    cosines = (math.cos(-b1), math.cos(-b2), math.cos(a2 - b1), math.cos(a2 - b2))
-    return max(abs(e) for e in chsh_expressions(cosines)) / 4.0
+def _excess(a2, b1, b2):
+    """max_ij |expression_ij - 1/2| for planar angles (0, a2, b1, b2): one
+    float, or an array for angle arrays that broadcast."""
+    cosines = (np.cos(-b1), np.cos(-b2), np.cos(a2 - b1), np.cos(a2 - b2))
+    return reduce(np.maximum, (np.abs(e) for e in chsh_expressions(cosines))) / 4.0
 
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
@@ -215,11 +216,7 @@ def maximize_chsh(resolution: int = 64, refine: int = 3) -> tuple[Settings, Scal
     if refine > MAX_CHSH_REFINE:
         raise ValueError(f"refine must be at most {MAX_CHSH_REFINE}, got {refine}")
     grid = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
-    b1v = grid[None, :, None]
-    b2v = grid[None, None, :]
-    a2v = grid[:, None, None]
-    cosines = (np.cos(-b1v), np.cos(-b2v), np.cos(a2v - b1v), np.cos(a2v - b2v))
-    obj = reduce(np.maximum, (np.abs(e) for e in chsh_expressions(cosines))) / 4.0
+    obj = _excess(grid[:, None, None], grid[None, :, None], grid[None, None, :])
     ia, ib1, ib2 = np.unravel_index(int(np.argmax(obj)), obj.shape)
     best = [float(grid[ia]), float(grid[ib1]), float(grid[ib2])]
     step = 2.0 * math.pi / resolution

@@ -167,10 +167,6 @@ class MembershipGrid:
             for bit, name in enumerate(REGIONS)
         }
 
-    def cell(self, ix: int, iy: int) -> tuple[bool, bool, bool]:
-        f = int(self.flags[ix, iy])
-        return (bool(f & 1), bool(f & 2), bool(f & 4))
-
     def write_csv(self, stream: TextIO) -> None:
         labels = [str(c) for c in self.centers]
         stream.write(CSV_HEADER + "\n")
@@ -182,18 +178,6 @@ class MembershipGrid:
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as stream:
             self.write_csv(stream)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "fixed": {k: str(v) for k, v in self.fixed.items()},
-            "free": list(self.free),
-            "resolution": self.resolution,
-            "centers": [str(c) for c in self.centers],
-            "flags": [[int(v) for v in row] for row in self.flags],
-            "counts": self.counts(),
-            # membership_grid raises on a violation, so a grid always holds it
-            "inclusion_holds": True,
-        }
 
 
 def _center(k: int, resolution: int) -> Fraction:

@@ -33,7 +33,6 @@ __all__ = [
     "Scalar",
     "ScalarModeError",
     "ScalarParseError",
-    "compare",
     "as_scalar",
     "integers",
     "quotient",
@@ -274,11 +273,6 @@ class Scalar:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def rational(cls, num, den=None) -> Scalar:
-        """Exact rational scalar, e.g. ``Scalar.rational(1, 4)``."""
-        return cls(Fraction(num) if den is None else Fraction(num, den))
-
-    @classmethod
     def quadratic(cls, a, b) -> Scalar:
         """Exact scalar a + b*sqrt(2)."""
         return cls(Fraction(a), Fraction(b))
@@ -431,16 +425,16 @@ class Scalar:
         """Exact sign for exact scalars; raw float sign otherwise."""
         return _sign_of(self._n)
 
-    def compare(self, other, tol: float | None = None) -> int:
-        """-1, 0 or +1.  Approximate pairs are equal when |x-y| <= tol."""
+    def compare(self, other) -> int:
+        """-1, 0 or +1.  Approximate pairs are equal when |x-y| <=
+        DEFAULT_TOLERANCE."""
         o = self._operand(other)
         if o is None:
             raise TypeError(f"cannot compare Scalar with {type(other).__name__}")
         n, d = o
         if d is None:
-            t = DEFAULT_TOLERANCE if tol is None else tol
             diff = self._n - n
-            if abs(diff) <= t:
+            if abs(diff) <= DEFAULT_TOLERANCE:
                 return 0
             return 1 if diff > 0 else -1
         return _sign_of(self._n * d - n * self._d)
@@ -521,12 +515,6 @@ ZERO = Scalar(0)
 ONE = Scalar(1)
 HALF = Scalar(Fraction(1, 2))
 SQRT2 = Scalar(0, 1)
-
-
-def compare(x, y, tol: float | None = None) -> int:
-    """Three-way comparison of scalars (or ints/Fractions): -1, 0 or +1."""
-    sx = as_scalar(x)
-    return sx.compare(as_scalar(y) if not isinstance(y, Scalar) else y, tol=tol)
 
 
 def integers(values) -> tuple[int, list]:

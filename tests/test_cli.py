@@ -6,13 +6,14 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from epr_couplings import lp
+from epr_couplings import lp, stats
 from epr_couplings.cli import main
 from epr_couplings.model import (
     ConnectionVector,
     connection_marginals,
     marginal_spec_to_json,
 )
+from test_lp import corrupted_linprog, planted_solve_lp
 
 
 @pytest.fixture()
@@ -321,6 +322,43 @@ def test_verify_all_small(runner):
 def test_verify_unknown_suite_rejected(runner):
     result = runner.invoke(main, ["verify", "everything"])
     assert result.exit_code == 2
+    assert "'everything' is not one of" in result.output
+
+
+@pytest.mark.parametrize("args", [["--help"], ["compat", "--help"]])
+def test_help_exits_0(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert "internal error" not in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["compat", "--p", "1/4,1/4,1/4,1/4", "--eps", "0,0,0,0", "--lp-crosscheck"],
+    ["feasible", "--marginals", str(TSIRELSON_MARGINALS)],
+    ["support", "--marginals", str(TSIRELSON_MARGINALS), "--direction", "1,1,1,-2"],
+], ids=["compat", "feasible", "support"])
+def test_an_unproven_answer_exits_3(runner, monkeypatch, args):
+    """HiGHS gives up and the exact simplex returns a point that fails its
+    proof: an internal error, exit 3, never the verdict codes 0 or 1."""
+    monkeypatch.setattr(lp, "linprog", corrupted_linprog("status"))
+    monkeypatch.setattr(lp, "solve_lp", planted_solve_lp("moved"))
+    result = runner.invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 3
+    error = json.loads(result.stdout)["error"]
+    assert error.startswith("internal error: AssertionError: exact simplex answer")
+    assert "Traceback" in result.stderr
+
+
+def test_a_broken_inclusion_chain_exits_3(runner, monkeypatch):
+    """``qm_masks`` planted to call every CHSH cell outside the quantum
+    region: ``membership_grid`` raises AssertionError, and regions exits 3."""
+    monkeypatch.setattr(stats, "qm_masks", lambda unit, v: (stats.chsh_holds(unit, v), None))
+    result = runner.invoke(main, ["regions", "--grid", "9", "--format", "csv"],
+                           catch_exceptions=False)
+    assert result.exit_code == 3
+    error = json.loads(result.stdout)["error"]
+    assert error.startswith("internal error: AssertionError: inclusion chain violated at cell")
+    assert "Traceback" in result.stderr
 
 
 @pytest.mark.parametrize("args", [

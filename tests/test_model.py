@@ -15,7 +15,6 @@ from epr_couplings.model import (
     VariableId,
     connection_marginals,
     decode,
-    full_table,
     index_of,
     marginal_spec_from_json,
     marginal_spec_to_json,
@@ -156,7 +155,7 @@ def test_variable_names():
 
 def test_full_table_one_variable():
     spec = MarginalSpec.from_prob_all_plus((V.A11,), {frozenset((V.A11,)): HALF})
-    assert full_table(spec) == (Scalar(HALF), Scalar(HALF))
+    assert spec.table == (Scalar(HALF), Scalar(HALF))
 
 
 def test_full_table_perfectly_aligned_pair():
@@ -169,7 +168,7 @@ def test_full_table_perfectly_aligned_pair():
         },
     )
     # Pr[values differ] = 0
-    assert full_table(spec) == (Scalar(HALF), Scalar(0), Scalar(0), Scalar(HALF))
+    assert spec.table == (Scalar(HALF), Scalar(0), Scalar(0), Scalar(HALF))
 
 
 def test_full_table_inconsistent():
@@ -383,7 +382,7 @@ def test_coupling_table_string_round_trip():
     entries[200] = Fraction(2, 3)
     table = CouplingTable(tuple(entries))
     again = coupling_table_from_strings(table.to_strings())
-    assert again.entries == table.entries
+    assert again.table == table.table
 
 
 def test_marginal_spec_json_round_trip():
@@ -506,7 +505,7 @@ def test_coupling_table_is_the_eight_variable_marginal():
     table = CouplingTable(entries)
     spec = MarginalSpec(tuple(V), entries)
     assert table == spec
-    assert table.entries == spec.table
+    assert table.table == spec.table
     for mask in range(256):
         subset = [v for v in V if mask & (1 << (7 - v))]
         want = reference_prob_all_plus(spec, subset)
