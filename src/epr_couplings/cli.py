@@ -4,13 +4,15 @@ identical inputs and seeds give byte-identical output.
 Exit codes: 0 = success / compatible / feasible / suite passed;
 1 = incompatible / infeasible / suite failed; 2 = input error (and click's
 usage errors); 3 = internal error, a fault that is not an input error (its
-traceback goes to stderr).  :class:`_Commands` is the one place a command's
+traceback goes to stderr); 141 = stdout closed by its reader, as a process
+killed by SIGPIPE reports.  :class:`_Commands` is the one place a command's
 exception becomes an exit code.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 import traceback
 from fractions import Fraction
@@ -82,14 +84,19 @@ class _Commands(click.Group):
     """The command group, and the one error boundary of every command: an
     input error prints ``{"error": ...}`` and exits 2; any other fault
     prints ``{"error": "internal error: ..."}``, its traceback on stderr,
-    and exits 3, never a verdict's code.  Click's own exits (usage errors,
-    ``--help``, aborts) pass through unchanged."""
+    and exits 3, never a verdict's code.  A closed stdout (``regions
+    --format csv | head``) ends quietly with 141.  Click's own exits (usage
+    errors, ``--help``, aborts) pass through unchanged."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise
+        except BrokenPipeError:
+            # What is still buffered for stdout goes nowhere at exit.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(141)
         except _INPUT_ERRORS as exc:
             _emit({"error": str(exc)}, 2)
         except Exception as exc:

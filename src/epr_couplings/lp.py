@@ -12,12 +12,12 @@ vector is admitted.
 
 Verdicts are always exact.  A float LP solver (HiGHS) proposes every answer
 and exact arithmetic proves it: a witness ``q >= 0`` that reproduces every
-row, a Farkas ray for infeasibility, or -- for :func:`optimize` -- duals
-bounding the objective on every column together with a witness that attains
-the bound.  Floats only choose what gets checked, with no tolerance: a
-witness lies on the columns HiGHS gives positive weight (its nonbasic
-weights are exactly 0.0), sought when no phase-1 slack carries weight.  A
-proof rationalizes HiGHS's floats (the closest fractions with denominators
+row, a Farkas ray for infeasibility (HiGHS's own dual ray), or -- for
+:func:`optimize` -- duals bounding the objective on every column together
+with a witness that attains the bound.  Floats only choose what gets
+checked, with no tolerance: a witness lies on the columns HiGHS gives
+positive weight (its nonbasic weights are exactly 0.0).  A proof
+rationalizes HiGHS's floats (the closest fractions with denominators
 up to 2**24), scales the rhs, the point, the duals and the direction each
 by its own positive unit to ints (a ZSqrt2 ``a + b*sqrt2`` to its two int
 parts; :func:`~.scalars.integers`), and decides each check as one product
@@ -56,19 +56,19 @@ normalization loses it, which prices the full objective; the bound is
 checked on all 256 columns and the lifted witness must attain it.  Other
 systems solve the full model.
 
-Each row structure keeps two HiGHS models, built on first use: phase 1
-over ``[M | I]`` and the coupling model over M alone for :func:`optimize`.
-A solve only sets the row bounds (and, for ``optimize``, the costs), then
-runs the dual simplex without presolve from a cold start, so each proposal
-depends on its own LP alone, never on the queries before it.  A lock
-serializes the solves on one model across threads.  Where scipy lacks the
-private ``scipy.optimize._highspy._core`` bindings, the same proposals come
-from :func:`scipy.optimize.linprog` with the same options; both paths
-return one small :class:`_Proposal`.  The first solve loads that
-extension module alone, found in scipy's directory and registered under its
-own name, never the ``scipy.optimize`` package around it, whose import
-takes 0.45-0.58 s on a 2-core VM; a later ``import scipy.optimize`` shares
-the same module.  HiGHS takes each model row by row from numpy in one
+Each row structure keeps one HiGHS model, ``M q = b``, ``q >= 0``, built
+on first use and held at zero cost.  A solve sets the row bounds (and
+:func:`optimize` its costs, for that solve only), then runs the dual
+simplex without presolve from a cold start, so each proposal depends on its
+own LP alone, never on the queries before it.  At zero cost the starting
+logical basis is dual feasible, so an infeasible system ends on a dual ray,
+which is the proposed Farkas ray.  A lock serializes the solves on one
+model across threads.  HiGHS is reached through scipy's private bindings,
+the extension module ``scipy.optimize._highspy._core`` (scipy >= 1.15).
+The first solve loads it alone, found in scipy's directory and registered
+under its own name, never the ``scipy.optimize`` package around it, whose
+import takes 0.45-0.58 s on a 2-core VM; ``scipy.optimize`` imported later
+shares the same module.  HiGHS takes each model row by row from numpy in one
 ``passModel`` call, so ``scipy.sparse`` is not imported either.  Code that
 never solves an LP loads no part of scipy.
 """
@@ -196,15 +196,14 @@ class FeasibilityResult:
 
 
 class _Model:
-    """``min cost.q`` subject to ``a_eq q = b``, ``q >= 0`` for one fixed
-    matrix; :func:`linprog` builds its HiGHS model on first use and reuses
-    it under ``lock``."""
+    """``a_eq q = b``, ``q >= 0`` for one fixed 0/1 matrix, at zero cost
+    between solves; :func:`linprog` builds its HiGHS model on first use and
+    reuses it under ``lock``."""
 
-    __slots__ = ("a_eq", "cost", "highs", "lock")
+    __slots__ = ("a_eq", "highs", "lock")
 
-    def __init__(self, a_eq: np.ndarray, cost: np.ndarray):
+    def __init__(self, a_eq: np.ndarray):
         self.a_eq = a_eq
-        self.cost = cost
         self.highs = None
         self.lock = threading.Lock()
 
@@ -212,8 +211,7 @@ class _Model:
 class _Structure(NamedTuple):
     masks: tuple[int, ...]  # one subset per row; a folded row's variables agree
     incidence: np.ndarray  # M, rows by columns, as int64 0s and 1s
-    phase1: _Model  # [M | I]: the identity columns are slacks priced 1
-    coupling: _Model  # M alone, for optimize
+    model: _Model  # M q = b, q >= 0, for feasible and optimize alike
     fold: _Fold | None  # these rows folded by the global flip, where they fold
 
 
@@ -313,27 +311,19 @@ def _fold_of(masks: tuple[int, ...]) -> _Fold | None:
 
 @functools.lru_cache(maxsize=64)
 def _structure(masks: tuple[int, ...], folded: bool = False) -> _Structure:
-    """The incidence matrix and the two LP models of a row structure: over the
+    """The incidence matrix and the LP model of a row structure: over the
     256 assignments, where row ``mask`` holds when all its variables are
     +1, or ``folded`` over the 128 flip orbits, where it holds when they
     agree.  Pass ``folded`` only positionally, as the cache keys a keyword
     apart."""
-    m = len(masks)
     rows = np.array(masks)[:, None]
     if folded:
         columns = np.arange(_N_ORBITS) & rows
         pattern = (columns == rows) | (columns == 0)  # M, as bools
     else:
         pattern = (np.arange(N_ASSIGNMENTS) & rows) == rows
-    n = pattern.shape[1]
-    a = np.hstack([pattern, np.eye(m)])
-    return _Structure(
-        masks,
-        pattern.astype(np.int64),
-        _Model(a, np.concatenate([np.zeros(n), np.ones(m)])),
-        _Model(a[:, :n], np.zeros(n)),
-        None if folded else _fold_of(masks),
-    )
+    incidence = pattern.astype(np.int64)
+    return _Structure(masks, incidence, _Model(incidence), None if folded else _fold_of(masks))
 
 
 # -- exact certification on the integer kernel -----------------------------------
@@ -405,7 +395,7 @@ def _witness_on(structure, rhs, proposal: np.ndarray, proof) -> tuple[int, list[
     has proven the point (or None): on a rational rhs, HiGHS's own values,
     rationalized; over Q[sqrt2] (a float has no recoverable sqrt(2) part)
     or when that proof fails, :func:`~.simplex.eliminate` on those columns."""
-    cols = np.flatnonzero(proposal[: structure.incidence.shape[1]] > 0).tolist()
+    cols = np.flatnonzero(proposal > 0).tolist()
     if all(type(v) is int for v in rhs[1]):
         unit, weights = _rationalize(proposal[cols])
         x = proof((unit, cols, weights))
@@ -447,8 +437,7 @@ _HIGHS_OPTIONS = (
 _UNLOADED = object()
 _CORE_NAME = "scipy.optimize._highspy._core"
 #: scipy's private HiGHS bindings, the extension module ``_CORE_NAME``,
-#: loaded by the first solve without the scipy packages around it; None
-#: where scipy lacks them.
+#: loaded by the first solve without the scipy packages around it.
 _core = _UNLOADED
 _core_lock = threading.Lock()
 
@@ -464,28 +453,24 @@ def _highs_bindings():
 
 def _load_core():
     """The ``_core`` file in ``<scipy>/optimize/_highspy``, loaded and
-    registered in ``sys.modules`` under ``_CORE_NAME``, so that a later
-    ``import scipy.optimize`` reuses it; None where there is no such file
-    (older scipy releases) or it does not load."""
+    registered in ``sys.modules`` under ``_CORE_NAME``, so that
+    ``scipy.optimize`` imported later reuses it.  scipy ships it from 1.15
+    on; an older scipy, or none, raises ImportError."""
     scipy = importlib.util.find_spec("scipy")
-    if scipy is None or not scipy.submodule_search_locations:
-        return None
-    where = [os.path.join(p, "optimize", "_highspy") for p in scipy.submodule_search_locations]
+    places = scipy.submodule_search_locations if scipy is not None else None
+    where = [os.path.join(p, "optimize", "_highspy") for p in places or ()]
     spec = importlib.machinery.PathFinder.find_spec(_CORE_NAME, where)
     if spec is None:
-        return None
-    try:
-        core = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(core)
-    except ImportError:
-        return None
+        raise ImportError(f"no {_CORE_NAME}: epr-couplings needs scipy >= 1.15")
+    core = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(core)
     sys.modules[_CORE_NAME] = core
     return core
 
 
 def _new_highs(model: _Model):
-    """HiGHS holding ``model``, passed row by row as ``np.nonzero`` lists it;
-    a model HiGHS refuses raises RuntimeError."""
+    """HiGHS holding ``model`` at zero cost, its 1s passed row by row as
+    ``np.nonzero`` lists them; a model HiGHS refuses raises RuntimeError."""
     highs = _core._Highs()
     for name, value in _HIGHS_OPTIONS:
         highs.setOptionValue(name, value)
@@ -493,9 +478,9 @@ def _new_highs(model: _Model):
     rows, cols = np.nonzero(model.a_eq)
     status = highs.passModel(
         n, m, len(rows), _core.MatrixFormat.kRowwise, _core.ObjSense.kMinimize, 0.0,
-        model.cost, np.zeros(n), np.full(n, _core.kHighsInf), np.zeros(m), np.zeros(m),
+        np.zeros(n), np.zeros(n), np.full(n, _core.kHighsInf), np.zeros(m), np.zeros(m),
         np.searchsorted(rows, np.arange(m)).astype(np.int32), cols.astype(np.int32),
-        model.a_eq[rows, cols], np.zeros(n, dtype=np.int32),
+        np.ones(len(rows)), np.zeros(n, dtype=np.int32),
     )
     if status != _core.HighsStatus.kOk:
         raise RuntimeError(f"HiGHS refused the {m}-row, {n}-column model: {status}")
@@ -504,9 +489,10 @@ def _new_highs(model: _Model):
 
 @dataclass
 class _Proposal:
-    """HiGHS's answer on either path of :func:`linprog`: ``status`` (0
-    optimal, 2 infeasible, else 4 or scipy's code), the simplex iteration
-    count ``nit`` and, if optimal, ``x`` and ``duals`` = d min/d b."""
+    """HiGHS's answer: ``status`` (0 optimal, 2 infeasible, else 4), the
+    simplex iteration count ``nit`` and, if optimal, ``x`` and ``duals`` =
+    d min/d b; if infeasible, ``duals`` holds HiGHS's dual ray, the
+    proposed Farkas ray (None where HiGHS gives none)."""
 
     status: int
     nit: int
@@ -515,44 +501,45 @@ class _Proposal:
 
 
 def linprog(model: _Model, b: np.ndarray, cost: np.ndarray | None = None) -> _Proposal:
-    """HiGHS on ``model`` with right-hand side ``b`` (and ``cost`` in place
-    of the model's own): the one float proposal behind every certified
-    answer.
+    """HiGHS on ``model`` with right-hand side ``b``, at zero cost or at
+    ``cost``: the one float proposal behind every certified answer.
 
-    The persistent model takes only the new row bounds and costs, and
-    ``clearSolver`` drops its basis, so the dual simplex starts cold as
-    :func:`scipy.optimize.linprog` does and proposes the same answer bit for
-    bit.  (``linprog`` also re-checks residuals after HiGHS, which
-    :func:`_certify` subsumes.)  Without the private bindings this is that
-    ``linprog`` call."""
+    The persistent model takes only the new row bounds, and a ``cost``
+    only for this solve: the zeros go back before the lock is released.
+    ``clearSolver`` drops its basis, so the dual simplex starts cold, from
+    the logical basis (dual feasible at zero cost), as scipy's ``linprog``
+    does, and proposes the same answer bit for bit.  (``linprog`` also
+    re-checks residuals after HiGHS, which :func:`_certify` subsumes.)"""
     core = _highs_bindings()
-    if core is None:
-        import scipy.optimize
-
-        res = scipy.optimize.linprog(
-            model.cost if cost is None else cost, A_eq=model.a_eq, b_eq=b,
-            bounds=(0, None), method="highs", options={"presolve": False},
-        )
-        if res.status != 0:
-            return _Proposal(res.status, res.nit)
-        return _Proposal(0, res.nit, res.x, res.eqlin.marginals)
     with model.lock:
         highs = model.highs
         if highs is None:
             highs = model.highs = _new_highs(model)
         for i, v in enumerate(b.tolist()):
             highs.changeRowBounds(i, v, v)
-        if cost is not None:
-            highs.changeColsCost(len(cost), np.arange(len(cost), dtype=np.int32), cost)
-        highs.clearSolver()
-        highs.run()
-        model_status = highs.getModelStatus()
-        nit = highs.getInfoValue("simplex_iteration_count")[1]
-        if model_status != core.HighsModelStatus.kOptimal:
-            infeasible = model_status == core.HighsModelStatus.kInfeasible
-            return _Proposal(2 if infeasible else 4, nit)
+        if cost is None:
+            return _run(core, highs)
+        cols = np.arange(len(cost), dtype=np.int32)
+        highs.changeColsCost(len(cost), cols, cost)
+        try:
+            return _run(core, highs)
+        finally:
+            highs.changeColsCost(len(cost), cols, np.zeros(len(cost)))
+
+
+def _run(core, highs) -> _Proposal:
+    """One cold dual simplex solve of ``highs`` as it stands, read back."""
+    highs.clearSolver()
+    highs.run()
+    model_status = highs.getModelStatus()
+    nit = highs.getInfoValue("simplex_iteration_count")[1]
+    if model_status == core.HighsModelStatus.kOptimal:
         solution = highs.getSolution()
         return _Proposal(0, nit, np.array(solution.col_value), np.array(solution.row_dual))
+    if model_status == core.HighsModelStatus.kInfeasible:
+        _, has_ray, ray = highs.getDualRay()
+        return _Proposal(2, nit, None, np.array(ray) if has_ray else None)
+    return _Proposal(4, nit)
 
 
 def _proof(structure, rhs: tuple[int, list], fold, x: tuple) -> tuple | None:
@@ -593,31 +580,25 @@ def _certify(structure, rhs: tuple[int, list], objective, fold, solved: tuple):
     ``objective`` (:func:`_objective`), the optimum, for the scaled ``rhs``.
     HiGHS solves ``solved`` (a structure, its scaled rhs and their floats),
     ``fold``'s where given.  Raises :class:`_Uncertified` otherwise."""
-    model, model_rhs, b = solved
-    proof = functools.partial(_proof, structure, rhs, fold)
-    if objective is None:
-        res = linprog(model.phase1, b)
-    else:
-        res = linprog(model.coupling, b, _cost(objective, fold is not None))
-        if res.status == 2:
-            if _certify(structure, rhs, None, fold, solved)[0] is None:
+    target, target_rhs, b = solved
+    cost = None if objective is None else _cost(objective, fold is not None)
+    res = linprog(target.model, b, cost)
+    if res.status == 2:
+        if res.duals is not None:
+            _, y = _rationalize(res.duals)
+            if _farkas(structure.incidence, rhs[1], y if fold is None else fold.ray(y)):
                 return None, None
-            raise _Uncertified("HiGHS reported infeasible, yet a coupling exists")
+        raise _Uncertified("HiGHS reported infeasible, but its dual ray proves nothing")
     if res.status != 0:
         raise _Uncertified(f"HiGHS status {res.status} after {res.nit} simplex iterations")
+    x = _witness_on(target, target_rhs, res.x, functools.partial(_proof, structure, rhs, fold))
     if objective is not None:
         # The duals are d(min -c.q)/db; minus them price the maximum.
         y_unit, y = _rationalize(res.duals)
-        x = _witness_on(model, model_rhs, res.x, proof)
         return _optimum(structure, rhs, objective, fold, (y_unit, [-v for v in y]), x)
-    if not (res.x[model.incidence.shape[1]:] > 0).any():  # no slack carries weight
-        x = _witness_on(model, model_rhs, res.x, proof)
-        if x is not None:
-            return x, None
-    _, y = _rationalize(res.duals)
-    if _farkas(structure.incidence, rhs[1], y if fold is None else fold.ray(y)):
-        return None, None
-    raise _Uncertified("neither the support nor the duals prove a verdict")
+    if x is None:
+        raise _Uncertified("no witness on the proposed support")
+    return x, None
 
 
 #: Bit k of column j's pattern is set when its assignment sets observable pair k to +1.
@@ -661,10 +642,10 @@ def _bland(structure, rhs: tuple[int, list], objective, fold, solved: tuple):
     solved, with :func:`_certify`'s answer shape: its point, Farkas ray or
     duals are lifted and proven as HiGHS's are.  An answer that fails its
     proof is a bug and raises AssertionError."""
-    model, model_rhs, _ = solved
+    target, target_rhs, _ = solved
     patterns = _PAIR_PATTERNS if fold is None else _AGREE_PATTERNS  # folded: twice the cost
     costs = None if objective is None else [objective[1][s] for s in patterns.tolist()]
-    res = solve_lp(model.incidence.tolist(), model_rhs, costs)
+    res = solve_lp(target.incidence.tolist(), target_rhs, costs)
     try:
         if res.status == INFEASIBLE:
             y = res.y[1]

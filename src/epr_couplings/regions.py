@@ -151,7 +151,6 @@ def _vector_builder(fixed_vals: Mapping[str, Scalar], free: tuple[str, str]):
 class MembershipGrid:
     """Per-cell membership flags for the three regions on one slice."""
 
-    fixed: dict[str, Scalar]
     free: tuple[str, str]
     resolution: int
     flags: np.ndarray  # shape (resolution, resolution), bits: 1 chsh, 2 qm, 4 tsirelson
@@ -235,12 +234,7 @@ def membership_grid(fixed: Mapping[str, object], resolution: int = 201) -> Membe
                 f"({_center(start + ix, resolution)}, {_center(iy, resolution)})"
             )
         flags[start:start + rows] = chsh + 2 * ~outside + 4 * tsir
-    return MembershipGrid(
-        fixed=dict(fixed_vals),
-        free=free,
-        resolution=resolution,
-        flags=flags,
-    )
+    return MembershipGrid(free=free, resolution=resolution, flags=flags)
 
 
 def default_grid_filename(fixed: Mapping[str, object], resolution: int) -> str:

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import logging
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ from epr_couplings.model import (
     connection_marginals,
     marginal_spec_to_json,
 )
-from test_lp import corrupted_linprog, planted_solve_lp
+from test_lp import corrupted_linprog, fresh_env, planted_solve_lp
 
 
 @pytest.fixture()
@@ -101,15 +103,14 @@ def test_feasible_with_witness_file(runner, tmp_path):
     assert json.loads(result.output)["feasible"] is False
 
 
-@pytest.mark.skipif(lp._highs_bindings() is None,
-                    reason="the bytes are the vertex of the HiGHS build in scipy's bindings")
 @pytest.mark.parametrize("specs, p, digest", [
     (None, "(2-sqrt2)/8,(2-sqrt2)/8,(2-sqrt2)/8,(2+sqrt2)/8", "468f0d96fa297e9d450855a2b990ca52"),
-    (NULL_CONNECTION_SPECS, "1/4,1/4,1/4,1/4", "4d844d96e94662b84d2721df875a3d9b"),
+    (NULL_CONNECTION_SPECS, "1/4,1/4,1/4,1/4", "0cf5cad22d452114c28e805ea6e5128c"),
 ], ids=["tsirelson-sqrt2", "null-connection-rational"])
 def test_feasible_witness_bytes_are_pinned(runner, tmp_path, specs, p, digest):
     """The witness files move if HiGHS gets another model or proposes
-    another vertex."""
+    another vertex.  The null-connection witness is the vertex where the
+    dual simplex ends on the coupling model at zero cost."""
     marg = TSIRELSON_MARGINALS
     if specs is not None:
         marg = tmp_path / "marginals.json"
@@ -359,6 +360,20 @@ def test_a_broken_inclusion_chain_exits_3(runner, monkeypatch):
     error = json.loads(result.stdout)["error"]
     assert error.startswith("internal error: AssertionError: inclusion chain violated at cell")
     assert "Traceback" in result.stderr
+
+
+def test_a_closed_stdout_exits_141_quietly():
+    """``regions --format csv | head -1``: the reader closes the pipe after
+    one line, and the command exits 141, as a process killed by SIGPIPE
+    reports, with nothing on stderr; never 1, a verdict's code."""
+    args = ["regions", "--fix", "1/4,1/4", "--grid", "301", "--format", "csv"]
+    proc = subprocess.Popen([sys.executable, "-m", "epr_couplings.cli", *args], env=fresh_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"free_x,free_y,chsh,qm,tsirelson\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 @pytest.mark.parametrize("args", [

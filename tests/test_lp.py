@@ -86,13 +86,13 @@ def test_build_system_pair_row_has_64_ones():
     spec = outcome_marginals(QUARTER)[0]
     system = build_system([spec])
     i = system.masks.index(subset_mask((V.A11, V.B11)))
-    assert lp._structure(system.masks).coupling.a_eq[i].sum() == 64  # both bits pinned, six free
+    assert lp._structure(system.masks).model.a_eq[i].sum() == 64  # both bits pinned, six free
 
 
 def test_build_system_empty_row():
     system = build_system([])
     assert system.masks == (0,)
-    assert lp._structure(system.masks).coupling.a_eq[0].tolist() == [1] * 256
+    assert lp._structure(system.masks).model.a_eq[0].tolist() == [1] * 256
     assert system.rhs[0] == 1
 
 
@@ -108,7 +108,7 @@ def test_build_system_four_variable_marginal():
     assert len(system.masks) == 16
     i = system.masks.index(subset_mask((V.A11,)))
     assert system.rhs[i] == HALF
-    assert lp._structure(system.masks).coupling.a_eq[i].sum() == 128
+    assert lp._structure(system.masks).model.a_eq[i].sum() == 128
 
 
 def test_build_system_deduplicates_shared_singletons():
@@ -440,7 +440,7 @@ def bland_support(specs, direction):
     """max direction . p over the admitted outcome vectors, by the exact
     simplex alone."""
     system = build_system(specs)
-    rows = lp._structure(system.masks).coupling.a_eq.astype(int).tolist()
+    rows = lp._structure(system.masks).model.a_eq.astype(int).tolist()
     objective = []
     for j in range(256):
         outcome = decode(j)
@@ -493,38 +493,39 @@ def highs_reference(model, b, cost=None, bounds=(0, None)):
     """``scipy.optimize.linprog`` on the same LP as ``lp.linprog(model, b,
     cost)``, with the options the persistent HiGHS model runs."""
     return scipy.optimize.linprog(
-        model.cost if cost is None else cost, A_eq=model.a_eq, b_eq=b,
+        np.zeros(model.a_eq.shape[1]) if cost is None else cost, A_eq=model.a_eq, b_eq=b,
         bounds=bounds, method="highs", options={"presolve": False},
     )
 
 
 def corrupted_linprog(kind):
-    """HiGHS with a wrong answer: support moved to other columns, that plus
-    a fake Farkas ray (the normalization row, y.b = 1 > 0 but y.A_j = 1 > 0),
-    all duals zero, a suboptimal vertex reported as optimal (a support
+    """HiGHS with a wrong answer: support moved to other columns, a
+    feasible system reported infeasible with a fake Farkas ray (the
+    normalization row, y.b = 1 > 0 but y.A_j = 1 > 0), all duals or the
+    whole dual ray zero, a suboptimal vertex reported as optimal (a support
     column of the optimum fixed at 0), a non-optimal status, or status 2
-    (infeasible) on the coupling model of :func:`optimize`.  The real
-    answers' simplex iteration counts collect in ``fake.iterations``."""
+    (infeasible) with no dual ray on the costed model of :func:`optimize`.
+    The real answers' simplex iteration counts collect in
+    ``fake.iterations``."""
     real = lp.linprog
 
     def fake(model, b, cost=None):
         res = real(model, b, cost)
         fake.iterations.append(res.nit)
-        if kind in ("x", "ray"):
+        if kind == "x":
             res.x = np.roll(res.x, 1)
-        if kind == "ray":
-            res.duals = np.eye(len(res.duals))[0]
+        elif kind == "ray":
+            res = lp._Proposal(2, res.nit, None, np.eye(len(b))[0])
         elif kind == "duals":
             res.duals = np.zeros_like(res.duals)
         elif kind == "suboptimal":
             # A degenerate optimum survives losing some support columns, so
             # fix at 0 the first whose loss strictly lowers the maximum.
-            c = model.cost if cost is None else cost
             for j in np.flatnonzero(res.x > 1e-9):
                 bounds = [(0, None)] * len(res.x)
                 bounds[j] = (0, 0)
                 ref = highs_reference(model, b, cost, bounds)
-                if ref.status == 0 and ref.fun > c @ res.x + 1e-6:
+                if ref.status == 0 and ref.fun > cost @ res.x + 1e-6:
                     break
             else:
                 raise AssertionError("every support column has a twin optimum")
@@ -595,8 +596,8 @@ def test_failed_certification_falls_back_with_one_warning(
     if kind == "status":
         assert f"HiGHS status 4 after {fake.iterations[0]} simplex iterations" in message
         assert fake.iterations[0] > 0
-    if kind == "infeasible":
-        assert "HiGHS reported infeasible, yet a coupling exists" in message
+    if kind in ("ray", "infeasible"):
+        assert "HiGHS reported infeasible, but its dual ray proves nothing" in message
 
     caplog.clear()
     dirty = runner.invoke(cli_main, args, catch_exceptions=False)
@@ -930,8 +931,9 @@ def near_face_pairs(n, side):
 def test_near_face_points_are_certified_inside(n, caplog):
     """Inside the face, HiGHS's basic weights of about 1/n are positive, so
     the witness is eliminated on them and proven with no fallback.  Outside
-    it, HiGHS's rounded phase 1 gives no Farkas ray and the exact simplex
-    decides; only the verdict is checked there."""
+    it, HiGHS's rounded floats find the system feasible, no witness lies on
+    its support, and the exact simplex decides; only the verdict is checked
+    there."""
     inside = list(near_face_pairs(n, -1))
     assert len(inside) > 10
     for p, eps in inside:
@@ -959,10 +961,10 @@ def recorded_simplex_rows(monkeypatch):
 @pytest.mark.parametrize("n,sides", [(10**9, (1,)), (10**12, (1,)), (10**20, (-1, 1))],
                          ids=["1e9", "1e12", "1e20"])
 def test_near_face_fallbacks_solve_the_folded_model(n, sides, monkeypatch, caplog):
-    """Outside the face, HiGHS's rounded phase 1 gives no Farkas ray, and
-    at N = 1e20 its float rhs cannot see 1/N on either side.  There the
-    exact simplex solves the 9 folded rows HiGHS solved, never the 17 full
-    ones, and its answer is proven on the full rows: every verdict equals
+    """Outside the face, HiGHS's rounded floats find the system feasible
+    with no witness on its support, and at N = 1e20 its float rhs cannot
+    see 1/N on either side.  There the exact simplex solves the 9 folded
+    rows HiGHS solved, never the 17 full ones, and its answer is proven on the full rows: every verdict equals
     ``compatible``, every witness reproduces its inputs, and each query
     logs one WARNING naming the folded model."""
     rows = recorded_simplex_rows(monkeypatch)
@@ -1362,7 +1364,7 @@ def test_unfolded_systems_and_optimize_take_the_full_model(monkeypatch, caplog):
 
 def oracle_lp(specs):
     system = build_system(specs)
-    return lp._structure(system.masks).phase1, np.array([float(v) for v in system.rhs])
+    return lp._structure(system.masks).model, np.array([float(v) for v in system.rhs])
 
 
 def support_lp(eps, direction, folded=False):
@@ -1375,16 +1377,17 @@ def support_lp(eps, direction, folded=False):
     objective = lp._objective([Fraction(d) for d in direction])
     if folded:
         b = np.array(structure.fold.rhs(b))
-        return structure.fold.structure.coupling, b, lp._cost(objective, folded=True)
+        return structure.fold.structure.model, b, lp._cost(objective, folded=True)
     unit, sums = objective
-    return structure.coupling, b, -np.array([sums[s] / unit for s in lp._PAIR_PATTERNS])
+    return structure.model, b, -np.array([sums[s] / unit for s in lp._PAIR_PATTERNS])
 
 
 def test_persistent_highs_proposes_exactly_what_linprog_does():
-    """Bit-identical status, x and duals on oracle systems, on the E0
-    family and on full and folded support LPs, each set solved twice in
-    shuffled orders, so a basis carried from one solve to the next would
-    show."""
+    """Bit-identical status and iteration count on oracle systems (feasible
+    and infeasible), on the E0 family and on full and folded support LPs,
+    and x and duals wherever the model is feasible, each set solved twice
+    in shuffled orders, so a basis or a cost carried from one solve to the
+    next would show."""
     rng = random.Random(31)
     lps = [oracle_lp(outcome_marginals(random_outcome_vector(rng))
                      + connection_marginals(random_connection_vector(rng)))
@@ -1395,16 +1398,39 @@ def test_persistent_highs_proposes_exactly_what_linprog_does():
             for eps in (EPS0, EPS_T) for direction in CHSH_DIRECTIONS + UNIT_DIRECTIONS
             for folded in (False, True)]
     want = [highs_reference(*problem) for problem in lps]
-    assert {res.status for res in want} == {0}
+    assert {res.status for res in want} == {0, 2}
     for _ in range(2):
         order = list(range(len(lps)))
         rng.shuffle(order)
         for k in order:
             got = lp.linprog(*lps[k])
             assert got.status == want[k].status, k
-            assert np.array_equal(got.x, want[k].x), k
-            assert np.array_equal(got.duals, want[k].eqlin.marginals), k
             assert got.nit == want[k].nit, k
+            if got.status == 0:
+                assert np.array_equal(got.x, want[k].x), k
+                assert np.array_equal(got.duals, want[k].eqlin.marginals), k
+
+
+@pytest.mark.parametrize("folds", [True, False], ids=["folded", "full"])
+def test_optimize_leaves_the_model_at_zero_cost(folds, monkeypatch, caplog):
+    """``feasible`` and ``optimize`` solve one HiGHS model per row
+    structure, and ``optimize`` puts the zero costs back: a witness found
+    before an ``optimize`` on the same rows is found again after it, for
+    each of the eight CHSH directions in turn."""
+    if not folds:
+        monkeypatch.setattr(lp._Fold, "applies", lambda fold, rhs: False)
+    rows = highs_rows(monkeypatch)
+    rng = random.Random(77)
+    for eps in [EPS0, EPS_T, *(random_connection_vector(rng) for _ in range(6))]:
+        specs = connection_marginals(eps)
+        before = feasible(specs)
+        assert before.engine == "certified-float"
+        for direction in CHSH_DIRECTIONS:
+            optimize(specs, direction)
+            after = feasible(specs)
+            assert exact(after._x) == exact(before._x), (eps, direction)
+    assert set(rows) == {5 if folds else 13}
+    assert lp_warnings(caplog) == []
 
 
 def test_threads_sharing_one_model_get_the_sequential_answers(caplog):
@@ -1442,40 +1468,18 @@ def test_threads_sharing_one_model_get_the_sequential_answers(caplog):
     assert lp_warnings(caplog) == []
 
 
-def test_linprog_shim_without_private_highs_bindings(monkeypatch, caplog):
-    """Where scipy lacks ``_highspy._core``, ``lp.linprog`` is a
-    ``scipy.optimize.linprog`` call, and every answer is still certified."""
-    pairs = lattice_pairs()[::8]
-    persistent = [feasible(outcome_marginals(p) + connection_marginals(eps)) for p, eps in pairs]
-    support = optimize(connection_marginals(EPS_T), (1, 1, 1, -2))
-
-    calls = []
-    real = scipy.optimize.linprog
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs["options"])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(lp, "_core", None)
-    monkeypatch.setattr(scipy.optimize, "linprog", counted)
-    shimmed = [feasible(outcome_marginals(p) + connection_marginals(eps)) for p, eps in pairs]
-    assert optimize(connection_marginals(EPS_T), (1, 1, 1, -2)) == support
-    assert calls == [{"presolve": False}] * (len(pairs) + 1)
-    assert [(r.feasible, r.engine) for r in shimmed] == [
-        (r.feasible, "certified-float") for r in persistent
-    ]
-    assert {r.feasible for r in shimmed} == {True, False}
-    assert lp_warnings(caplog) == []
+def fresh_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(lp.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def run_fresh(*blocks: str) -> list[str]:
     """The words the code ``blocks`` print, run one after another in a
     fresh interpreter on this package."""
-    src = str(Path(lp.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "\n".join(map(textwrap.dedent, blocks))
-    return subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, "-c", code], env=fresh_env(),
                           capture_output=True, text=True, timeout=120, check=True).stdout.split()
 
 
@@ -1507,7 +1511,6 @@ ORACLE_SOLVE = """
 """
 
 
-@pytest.mark.skipif(lp._highs_bindings() is None, reason="scipy has no _highspy._core file")
 def test_a_solve_loads_highs_alone_and_shares_it_with_scipy_optimize():
     """The first solve loads HiGHS's extension module, never the
     ``scipy.optimize`` package or ``scipy.sparse``; ``scipy.optimize``
@@ -1535,29 +1538,35 @@ def test_a_solve_loads_highs_alone_and_shares_it_with_scipy_optimize():
     """) == ["True", "[]"]
 
 
-@pytest.mark.skipif(lp._highs_bindings() is None, reason="scipy has no _highspy._core file")
 def test_highs_stores_the_scipy_sparse_matrix():
     """What HiGHS holds after the row-wise ``passModel``, read back through
     ``getLp()``, is the column-wise matrix ``scipy.sparse.csc_array`` gives
-    and the model's cost, on both models of the oracle rows (17, folded 9)
-    and of the connection rows (13, folded 5)."""
+    and a zero cost, on the models of the oracle rows (17, folded 9) and of
+    the connection rows (13, folded 5)."""
     oracle = lp._structure(ORACLE_MASKS)
     connection = lp._structure(build_system(connection_marginals(EPS0)).masks)
     structures = [oracle, oracle.fold.structure, connection, connection.fold.structure]
     assert [len(s.masks) for s in structures] == [17, 9, 13, 5]
     for structure in structures:
-        for model in (structure.phase1, structure.coupling):
-            held = lp._new_highs(model).getLp()
-            want = csc_array(model.a_eq)
-            matrix = held.a_matrix_
-            assert matrix.format_ == lp._core.MatrixFormat.kColwise
-            for got, ref in zip((matrix.start_, matrix.index_, matrix.value_),
-                                (want.indptr, want.indices, want.data)):
-                assert np.array_equal(got, ref)
-            assert np.array_equal(held.col_cost_, model.cost)
+        held = lp._new_highs(structure.model).getLp()
+        want = csc_array(structure.model.a_eq)
+        matrix = held.a_matrix_
+        assert matrix.format_ == lp._core.MatrixFormat.kColwise
+        for got, ref in zip((matrix.start_, matrix.index_, matrix.value_),
+                            (want.indptr, want.indices, want.data)):
+            assert np.array_equal(got, ref)
+        assert np.array_equal(held.col_cost_, np.zeros(want.shape[1]))
 
 
-@pytest.mark.skipif(lp._highs_bindings() is None, reason="scipy has no _highspy._core file")
+def test_a_scipy_without_highs_bindings_is_refused(monkeypatch):
+    """A scipy with no ``_highspy._core`` file (before 1.15) raises
+    ImportError naming the floor, in place of a solve."""
+    monkeypatch.setattr(lp.importlib.machinery.PathFinder, "find_spec",
+                        lambda name, path=None: None)
+    with pytest.raises(ImportError, match=r"needs scipy >= 1\.15"):
+        lp._load_core()
+
+
 def test_a_model_highs_refuses_raises(monkeypatch):
     """``passModel`` returning ``kError`` raises, naming the status and the
     model's shape, in place of leaving HiGHS empty."""
@@ -1574,6 +1583,6 @@ def test_a_model_highs_refuses_raises(monkeypatch):
         _Highs=Refusing, HighsStatus=core.HighsStatus, MatrixFormat=core.MatrixFormat,
         ObjSense=core.ObjSense, kHighsInf=core.kHighsInf,
     ))
-    model = lp._structure(ORACLE_MASKS).phase1
-    with pytest.raises(RuntimeError, match=r"17-row, 273-column model: HighsStatus\.kError"):
+    model = lp._structure(ORACLE_MASKS).model
+    with pytest.raises(RuntimeError, match=r"17-row, 256-column model: HighsStatus\.kError"):
         lp._new_highs(model)
