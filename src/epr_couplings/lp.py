@@ -17,9 +17,11 @@ row, a Farkas ray for infeasibility (HiGHS's own dual ray), or -- for
 with a witness that attains the bound.  Floats only choose what gets
 checked, with no tolerance: a witness lies on the columns HiGHS gives
 positive weight (its nonbasic weights are exactly 0.0).  A proof
-rationalizes HiGHS's floats (the closest fractions with denominators
-up to 2**24), scales the rhs, the point, the duals and the direction each
-by its own positive unit to ints (a ZSqrt2 ``a + b*sqrt2`` to its two int
+rationalizes HiGHS's floats (the closest fractions with denominators up to
+2**24; a float whose own power-of-two denominator is in bounds is its own
+ratio, as ``Fraction.limit_denominator`` returns it, with no continued
+fraction), scales the rhs, the point, the duals and the direction each by
+its own positive unit to ints (a ZSqrt2 ``a + b*sqrt2`` to its two int
 parts; :func:`~.scalars.integers`), and decides each check as one product
 with the structure's 0/1 incidence matrix ``M``: ``M x`` for a witness,
 ``y M`` on all 256 columns for a Farkas ray or the dual bound, in int64
@@ -99,7 +101,7 @@ from .model import (
     subset_name,
     subset_order,
 )
-from .scalars import ONE, ZERO, Scalar, _sign, as_scalar, integers, quotient
+from .scalars import ONE, ZERO, Scalar, ZSqrt2, _sign, as_scalar, integers, quotient
 from .simplex import INFEASIBLE, OPTIMAL, eliminate, int_columns, solve_lp
 
 __all__ = [
@@ -152,8 +154,13 @@ def _augmented_system(
                 f"marginal Pr[{subset_name(mask) or '()'} = +1] assigned both "
                 f"{seen} and {value}"
             )
-    order = sorted(rows, key=subset_order)
-    return ConstraintSystem(tuple(order), tuple(rows[m] for m in order))
+    order = _sorted_masks(tuple(rows))
+    return ConstraintSystem(order, tuple(map(rows.__getitem__, order)))
+
+
+@functools.lru_cache(maxsize=64)
+def _sorted_masks(masks: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(masks, key=subset_order))
 
 
 def build_system(specs: Iterable[MarginalSpec]) -> ConstraintSystem:
@@ -240,9 +247,10 @@ class _Fold(NamedTuple):
         scaled = rhs[1]
         return all(2 * scaled[i] == scaled[0] for i in self.singles)
 
-    def rhs(self, values: Sequence) -> list:
-        """The folded right-hand side of the full one, scaled or as floats:
-        the normalization's, then ``2 Pr[uv]`` per pair."""
+    def rhs(self, values) -> list:
+        """The folded right-hand side, from ``values`` on the full rows (a
+        list, or a dict on :attr:`rows`), scaled or as floats: the
+        normalization's, then ``2 Pr[uv]`` per pair."""
         return [values[0], *(2 * values[i] for i in self.rows[1:])]
 
     def witness(self, w: tuple[int, list[int], list]) -> tuple[int, list[int], list]:
@@ -345,15 +353,15 @@ def _is_witness(incidence: np.ndarray, rhs: tuple[int, list], x: tuple) -> bool:
     x_unit, cols, weights = x
     k = len(cols)
     parts = [[*weights, *scaled]]
-    if not all(type(v) is int for v in parts[0]):
+    if ZSqrt2 in map(type, parts[0]):
         parts = [list(part) for part in zip(*int_columns(parts[0]))]
     signs = parts[0][:k] if len(parts) == 1 else map(_sign, parts[0][:k], parts[1][:k])
     if min(signs, default=0) < 0:
         return False
-    block = _vector([v for part in parts for v in part[:k]], k).reshape(len(parts), k)
-    totals = (incidence.take(cols, axis=1) @ block.T).T.tolist()
-    rows = (zip(total, part[k:]) for total, part in zip(totals, parts))
-    return all(unit * t == x_unit * w for row in rows for t, w in row)
+    block = incidence.take(cols, axis=1)
+    return all(unit * t == x_unit * w
+               for part in parts
+               for t, w in zip((block @ _vector(part[:k], k)).tolist(), part[k:]))
 
 
 class _Uncertified(Exception):
@@ -366,25 +374,29 @@ _DENOMINATOR_LIMIT = 1 << 24
 
 def _rationalize(values: Sequence[float]) -> tuple[int, list[int]]:
     """Each float as ``Fraction(v).limit_denominator(_DENOMINATOR_LIMIT)``,
-    found as the standard library finds it (the continued fraction of its
-    exact ratio, then the last convergent or semiconvergent in bounds) on
-    plain ints, all scaled by their common denominator: ``(unit, ints)``."""
-    if not np.isfinite(values).all():
-        raise _Uncertified("HiGHS returned non-finite values")
+    found as the standard library finds it on plain ints (the float's own
+    ratio when its denominator is in bounds, as for a third of HiGHS's
+    oracle values; else the last convergent or semiconvergent in bounds of
+    its continued fraction), all scaled by their common denominator:
+    ``(unit, ints)``."""
     out = []
     for v in values:
-        num, den = n, d = v.as_integer_ratio()
-        p0, q0, p1, q1 = 0, 1, 1, 0
-        while d and q0 + n // d * q1 <= _DENOMINATOR_LIMIT:
-            a = n // d
-            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
-            n, d = d, n - a * d
-        if d:  # p1/q1 unless the semiconvergent p/q is strictly closer
+        try:
+            num, den = n, d = v.as_integer_ratio()
+        except (OverflowError, ValueError):
+            raise _Uncertified("HiGHS returned non-finite values") from None
+        if den > _DENOMINATOR_LIMIT:  # else the float's own ratio is the answer
+            p0, q0, p1, q1 = 0, 1, 1, 0
+            while True:  # ends before d is 0: the last convergent, num/den, is out of bounds
+                a, r = divmod(n, d)
+                if q0 + a * q1 > _DENOMINATOR_LIMIT:
+                    break
+                p0, q0, p1, q1, n, d = p1, q1, p0 + a * p1, q0 + a * q1, d, r
             k = (_DENOMINATOR_LIMIT - q0) // q1
             p, q = p0 + k * p1, q0 + k * q1
-            if abs(p * den - num * q) * q1 < abs(p1 * den - num * q1) * q:
-                p1, q1 = p, q
-        out.append((p1, q1))
+            closer = abs(p * den - num * q) * q1 < abs(p1 * den - num * q1) * q
+            num, den = (p, q) if closer else (p1, q1)
+        out.append((num, den))
     unit = math.lcm(*(q for _, q in out))
     return unit, [p * (unit // q) for p, q in out]
 
@@ -395,9 +407,10 @@ def _witness_on(structure, rhs, proposal: np.ndarray, proof) -> tuple[int, list[
     has proven the point (or None): on a rational rhs, HiGHS's own values,
     rationalized; over Q[sqrt2] (a float has no recoverable sqrt(2) part)
     or when that proof fails, :func:`~.simplex.eliminate` on those columns."""
-    cols = np.flatnonzero(proposal > 0).tolist()
-    if all(type(v) is int for v in rhs[1]):
-        unit, weights = _rationalize(proposal[cols])
+    values = proposal.tolist()
+    cols = [j for j, v in enumerate(values) if v > 0]
+    if ZSqrt2 not in map(type, rhs[1]):
+        unit, weights = _rationalize([values[j] for j in cols])
         x = proof((unit, cols, weights))
         if x is not None:
             return x
@@ -410,8 +423,8 @@ def _farkas(incidence: np.ndarray, b: list, y: list) -> bool:
     (in Q[sqrt2]) for the scaled rhs ``b``, and y.A_j <= 0 on every
     column, one product of y with the incidence matrix."""
     yb = sum(yi * bi for yi, bi in zip(y, b))
-    flip = 1 if yb > 0 else -1 if yb < 0 else 0
-    return flip != 0 and bool((flip * _vector(y, len(y)) @ incidence).max() <= 0)
+    prices = _vector(y, len(y)) @ incidence
+    return bool(prices.max() <= 0 if yb > 0 else yb < 0 and prices.min() >= 0)
 
 
 def _dual_bound(incidence: np.ndarray, y: list, sums: list) -> None:
@@ -500,7 +513,7 @@ class _Proposal:
     duals: np.ndarray | None = None
 
 
-def linprog(model: _Model, b: np.ndarray, cost: np.ndarray | None = None) -> _Proposal:
+def linprog(model: _Model, b: Sequence[float], cost: np.ndarray | None = None) -> _Proposal:
     """HiGHS on ``model`` with right-hand side ``b``, at zero cost or at
     ``cost``: the one float proposal behind every certified answer.
 
@@ -515,7 +528,7 @@ def linprog(model: _Model, b: np.ndarray, cost: np.ndarray | None = None) -> _Pr
         highs = model.highs
         if highs is None:
             highs = model.highs = _new_highs(model)
-        for i, v in enumerate(b.tolist()):
+        for i, v in enumerate(b):
             highs.changeRowBounds(i, v, v)
         if cost is None:
             return _run(core, highs)
@@ -538,7 +551,7 @@ def _run(core, highs) -> _Proposal:
         return _Proposal(0, nit, np.array(solution.col_value), np.array(solution.row_dual))
     if model_status == core.HighsModelStatus.kInfeasible:
         _, has_ray, ray = highs.getDualRay()
-        return _Proposal(2, nit, None, np.array(ray) if has_ray else None)
+        return _Proposal(2, nit, None, ray if has_ray else None)
     return _Proposal(4, nit)
 
 
@@ -585,7 +598,7 @@ def _certify(structure, rhs: tuple[int, list], objective, fold, solved: tuple):
     res = linprog(target.model, b, cost)
     if res.status == 2:
         if res.duals is not None:
-            _, y = _rationalize(res.duals)
+            _, y = _rationalize(res.duals.tolist())
             if _farkas(structure.incidence, rhs[1], y if fold is None else fold.ray(y)):
                 return None, None
         raise _Uncertified("HiGHS reported infeasible, but its dual ray proves nothing")
@@ -594,7 +607,7 @@ def _certify(structure, rhs: tuple[int, list], objective, fold, solved: tuple):
     x = _witness_on(target, target_rhs, res.x, functools.partial(_proof, structure, rhs, fold))
     if objective is not None:
         # The duals are d(min -c.q)/db; minus them price the maximum.
-        y_unit, y = _rationalize(res.duals)
+        y_unit, y = _rationalize(res.duals.tolist())
         return _optimum(structure, rhs, objective, fold, (y_unit, [-v for v in y]), x)
     if x is None:
         raise _Uncertified("no witness on the proposed support")
@@ -674,13 +687,14 @@ def _solve(system: ConstraintSystem, direction: Sequence[Fraction] | None = None
     fold = structure.fold
     if fold is not None and not (fold.applies(rhs) and (objective is None or fold.outcome_ends)):
         fold = None
-    # n / unit rounds the rational rhs value once, as float(Fraction) does;
-    # a sqrt(2) part takes Scalar's own float.
+    # Each solved row's float: n / unit rounds a rational value once, as
+    # float(Fraction) does; a sqrt(2) part takes Scalar's own float.
     unit, scaled = rhs
-    b = np.array([n / unit if type(n) is int else float(v) for n, v in zip(scaled, system.rhs)])
-    solved = structure, rhs, b
+    b = {i: scaled[i] / unit if type(scaled[i]) is int else float(system.rhs[i])
+         for i in (range(len(scaled)) if fold is None else fold.rows)}
+    solved = structure, rhs, list(b.values())
     if fold is not None:
-        solved = fold.structure, (unit, fold.rhs(scaled)), np.array(fold.rhs(b))
+        solved = fold.structure, (unit, fold.rhs(scaled)), fold.rhs(b)
     try:
         return (*_certify(structure, rhs, objective, fold, solved), "certified-float")
     except _Uncertified as exc:

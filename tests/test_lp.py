@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csc_array
 
@@ -1095,7 +1095,12 @@ def test_cycle_automorphisms_keep_verdicts_and_witnesses(caplog):
     st.floats(allow_nan=False, allow_infinity=False),
     st.builds(lambda n, d, e: n / d + e, st.integers(-10**6, 10**6),
               st.integers(1, 10**5), st.sampled_from([0.0, 1e-15, -3e-16, 1e-9])),
+    # Dyadic floats k / 2**j: their own ratio up to 2**24, rounded beyond it.
+    st.builds(lambda k, j: k / 2**j, st.integers(-10**12, 10**12), st.integers(0, 40)),
 ))
+@example(1 / 2**24)
+@example(3 / 2**25)
+@example(-(2**24 + 1) / 2**25)
 def test_rationalize_is_limit_denominator(v):
     unit, (n,) = lp._rationalize([v])
     assert Fraction(n, unit) == Fraction(v).limit_denominator(1 << 24)
@@ -1211,6 +1216,49 @@ def test_perturbed_primal_never_changes_a_verdict(kind, monkeypatch, caplog):
 
 
 # -- the flip-folded model ----------------------------------------------------------
+
+
+def test_highs_takes_each_solved_rows_own_float(monkeypatch, caplog):
+    """The float rhs HiGHS receives is, on every solved row, the float of
+    that row's exact value: ``float(Fraction(v))`` on a rational row and
+    Scalar's own float on a Q[sqrt2] one.  A folded model solves the
+    normalization and ``2 Pr[uv]`` per pair row; a full model every row.
+    Odd denominators make every rational float a rounding."""
+    rng = random.Random(4242)
+
+    def value(rng):
+        d = rng.randint(1, 10**6) * 2 + 1
+        return Fraction(rng.randint(0, d), 2 * d)
+
+    folded = [outcome_marginals(OutcomeVector(*(value(rng) for _ in range(4))))
+              + connection_marginals(ConnectionVector(*(value(rng) for _ in range(4))))
+              for _ in range(30)]
+    full = [[pair_spec(pair, plus) for pair in OUTCOME_PAIRS + CONNECTION_PAIRS]
+            for plus in (value(rng) for _ in range(10))]
+    sqrt2 = [outcome_marginals(SINGLET) + connection_marginals(EPS_T),
+             [pair_spec(pair, SINGLET_LOW) for pair in OUTCOME_PAIRS]]
+    seen = []
+    real = lp.linprog
+
+    def recorded(model, b, cost=None):
+        seen.append((model.a_eq.shape[0], list(b)))
+        return real(model, b, cost)
+
+    monkeypatch.setattr(lp, "linprog", recorded)
+    for specs, folds in [(s, True) for s in folded] + [(s, False) for s in full] + [
+        (sqrt2[0], True), (sqrt2[1], False),
+    ]:
+        seen.clear()
+        feasible(specs)
+        system = build_system(specs)
+        fold = lp._structure(system.masks).fold
+        rows = fold.rows if folds else range(len(system.masks))
+        values = [system.rhs[i] * (2 if folds and k else 1) for k, i in enumerate(rows)]
+        want = [float(v.as_fraction()) if v.is_rational else float(v) for v in values]
+        assert seen == [(len(want), want)]
+        assert any(v.is_rational and Fraction(w) != v.as_fraction()
+                   for v, w in zip(values, want)) is (specs not in sqrt2)
+    assert lp_warnings(caplog) == []
 
 
 def highs_rows(monkeypatch):

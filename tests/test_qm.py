@@ -5,10 +5,11 @@ import re
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from epr_couplings.model import OutcomeVector
-from epr_couplings.qm import Settings, maximize_chsh, parse_angle, qm_outcomes
+from epr_couplings.qm import Settings, _excess, maximize_chsh, parse_angle, qm_outcomes
 from epr_couplings.scalars import Scalar
 from epr_couplings.stats import Compliance, qm_compliant, tsirelson_satisfied
 
@@ -160,6 +161,19 @@ def test_maximize_chsh_reaches_tsirelson_bound():
     total = sum(float(c) for c in p.components)
     exprs = [total - 2 * float(c) for c in p.components]
     assert abs(max(abs(e - 0.5) for e in exprs) + 0.5 - v) < 1e-12
+
+
+def test_excess_on_floats_equals_the_array_objective():
+    """The refinement's float objective (``math.cos``, builtin ``max``) is
+    the grid's array objective at the same angles, within 1e-15: the two
+    cosines may round differently in the last bits, never by more."""
+    rng = random.Random(7)
+    angles = [[rng.uniform(-7.0, 7.0) for _ in range(3)] for _ in range(500)]
+    grid = _excess(*(np.array(column) for column in zip(*angles)))
+    for (a2, b1, b2), want in zip(angles, grid.tolist()):
+        got = _excess(a2, b1, b2)
+        assert type(got) is float
+        assert got == pytest.approx(want, rel=0, abs=1e-15)
 
 
 def test_maximize_chsh_coarse_never_exceeds_bound():
