@@ -32,9 +32,10 @@ proof, the witness comes from fraction-free elimination on the same columns
 instead, :func:`~.simplex.eliminate`, which shares its pivots and its
 drive-out step with the exact Bland simplex.  When HiGHS's answer fails
 its proof, that simplex proposes on
-the model HiGHS solved, folded or full, and its point, Farkas ray or duals
-are proven as HiGHS's are: no answer leaves ``lp`` unproven, and one that
-fails raises AssertionError.  It logs one WARNING with that model, the
+the model and cost HiGHS solved, folded or full, described once for both.
+Both proposers hand their point, Farkas ray or duals to one answer path,
+which lifts and proves them: no answer leaves ``lp`` unproven, and an exact
+one that fails raises AssertionError.  It logs one WARNING with that model, the
 reason, the exact right-hand side and, for a non-optimal HiGHS status, the
 simplex iteration count, on the ``epr_couplings.lp`` logger.
 
@@ -102,7 +103,7 @@ from .model import (
     subset_order,
 )
 from .scalars import ONE, ZERO, Scalar, ZSqrt2, _sign, as_scalar, integers, quotient
-from .simplex import INFEASIBLE, OPTIMAL, eliminate, int_columns, solve_lp
+from .simplex import INFEASIBLE, eliminate, int_columns, solve_lp
 
 __all__ = [
     "ConstraintSystem",
@@ -247,11 +248,10 @@ class _Fold(NamedTuple):
         scaled = rhs[1]
         return all(2 * scaled[i] == scaled[0] for i in self.singles)
 
-    def rhs(self, values) -> list:
-        """The folded right-hand side, from ``values`` on the full rows (a
-        list, or a dict on :attr:`rows`), scaled or as floats: the
-        normalization's, then ``2 Pr[uv]`` per pair."""
-        return [values[0], *(2 * values[i] for i in self.rows[1:])]
+    def rhs(self, scaled: list) -> list:
+        """The folded right-hand side, from the scaled one on the full rows:
+        the normalization's, then ``2 Pr[uv]`` per pair."""
+        return [scaled[0], *(2 * scaled[i] for i in self.rows[1:])]
 
     def witness(self, w: tuple[int, list[int], list]) -> tuple[int, list[int], list]:
         """The symmetric coupling ``q_c = q_{255-c} = w_c / 2``: each scaled
@@ -287,11 +287,9 @@ class _Fold(NamedTuple):
 
 
 def _fold_of(masks: tuple[int, ...]) -> _Fold | None:
-    """How ``masks`` fold: when the normalization row comes first, no row
-    has more than two variables, and each variable of a pair row has its
-    own singleton row."""
-    if not masks or masks[0]:
-        return None
+    """How ``masks`` fold: when no row has more than two variables and each
+    variable of a pair row has its own singleton row.  Every row structure
+    starts with the normalization row, mask 0."""
     singles = {mask: i for i, mask in enumerate(masks) if mask.bit_count() == 1}
 
     def ends_of(pair: int) -> tuple[int, int] | None:
@@ -401,16 +399,15 @@ def _rationalize(values: Sequence[float]) -> tuple[int, list[int]]:
     return unit, [p * (unit // q) for p, q in out]
 
 
-def _witness_on(structure, rhs, proposal: np.ndarray, proof) -> tuple[int, list[int], list] | None:
+def _witness_on(structure, rhs, proposal: Sequence[float], proof) -> tuple[int, list[int], list] | None:
     """A point with M x = rhs on the columns HiGHS gives positive weight
     (its nonbasic weights are exactly 0.0), as ``proof`` returns it once it
     has proven the point (or None): on a rational rhs, HiGHS's own values,
     rationalized; over Q[sqrt2] (a float has no recoverable sqrt(2) part)
     or when that proof fails, :func:`~.simplex.eliminate` on those columns."""
-    values = proposal.tolist()
-    cols = [j for j, v in enumerate(values) if v > 0]
+    cols = [j for j, v in enumerate(proposal) if v > 0]
     if ZSqrt2 not in map(type, rhs[1]):
-        unit, weights = _rationalize([values[j] for j in cols])
+        unit, weights = _rationalize([proposal[j] for j in cols])
         x = proof((unit, cols, weights))
         if x is not None:
             return x
@@ -509,8 +506,8 @@ class _Proposal:
 
     status: int
     nit: int
-    x: np.ndarray | None = None
-    duals: np.ndarray | None = None
+    x: Sequence[float] | None = None
+    duals: Sequence[float] | None = None
 
 
 def linprog(model: _Model, b: Sequence[float], cost: np.ndarray | None = None) -> _Proposal:
@@ -548,10 +545,10 @@ def _run(core, highs) -> _Proposal:
     nit = highs.getInfoValue("simplex_iteration_count")[1]
     if model_status == core.HighsModelStatus.kOptimal:
         solution = highs.getSolution()
-        return _Proposal(0, nit, np.array(solution.col_value), np.array(solution.row_dual))
+        return _Proposal(0, nit, solution.col_value, solution.row_dual)
     if model_status == core.HighsModelStatus.kInfeasible:
         _, has_ray, ray = highs.getDualRay()
-        return _Proposal(2, nit, None, ray if has_ray else None)
+        return _Proposal(2, nit, None, ray.tolist() if has_ray else None)
     return _Proposal(4, nit)
 
 
@@ -587,31 +584,41 @@ def _optimum(structure, rhs: tuple[int, list], objective, fold, duals: tuple[int
     return x, quotient(attained, unit * x_unit)
 
 
-def _certify(structure, rhs: tuple[int, list], objective, fold, solved: tuple):
-    """HiGHS proposes, exact arithmetic proves: ``(x, value)``, the scaled
-    point of a witness (None for an infeasible system) and, given an
-    ``objective`` (:func:`_objective`), the optimum, for the scaled ``rhs``.
-    HiGHS solves ``solved`` (a structure, its scaled rhs and their floats),
-    ``fold``'s where given.  Raises :class:`_Uncertified` otherwise."""
-    target, target_rhs, b = solved
-    cost = None if objective is None else _cost(objective, fold is not None)
-    res = linprog(target.model, b, cost)
-    if res.status == 2:
-        if res.duals is not None:
-            _, y = _rationalize(res.duals.tolist())
-            if _farkas(structure.incidence, rhs[1], y if fold is None else fold.ray(y)):
-                return None, None
-        raise _Uncertified("HiGHS reported infeasible, but its dual ray proves nothing")
-    if res.status != 0:
-        raise _Uncertified(f"HiGHS status {res.status} after {res.nit} simplex iterations")
-    x = _witness_on(target, target_rhs, res.x, functools.partial(_proof, structure, rhs, fold))
+def _answer(structure, rhs: tuple[int, list], objective, fold, ray, x, duals, proposer: str):
+    """Every proposer's answer, proven: ``(x, value)``.  A Farkas ``ray``,
+    lifted by ``fold`` where given, proves infeasibility (``x`` None); else,
+    given an ``objective``, ``duals`` price the optimum ``x`` attains
+    (:func:`_optimum`); else the proven point ``x`` is the witness.  Raises
+    :class:`_Uncertified` otherwise."""
+    if ray is not None:
+        if _farkas(structure.incidence, rhs[1], ray if fold is None else fold.ray(ray)):
+            return None, None
+        raise _Uncertified(f"{proposer} reported infeasible, but its dual ray proves nothing")
     if objective is not None:
-        # The duals are d(min -c.q)/db; minus them price the maximum.
-        y_unit, y = _rationalize(res.duals.tolist())
-        return _optimum(structure, rhs, objective, fold, (y_unit, [-v for v in y]), x)
+        return _optimum(structure, rhs, objective, fold, duals, x)
     if x is None:
         raise _Uncertified("no witness on the proposed support")
     return x, None
+
+
+def _certify(structure, rhs: tuple[int, list], objective, fold, solved: tuple):
+    """HiGHS proposes, :func:`_answer` proves, for the scaled ``rhs``:
+    HiGHS solves ``solved``, a structure (``fold``'s where given), its
+    scaled rhs and their floats, and the cost of :func:`_solve`."""
+    target, target_rhs, b, cost = solved
+    res = linprog(target.model, b, None if cost is None else _cost(objective, cost))
+    if res.status not in (0, 2):
+        raise _Uncertified(f"HiGHS status {res.status} after {res.nit} simplex iterations")
+    ray = x = duals = None
+    if res.status == 2:  # no dual ray reads as the zero ray, which proves nothing
+        ray = [0] * len(b) if res.duals is None else _rationalize(res.duals)[1]
+    else:
+        x = _witness_on(target, target_rhs, res.x, functools.partial(_proof, structure, rhs, fold))
+        if cost is not None:
+            # The duals are d(min -c.q)/db; minus them price the maximum.
+            y_unit, y = _rationalize(res.duals)
+            duals = y_unit, [-v for v in y]
+    return _answer(structure, rhs, objective, fold, ray, x, duals, "HiGHS")
 
 
 #: Bit k of column j's pattern is set when its assignment sets observable pair k to +1.
@@ -635,46 +642,36 @@ def _objective(direction: Sequence[Fraction]) -> tuple[int, list[int]]:
     return unit, sums
 
 
-def _cost(objective: tuple[int, list[int]], folded: bool) -> np.ndarray:
-    """The cost HiGHS minimizes, minus the objective: per column of the full
-    model its pattern's subset sum; per orbit of the folded model
-    ``sum_k d_k [u_k = v_k] / 2``, the objective on symmetric couplings
-    whose singletons read 1/2.  ``n / unit`` rounds as ``float(Fraction)``
-    does; a direction whose sums leave the float range is refused."""
+def _cost(objective: tuple[int, list[int]], cost: tuple) -> np.ndarray:
+    """Minus the cost ``(unit, sums, patterns)`` of :func:`_solve`, as the
+    floats HiGHS minimizes: each sum ``n / unit`` over the objective's unit,
+    rounded as ``float(Fraction)`` does, then halved where the cost's unit
+    is twice that.  A direction whose sums leave the float range is refused."""
     unit, sums = objective
     try:
         values = np.array([s / unit for s in sums])
     except OverflowError:
         direction = ", ".join(str(Fraction(sums[1 << k], unit)) for k in range(4))
         raise ValueError(f"direction ({direction}) is beyond the float range") from None
-    return -values[_AGREE_PATTERNS] / 2 if folded else -values[_PAIR_PATTERNS]
+    return -values[cost[2]] / (cost[0] // unit)
 
 
 def _bland(structure, rhs: tuple[int, list], objective, fold, solved: tuple):
-    """The exact Bland simplex as the second proposer, on the model HiGHS
-    solved, with :func:`_certify`'s answer shape: its point, Farkas ray or
-    duals are lifted and proven as HiGHS's are.  An answer that fails its
-    proof is a bug and raises AssertionError."""
-    target, target_rhs, _ = solved
-    patterns = _PAIR_PATTERNS if fold is None else _AGREE_PATTERNS  # folded: twice the cost
-    costs = None if objective is None else [objective[1][s] for s in patterns.tolist()]
+    """The exact Bland simplex as the second proposer, on the model and
+    cost HiGHS solved: its point, Farkas ray or duals go through
+    :func:`_answer` as HiGHS's do.  An answer that fails its proof is a bug
+    and raises AssertionError."""
+    target, target_rhs, _, cost = solved
+    costs = None if cost is None else [cost[1][s] for s in cost[2].tolist()]
     res = solve_lp(target.incidence.tolist(), target_rhs, costs)
+    ray = res.y[1] if res.status == INFEASIBLE else None
+    x = None if res.x is None else _proof(structure, rhs, fold, res.x)
+    # y / k prices the integer costs, so y / (k * unit) prices the cost solved.
+    duals = None if ray is not None or cost is None else (res.y[0] * cost[0], res.y[1])
     try:
-        if res.status == INFEASIBLE:
-            y = res.y[1]
-            if _farkas(structure.incidence, rhs[1], y if fold is None else fold.ray(y)):
-                return None, None
-        elif res.status == OPTIMAL:
-            x = _proof(structure, rhs, fold, res.x)
-            if objective is not None:
-                k, y = res.y  # y / k prices the sums: objective[0] times the cost solved
-                unit = k * objective[0] * (1 if fold is None else 2)
-                return _optimum(structure, rhs, objective, fold, (unit, y), x)
-            if x is not None:
-                return x, None
+        return _answer(structure, rhs, objective, fold, ray, x, duals, "the exact simplex")
     except _Uncertified as exc:
-        raise AssertionError(f"exact simplex answer not proven: {exc}") from None
-    raise AssertionError(f"exact simplex answer ({res.status}) not proven")
+        raise AssertionError(f"exact simplex answer ({res.status}) not proven: {exc}") from None
 
 
 def _solve(system: ConstraintSystem, direction: Sequence[Fraction] | None = None):
@@ -687,14 +684,16 @@ def _solve(system: ConstraintSystem, direction: Sequence[Fraction] | None = None
     fold = structure.fold
     if fold is not None and not (fold.applies(rhs) and (objective is None or fold.outcome_ends)):
         fold = None
-    # Each solved row's float: n / unit rounds a rational value once, as
-    # float(Fraction) does; a sqrt(2) part takes Scalar's own float.
-    unit, scaled = rhs
-    b = {i: scaled[i] / unit if type(scaled[i]) is int else float(system.rhs[i])
-         for i in (range(len(scaled)) if fold is None else fold.rows)}
-    solved = structure, rhs, list(b.values())
+    target, (unit, scaled), patterns, times = structure, rhs, _PAIR_PATTERNS, 1
     if fold is not None:
-        solved = fold.structure, (unit, fold.rhs(scaled)), fold.rhs(b)
+        target, scaled, patterns, times = fold.structure, fold.rhs(scaled), _AGREE_PATTERNS, 2
+    # The solved cost for both proposers: column j costs sums[patterns[j]] / unit.
+    cost = None if objective is None else (times * objective[0], objective[1], patterns)
+    # Each solved row's float: int true division rounds a value once, as
+    # float(Fraction) and Scalar's own float do.
+    b = [n.a / unit + n.b / unit * math.sqrt(2) if type(n) is ZSqrt2 else n / unit
+         for n in scaled]
+    solved = target, (unit, scaled), b, cost
     try:
         return (*_certify(structure, rhs, objective, fold, solved), "certified-float")
     except _Uncertified as exc:

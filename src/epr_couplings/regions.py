@@ -36,7 +36,6 @@ from .stats import (
 
 __all__ = [
     "REGIONS",
-    "RegionEmptyError",
     "MembershipGrid",
     "membership_grid",
     "trace_boundary",
@@ -112,10 +111,6 @@ def check_resolution(resolution: int) -> None:
         raise ValueError("resolution must be at least 2")
     if resolution > MAX_RESOLUTION:
         raise ValueError(f"resolution must be at most {MAX_RESOLUTION}, got {resolution}")
-
-
-class RegionEmptyError(ValueError):
-    """The region does not contain the slice's reference interior point."""
 
 
 def _region_predicate(region: str) -> Callable[[OutcomeVector], bool]:
@@ -309,10 +304,6 @@ def trace_boundary(
     fixed_vals, free = _split_components(fixed)
     build = _vector_builder(fixed_vals, free)
     cx, cy = _CENTER
-    if not predicate(build(cx, cy)):
-        raise RegionEmptyError(
-            f"region {region!r} does not contain the slice point (1/4, 1/4)"
-        )
     if rays < 1:
         raise ValueError("rays must be positive")
 

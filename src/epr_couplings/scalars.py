@@ -24,6 +24,7 @@ into a ``Scalar``.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -146,6 +147,30 @@ def _minus(x: ZSqrt2, other):
     return None
 
 
+def _arithmetic(exact, approximate):
+    """A binary arithmetic method of Scalar, after its one operand
+    prologue: ``exact(n, d, m, e)`` on the exact ``n / d`` (self) and ``m /
+    e`` (the other operand), or ``approximate(x, y)`` on the floats of an
+    approximate pair."""
+    def method(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        n, d = o
+        if d is None:
+            return Scalar.approximate(approximate(self._n, n))
+        return exact(self._n, self._d, n, d)
+    return method
+
+
+def _divide(n, d, m, e) -> Scalar:
+    """The exact ``(n / d) / (m / e)``."""
+    if type(m) is ZSqrt2:  # 1/(a + b*sqrt2) = (a - b*sqrt2)/(a^2 - 2 b^2)
+        conjugate = ZSqrt2(m.a, -m.b)
+        return quotient(n * e * conjugate, d * (m * conjugate).a)
+    return quotient(n * e, d * m)
+
+
 def _comparison(test):
     """A comparison method of ZSqrt2 or Scalar: ``test`` of the sign of the
     difference, as ``self._three_way(other)`` gives it."""
@@ -208,6 +233,9 @@ class ZSqrt2:
         return NotImplemented
 
     __rmul__ = __mul__
+
+    def __bool__(self) -> bool:
+        return bool((self.a != 0) | (self.b != 0))
 
     def __abs__(self) -> ZSqrt2:
         s = self.sign()
@@ -357,64 +385,19 @@ class Scalar:
             return other.numerator, other.denominator
         return None
 
-    def __add__(self, other) -> Scalar:
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        n, d = o
-        if d is None:
-            return Scalar.approximate(self._n + n)
-        return _reduced(self._n * d + n * self._d, self._d * d)
-
-    __radd__ = __add__
+    __add__ = __radd__ = _arithmetic(
+        lambda n, d, m, e: _reduced(n * e + m * d, d * e), operator.add)
+    __sub__ = _arithmetic(lambda n, d, m, e: _reduced(n * e - m * d, d * e), operator.sub)
+    __rsub__ = _arithmetic(lambda n, d, m, e: _reduced(m * d - n * e, d * e), lambda x, y: y - x)
+    __mul__ = __rmul__ = _arithmetic(lambda n, d, m, e: _reduced(n * m, d * e), operator.mul)
+    __truediv__ = _arithmetic(_divide, operator.truediv)
+    __rtruediv__ = _arithmetic(lambda n, d, m, e: _divide(m, e, n, d), lambda x, y: y / x)
 
     def __neg__(self) -> Scalar:
         return _scalar(-self._n, self._d)
 
     def __pos__(self) -> Scalar:
         return self
-
-    def __sub__(self, other) -> Scalar:
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        n, d = o
-        if d is None:
-            return Scalar.approximate(self._n - n)
-        return _reduced(self._n * d - n * self._d, self._d * d)
-
-    def __rsub__(self, other) -> Scalar:
-        return (-self).__add__(other)
-
-    def __mul__(self, other) -> Scalar:
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        n, d = o
-        if d is None:
-            return Scalar.approximate(self._n * n)
-        return _reduced(self._n * n, self._d * d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> Scalar:
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        n, d = o
-        if d is None:
-            return Scalar.approximate(self._n / n)
-        if type(n) is ZSqrt2:  # 1/(a + b*sqrt2) = (a - b*sqrt2)/(a^2 - 2 b^2)
-            conjugate = ZSqrt2(n.a, -n.b)
-            return quotient(self._n * d * conjugate, self._d * (n * conjugate).a)
-        return quotient(self._n * d, self._d * n)
-
-    def __rtruediv__(self, other) -> Scalar:
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        n, d = o
-        return _scalar(n, d) / self
 
     def __abs__(self) -> Scalar:
         return -self if self.sign() < 0 else self
@@ -463,7 +446,7 @@ class Scalar:
         return hash(n) if d == 1 else hash(Fraction(n, d))
 
     def __bool__(self) -> bool:
-        return type(self._n) is ZSqrt2 or self._n != 0  # a ZSqrt2 here has b != 0
+        return bool(self._n)
 
     # -- text form -----------------------------------------------------------
 

@@ -1,6 +1,9 @@
+import errno
 import hashlib
+import io
 import json
 import logging
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +11,11 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from epr_couplings import lp, stats
+from epr_couplings import lp, stats, verify
 from epr_couplings.cli import main
 from epr_couplings.model import (
     ConnectionVector,
+    OutcomeVector,
     connection_marginals,
     marginal_spec_to_json,
 )
@@ -376,6 +380,42 @@ def test_a_closed_stdout_exits_141_quietly():
     proc.stderr.close()
 
 
+def test_a_broken_pipe_exits_141_in_process(monkeypatch, tmp_path):
+    """The boundary's closed-stdout branch in this process: a write that
+    raises BrokenPipeError exits 141 and points stdout's file descriptor
+    at the null device, so nothing still buffered reaches the reader."""
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(SystemExit) as exited:
+        main(["regions", "--grid", "4", "--format", "csv"])
+    os.write(fd, b"buffered")
+    os.close(fd)
+    assert exited.value.code == 141
+    assert (tmp_path / "stdout").read_bytes() == b""
+
+
+@pytest.mark.parametrize("suite, planted, value", [
+    ("fine", "compatible", lambda p, eps: True),
+    ("noforcing", "qm_compliant", lambda p: stats.Compliance.INSIDE),
+    ("noforcing", "noforcing_counterexample", lambda eps: OutcomeVector(0, 0, 0, 0)),
+    ("noforcing", "chsh_satisfied", lambda p: False),
+], ids=["fine-compatible", "noforcing-qm", "noforcing-counterexample", "noforcing-chsh"])
+def test_a_failed_suite_exits_1(runner, monkeypatch, suite, planted, value):
+    monkeypatch.setattr(verify, planted, value)
+    result = invoke(runner, ["verify", suite, "--trials", "20", "--density", "2"])
+    assert result.exit_code == 1
+    payload = json.loads(result.output)
+    assert payload["pass"] is False and payload["failures"]
+
+
 @pytest.mark.parametrize("args", [
     ["regions", "--grid", "1000000000"],
     ["verify", "nomatching", "--grid", "1000000000"],
@@ -430,7 +470,8 @@ def test_verify_all_zero_trials_samples_none_in_any_suite(runner):
     ("3/4,1/4", "p11 = 3/4 outside [0, 1/2]"),
     ("1/4,-1/8", "p12 = -1/8 outside [0, 1/2]"),
     ("0.25,0.25", "outcome vector mixes exact and approximate scalars"),
-], ids=["p11-range", "p12-range", "approximate"])
+    ("1/4", "--fix needs two values (for p11,p12)"),
+], ids=["p11-range", "p12-range", "approximate", "one-value"])
 def test_regions_rejects_bad_fixed_values(runner, fix, message):
     result = invoke(runner, ["regions", "--fix", fix, "--grid", "5", "--format", "csv"])
     assert result.exit_code == 2

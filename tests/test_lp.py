@@ -521,7 +521,7 @@ def corrupted_linprog(kind):
         elif kind == "suboptimal":
             # A degenerate optimum survives losing some support columns, so
             # fix at 0 the first whose loss strictly lowers the maximum.
-            for j in np.flatnonzero(res.x > 1e-9):
+            for j in np.flatnonzero(np.array(res.x) > 1e-9):
                 bounds = [(0, None)] * len(res.x)
                 bounds[j] = (0, 0)
                 ref = highs_reference(model, b, cost, bounds)
@@ -1120,7 +1120,7 @@ def recorded_witnesses(monkeypatch):
 
     def recorded(structure, rhs, proposal, proof):
         x = witness_on(structure, rhs, proposal, proof)
-        cols = np.flatnonzero(proposal[: structure.incidence.shape[1]] > 0).tolist()
+        cols = np.flatnonzero(np.array(proposal[: structure.incidence.shape[1]]) > 0).tolist()
         calls.append((structure, rhs, cols, proof, x))
         return x
 
@@ -1177,7 +1177,7 @@ def perturbed_linprog(kind):
     def fake(model, b, cost=None):
         res = real(model, b, cost)
         if res.x is not None:
-            x = res.x.copy()
+            x = np.array(res.x)
             if kind == "off":
                 x[x > 1e-9] += 1e-6
             else:
@@ -1425,7 +1425,8 @@ def support_lp(eps, direction, folded=False):
     objective = lp._objective([Fraction(d) for d in direction])
     if folded:
         b = np.array(structure.fold.rhs(b))
-        return structure.fold.structure.model, b, lp._cost(objective, folded=True)
+        cost = 2 * objective[0], objective[1], lp._AGREE_PATTERNS
+        return structure.fold.structure.model, b, lp._cost(objective, cost)
     unit, sums = objective
     return structure.model, b, -np.array([sums[s] / unit for s in lp._PAIR_PATTERNS])
 

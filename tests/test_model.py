@@ -202,6 +202,14 @@ def test_marginal_spec_validation():
             frozenset((V.A11,)): HALF,
             frozenset((V.A11, V.B11)): HALF,
         })
+    with pytest.raises(ValueError, match=r"variables not in the marginal: \['B11'\]"):
+        MarginalSpec.from_prob_all_plus((V.A11,), {frozenset((V.A11, V.B11)): HALF})
+
+
+def test_prob_all_plus_refuses_a_foreign_variable():
+    spec = MarginalSpec((V.A11, V.B11), (HALF, 0, 0, HALF))
+    with pytest.raises(ValueError, match=r"variables not in this marginal: \['A12'\]"):
+        spec.prob_all_plus((V.A11, V.A12))
 
 
 @given(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=32),

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epr_couplings import regions, scalars, stats
 from epr_couplings.model import OutcomeVector
@@ -522,6 +524,26 @@ def test_trace_single_ray():
     pts = regions.trace_boundary("qm", QUARTER_SLICE, 1)
     assert len(pts) == 1
     assert (str(pts[0][0]), str(pts[0][1])) == ("1/2", "1/4")
+
+
+#: Exact fixed values in [0, 1/2]: lattice fractions and a + b sqrt2 in range.
+FIXED_VALUES = st.one_of(
+    st.integers(0, 1 << 20).map(lambda k: Scalar(Fraction(k, 1 << 21))),
+    st.tuples(st.fractions(-1, 1, max_denominator=64), st.fractions(-1, 1, max_denominator=64))
+    .map(lambda ab: Scalar.quadratic(*ab)).filter(lambda v: 0 <= v <= Fraction(1, 2)),
+)
+
+
+@given(FIXED_VALUES, FIXED_VALUES)
+@settings(max_examples=60, deadline=None)
+def test_every_region_contains_the_trace_start(a, b):
+    """The slice point (1/4, 1/4) of a trace lies in all three regions for
+    every exact fixed pair in [0, 1/2], at every placement: each CHSH
+    expression is a + b or 1/2 +- (a - b), all in [0, 1]."""
+    for first, second in itertools.permutations(regions._COMPONENTS, 2):
+        fixed, free = regions._split_components({first: a, second: b})
+        p = regions._vector_builder(fixed, free)(*regions._CENTER)
+        assert all(regions._region_predicate(region)(p) for region in regions.REGIONS)
 
 
 def test_trace_validation():

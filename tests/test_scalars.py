@@ -130,6 +130,23 @@ def test_division():
         Scalar(1) / Scalar(0)
 
 
+def test_reflected_division():
+    """``number / Scalar`` for ints and Fractions over Q and Q[sqrt2], and
+    floats over an approximate scalar; other types are refused."""
+    assert 1 / Scalar(Fraction(2, 3)) == Fraction(3, 2)
+    assert 1 / SQRT2 == Scalar.quadratic(0, Fraction(1, 2))
+    assert Fraction(1, 2) / (Scalar(1) + SQRT2) == (SQRT2 - 1) / 2
+    assert str(Fraction(-3, 4) / Scalar(Fraction(3, 8))) == "-2"
+    assert 1.0 / Scalar.approximate(4.0) == Scalar.approximate(0.25)
+    assert (3 / Scalar.approximate(2.0)).to_float() == 1.5
+    with pytest.raises(ZeroDivisionError):
+        Fraction(1, 2) / Scalar(0)
+    with pytest.raises(ScalarModeError):
+        1.0 / Scalar(2)
+    with pytest.raises(TypeError):
+        "1" / Scalar(2)
+
+
 def test_abs_and_sign():
     assert abs(Scalar(1) - SQRT2) == SQRT2 - 1
     assert (Scalar(1) - SQRT2).sign() == -1
@@ -439,6 +456,13 @@ def test_zsqrt2_rejects_other_number_types():
         with pytest.raises(TypeError):
             x < other
     assert x != Fraction(1, 2)
+
+
+def test_zsqrt2_truth_is_a_nonzero_part():
+    assert not ZSqrt2(0, 0)
+    assert ZSqrt2(0, 1) and ZSqrt2(-1, 0)
+    with pytest.raises(ValueError, match="ambiguous"):
+        bool(ZSqrt2(np.array([0, 1], dtype=np.int64), np.zeros(2, dtype=np.int64)))
 
 
 def test_integers_scales_sqrt2_values_to_ring_pairs():

@@ -6,7 +6,14 @@ import pytest
 
 from epr_couplings import verify
 from epr_couplings.model import ConnectionVector, OutcomeVector
-from epr_couplings.stats import compatible, s_pair, CorrelationQuad
+from epr_couplings.stats import (
+    Compliance,
+    CorrelationQuad,
+    chsh_satisfied,
+    compatible,
+    noforcing_counterexample,
+    s_pair,
+)
 
 
 def test_lemma1_small_run_passes():
@@ -84,6 +91,50 @@ def test_noforcing_small_run():
     # the 3^4 grid contains all eight s0 = 1 vectors
     assert report["s0_one_checked"] == 8
     assert report["s0_one_verified"] == 8
+
+
+def test_fine_records_a_wrong_criterion(monkeypatch):
+    """A planted ``compatible`` that admits every p: each recorded failure
+    names its trial's p, whose CHSH verdict it states, and the report fails."""
+    monkeypatch.setattr(verify, "compatible", lambda p, eps: True)
+    report = verify.verify_fine(100, seed=3)
+    assert not report["pass"] and not report["pr_box_incompatible"]
+    assert report["failures"]
+    for failure in report["failures"]:
+        p = OutcomeVector(*failure["p"])
+        assert failure["chsh"] is chsh_satisfied(p) is False
+        assert failure["verdicts"] == [True] * 8
+
+
+NOFORCING_PLANTS = {
+    # The counterexample of every open vector is called inside the quantum region.
+    "qm_compliant": (lambda p: Compliance.INSIDE, "qm"),
+    # A vector with s0 = 1 gets a counterexample that it forbids.
+    "noforcing_counterexample": (lambda eps: OutcomeVector(0, 0, 0, 0), "error"),
+    # Every compatible p of a vector with s0 = 1 is called non-classical.
+    "chsh_satisfied": (lambda p: False, "error"),
+}
+
+
+@pytest.mark.parametrize("planted", NOFORCING_PLANTS)
+def test_noforcing_records_each_failure_with_its_inputs(monkeypatch, planted):
+    value, key = NOFORCING_PLANTS[planted]
+    monkeypatch.setattr(verify, planted, value)
+    report = verify.verify_noforcing(density=2, seed=11, min_vectors=20)
+    assert report["pass"] is False
+    failures = [f for f in report["failures"] if key in f]
+    assert failures
+    for failure in failures:
+        eps = ConnectionVector(*failure["eps"])
+        s0 = s_pair(CorrelationQuad.from_connections(eps)).s0
+        if planted == "qm_compliant":
+            p = noforcing_counterexample(eps)
+            assert failure["p"] == [str(c) for c in p.components] and failure["qm"] == "inside"
+        elif planted == "noforcing_counterexample":
+            assert failure["error"] == "counterexample returned for s0 = 1" and s0 == 1
+        else:
+            assert failure["error"] == "compatible but not classical" and s0 == 1
+            assert compatible(OutcomeVector(*failure["p"]), eps)
 
 
 def test_noforcing_directed_example():
