@@ -14,30 +14,31 @@ Verdicts are always exact.  A float LP solver (HiGHS) proposes every answer
 and exact arithmetic proves it: a witness ``q >= 0`` that reproduces every
 row, a Farkas ray for infeasibility (HiGHS's own dual ray), or -- for
 :func:`optimize` -- duals bounding the objective on every column together
-with a witness that attains the bound.  Floats only choose what gets
-checked, with no tolerance: a witness lies on the columns HiGHS gives
-positive weight (its nonbasic weights are exactly 0.0).  A proof
-rationalizes HiGHS's floats (the closest fractions with denominators up to
-2**24; a float whose own power-of-two denominator is in bounds is its own
-ratio, as ``Fraction.limit_denominator`` returns it, with no continued
-fraction), scales the rhs, the point, the duals and the direction each by
-its own positive unit to ints (a ZSqrt2 ``a + b*sqrt2`` to its two int
-parts; :func:`~.scalars.integers`), and decides each check as one product
-with the structure's 0/1 incidence matrix ``M``: ``M x`` for a witness,
-``y M`` on all 256 columns for a Farkas ray or the dual bound, in int64
-where a guard proves it exact, else in Python ints (:func:`_vector`).
-Scalars are built only for answers.  A float has no recoverable sqrt(2)
-part, so over Q[sqrt(2)], and wherever a rationalized point fails its
-proof, the witness comes from fraction-free elimination on the same columns
-instead, :func:`~.simplex.eliminate`, which shares its pivots and its
-drive-out step with the exact Bland simplex.  When HiGHS's answer fails
-its proof, that simplex proposes on
-the model and cost HiGHS solved, folded or full, described once for both.
-Both proposers hand their point, Farkas ray or duals to one answer path,
-which lifts and proves them: no answer leaves ``lp`` unproven, and an exact
-one that fails raises AssertionError.  It logs one WARNING with that model, the
-reason, the exact right-hand side and, for a non-optimal HiGHS status, the
-simplex iteration count, on the ``epr_couplings.lp`` logger.
+with a witness that attains the bound.  Floats only choose what gets checked,
+with no tolerance: a witness lies on the columns HiGHS gives positive weight
+(its nonbasic weights are exactly 0.0), first as HiGHS's floats rounded to
+ints at 12 times the rhs's unit.  Where that point fails, and for rays and
+duals, a proof rationalizes HiGHS's floats (the closest fractions with
+denominators up to 2**24; a float whose own power-of-two denominator is in
+bounds is its own ratio, as ``Fraction.limit_denominator`` returns it, with
+no continued fraction), scales the rhs, the point, the duals and the
+direction each by its own positive unit to ints (a ZSqrt2 ``a + b*sqrt2`` to
+its two int parts; :func:`~.scalars.integers`), and decides each check as
+one product with the structure's 0/1 incidence matrix ``M``: ``M x`` for a
+witness, ``y M`` on all 256 columns for a Farkas ray or the dual bound, in
+int64 where a guard proves it exact, else in Python ints
+(:func:`_vector`).  Scalars are built only for answers.  A float has no
+recoverable sqrt(2) part, so over Q[sqrt(2)], and wherever a rationalized
+point fails its proof, the witness comes from fraction-free elimination on
+the same columns instead, :func:`~.simplex.eliminate`, which shares its
+pivots and its drive-out step with the exact Bland simplex.  When HiGHS's
+answer fails its proof, that simplex proposes on the model and cost HiGHS
+solved, folded or full, described once for both.  Both proposers hand their
+point, Farkas ray or duals to one answer path, which lifts and proves them:
+no answer leaves ``lp`` unproven, and an exact one that fails raises
+AssertionError.  It logs one WARNING with that model, the reason, the exact
+right-hand side and, for a non-optimal HiGHS status, the simplex iteration
+count, on the ``epr_couplings.lp`` logger.
 
 :func:`feasible` folds a system by the global flip when the rows allow it:
 every row has at most two variables, each variable of a pair row has its
@@ -60,9 +61,10 @@ checked on all 256 columns and the lifted witness must attain it.  Other
 systems solve the full model.
 
 Each row structure keeps one HiGHS model, ``M q = b``, ``q >= 0``, built
-on first use and held at zero cost.  A solve sets the row bounds (and
-:func:`optimize` its costs, for that solve only), then runs the dual
-simplex without presolve from a cold start, so each proposal depends on its
+on first use and held at zero cost.  A solve writes the row bounds that
+differ from the ones the model holds (and :func:`optimize` its costs, for
+that solve only), then runs the dual simplex without presolve from a cold
+start, so each proposal depends on its
 own LP alone, never on the queries before it.  At zero cost the starting
 logical basis is dual feasible, so an infeasible system ends on a dual ray,
 which is the proposed Farkas ray.  A lock serializes the solves on one
@@ -98,6 +100,7 @@ from .model import (
     CouplingTable,
     MarginalSpec,
     OutcomeVector,
+    _row_order,
     subset_mask,
     subset_name,
     subset_order,
@@ -145,16 +148,17 @@ def _augmented_system(
     """The rows of ``specs`` (each in :meth:`~.model.MarginalSpec.rows` order)
     and of ``p``'s four pairs, merged by mask; the first conflict raises."""
     rows: dict[int, Scalar] = {0: ONE}
-    items = [row for spec in specs for row in spec.rows()]
+    tables = [(spec.masks, spec.all_plus, _row_order(len(spec.masks))) for spec in specs]
     if p is not None:
-        items.extend(zip(_PAIR_MASKS, p.components))
-    for mask, value in items:
-        seen = rows.setdefault(mask, value)
-        if seen is not value and seen != value:
-            raise ConflictingMarginalsError(
-                f"marginal Pr[{subset_name(mask) or '()'} = +1] assigned both "
-                f"{seen} and {value}"
-            )
+        tables.append((_PAIR_MASKS, p.components, range(4)))
+    for masks, values, local in tables:
+        for i in local:
+            seen = rows.setdefault(masks[i], values[i])
+            if seen is not values[i] and seen != values[i]:
+                raise ConflictingMarginalsError(
+                    f"marginal Pr[{subset_name(masks[i]) or '()'} = +1] assigned both "
+                    f"{seen} and {values[i]}"
+                )
     order = _sorted_masks(tuple(rows))
     return ConstraintSystem(order, tuple(map(rows.__getitem__, order)))
 
@@ -205,15 +209,16 @@ class FeasibilityResult:
 
 class _Model:
     """``a_eq q = b``, ``q >= 0`` for one fixed 0/1 matrix, at zero cost
-    between solves; :func:`linprog` builds its HiGHS model on first use and
-    reuses it under ``lock``."""
+    between solves; :func:`linprog` builds its HiGHS model (at ``b = 0``) on
+    first use and reuses it under ``lock``, ``bounds`` the b it holds."""
 
-    __slots__ = ("a_eq", "highs", "lock")
+    __slots__ = ("a_eq", "highs", "lock", "bounds")
 
     def __init__(self, a_eq: np.ndarray):
         self.a_eq = a_eq
         self.highs = None
         self.lock = threading.Lock()
+        self.bounds = [0.0] * len(a_eq)
 
 
 class _Structure(NamedTuple):
@@ -400,15 +405,22 @@ def _rationalize(values: Sequence[float]) -> tuple[int, list[int]]:
 
 
 def _witness_on(structure, rhs, proposal: Sequence[float], proof) -> tuple[int, list[int], list] | None:
-    """A point with M x = rhs on the columns HiGHS gives positive weight
-    (its nonbasic weights are exactly 0.0), as ``proof`` returns it once it
-    has proven the point (or None): on a rational rhs, HiGHS's own values,
-    rationalized; over Q[sqrt2] (a float has no recoverable sqrt(2) part)
-    or when that proof fails, :func:`~.simplex.eliminate` on those columns."""
+    """The point with M x = rhs on the columns HiGHS gives positive weight
+    (nonbasic weights are exactly 0.0), as ``proof`` returns it once proven
+    (or None).  Over a basis B and a rational rhs ``n / unit`` it is ``adj(B)
+    n / (det(B) unit)``, so HiGHS's values rounded at ``12 unit`` are exact
+    when det(B) divides 12 (97% of oracle witnesses), else rationalized; over
+    Q[sqrt2], or when both fail, :func:`~.simplex.eliminate` decides."""
     cols = [j for j, v in enumerate(proposal) if v > 0]
     if ZSqrt2 not in map(type, rhs[1]):
-        unit, weights = _rationalize([proposal[j] for j in cols])
-        x = proof((unit, cols, weights))
+        unit = 12 * rhs[0]
+        try:  # a unit or a value beyond the float range rounds to nothing
+            x = proof((unit, cols, [round(proposal[j] * unit) for j in cols]))
+        except (OverflowError, ValueError):
+            x = None
+        if x is None:
+            unit, weights = _rationalize([proposal[j] for j in cols])
+            x = proof((unit, cols, weights))
         if x is not None:
             return x
     x = eliminate(structure.incidence.take(cols, axis=1).tolist(), rhs)
@@ -514,7 +526,7 @@ def linprog(model: _Model, b: Sequence[float], cost: np.ndarray | None = None) -
     """HiGHS on ``model`` with right-hand side ``b``, at zero cost or at
     ``cost``: the one float proposal behind every certified answer.
 
-    The persistent model takes only the new row bounds, and a ``cost``
+    The persistent model takes only the changed row bounds, and a ``cost``
     only for this solve: the zeros go back before the lock is released.
     ``clearSolver`` drops its basis, so the dual simplex starts cold, from
     the logical basis (dual feasible at zero cost), as scipy's ``linprog``
@@ -526,7 +538,9 @@ def linprog(model: _Model, b: Sequence[float], cost: np.ndarray | None = None) -
         if highs is None:
             highs = model.highs = _new_highs(model)
         for i, v in enumerate(b):
-            highs.changeRowBounds(i, v, v)
+            if v != model.bounds[i]:
+                highs.changeRowBounds(i, v, v)
+                model.bounds[i] = v
         if cost is None:
             return _run(core, highs)
         cols = np.arange(len(cost), dtype=np.int32)

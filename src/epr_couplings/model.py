@@ -383,7 +383,8 @@ def _equal_margin_pairs(pairs, vector, off_diagonal: bool) -> list[MarginalSpec]
         if n < 0 or 2 * n > unit:
             names = ",".join(v.name for v in pair)
             raise ValueError(f"({names}) table has a negative entry: {c} outside [0, 1/2]")
-        v, off = (half - c, c) if off_diagonal else (c, half - c)
+        rest = quotient(unit - 2 * n, 2 * unit)  # 1/2 - c; exact halving keeps a float's bits
+        v, off = (rest, c) if off_diagonal else (c, rest)
         spec = object.__new__(MarginalSpec)
         spec.variables = pair
         spec.masks = _table_masks(pair)

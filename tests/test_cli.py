@@ -6,6 +6,7 @@ import logging
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -107,14 +108,25 @@ def test_feasible_with_witness_file(runner, tmp_path):
     assert json.loads(result.output)["feasible"] is False
 
 
+def connection_specs(eps):
+    return [marginal_spec_to_json(s)
+            for s in connection_marginals(ConnectionVector(*map(Fraction, eps.split(","))))]
+
+
 @pytest.mark.parametrize("specs, p, digest", [
     (None, "(2-sqrt2)/8,(2-sqrt2)/8,(2-sqrt2)/8,(2+sqrt2)/8", "468f0d96fa297e9d450855a2b990ca52"),
     (NULL_CONNECTION_SPECS, "1/4,1/4,1/4,1/4", "0cf5cad22d452114c28e805ea6e5128c"),
-], ids=["tsirelson-sqrt2", "null-connection-rational"])
+    (connection_specs("3/8,3/8,1/8,5/16"), "3/8,0,7/16,3/16", "f4d1cfa5b823a9621c4cc2bfa1cfbc64"),
+    (connection_specs("1/4,1/4,0,1/4"), "3/8,1/4,1/4,3/8", "feae1ad5bf6bcff2eb3c1575470cc2e6"),
+], ids=["tsirelson-sqrt2", "null-connection-rational", "lattice-rounded", "lattice-rationalized"])
 def test_feasible_witness_bytes_are_pinned(runner, tmp_path, specs, p, digest):
     """The witness files move if HiGHS gets another model or proposes
     another vertex.  The null-connection witness is the vertex where the
-    dual simplex ends on the coupling model at zero cost."""
+    dual simplex ends on the coupling model at zero cost.  Each witness
+    route has pinned bytes: HiGHS's point rounded at 12 times the rhs's
+    unit (the null connection, and a witness of unit 96 over an rhs unit of
+    16), that point rationalized (a witness of unit 40 over an rhs unit of
+    8: a factor 5 that 12 lacks), and elimination (Tsirelson, over Q[sqrt2])."""
     marg = TSIRELSON_MARGINALS
     if specs is not None:
         marg = tmp_path / "marginals.json"

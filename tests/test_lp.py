@@ -1113,16 +1113,22 @@ def test_rationalize_refuses_non_finite_values():
 
 def recorded_witnesses(monkeypatch):
     """Record every ``lp._witness_on`` call as ``(structure, rhs, cols,
-    proof, x)``, and the rows of every elimination, for the rest of the
+    proof, x, rationalized)``, ``rationalized`` true when it rationalized
+    HiGHS's values, and the rows of every elimination, for the rest of the
     test."""
-    calls, eliminations = [], []
-    witness_on, eliminate = lp._witness_on, lp.eliminate
+    calls, eliminations, rationalized = [], [], []
+    witness_on, eliminate, rationalize = lp._witness_on, lp.eliminate, lp._rationalize
 
     def recorded(structure, rhs, proposal, proof):
+        before = len(rationalized)
         x = witness_on(structure, rhs, proposal, proof)
         cols = np.flatnonzero(np.array(proposal[: structure.incidence.shape[1]]) > 0).tolist()
-        calls.append((structure, rhs, cols, proof, x))
+        calls.append((structure, rhs, cols, proof, x, len(rationalized) > before))
         return x
+
+    def counted(values):
+        rationalized.append(values)
+        return rationalize(values)
 
     def eliminated(rows, rhs):
         eliminations.append(rows)
@@ -1130,14 +1136,16 @@ def recorded_witnesses(monkeypatch):
 
     monkeypatch.setattr(lp, "_witness_on", recorded)
     monkeypatch.setattr(lp, "eliminate", eliminated)
+    monkeypatch.setattr(lp, "_rationalize", counted)
     return calls, eliminations
 
 
 def test_proven_primal_equals_elimination_on_its_support(monkeypatch, caplog):
     """On 600 seeded lattice oracle systems (and the s0 = 1 family) every
-    witness is HiGHS's own point, rationalized and proven, with no
-    elimination; it equals the elimination's on the same support.  Over
-    Q[sqrt2] (the exact benchmark catalogue) elimination decides."""
+    witness is HiGHS's own point, rounded at 12 times the rhs's unit or else
+    rationalized, and proven, with no elimination; both routes prove some
+    witnesses, and each equals the elimination's on the same support.
+    Over Q[sqrt2] (the exact benchmark catalogue) elimination decides."""
     rng = random.Random(1618)
     pairs = [(random_outcome_vector(rng), random_connection_vector(rng)) for _ in range(600)]
     pairs += [(random_outcome_vector(rng), eps) for eps in enumerate_E0() for _ in range(5)]
@@ -1149,7 +1157,9 @@ def test_proven_primal_equals_elimination_on_its_support(monkeypatch, caplog):
         feasible_count += res.feasible
     assert eliminations == []
     assert len(calls) == feasible_count > 500
-    for structure, rhs, cols, proof, x in calls:
+    rationalized = sum(call[-1] for call in calls)
+    assert 0 < rationalized < feasible_count  # some witnesses rounded, some rationalized
+    for structure, rhs, cols, proof, x, _ in calls:
         eliminated = proof(eliminate_on(structure, rhs, cols))
         assert x is not None and exact(x) == exact(eliminated)
 
@@ -1162,7 +1172,7 @@ def test_proven_primal_equals_elimination_on_its_support(monkeypatch, caplog):
     assert optimize(connection_marginals(EPS0), (-1, -1, -1, 2)) == HALF
     assert len(eliminations) == 3  # the Q[sqrt2] witnesses; EPS0's is proven
     assert len(calls) == 4
-    for structure, rhs, cols, proof, x in calls:
+    for structure, rhs, cols, proof, x, _ in calls:
         eliminated = proof(eliminate_on(structure, rhs, cols))
         assert x is not None and exact(x) == exact(eliminated)
     assert lp_warnings(caplog) == []
@@ -1458,6 +1468,39 @@ def test_persistent_highs_proposes_exactly_what_linprog_does():
             if got.status == 0:
                 assert np.array_equal(got.x, want[k].x), k
                 assert np.array_equal(got.duals, want[k].eqlin.marginals), k
+
+
+def test_unchanged_row_bounds_are_not_rewritten_and_proposals_stay_linprogs():
+    """``linprog`` writes only the row bounds that differ from the ones the
+    model holds, and still proposes scipy's answer bit for bit: on a fresh
+    model (its zero rows never written), for the same rhs twice, for an rhs
+    that differs in one row, for an infeasible one and back, and at zero
+    cost right after a costed solve on the same model."""
+    def proposes_as_linprog(model, b, cost=None):
+        got, want = lp.linprog(model, b, cost), highs_reference(model, b, cost)
+        assert (got.status, got.nit) == (want.status, want.nit)
+        if got.status == 0:
+            assert np.array(got.x).tobytes() == want.x.tobytes()
+            assert np.array(got.duals).tobytes() == want.eqlin.marginals.tobytes()
+        assert model.bounds == list(b)
+        return got.status
+
+    eps = ConnectionVector(*map(Fraction, ("3/8", "3/8", "1/8", "5/16")))
+    systems = [oracle_lp(outcome_marginals(OutcomeVector(*map(Fraction, p)))
+                         + connection_marginals(eps))
+               for p in (("3/8", "0", "7/16", "3/16"), ("3/8", "1/16", "7/16", "3/16"))]
+    systems.append(oracle_lp(outcome_marginals(PR_BOX) + connection_marginals(EPS0)))
+    (shared, b), (_, b_row), (_, b_none) = systems
+    assert 0.0 in b and np.count_nonzero(b != b_row) == 1
+    model = lp._Model(shared.a_eq)
+    statuses = [proposes_as_linprog(model, rhs) for rhs in (b, b, b_row, b_none, b)]
+    assert statuses == [0, 0, 0, 2, 0]
+    for eps in (EPS0, ConnectionVector(*map(Fraction, ("1/8", "0", "1/4", "1/2")))):
+        for folded in (False, True):
+            for direction in CHSH_DIRECTIONS[:2]:
+                costed, b, cost = support_lp(eps, direction, folded)
+                proposes_as_linprog(costed, b, cost)
+                proposes_as_linprog(costed, b)
 
 
 @pytest.mark.parametrize("folds", [True, False], ids=["folded", "full"])

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -555,6 +556,24 @@ def test_pair_specs_match_the_general_constructor(values):
         assert spec.all_plus == want.all_plus
         assert spec.rows() == want.rows()
         assert spec == want
+
+
+def test_approximate_pair_tables_keep_their_float_bits():
+    """On approximate vectors 1/2 - c is (1 - 2c) / 2, formed at the
+    vectors' unit 1; halving is exact in binary floating point, so each
+    table holds the bits of ``0.5 - c``, and of c itself."""
+    rng = random.Random(35)
+    values = [0.0, 0.5, 1e-310, 5e-324, 2.5e-301, 0.25, 0.5 - 2**-54, 2**-53]
+    values += [rng.uniform(0, 0.5) * 2.0 ** -rng.choice([0, 0, 1, 7, 30, 200]) for _ in range(292)]
+    for i in range(0, len(values), 4):
+        chunk = values[i:i + 4]
+        vectors = [v(*map(Scalar.approximate, chunk)) for v in (OutcomeVector, ConnectionVector)]
+        built = outcome_marginals(vectors[0]) + connection_marginals(vectors[1])
+        pairs = [(c, 0.5 - c) for c in chunk] + [(0.5 - c, c) for c in chunk]
+        for spec, (v, off) in zip(built, pairs):
+            want = [v, off, off, v, 1.0, 0.5, 0.5, v]
+            got = [float(t) for t in spec.table + spec.all_plus]
+            assert list(map(float.hex, got)) == list(map(float.hex, want)), chunk
 
 
 def test_pair_specs_reject_a_negative_table_entry():
